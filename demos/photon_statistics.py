@@ -12,21 +12,21 @@ Run:  python demos/photon_statistics.py
 """
 
 from isosqueeze import SqueezeParams, build_nonlinear_squeezed, build_squeezed
-from isosqueeze import stats
+from isosqueeze import fock, stats
 
 # --- photon-number distributions ------------------------------------------
 nonlinear = build_nonlinear_squeezed(SqueezeParams(kind="i", r=20.0, n_max=70))
 unitary = build_squeezed(SqueezeParams(kind="iii", r=0.4, n_max=70))
 
 print("non-unitary route, r = 20 -- leading probabilities:")
-for level, prob in stats.photon_distribution(nonlinear)[:12]:
+for level, prob in zip(nonlinear.levels[:12], fock.probabilities(nonlinear)):
     bar = "#" * int(60 * prob)
     if prob > 0:
         print(f"  |{level:3d}>  {prob:8.5f}  {bar}")
 print("  (support sits on every second level: 3, 5, 7, ...)")
 
 print("\nunitary route, xi = 0.4 -- leading probabilities:")
-for level, prob in stats.photon_distribution(unitary)[:12]:
+for level, prob in zip(unitary.levels[:12], fock.probabilities(unitary)):
     if prob > 0:
         print(f"  |{level:3d}>  {prob:8.5f}  {'#' * int(60 * prob)}")
 
@@ -35,9 +35,9 @@ print("\nnon-unitary route sweep (n_max = 70):")
 print(f"  {'r':>5} {'meanK0':>10} {'Q':>10} {'g2(0)':>10} {'A3':>8}")
 for r in (0.5, 2.0, 5.0, 10.0, 20.0, 31.0):
     v = build_nonlinear_squeezed(SqueezeParams(kind="i", r=r, n_max=70))
-    table = stats.moment_table(v)
-    print(f"  {r:5.1f} {table.mean_excitation:10.5f} {table.mandel_q:10.5f} "
-          f"{table.g2:10.4f} {table.a3:8.4f}")
+    mean, _ = stats.excitation_moments(v)
+    print(f"  {r:5.1f} {mean:10.5f} {stats.mandel_q(v):10.5f} "
+          f"{stats.g2_zero(v):10.4f} {stats.a3_parameter(v):8.4f}")
 
 print("\nunitary route sweep (closed forms: Q = 2<K0>+1, g2 = 3 + 1/<K0>):")
 print(f"  {'xi':>5} {'meanK0':>10} {'Q':>10} {'g2(0)':>10}")

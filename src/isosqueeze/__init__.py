@@ -13,7 +13,7 @@ Husimi at s = -1).
 Modules
 -------
 specfun    log-factorials and stable polynomial recurrences
-fock       truncated state vectors, normalization, serialization
+fock       truncated state vectors, normalization, tail diagnostic
 algebra    ladder-operator actions and identity verification
 states     state builders and the divergence diagnostic
 stats      photon statistics and moment diagnostics

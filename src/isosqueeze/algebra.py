@@ -2,11 +2,9 @@
 
 The deformation function f(n) = sqrt((n-1)(n-3)) vanishes at n = 1 and
 n = 3, which is what isolates level 0 and turns |3> into the effective
-ground state.  Three operator families act on this ladder:
+ground state.  Two operator pairs act on this ladder:
 
 * deformed lowering/raising  -- the f-weighted ladder pair,
-* bare lowering/raising      -- the conventional ladder pair recovered
-                                by dividing the deformation back out,
 * Heisenberg lowering/raising -- the symmetrically rescaled pair that
                                 satisfies [lower, raise] = 1 exactly,
                                 acting on |3>, |4>, ... the way the
@@ -24,21 +22,15 @@ which keeps the identity checks at the 1e-11 level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .fock import BASE_LEVEL, FockVector, basis_vector
 
 __all__ = [
-    "AlgebraSpec",
-    "DEFAULT_ALGEBRA",
     "deform_f",
     "apply_deformed_lowering",
     "apply_deformed_raising",
-    "apply_lowering",
-    "apply_raising",
     "apply_heisenberg_lowering",
     "apply_heisenberg_raising",
     "apply_excitation_number",
@@ -65,29 +57,6 @@ def _spectral_weight(n: int) -> float:
     return (n + 1.0) * n * (n - 2.0)
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """Deformation data: f, the shift delta, and the rescaling weights.
-
-    ``scale_f`` is the one-sided rescaling (n + delta) / ((n+1) f(n+1)^2)
-    and ``scale_g`` its square root, used for the symmetric rescaling.
-    delta = -2 is forced by requiring the rescaled commutators to close
-    to the identity on the bottom level |3>.
-    """
-
-    deform_f: Callable[[int], float] = deform_f
-    delta: int = -2
-
-    def scale_f(self, n: int) -> float:
-        return (n + self.delta) / _spectral_weight(n)
-
-    def scale_g(self, n: int) -> float:
-        return math.sqrt(self.scale_f(n))
-
-
-DEFAULT_ALGEBRA = AlgebraSpec()
-
-
 def _apply_diagonal(v: FockVector, coeff: np.ndarray) -> FockVector:
     return FockVector(v.amps * coeff, tail_bound=v.tail_bound)
 
@@ -110,7 +79,7 @@ def _apply_raising(v: FockVector, coeff: np.ndarray) -> FockVector:
 
 
 def _levels(v: FockVector) -> np.ndarray:
-    return np.arange(v.base_index, v.base_index + v.amps.size, dtype=float)
+    return v.levels.astype(float)
 
 
 def apply_deformed_lowering(v: FockVector) -> FockVector:
@@ -123,20 +92,6 @@ def apply_deformed_raising(v: FockVector) -> FockVector:
     """|n> -> sqrt(n+1) f(n+1) |n+1>."""
     n = _levels(v)
     return _apply_raising(v, np.sqrt((n + 1.0) * n * (n - 2.0)))
-
-
-def apply_lowering(v: FockVector) -> FockVector:
-    """Bare ladder-down: |3> -> 0, |n> -> sqrt(n) |n-1> for n >= 4."""
-    n = _levels(v)
-    coeff = np.sqrt(n)
-    coeff[0] = 0.0
-    return _apply_lowering(v, coeff)
-
-
-def apply_raising(v: FockVector) -> FockVector:
-    """Bare ladder-up: |n> -> sqrt(n+1) |n+1>."""
-    n = _levels(v)
-    return _apply_raising(v, np.sqrt(n + 1.0))
 
 
 def apply_heisenberg_lowering(v: FockVector) -> FockVector:

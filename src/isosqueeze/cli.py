@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -37,10 +36,6 @@ from .states import (
 __all__ = ["main"]
 
 TAIL_WARN_THRESHOLD = 1e-6
-
-
-def _env_int(name: str, default: int) -> int:
-    return int(os.environ.get(f"ISOSQUEEZE_{name}", default))
 
 
 class ValidationError(ValueError):
@@ -116,8 +111,6 @@ def _params_from_args(args, r_override: float | None = None) -> SqueezeParams:
     xi = args.xi if r_override is None else r_override
     if xi is None:
         raise ValidationError("--case iii requires --xi")
-    if xi >= 1.0:
-        raise ValidationError(f"--xi must be < 1, got {xi}")
     return SqueezeParams(kind=CASE_UNITARY, r=xi, theta=args.xi_phase, n_max=args.n_max)
 
 
@@ -227,6 +220,10 @@ def _cmd_quasiprob(args) -> _Output:
     if args.s >= 1.0:
         raise ValidationError(f"--s must be < 1, got {args.s}")
     params = _params_from_args(args)
+    bound = (1.0 - args.s) / (1.0 + args.s) if args.s > -1.0 else math.inf
+    if params.kind == CASE_UNITARY and params.r >= bound:
+        # the double sum diverges there: the s-ordered function does not exist
+        raise ValidationError(f"case iii needs |xi| < (1 - s)/(1 + s) = {bound:.6g}, got {params.r}")
     vec = build_state(params)
     xs = np.linspace(args.x_min, args.x_max, args.x_steps)
     ps = np.linspace(args.p_min, args.p_max, args.p_steps)
@@ -281,7 +278,7 @@ def _cmd_dual_check(args) -> _Output:
 def _add_common(sub, cases: bool = True) -> None:
     sub.add_argument("-o", "--output", default=None, help="output path (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--n-max", type=int, default=_env_int("N_MAX", 70),
+    sub.add_argument("--n-max", type=int, default=70,
                      help="half-index truncation; top level is 2 n_max + 3")
     if cases:
         sub.add_argument("--case", choices=("i", "iii"), required=True,
@@ -312,20 +309,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("stats", help="sweep meanK0, Q, g2, A3 over the modulus")
     _add_common(sub)
     sub.add_argument("--r-max", type=float, default=31.0)
-    sub.add_argument("--r-steps", type=int, default=_env_int("R_STEPS", 64))
+    sub.add_argument("--r-steps", type=int, default=64)
     sub.add_argument("--theta", type=float, default=0.0)
     sub.add_argument("--xi-max", type=float, default=0.9)
-    sub.add_argument("--xi-steps", type=int, default=_env_int("R_STEPS", 64))
+    sub.add_argument("--xi-steps", type=int, default=64)
     sub.add_argument("--xi-phase", type=float, default=0.0)
     sub.set_defaults(func=_cmd_stats)
 
     sub = subs.add_parser("squeeze", help="I1..I4 witnesses over an (r, theta) grid")
     _add_common(sub)
     sub.add_argument("--r-max", type=float, default=31.0)
-    sub.add_argument("--r-steps", type=int, default=_env_int("R_STEPS", 64))
+    sub.add_argument("--r-steps", type=int, default=64)
     sub.add_argument("--xi-max", type=float, default=0.9)
-    sub.add_argument("--xi-steps", type=int, default=_env_int("R_STEPS", 64))
-    sub.add_argument("--theta-steps", type=int, default=_env_int("THETA_STEPS", 128))
+    sub.add_argument("--xi-steps", type=int, default=64)
+    sub.add_argument("--theta-steps", type=int, default=128)
     sub.set_defaults(func=_cmd_squeeze)
 
     sub = subs.add_parser("quad-dist", help="quadrature distribution P(x, phi), case i")
@@ -334,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--theta", type=float, default=0.0)
     sub.add_argument("--x-min", type=float, default=-5.0)
     sub.add_argument("--x-max", type=float, default=5.0)
-    sub.add_argument("--x-steps", type=int, default=_env_int("X_STEPS", 201))
-    sub.add_argument("--phi-steps", type=int, default=_env_int("PHI_STEPS", 256))
+    sub.add_argument("--x-steps", type=int, default=201)
+    sub.add_argument("--phi-steps", type=int, default=256)
     sub.set_defaults(func=_cmd_quad_dist)
 
     sub = subs.add_parser("quasiprob", help="s-parameterized quasi-probability F(x, p)")
@@ -344,10 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--s", type=float, default=0.0, help="ordering parameter, < 1")
     sub.add_argument("--x-min", type=float, default=-4.0)
     sub.add_argument("--x-max", type=float, default=4.0)
-    sub.add_argument("--x-steps", type=int, default=_env_int("X_STEPS", 161))
+    sub.add_argument("--x-steps", type=int, default=161)
     sub.add_argument("--p-min", type=float, default=-4.0)
     sub.add_argument("--p-max", type=float, default=4.0)
-    sub.add_argument("--p-steps", type=int, default=_env_int("P_STEPS", 161))
+    sub.add_argument("--p-steps", type=int, default=161)
     sub.set_defaults(func=_cmd_quasiprob)
 
     sub = subs.add_parser("verify-algebra", help="commutator and Casimir deviation report")
@@ -370,6 +367,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            flag = "--" + name.replace("_", "-")
+            if name.endswith("_steps") and value < 1:
+                raise ValidationError(f"{flag} must be at least 1, got {value}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{flag} must be finite, got {value}")
         out = args.func(args)
     except (ValidationError, RadiusViolation, dist.SParameterOutOfRange, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

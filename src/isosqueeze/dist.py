@@ -35,7 +35,7 @@ from .specfun import (
     log_factorial,
     weighted_hermite_table,
 )
-from .states import CASE_NONLINEAR, SqueezeParams, norm_constant
+from .states import CASE_NONLINEAR, SqueezeParams, build_nonlinear_squeezed
 
 __all__ = [
     "DistGrid",
@@ -43,7 +43,6 @@ __all__ = [
     "quadrature_wavefunction",
     "quadrature_distribution",
     "quadrature_distribution_closed",
-    "displacement_element",
     "displacement_element_offsets",
     "characteristic_function",
     "quasi_probability",
@@ -126,18 +125,7 @@ def quadrature_distribution_closed(
         raise ValueError("closed-form quadrature distribution is defined for kind 'i'")
     x_axis = np.asarray(x_axis, dtype=float)
     phi_axis = np.asarray(phi_axis, dtype=float)
-    n_idx = np.arange(params.n_max + 1)
-    if params.r > 0.0:
-        lf = np.vectorize(log_factorial, otypes=[float])
-        log_n = (
-            n_idx * math.log(params.r / 2.0)
-            - lf(n_idx)
-            + 0.5 * (lf(2 * n_idx) - lf(2 * n_idx + 2) - lf(2 * n_idx + 3))
-        )
-        coeff = np.exp(log_n + math.log(norm_constant(params)))
-    else:
-        coeff = np.zeros(params.n_max + 1)
-        coeff[0] = 1.0
+    coeff = np.abs(build_nonlinear_squeezed(params).amps[::2])
     table = weighted_hermite_table(2 * params.n_max, x_axis)
     amp = coeff[:, None] * table[::2]  # A_n(x), shape (n, x)
 
@@ -189,13 +177,6 @@ def displacement_element_offsets(row: int, col: int, lam: complex):
             * assoc_laguerre(row, k, mag_sq)
         )
     return out if out.ndim else complex(out)
-
-
-def displacement_element(m: int, n: int, lam: complex):
-    """<2m+3|D(lam)|2n+3> for half-indices m, n >= 0."""
-    if m < 0 or n < 0:
-        raise ValueError("half-indices must be non-negative")
-    return displacement_element_offsets(2 * m, 2 * n, lam)
 
 
 def characteristic_function(v: FockVector, lam, s: float):

@@ -13,7 +13,6 @@ workers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +26,6 @@ __all__ = [
     "inner_product",
     "probabilities",
     "trailing_mass",
-    "tail_mass",
-    "to_json",
-    "from_json",
 ]
 
 BASE_LEVEL = 3
@@ -44,7 +40,7 @@ class ZeroVector(ValueError):
 
 @dataclass(frozen=True)
 class FockVector:
-    """Complex amplitudes on levels base_index, base_index+1, ...
+    """Complex amplitudes on levels 3, 4, 5, ...
 
     ``tail_bound`` is an upper-bound proxy for the probability mass the
     truncation discarded; builders populate it from the trailing
@@ -52,12 +48,9 @@ class FockVector:
     """
 
     amps: np.ndarray
-    base_index: int = BASE_LEVEL
     tail_bound: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.base_index != BASE_LEVEL:
-            raise ValueError(f"base_index must be {BASE_LEVEL}, got {self.base_index}")
         if self.tail_bound < 0.0:
             raise ValueError("tail_bound must be non-negative")
         amps = np.array(self.amps, dtype=complex)
@@ -69,7 +62,7 @@ class FockVector:
     @property
     def levels(self) -> np.ndarray:
         """Fock levels carried by this vector."""
-        return np.arange(self.base_index, self.base_index + self.amps.size)
+        return np.arange(BASE_LEVEL, BASE_LEVEL + self.amps.size)
 
     @property
     def offsets(self) -> np.ndarray:
@@ -103,8 +96,6 @@ def normalize(v: FockVector) -> FockVector:
 
 def inner_product(u: FockVector, v: FockVector) -> complex:
     """<u|v> = sum_n conj(u_n) v_n; the shorter vector is zero-padded."""
-    if u.base_index != v.base_index:
-        raise ValueError("inner_product requires matching base_index")
     n = min(u.amps.size, v.amps.size)
     return complex(np.vdot(u.amps[:n], v.amps[:n]))
 
@@ -123,32 +114,3 @@ def trailing_mass(v: FockVector, window: int = TAIL_WINDOW) -> float:
     p = probabilities(v)
     start = max(1, p.size - window)
     return float(p[start:].sum())
-
-
-def tail_mass(params) -> float:
-    """Truncation diagnostic for the state a parameter set would build.
-
-    Builds the squeezed state described by ``params`` and reports the
-    probability sitting on its top retained levels; an empirical proxy
-    for the discarded mass, stored by the builders into ``tail_bound``.
-    """
-    from .states import build_state  # deferred: states depends on fock
-
-    return trailing_mass(build_state(params))
-
-
-def to_json(v: FockVector) -> str:
-    """Serialize to JSON: {base_index, amps as [re, im] pairs, tail_bound}."""
-    payload = {
-        "base_index": v.base_index,
-        "amps": [[z.real, z.imag] for z in v.amps],
-        "tail_bound": v.tail_bound,
-    }
-    return json.dumps(payload)
-
-
-def from_json(text: str) -> FockVector:
-    """Inverse of :func:`to_json`."""
-    payload = json.loads(text)
-    amps = np.array([complex(re, im) for re, im in payload["amps"]], dtype=complex)
-    return FockVector(amps, base_index=payload["base_index"], tail_bound=payload["tail_bound"])

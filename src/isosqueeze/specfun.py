@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "log_factorial",
-    "hermite",
     "assoc_laguerre",
     "assoc_laguerre_sequence",
     "weighted_hermite_table",
@@ -45,24 +44,6 @@ def log_factorial(n: int) -> float:
         k = len(_LOG_FACTORIALS)
         _LOG_FACTORIALS.append(_LOG_FACTORIALS[-1] + math.log(k))
     return _LOG_FACTORIALS[n]
-
-
-def hermite(n: int, x):
-    """Physicists' Hermite polynomial H_n(x) by upward recurrence.
-
-    H_0 = 1, H_1 = 2x, H_{n+1} = 2x H_n - 2n H_{n-1}.  ``x`` may be a
-    scalar or ndarray.
-    """
-    if n < 0:
-        raise ValueError("hermite degree must be non-negative")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = 2.0 * x
-    for k in range(1, n):
-        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    return h if h.ndim else float(h)
 
 
 def assoc_laguerre(n: int, k: int, x):

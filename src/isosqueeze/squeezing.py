@@ -20,8 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import algebra
-from .fock import FockVector, inner_product
+from .fock import FockVector
 
 __all__ = [
     "QuadReport",
@@ -36,34 +35,37 @@ __all__ = [
 _IMAG_TOL = 1e-10
 
 
-def _padded(v: FockVector, extra: int) -> FockVector:
-    amps = np.concatenate([v.amps, np.zeros(extra, dtype=complex)])
-    return FockVector(amps, tail_bound=v.tail_bound)
-
-
 def expectation_ladder_word(v: FockVector, word: Sequence[str] | str) -> complex:
     """<v| word |v> for a word in the Heisenberg ladder operators.
 
     ``word`` lists '+' (raising) and '-' (lowering) in operator order,
-    leftmost acting last; e.g. "+-" is raise-after-lower.  The state is
-    zero-padded by the word length before application so that raisings
-    never push support over the truncation edge.
+    leftmost acting last; e.g. "+-" is raise-after-lower.  The word is
+    one weighted shifted dot product: walking it right to left, the
+    amplitude starting at offset nu picks up sqrt(nu') per lowering
+    from offset nu' (zero at the bottom) and sqrt(nu' + 1) per raising,
+    and is paired with the amplitude at nu + k for the net shift k.
+    Raisings are never cut at the truncation edge.
     """
-    ops = []
+    steps = []
     for tok in word:
         if tok in ("+", "plus"):
-            ops.append(algebra.apply_heisenberg_raising)
+            steps.append(1)
         elif tok in ("-", "minus"):
-            ops.append(algebra.apply_heisenberg_lowering)
+            steps.append(-1)
         else:
             raise ValueError(f"word tokens must be '+'/'-' (or 'plus'/'minus'), got {tok!r}")
-    if len(ops) > 4:
+    if len(steps) > 4:
         raise ValueError("ladder words longer than 4 are not used here")
-    bra = _padded(v, len(ops))
-    ket = bra
-    for op in reversed(ops):
-        ket = op(ket)
-    return inner_product(bra, ket)
+    size = v.amps.size
+    nu = np.arange(size, dtype=float)
+    coeff = np.ones(size)
+    shift = 0
+    for step in reversed(steps):
+        # offsets pushed below the bottom already carry a zero weight
+        coeff *= np.sqrt(np.maximum(nu + shift + (step > 0), 0.0))
+        shift += step
+    lo, hi = max(0, -shift), min(size, size - shift)
+    return complex(np.vdot(v.amps[lo + shift : hi + shift], coeff[lo:hi] * v.amps[lo:hi]))
 
 
 def _real_part(value: complex, label: str) -> float:

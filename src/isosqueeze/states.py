@@ -78,6 +78,8 @@ class SqueezeParams:
     def __post_init__(self) -> None:
         if self.kind not in (CASE_NONLINEAR, CASE_UNITARY):
             raise ValueError(f"kind must be '{CASE_NONLINEAR}' or '{CASE_UNITARY}', got {self.kind!r}")
+        if not (math.isfinite(self.r) and math.isfinite(self.theta)):
+            raise ValueError(f"r and theta must be finite, got r={self.r}, theta={self.theta}")
         if self.r < 0.0:
             raise ValueError("modulus r must be non-negative")
         if self.n_max < 1:

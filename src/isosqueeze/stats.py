@@ -10,8 +10,6 @@ operator application; this avoids truncation-edge leakage entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fock import FockVector, probabilities
@@ -19,14 +17,11 @@ from .fock import FockVector, probabilities
 __all__ = [
     "UndefinedMoment",
     "UndefinedA3",
-    "MomentTable",
-    "photon_distribution",
     "excitation_moments",
     "mandel_q",
     "g2_zero",
     "factorial_moment",
     "a3_parameter",
-    "moment_table",
 ]
 
 
@@ -36,11 +31,6 @@ class UndefinedMoment(ZeroDivisionError):
 
 class UndefinedA3(ZeroDivisionError):
     """A3 denominator vanishes (0/0); the input is degenerate."""
-
-
-def photon_distribution(v: FockVector) -> list[tuple[int, float]]:
-    """(level, probability) pairs, probability = |amplitude|^2."""
-    return [(int(lev), float(p)) for lev, p in zip(v.levels, probabilities(v))]
 
 
 def excitation_moments(v: FockVector) -> tuple[float, float]:
@@ -91,7 +81,7 @@ def _det3(m: np.ndarray) -> float:
     )
 
 
-def _moment_matrices(v: FockVector) -> tuple[np.ndarray, np.ndarray, list[float], list[float]]:
+def _moment_matrices(v: FockVector) -> tuple[np.ndarray, np.ndarray]:
     m = [factorial_moment(v, j) for j in range(1, 5)]
     mean = m[0]
     mu = [mean**j for j in range(1, 5)]
@@ -101,7 +91,7 @@ def _moment_matrices(v: FockVector) -> tuple[np.ndarray, np.ndarray, list[float]
     mat_mu = np.array(
         [[1.0, mu[0], mu[1]], [mu[0], mu[1], mu[2]], [mu[1], mu[2], mu[3]]]
     )
-    return mat_m, mat_mu, m, mu
+    return mat_m, mat_mu
 
 
 def a3_parameter(v: FockVector) -> float:
@@ -111,7 +101,7 @@ def a3_parameter(v: FockVector) -> float:
     number states.  Raises :class:`UndefinedA3` when the denominator
     vanishes (all moments zero, e.g. the effective vacuum).
     """
-    mat_m, mat_mu, _, _ = _moment_matrices(v)
+    mat_m, mat_mu = _moment_matrices(v)
     det_m = _det3(mat_m)
     det_mu = _det3(mat_mu)
     # identically zero in exact arithmetic; allow cofactor rounding at the
@@ -123,31 +113,3 @@ def a3_parameter(v: FockVector) -> float:
     if abs(denom) < 1e-14:
         raise UndefinedA3("A3 is 0/0 for this state")
     return det_m / denom
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """All moment diagnostics of one state in a single record."""
-
-    mean_excitation: float
-    mean_excitation_sq: float
-    m: tuple[float, float, float, float]
-    mu: tuple[float, float, float, float]
-    mandel_q: float
-    g2: float
-    a3: float
-
-
-def moment_table(v: FockVector) -> MomentTable:
-    """Assemble the full diagnostic record for a non-degenerate state."""
-    mean, mean_sq = excitation_moments(v)
-    _, _, m, mu = _moment_matrices(v)
-    return MomentTable(
-        mean_excitation=mean,
-        mean_excitation_sq=mean_sq,
-        m=tuple(m),
-        mu=tuple(mu),
-        mandel_q=mandel_q(v),
-        g2=g2_zero(v),
-        a3=a3_parameter(v),
-    )

@@ -25,15 +25,6 @@ class TestBasisActions:
         out = _amps(4, 6, algebra.apply_deformed_lowering)
         assert out[0] == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-15)
 
-    def test_bare_ladder_on_bottom(self):
-        assert np.all(_amps(3, 6, algebra.apply_lowering) == 0.0)
-        up = _amps(3, 6, algebra.apply_raising)
-        assert up[1] == pytest.approx(2.0, rel=1e-15)
-
-    def test_bare_lowering_above_bottom(self):
-        out = _amps(5, 6, algebra.apply_lowering)
-        assert out[1] == pytest.approx(math.sqrt(5.0), rel=1e-15)
-
     def test_heisenberg_pair_on_bottom(self):
         assert np.all(_amps(3, 6, algebra.apply_heisenberg_lowering) == 0.0)
         up = _amps(3, 6, algebra.apply_heisenberg_raising)
@@ -153,10 +144,3 @@ class TestAlgebraSpec:
     def test_deformation_zeros(self):
         assert algebra.deform_f(1) == 0.0
         assert algebra.deform_f(3) == 0.0
-
-    def test_scale_functions(self):
-        spec = algebra.DEFAULT_ALGEBRA
-        assert spec.delta == -2
-        # (n - 2) / ((n+1) f(n+1)^2) = 1 / (n (n+1))
-        assert spec.scale_f(5) == pytest.approx(1.0 / 30.0, rel=1e-14)
-        assert spec.scale_g(5) == pytest.approx(math.sqrt(1.0 / 30.0), rel=1e-14)

@@ -157,6 +157,35 @@ class TestValidation:
         code, _, _ = _run(capsys, "state", "--case", "i")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--case", "i", "--r-steps", "0"],
+            ["squeeze", "--case", "i", "--r-max", "5", "--r-steps", "2", "--theta-steps", "0"],
+            ["state", "--case", "i", "--r", "nan"],
+            ["quasiprob", "--case", "i", "--r", "2", "--s", "nan"],
+            ["stats", "--case", "i", "--r-max", "inf"],
+            ["quasiprob", "--case", "iii", "--xi", "0.5", "--s", "0.5"],
+            ["quad-dist", "--r", "2", "--x-min", "nan"],
+        ],
+        ids=["r_steps_0", "theta_steps_0", "r_nan", "s_nan", "r_max_inf", "xi_beyond_s_bound",
+             "x_min_nan"],
+    )
+    def test_bad_input_exits_3(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "error" in err
+
+    def test_case_iii_inside_s_bound_accepted(self, capsys):
+        # (1 - s)/(1 + s) = 1/3 at s = 0.5
+        code, out, _ = _run(
+            capsys, "quasiprob", "--case", "iii", "--xi", "0.3", "--s", "0.5",
+            "--x-steps", "3", "--p-steps", "3",
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 3 * 3
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
@@ -177,9 +206,8 @@ class TestReproducibility:
         row = out.strip().splitlines()[1].split(",")
         assert row[1] == f"{math.sqrt(math.sqrt(0.84)):.12g}"
 
-    def test_env_override_for_n_max(self, capsys, monkeypatch):
-        monkeypatch.setenv("ISOSQUEEZE_N_MAX", "5")
-        code, out, _ = _run(capsys, "state", "--case", "i", "--r", "3")
+    def test_n_max_flag_bounds_levels(self, capsys):
+        code, out, _ = _run(capsys, "state", "--case", "i", "--r", "3", "--n-max", "5")
         assert code == 0
         levels = [int(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
         assert max(levels) <= 13

@@ -87,10 +87,10 @@ class TestClosedFormDistribution:
 
 class TestDisplacement:
     def test_identity_at_zero(self):
-        assert dist.displacement_element(0, 0, 0.0 + 0.0j) == 1.0
+        assert dist.displacement_element_offsets(0, 0, 0.0 + 0.0j) == 1.0
 
     def test_vacuum_survival(self):
-        got = dist.displacement_element(0, 0, 1.0 + 0.0j)
+        got = dist.displacement_element_offsets(0, 0, 1.0 + 0.0j)
         assert got == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     @pytest.mark.parametrize("lam", [0.7 + 0.2j, -0.4 + 1.1j])

@@ -9,10 +9,6 @@ from conftest import nonlinear_log_norm_sq, nonlinear_probability, unitary_proba
 
 
 class TestFockVector:
-    def test_base_index_enforced(self):
-        with pytest.raises(ValueError):
-            fock.FockVector(np.array([1.0 + 0j]), base_index=0)
-
     def test_immutable(self):
         v = iq.basis_vector(3, 4)
         with pytest.raises(ValueError):
@@ -72,11 +68,11 @@ class TestInnerProduct:
 
 class TestTailDiagnostics:
     def test_vacuum_has_no_tail(self):
-        assert fock.tail_mass(iq.SqueezeParams(kind="i", r=0.0)) <= 1e-300
+        assert fock.trailing_mass(iq.build_state(iq.SqueezeParams(kind="i", r=0.0))) <= 1e-300
 
     def test_unitary_tail_small(self):
         params = iq.SqueezeParams(kind="iii", r=0.4, n_max=70)
-        tail = fock.tail_mass(params)
+        tail = fock.trailing_mass(iq.build_state(params))
         assert tail < 1e-12
         # direct series oracle over the top retained half-indices
         oracle = sum(unitary_probability(n, 0.4) for n in (68, 69, 70))
@@ -84,7 +80,7 @@ class TestTailDiagnostics:
 
     def test_nonlinear_tail_small(self):
         params = iq.SqueezeParams(kind="i", r=20.0, n_max=70)
-        tail = fock.tail_mass(params)
+        tail = fock.trailing_mass(iq.build_state(params))
         assert tail < 1e-8
         log_norm_sq = nonlinear_log_norm_sq(20.0)
         oracle = sum(nonlinear_probability(n, 20.0, log_norm_sq) for n in (68, 69, 70))
@@ -95,19 +91,3 @@ class TestTailDiagnostics:
         assert total >= 1.0 - nonlinear_r20.tail_bound - 1e-12
         assert total == pytest.approx(1.0, abs=1e-12)
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(5)
-        v = fock.FockVector(rng.normal(size=8) + 1j * rng.normal(size=8), tail_bound=1e-9)
-        back = fock.from_json(fock.to_json(v))
-        assert back.base_index == v.base_index
-        assert back.tail_bound == v.tail_bound
-        assert np.array_equal(back.amps, v.amps)
-
-    def test_schema_fields(self):
-        import json
-
-        payload = json.loads(fock.to_json(iq.basis_vector(4, 3)))
-        assert set(payload) == {"base_index", "amps", "tail_bound"}
-        assert payload["amps"][1] == [1.0, 0.0]

@@ -6,7 +6,6 @@ import pytest
 from isosqueeze.specfun import (
     assoc_laguerre,
     assoc_laguerre_sequence,
-    hermite,
     log_factorial,
     weighted_hermite_table,
 )
@@ -37,28 +36,6 @@ class TestLogFactorial:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             log_factorial(-1)
-
-
-class TestHermite:
-    def test_degree_zero(self):
-        assert hermite(0, 7.3) == 1.0
-
-    def test_degree_two(self):
-        assert np.isclose(hermite(2, 1.0), 2.0, rtol=1e-15)
-
-    def test_degree_ten_series_oracle(self):
-        assert np.isclose(hermite(10, 0.3), hermite_series(10, 0.3), rtol=1e-10)
-
-    @pytest.mark.parametrize("n", range(0, 41, 4))
-    def test_recurrence_matches_series(self, n):
-        for x in np.linspace(-5.0, 5.0, 21):
-            exact = hermite_series(n, float(x))
-            got = hermite(n, float(x))
-            assert got == pytest.approx(exact, rel=1e-8, abs=1e-8)
-
-    def test_array_input(self):
-        xs = np.array([-1.0, 0.0, 2.5])
-        assert np.allclose(hermite(3, xs), [hermite(3, float(x)) for x in xs])
 
 
 class TestLaguerre:

@@ -12,6 +12,20 @@ def _unitary_state(xi, n_max=200):
     return iq.build_squeezed(iq.SqueezeParams(kind="iii", r=xi, n_max=n_max))
 
 
+# every distinct ladder word that enters I1..I4
+WITNESS_WORDS = ("-", "+", "--", "++", "+-", "----", "++++", "++--", "--++")
+
+
+def _operator_route(v, word):
+    """<v| word |v> by applying the ladder operators to the padded vector."""
+    ops = {"+": algebra.apply_heisenberg_raising, "-": algebra.apply_heisenberg_lowering}
+    bra = fock.FockVector(np.concatenate([v.amps, np.zeros(len(word), dtype=complex)]))
+    ket = bra
+    for tok in reversed(word):
+        ket = ops[tok](ket)
+    return fock.inner_product(bra, ket)
+
+
 class TestLadderWords:
     def test_cross_word_on_eigenstate(self):
         got = squeezing.expectation_ladder_word(iq.basis_vector(5, 8), "+-")
@@ -50,6 +64,24 @@ class TestLadderWords:
     def test_word_length_capped(self):
         with pytest.raises(ValueError):
             squeezing.expectation_ladder_word(iq.basis_vector(3, 4), "+++++")
+
+    @pytest.mark.parametrize("word", WITNESS_WORDS)
+    def test_matches_operator_route_on_built_states(self, word):
+        states = (
+            iq.build_state(iq.SqueezeParams(kind="i", r=20.0, theta=0.7, n_max=70)),
+            iq.build_state(iq.SqueezeParams(kind="iii", r=0.6, theta=1.3, n_max=70)),
+        )
+        for v in states:
+            got = squeezing.expectation_ladder_word(v, word)
+            assert got == pytest.approx(_operator_route(v, word), rel=1e-13)
+
+    @pytest.mark.parametrize("word", WITNESS_WORDS)
+    def test_matches_operator_route_on_random_vectors(self, word):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            v = fock.FockVector(rng.normal(size=9) + 1j * rng.normal(size=9))
+            got = squeezing.expectation_ladder_word(v, word)
+            assert got == pytest.approx(_operator_route(v, word), rel=1e-13)
 
     def test_padding_protects_quartics(self):
         # support touching the window edge must not lose raising mass

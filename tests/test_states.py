@@ -130,3 +130,11 @@ class TestParams:
     def test_rejects_negative_modulus(self):
         with pytest.raises(ValueError):
             iq.SqueezeParams(kind="i", r=-0.5)
+
+    @pytest.mark.parametrize(
+        "kind, r, theta",
+        [("i", math.nan, 0.0), ("i", math.inf, 0.0), ("i", 1.0, math.nan), ("iii", 0.5, -math.inf)],
+    )
+    def test_rejects_non_finite(self, kind, r, theta):
+        with pytest.raises(ValueError):
+            iq.SqueezeParams(kind=kind, r=r, theta=theta)

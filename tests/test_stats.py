@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import isosqueeze as iq
-from isosqueeze import stats
+from isosqueeze import fock, stats
 from conftest import unitary_probability
 
 
@@ -12,23 +12,27 @@ def _unitary_state(xi, n_max=400):
     return iq.build_squeezed(iq.SqueezeParams(kind="iii", r=xi, n_max=n_max))
 
 
+def _photon_distribution(v):
+    return list(zip(v.levels.tolist(), fock.probabilities(v).tolist()))
+
+
 class TestPhotonDistribution:
     def test_effective_vacuum(self):
-        dist = stats.photon_distribution(iq.basis_vector(3, 4))
+        dist = _photon_distribution(iq.basis_vector(3, 4))
         assert dist[0] == (3, 1.0)
         assert all(p == 0.0 for _, p in dist[1:])
 
     def test_unitary_ground_weight(self, unitary_xi04):
-        dist = dict(stats.photon_distribution(unitary_xi04))
+        dist = dict(_photon_distribution(unitary_xi04))
         assert dist[3] == pytest.approx(math.sqrt(0.84), rel=1e-12)
 
     def test_matches_term_formula(self, unitary_xi04):
-        dist = dict(stats.photon_distribution(unitary_xi04))
+        dist = dict(_photon_distribution(unitary_xi04))
         for n in (0, 1, 2, 5, 10):
             assert dist[2 * n + 3] == pytest.approx(unitary_probability(n, 0.4), rel=1e-10)
 
     def test_nonlinear_even_support(self, nonlinear_r20):
-        dist = dict(stats.photon_distribution(nonlinear_r20))
+        dist = dict(_photon_distribution(nonlinear_r20))
         assert all(dist[lev] == 0.0 for lev in range(4, 140, 2))
         assert dist[5] > 0.0
 
@@ -123,12 +127,3 @@ class TestA3:
             a3 = stats.a3_parameter(v)
             assert -1.0 - 1e-9 <= a3 < 0.0
 
-
-class TestMomentTable:
-    def test_assembly(self, unitary_xi04):
-        table = stats.moment_table(unitary_xi04)
-        assert table.m[0] == table.mu[0] == table.mean_excitation
-        assert table.mu == tuple(table.mean_excitation**j for j in range(1, 5))
-        assert table.mandel_q == stats.mandel_q(unitary_xi04)
-        assert table.g2 == stats.g2_zero(unitary_xi04)
-        assert table.a3 == stats.a3_parameter(unitary_xi04)
