@@ -20,15 +20,16 @@ params = SqueezeParams(kind="i", r=10.0, theta=0.5, n_max=70)
 xs = np.linspace(-5.0, 5.0, 201)
 phis = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
 
-closed = dist.quadrature_distribution_closed(params, xs, phis)
-direct = dist.quadrature_distribution(build_state(params), xs, phis)
+state = build_state(params)
+closed = dist.quadrature_distribution_closed(params, state, xs, phis)
+direct = dist.quadrature_distribution(state, xs, phis)
 print("pointwise agreement of the two routes:",
       f"{np.max(np.abs(closed.values - direct.values)):.2e}")
 
 # normalization in x at a few phases
 for phi in (0.0, math.pi / 2.0, math.pi):
     fine = np.linspace(-8.0, 8.0, 1601)
-    density = np.abs(dist.quadrature_wavefunction(build_state(params), fine, phi)) ** 2
+    density = np.abs(dist.quadrature_wavefunction(state, fine, phi)) ** 2
     print(f"  integral of P(x, {phi:4.2f}) dx = {np.trapezoid(density, fine):.9f}")
 
 # ridge structure: height of the distribution vs phase

@@ -22,7 +22,7 @@ dist       quadrature distribution and quasi-probability functions
 cli        reproducible CSV/JSON emission for every figure grid
 """
 
-from .fock import FockVector, ZeroVector, basis_vector, inner_product, normalize
+from .fock import FockVector, InvalidParameter, ZeroVector, basis_vector, inner_product, normalize
 from .states import (
     CASE_NONLINEAR,
     CASE_UNITARY,
@@ -36,6 +36,7 @@ from .states import (
 
 __all__ = [
     "FockVector",
+    "InvalidParameter",
     "ZeroVector",
     "basis_vector",
     "inner_product",

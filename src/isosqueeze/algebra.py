@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .fock import BASE_LEVEL, FockVector, basis_vector
+from .fock import BASE_LEVEL, FockVector, InvalidParameter, basis_vector
 
 __all__ = [
     "deform_f",
@@ -143,8 +143,10 @@ def verify_commutators(n_low: int = BASE_LEVEL, n_high: int = 60) -> dict:
     a window wide enough that raising never reaches the truncation
     edge; deviations are reported, never raised.
     """
+    if n_low < BASE_LEVEL:
+        raise InvalidParameter(f"physical levels start at {BASE_LEVEL}, got n_low={n_low}")
     if n_high < n_low + 2:
-        raise ValueError("need n_high >= n_low + 2 for two-sided neighbours")
+        raise InvalidParameter("need n_high >= n_low + 2 for two-sided neighbours")
 
     Nm, Np = apply_deformed_lowering, apply_deformed_raising
     N0 = apply_level_number

@@ -8,8 +8,11 @@ during a sweep (truncation tail too fat, moment ratios undefined at a
 degenerate grid point) are surfaced as warnings in the JSON metadata,
 never as failures: sweeps must not abort at degenerate cells.
 
-Exit status: 0 success (warnings included), 2 usage error, 3 validation
-error.
+Exit status: 0 success (warnings included), 2 usage error, 3 refused
+input (``ValidationError``, ``InvalidParameter`` including
+``RadiusViolation``, ``SParameterOutOfRange``).  Any other exception,
+a ``ValueError`` raised inside a computation included, is a bug and
+propagates.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from typing import Sequence
 import numpy as np
 
 from . import algebra, dist, squeezing, stats
+from .fock import InvalidParameter
 from .states import (
     CASE_NONLINEAR,
     CASE_UNITARY,
-    RadiusViolation,
     SqueezeParams,
     build_state,
     dual_series_diagnosis,
@@ -56,23 +59,26 @@ class _Output:
         if message not in self.warnings:
             self.warnings.append(message)
 
-    def _fmt(self, value) -> str:
-        if isinstance(value, float):
-            return f"{value:.12g}"
-        return str(value)
+    def _formats(self) -> list[str]:
+        """Per-column %-format, from the value types of the first row."""
+        if not self.rows:
+            return []
+        return ["%.12g" if isinstance(v, float) else "%s" for v in self.rows[0]]
 
     def csv_text(self) -> str:
+        template = ",".join(self._formats())
         lines = [",".join(self.columns)]
-        lines.extend(",".join(self._fmt(v) for v in row) for row in self.rows)
+        lines.extend(template % row for row in self.rows)
         return "\n".join(lines) + "\n"
 
     def json_payload(self) -> dict:
+        formats = self._formats()
         return {
             "command": self.command,
             **self.meta,
             "warnings": self.warnings,
             "columns": list(self.columns),
-            "rows": [[self._fmt(v) for v in row] for row in self.rows],
+            "rows": [[f % v for f, v in zip(formats, row)] for row in self.rows],
         }
 
     def write(self, path: str | None, fmt: str) -> None:
@@ -130,6 +136,16 @@ def _modulus_grid(args) -> tuple[np.ndarray, float, int]:
     if top <= 0:
         raise ValidationError("sweep maximum must be positive")
     return np.linspace(top / steps, top, steps), top, steps
+
+
+def _grid_rows(grid: dist.DistGrid) -> list[tuple]:
+    """(axis1, axis2, value) rows of a 2-D grid, row-major in (axis1, axis2)."""
+    n1, n2 = grid.values.shape
+    return list(zip(
+        np.repeat(grid.axis1, n2).tolist(),
+        np.tile(grid.axis2, n1).tolist(),
+        grid.values.ravel().tolist(),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +218,16 @@ def _cmd_quad_dist(args) -> _Output:
     params = SqueezeParams(kind=CASE_NONLINEAR, r=args.r, theta=args.theta, n_max=args.n_max)
     xs = np.linspace(args.x_min, args.x_max, args.x_steps)
     phis = np.linspace(0.0, 2.0 * math.pi, args.phi_steps, endpoint=False)
-    grid = dist.quadrature_distribution_closed(params, xs, phis)
+    vec = build_state(params)
+    grid = dist.quadrature_distribution_closed(params, vec, xs, phis)
     out = _Output(
         command="quad-dist",
         columns=("x", "phi", "P"),
         meta={"case": "i", "r": args.r, "theta": args.theta, "n_max": args.n_max,
               "grid": {"x": [args.x_min, args.x_max, args.x_steps], "phi_steps": args.phi_steps}},
     )
-    _check_tail(out, build_state(params))
-    for i, x in enumerate(xs):
-        for j, phi in enumerate(phis):
-            out.rows.append((float(x), float(phi), float(grid.values[i, j])))
+    _check_tail(out, vec)
+    out.rows = _grid_rows(grid)
     return out
 
 
@@ -237,9 +252,7 @@ def _cmd_quasiprob(args) -> _Output:
                        "p": [args.p_min, args.p_max, args.p_steps]}},
     )
     _check_tail(out, vec)
-    for i, x in enumerate(xs):
-        for j, p in enumerate(ps):
-            out.rows.append((float(x), float(p), float(grid.values[i, j])))
+    out.rows = _grid_rows(grid)
     return out
 
 
@@ -374,7 +387,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValidationError(f"{flag} must be finite, got {value}")
         out = args.func(args)
-    except (ValidationError, RadiusViolation, dist.SParameterOutOfRange, ValueError) as exc:
+    except (ValidationError, InvalidParameter, dist.SParameterOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     out.write(args.output, args.format)

@@ -35,7 +35,7 @@ from .specfun import (
     log_factorial,
     weighted_hermite_table,
 )
-from .states import CASE_NONLINEAR, SqueezeParams, build_nonlinear_squeezed
+from .states import CASE_NONLINEAR, SqueezeParams
 
 __all__ = [
     "DistGrid",
@@ -111,11 +111,13 @@ def quadrature_distribution(v: FockVector, x_axis: np.ndarray, phi_axis: np.ndar
 
 
 def quadrature_distribution_closed(
-    params: SqueezeParams, x_axis: np.ndarray, phi_axis: np.ndarray
+    params: SqueezeParams, v: FockVector, x_axis: np.ndarray, phi_axis: np.ndarray
 ) -> DistGrid:
     """Closed-form P(x, phi) for the non-unitary-route states.
 
-    Evaluates the explicit double sum over half-indices n, m with the
+    ``v`` is the state ``build_state(params)``; the sum takes its
+    coefficient moduli and the phase theta of ``params``.  Evaluates
+    the explicit double sum over half-indices n, m with the
     cos[(m - n)(2 phi - theta)] phase structure, grouped by d = m - n:
     P = B_0(x) + 2 sum_d cos(d (2 phi - theta)) B_d(x) with
     B_d(x) = sum_n A_n(x) A_{n+d}(x).  Must agree pointwise with the
@@ -125,11 +127,11 @@ def quadrature_distribution_closed(
         raise ValueError("closed-form quadrature distribution is defined for kind 'i'")
     x_axis = np.asarray(x_axis, dtype=float)
     phi_axis = np.asarray(phi_axis, dtype=float)
-    coeff = np.abs(build_nonlinear_squeezed(params).amps[::2])
-    table = weighted_hermite_table(2 * params.n_max, x_axis)
+    coeff = np.abs(v.amps[::2])
+    n_terms = coeff.size
+    table = weighted_hermite_table(2 * n_terms - 2, x_axis)
     amp = coeff[:, None] * table[::2]  # A_n(x), shape (n, x)
 
-    n_terms = params.n_max + 1
     b = np.empty((n_terms, x_axis.size))
     for d in range(n_terms):
         b[d] = np.sum(amp[: n_terms - d] * amp[d:], axis=0)

@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "BASE_LEVEL",
     "FockVector",
+    "InvalidParameter",
     "ZeroVector",
     "basis_vector",
     "normalize",
@@ -32,6 +33,15 @@ BASE_LEVEL = 3
 
 # Number of top retained levels summed for the truncation diagnostic.
 TAIL_WINDOW = 5
+
+
+class InvalidParameter(ValueError):
+    """A caller-supplied parameter outside the domain of a computation.
+
+    Raised by the parameter checks of the builders and diagnostics; the
+    CLI reports it as a refusal (exit 3), unlike a ValueError raised
+    inside a computation.
+    """
 
 
 class ZeroVector(ValueError):

@@ -26,17 +26,30 @@ __all__ = [
     "weighted_hermite_table",
 ]
 
-# ln(n!) running sums, grown on demand; index n holds ln(n!).
+# ln(n!) running sums, grown on demand; index n holds ln(n!).  The
+# array is a copy of the list for vectorized lookups.
 _LOG_FACTORIALS: list[float] = [0.0]
+_LOG_FACTORIAL_ARRAY = np.zeros(1)
 
 
-def log_factorial(n: int) -> float:
+def log_factorial(n):
     """Return ln(n!) as a cached running sum of logs.
 
     The cumulative construction makes log_factorial(n+1) -
     log_factorial(n) reproduce ln(n+1) to the last bit, which the
-    series code relies on when forming term ratios.
+    series code relies on when forming term ratios.  An integer
+    ndarray ``n`` returns the array of ln(n!) values, bit-identical to
+    the scalar results.
     """
+    global _LOG_FACTORIAL_ARRAY
+    if isinstance(n, np.ndarray):
+        if n.dtype.kind not in "iu" or (n.size and n.min() < 0):
+            raise ValueError("log_factorial expects non-negative integers")
+        top = int(n.max()) if n.size else 0
+        if _LOG_FACTORIAL_ARRAY.size <= top:
+            log_factorial(top)  # grows the list
+            _LOG_FACTORIAL_ARRAY = np.array(_LOG_FACTORIALS)
+        return _LOG_FACTORIAL_ARRAY[n]
     if n < 0 or n != int(n):
         raise ValueError(f"log_factorial expects a non-negative integer, got {n!r}")
     n = int(n)

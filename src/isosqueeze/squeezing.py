@@ -11,16 +11,21 @@ expanded into ladder-word expectations, and their quartic analogues
 I3, I4 for the real and imaginary parts of the squared amplitude,
 where the reference level is the commutator expectation 2 <K0> + 1.
 A negative witness signals squeezing in the corresponding direction.
+
+The formulas live in one helper of word values.  ``squeezing_report``
+feeds it the nine words of an arbitrary vector; ``squeezing_grid``
+feeds it whole theta rows, built from five words of one theta = 0
+state per modulus, because the squeeze phase only rotates the words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fock import FockVector
+from .fock import FockVector, InvalidParameter
 
 __all__ = [
     "QuadReport",
@@ -33,6 +38,9 @@ __all__ = [
 
 # Imaginary residue allowed on nominally real identity values.
 _IMAG_TOL = 1e-10
+
+# Every distinct ladder word that enters I1..I4.
+_WITNESS_WORDS = ("-", "+", "--", "++", "+-", "----", "++++", "++--", "--++")
 
 
 def expectation_ladder_word(v: FockVector, word: Sequence[str] | str) -> complex:
@@ -68,53 +76,63 @@ def expectation_ladder_word(v: FockVector, word: Sequence[str] | str) -> complex
     return complex(np.vdot(v.amps[lo + shift : hi + shift], coeff[lo:hi] * v.amps[lo:hi]))
 
 
-def _real_part(value: complex, label: str) -> float:
-    if abs(value.imag) > _IMAG_TOL:
-        raise ArithmeticError(f"{label} should be real; imaginary residue {value.imag:.3e}")
-    return value.real
+def _real_part(value, label: str):
+    """Real part of a nominally real identity value (scalar or array)."""
+    residue = np.max(np.abs(np.imag(value)), initial=0.0)
+    if residue > _IMAG_TOL:
+        raise ArithmeticError(f"{label} should be real; imaginary residue {residue:.3e}")
+    return np.real(value)
 
 
-def quadrature_identities(v: FockVector) -> tuple[float, float]:
-    """(I1, I2): shifted doubled variances of the two quadratures.
+def _witnesses(w: Mapping) -> tuple:
+    """(I1, I2, I3, I4) from the expectations ``w[word]`` of the witness words.
 
-    I1 = <L^2> + <R^2> - <L>^2 - <R>^2 - 2 <L><R> + 2 <R L>, with L/R
-    the lowering/raising operators, and I2 with the first four signs
-    flipped.  Negative means the corresponding quadrature variance is
-    below the vacuum value 1/2.
+    With L/R the lowering/raising operators,
+    I1 = <L^2> + <R^2> - <L>^2 - <R>^2 - 2 <L><R> + 2 <R L> and I2 has
+    the first four signs flipped; I3 and I4 are quarter-weighted
+    combinations of the quartic words and the squared second moments,
+    referenced against <R L> + 1/2.  Word values may be complex scalars
+    or arrays over theta.
     """
-    low = expectation_ladder_word(v, "-")
-    high = expectation_ladder_word(v, "+")
-    low2 = expectation_ladder_word(v, "--")
-    high2 = expectation_ladder_word(v, "++")
-    cross = expectation_ladder_word(v, "+-")
+    low, high, low2, high2, cross = w["-"], w["+"], w["--"], w["++"], w["+-"]
+    low4, high4 = w["----"], w["++++"]
     even = -(low**2) - high**2 - 2.0 * low * high + 2.0 * cross
     i1 = _real_part(low2 + high2 + even, "I1")
     i2 = _real_part(-low2 - high2 + 2.0 * low**2 + 2.0 * high**2 + even, "I2")
-    return i1, i2
-
-
-def amplitude_squared_identities(v: FockVector) -> tuple[float, float]:
-    """(I3, I4): squared-amplitude squeezing witnesses.
-
-    Quarter-weighted combinations of the quartic ladder words and the
-    squared second moments, referenced against <R L> + 1/2.  Negative
-    I3 (I4) means squeezing in the real (imaginary) part of the squared
-    field amplitude.
-    """
-    low2 = expectation_ladder_word(v, "--")
-    high2 = expectation_ladder_word(v, "++")
-    low4 = expectation_ladder_word(v, "----")
-    high4 = expectation_ladder_word(v, "++++")
-    sym = expectation_ladder_word(v, "++--") + expectation_ladder_word(v, "--++")
-    cross = expectation_ladder_word(v, "+-")
-    shared = -2.0 * low2 * high2 + sym
+    shared = -2.0 * low2 * high2 + (w["++--"] + w["--++"])
     i3 = _real_part(
         0.25 * (low4 + high4 - low2**2 - high2**2 + shared) - cross - 0.5, "I3"
     )
     i4 = _real_part(
         0.25 * (-low4 - high4 + low2**2 + high2**2 + shared) - cross - 0.5, "I4"
     )
-    return i3, i4
+    return i1, i2, i3, i4
+
+
+def _uncertainty_ok(i1, i2):
+    return (i1 + 1.0) * (i2 + 1.0) >= 1.0 - 1e-9
+
+
+def _word_values(v: FockVector) -> dict:
+    return {word: expectation_ladder_word(v, word) for word in _WITNESS_WORDS}
+
+
+def quadrature_identities(v: FockVector) -> tuple[float, float]:
+    """(I1, I2): shifted doubled variances of the two quadratures.
+
+    Negative means the corresponding quadrature variance is below the
+    vacuum value 1/2.
+    """
+    return _witnesses(_word_values(v))[:2]
+
+
+def amplitude_squared_identities(v: FockVector) -> tuple[float, float]:
+    """(I3, I4): squared-amplitude squeezing witnesses.
+
+    Negative I3 (I4) means squeezing in the real (imaginary) part of
+    the squared field amplitude.
+    """
+    return _witnesses(_word_values(v))[2:]
 
 
 @dataclass(frozen=True)
@@ -132,9 +150,8 @@ class QuadReport:
 
 def squeezing_report(v: FockVector, r: float, theta: float) -> QuadReport:
     """Evaluate all four witnesses plus the uncertainty-product check."""
-    i1, i2 = quadrature_identities(v)
-    i3, i4 = amplitude_squared_identities(v)
-    ok = (i1 + 1.0) * (i2 + 1.0) >= 1.0 - 1e-9
+    i1, i2, i3, i4 = _witnesses(_word_values(v))
+    ok = _uncertainty_ok(i1, i2)
     return QuadReport(r=r, theta=theta, i1=i1, i2=i2, i3=i3, i4=i4, uncertainty_ok=ok)
 
 
@@ -146,14 +163,41 @@ def squeezing_grid(
 ) -> list[QuadReport]:
     """Witness sweep over an (r, theta) grid, row-major in (r, theta).
 
-    Every cell is independent and pure; the row-major ordering is the
-    stable output contract relied on by the CSV emitters.
+    One state is built per modulus, at theta = 0, and gives the whole
+    theta row.  This rests on both builders putting |c_n| e^{i n theta}
+    on offset 2n and exact zeros on odd offsets, with the case-iii
+    truncation chosen from |c_n| alone.  Hence, for every theta,
+    <L^2> = e^{i theta} <L^2>_0, <L^4> = e^{2 i theta} <L^4>_0,
+    <R^k> = conj <L^k>, <L> = <R> = 0, and <R L>, <R^2 L^2> and
+    <L^2 R^2> do not depend on theta.  Each report carries the
+    caller's r and theta values; the row-major ordering is the stable
+    output contract relied on by the CSV emitters.
     """
     from .states import SqueezeParams, build_state
 
+    thetas = list(theta_values)
+    angles = np.asarray(thetas, dtype=float)
+    if not np.all(np.isfinite(angles)):
+        raise InvalidParameter("theta values must be finite")
+    turn, turn2 = np.exp(1j * angles), np.exp(2j * angles)
     reports = []
     for r in r_values:
-        for theta in theta_values:
-            state = build_state(SqueezeParams(kind=kind, r=r, theta=theta, n_max=n_max))
-            reports.append(squeezing_report(state, r, theta))
+        state = build_state(SqueezeParams(kind=kind, r=r, theta=0.0, n_max=n_max))
+        low2 = turn * expectation_ladder_word(state, "--")
+        low4 = turn2 * expectation_ladder_word(state, "----")
+        words = {
+            "-": 0.0,
+            "+": 0.0,
+            "--": low2,
+            "++": np.conj(low2),
+            "+-": expectation_ladder_word(state, "+-"),
+            "----": low4,
+            "++++": np.conj(low4),
+            "++--": expectation_ladder_word(state, "++--"),
+            "--++": expectation_ladder_word(state, "--++"),
+        }
+        i1, i2, i3, i4 = _witnesses(words)
+        ok = _uncertainty_ok(i1, i2)
+        for row in zip(thetas, i1.tolist(), i2.tolist(), i3.tolist(), i4.tolist(), ok.tolist()):
+            reports.append(QuadReport(r, *row))
     return reports

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fock import FockVector, normalize, trailing_mass
+from .fock import FockVector, InvalidParameter, normalize, trailing_mass
 from .specfun import log_factorial
 
 __all__ = [
@@ -57,7 +57,7 @@ _AUTO_TAIL_TARGET = 1e-10
 _AUTO_N_MAX_CEILING = 20000
 
 
-class RadiusViolation(ValueError):
+class RadiusViolation(InvalidParameter):
     """Unitary-route modulus at or beyond the convergence radius 1."""
 
 
@@ -77,13 +77,13 @@ class SqueezeParams:
 
     def __post_init__(self) -> None:
         if self.kind not in (CASE_NONLINEAR, CASE_UNITARY):
-            raise ValueError(f"kind must be '{CASE_NONLINEAR}' or '{CASE_UNITARY}', got {self.kind!r}")
+            raise InvalidParameter(f"kind must be '{CASE_NONLINEAR}' or '{CASE_UNITARY}', got {self.kind!r}")
         if not (math.isfinite(self.r) and math.isfinite(self.theta)):
-            raise ValueError(f"r and theta must be finite, got r={self.r}, theta={self.theta}")
+            raise InvalidParameter(f"r and theta must be finite, got r={self.r}, theta={self.theta}")
         if self.r < 0.0:
-            raise ValueError("modulus r must be non-negative")
+            raise InvalidParameter("modulus r must be non-negative")
         if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
+            raise InvalidParameter("n_max must be at least 1")
         if self.kind == CASE_UNITARY and self.r >= 1.0:
             raise RadiusViolation(
                 f"unitary-route squeezing requires |xi| < 1, got {self.r}"
@@ -104,7 +104,7 @@ def _log_modulus_power(n_idx: np.ndarray, r: float) -> np.ndarray:
 
 def _log_terms_nonlinear(n_idx: np.ndarray, r: float) -> np.ndarray:
     """ln of the unnormalized |2n+3> amplitude magnitude, case i."""
-    lf = np.vectorize(log_factorial, otypes=[float])
+    lf = log_factorial
     return (
         _log_modulus_power(n_idx, r)
         - n_idx * math.log(2.0)
@@ -115,7 +115,7 @@ def _log_terms_nonlinear(n_idx: np.ndarray, r: float) -> np.ndarray:
 
 def _log_terms_unitary(n_idx: np.ndarray, r: float) -> np.ndarray:
     """ln of the unnormalized |2n+3> amplitude magnitude, case iii."""
-    lf = np.vectorize(log_factorial, otypes=[float])
+    lf = log_factorial
     return _log_modulus_power(n_idx, r) - n_idx * math.log(2.0) - lf(n_idx) + 0.5 * lf(2 * n_idx)
 
 
@@ -210,7 +210,7 @@ def dual_series_diagnosis(n_terms: int) -> DualSeriesReport:
     for every nonzero amplitude and the mirror states do not exist.
     """
     if n_terms < 2:
-        raise ValueError("need at least 2 terms for a limit estimate")
+        raise InvalidParameter("need at least 2 terms for a limit estimate")
     n = np.arange(1, n_terms + 1, dtype=float)
     x_seq = 2.0 * n / ((2 * n - 1.0) * (2 * n + 1.0) * (2 * n + 2.0) ** 2 * (2 * n + 3.0))
     limit_estimate = float(x_seq[-1])

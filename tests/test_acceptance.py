@@ -113,7 +113,7 @@ def test_criterion_5_quadrature_distribution():
 
     xs = np.linspace(-5.0, 5.0, 201)
     phis = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
-    closed = dist.quadrature_distribution_closed(params, xs, phis)
+    closed = dist.quadrature_distribution_closed(params, v, xs, phis)
     direct = dist.quadrature_distribution(v, xs, phis)
     assert np.max(np.abs(closed.values - direct.values)) < 1e-8
 
@@ -147,7 +147,7 @@ def test_criterion_5_amplitude_decay_bound_as_stated():
     params = iq.SqueezeParams(kind="i", r=10.0, theta=0.5, n_max=70)
     xs = np.linspace(-5.0, 5.0, 201)
     phis = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
-    closed = dist.quadrature_distribution_closed(params, xs, phis)
+    closed = dist.quadrature_distribution_closed(params, iq.build_state(params), xs, phis)
     assert closed.values[np.abs(xs) > 3.0, :].max() < 1e-3
 
 

@@ -1,11 +1,16 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from isosqueeze.cli import main
+import isosqueeze
+from isosqueeze import states, stats
+from isosqueeze.cli import _Output, main
 
 
 def _run(capsys, *argv):
@@ -106,6 +111,20 @@ class TestQuadDistCommand:
         assert all(float(line.split(",")[2]) >= 0.0 for line in lines[1:])
 
 
+    def test_builds_one_state(self, capsys, monkeypatch):
+        builds = []
+        assemble = states._assemble
+
+        def counting(params, log_terms_fn):
+            builds.append(params)
+            return assemble(params, log_terms_fn)
+
+        monkeypatch.setattr(states, "_assemble", counting)
+        code, _, _ = _run(capsys, "quad-dist", "--r", "10", "--x-steps", "5", "--phi-steps", "4")
+        assert code == 0
+        assert len(builds) == 1
+
+
 class TestQuasiprobCommand:
     def test_vacuum_wigner_value(self, capsys):
         code, out, _ = _run(
@@ -167,9 +186,15 @@ class TestValidation:
             ["stats", "--case", "i", "--r-max", "inf"],
             ["quasiprob", "--case", "iii", "--xi", "0.5", "--s", "0.5"],
             ["quad-dist", "--r", "2", "--x-min", "nan"],
+            ["state", "--case", "i", "--r", "-1"],
+            ["state", "--case", "i", "--r", "2", "--n-max", "0"],
+            ["dual-check", "--terms", "1"],
+            ["verify-algebra", "--n-low", "5", "--n-high", "6"],
+            ["verify-algebra", "--n-low", "1"],
         ],
         ids=["r_steps_0", "theta_steps_0", "r_nan", "s_nan", "r_max_inf", "xi_beyond_s_bound",
-             "x_min_nan"],
+             "x_min_nan", "r_negative", "n_max_0", "terms_1", "levels_too_close",
+             "n_low_below_base"],
     )
     def test_bad_input_exits_3(self, capsys, argv):
         code, out, err = _run(capsys, *argv)
@@ -185,6 +210,15 @@ class TestValidation:
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 3 * 3
+
+    def test_internal_value_error_propagates(self, monkeypatch, capsys):
+        # a ValueError from inside a computation is a bug, not a refusal
+        def broken(v):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(stats, "excitation_moments", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            main(["stats", "--case", "i", "--r-max", "5", "--r-steps", "2"])
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -206,6 +240,17 @@ class TestReproducibility:
         row = out.strip().splitlines()[1].split(",")
         assert row[1] == f"{math.sqrt(math.sqrt(0.84)):.12g}"
 
+    def test_row_template_matches_per_value_format(self):
+        # the per-value formatting the row template replaced
+        values = [0.0, -0.0, 5e-324, -2.2e-308, math.inf, -math.inf, math.nan, 1.0 / 3.0,
+                  123456789012.5, np.float64(2.0) / 3.0, -1e300]
+        rows = [(k, "label,with comma", v, -v) for k, v in enumerate(values)]
+        out = _Output(command="t", columns=("n", "s", "a", "b"), rows=rows)
+        expected = ["n,s,a,b"] + [
+            ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) for row in rows
+        ]
+        assert out.csv_text() == "\n".join(expected) + "\n"
+
     def test_n_max_flag_bounds_levels(self, capsys):
         code, out, _ = _run(capsys, "state", "--case", "i", "--r", "3", "--n-max", "5")
         assert code == 0
@@ -215,11 +260,15 @@ class TestReproducibility:
 
 class TestModuleEntryPoint:
     def test_subprocess_invocation(self):
+        # the child imports the same package as this process, installed or not
+        src = str(Path(isosqueeze.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "isosqueeze.cli", "dual-check", "--terms", "50"],
             capture_output=True,
             text=True,
             timeout=120,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)

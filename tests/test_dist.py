@@ -43,7 +43,7 @@ class TestClosedFormDistribution:
         params = iq.SqueezeParams(kind="i", r=0.0, n_max=10)
         xs = np.linspace(-3.0, 3.0, 7)
         phis = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)
-        grid = dist.quadrature_distribution_closed(params, xs, phis)
+        grid = dist.quadrature_distribution_closed(params, iq.build_state(params), xs, phis)
         expected = np.exp(-xs * xs) / math.sqrt(math.pi)
         assert np.allclose(grid.values, expected[:, None], atol=1e-12)
 
@@ -51,7 +51,7 @@ class TestClosedFormDistribution:
         params = iq.SqueezeParams(kind="i", r=10.0, theta=0.5, n_max=70)
         xs = np.linspace(-5.0, 5.0, 41)
         phis = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
-        closed = dist.quadrature_distribution_closed(params, xs, phis)
+        closed = dist.quadrature_distribution_closed(params, iq.build_state(params), xs, phis)
         direct = dist.quadrature_distribution(iq.build_state(params), xs, phis)
         assert np.max(np.abs(closed.values - direct.values)) < 1e-8
 
@@ -59,7 +59,9 @@ class TestClosedFormDistribution:
         theta = 0.7
         params = iq.SqueezeParams(kind="i", r=6.0, theta=theta, n_max=50)
         xs = np.linspace(-4.0, 4.0, 33)
-        grid = dist.quadrature_distribution_closed(params, xs, np.array([theta / 2.0]))
+        grid = dist.quadrature_distribution_closed(
+            params, iq.build_state(params), xs, np.array([theta / 2.0])
+        )
         assert np.max(np.abs(grid.values[:, 0] - grid.values[::-1, 0])) < 1e-10
 
     def test_pi_periodic_in_phase(self):
@@ -72,16 +74,17 @@ class TestClosedFormDistribution:
         assert np.max(np.abs(a - c)) < 1e-10
 
     def test_rejects_unitary_kind(self):
+        params = iq.SqueezeParams(kind="iii", r=0.3)
         with pytest.raises(ValueError):
             dist.quadrature_distribution_closed(
-                iq.SqueezeParams(kind="iii", r=0.3), np.array([0.0]), np.array([0.0])
+                params, iq.build_state(params), np.array([0.0]), np.array([0.0])
             )
 
     def test_values_non_negative(self):
         params = iq.SqueezeParams(kind="i", r=10.0, theta=0.5, n_max=70)
         xs = np.linspace(-5.0, 5.0, 51)
         phis = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
-        grid = dist.quadrature_distribution_closed(params, xs, phis)
+        grid = dist.quadrature_distribution_closed(params, iq.build_state(params), xs, phis)
         assert grid.values.min() > -1e-12
 
 

@@ -37,6 +37,19 @@ class TestLogFactorial:
         with pytest.raises(ValueError):
             log_factorial(-1)
 
+    def test_array_matches_scalar_bitwise(self):
+        n = np.arange(5001)
+        got = log_factorial(n[::-1])[::-1]  # the largest index first grows the cache
+        want = np.array([log_factorial(int(k)) for k in n])
+        assert np.array_equal(got, want)
+        assert log_factorial(n[:0]).shape == (0,)
+
+    def test_array_rejects_negative_and_non_integer(self):
+        with pytest.raises(ValueError):
+            log_factorial(np.array([3, -1]))
+        with pytest.raises(ValueError):
+            log_factorial(np.array([1.0, 2.0]))
+
 
 class TestLaguerre:
     def test_degree_zero(self):

@@ -174,3 +174,29 @@ class TestGrid:
     def test_unitary_grid_accepts_kind(self):
         reports = squeezing.squeezing_grid("iii", [0.3], [0.0, 1.0], n_max=80)
         assert all((rep.i1 + 1.0) * (rep.i2 + 1.0) >= 1.0 - 1e-9 for rep in reports)
+
+    @pytest.mark.parametrize(
+        "kind, moduli",
+        [("i", [1e-3, 5.0, 31.0]), ("iii", [1e-3, 0.4, 0.88, 0.95])],
+        ids=["nonlinear", "unitary"],
+    )
+    def test_matches_per_cell_oracle(self, kind, moduli):
+        # one state per cell at the cell's own phase; xi 0.88 and 0.95
+        # grow the truncation
+        thetas = [0.0, 0.3, -1.1, math.pi, 2.0 * math.pi + 0.4, 9.7]
+        reports = squeezing.squeezing_grid(kind, moduli, thetas, n_max=70)
+        assert len(reports) == len(moduli) * len(thetas)
+        cells = [(r, theta) for r in moduli for theta in thetas]
+        for rep, (r, theta) in zip(reports, cells):
+            state = iq.build_state(iq.SqueezeParams(kind=kind, r=r, theta=theta, n_max=70))
+            oracle = squeezing.squeezing_report(state, r, theta)
+            assert (rep.r, rep.theta) == (r, theta)
+            assert rep.uncertainty_ok == oracle.uncertainty_ok
+            for name in ("i1", "i2", "i3", "i4"):
+                assert getattr(rep, name) == pytest.approx(
+                    getattr(oracle, name), rel=1e-12, abs=1e-13
+                )
+
+    def test_rejects_non_finite_theta(self):
+        with pytest.raises(iq.InvalidParameter):
+            squeezing.squeezing_grid("i", [1.0], [0.0, math.nan])
