@@ -5,7 +5,7 @@ import pytest
 
 import isosqueeze as iq
 from isosqueeze import dist
-from conftest import displacement_expm
+from conftest import characteristic_function_pairs, displacement_expm
 
 
 def _nonlinear(r, theta=0.0, n_max=70):
@@ -143,6 +143,25 @@ class TestCharacteristicFunction:
             oracle = math.exp(-0.5 * abs(shifted) ** 2)
             got = dist.characteristic_function(v, lam, 0.0)
             assert got == pytest.approx(oracle, abs=1e-6)
+
+    @pytest.mark.parametrize("state", ["nonlinear_r20", "unitary_xi04", "random_odd"])
+    def test_matches_cahill_glauber_oracle(self, state, request):
+        if state == "random_odd":
+            # complex amplitudes on every offset: both branches and odd orders
+            rng = np.random.default_rng(20120222)
+            amps = rng.normal(size=9) + 1j * rng.normal(size=9)
+            v = iq.FockVector(amps / np.linalg.norm(amps))
+        else:
+            v = request.getfixturevalue(state)
+        lam = np.array([[0.0, 0.3 + 0.4j, -1.1 + 0.7j, 2.0 - 1.5j],
+                        [-3.2j, 4.0 + 2.5j, -4.5 - 3.0j, 6.0]])
+        want = characteristic_function_pairs(v, lam, 0.0)
+        for s in (-1.0, 0.0, 0.5):
+            got = dist.characteristic_function(v, lam, s)
+            assert got.shape == lam.shape
+            np.testing.assert_allclose(
+                got, want * np.exp(0.5 * s * np.abs(lam) ** 2), rtol=1e-12, atol=1e-14
+            )
 
     def test_rejects_s_at_one(self):
         with pytest.raises(dist.SParameterOutOfRange):

@@ -1,14 +1,20 @@
 """Cross-version regression net: figure commands against committed goldens.
 
 Each entry below is a `figures.md` invocation at its figure parameters
-on a reduced grid.  The CSVs under ``tests/golden/`` were recorded from
-the code before the ladder-word and API simplification, and every later
-version must reproduce them to rtol 1e-10, atol 1e-12 (compared as
-parsed floats, so last-digit rounding changes do not fail the net).
-Criterion 7 separately checks byte identity between two runs.
+on a reduced grid, plus one case-iii quasi-probability at a complex
+amplitude and s < 0.  Every later version must reproduce the CSVs
+under ``tests/golden/`` to rtol 1e-10, atol 1e-12 (compared as parsed
+floats, so last-digit rounding changes do not fail the net).  Criterion
+7 separately checks byte identity between two runs.
 
-Regenerate deliberately, after a reviewed change of results, with
-``PYTHONPATH=src python tests/test_golden.py``.
+Provenance: the ten figure goldens were recorded from commit fcd252b
+(committed in 5368aec), before the ladder-word and API simplification;
+``quasi_iii`` was recorded from commit 5ebcc40, before the displaced-
+overlap kernel replaced the quasi-probability routes.
+
+``PYTHONPATH=src python tests/test_golden.py`` records only the goldens
+whose file does not exist yet.  To re-record one deliberately, after a
+reviewed change of results, delete its file first.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ GOLDEN_COMMANDS = {
     "quasi_s05": [*_QUASI_I, "--s", "0.5"],
     "quasi_wigner": [*_QUASI_I, "--s", "0"],
     "quasi_husimi": [*_QUASI_I, "--s", "-1"],
+    "quasi_iii": ["quasiprob", "--case", "iii", "--xi", "0.4", "--xi-phase", "0.7",
+                  "--s", "-0.5", "--x-steps", "41", "--p-steps", "41"],
 }
 
 
@@ -69,6 +77,8 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in GOLDEN_COMMANDS.items():
         path = GOLDEN_DIR / f"{name}.csv"
+        if path.exists():
+            continue
         _run(argv, path)
         Path(str(path) + ".meta.json").unlink()
         print(f"recorded {path}", file=sys.stderr)
