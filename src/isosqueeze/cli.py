@@ -120,9 +120,17 @@ def _params_from_args(args, r_override: float | None = None) -> SqueezeParams:
     return SqueezeParams(kind=CASE_UNITARY, r=xi, theta=args.xi_phase, n_max=args.n_max)
 
 
-def _check_tail(out: _Output, vec) -> None:
+def _n_max_effective(vec) -> int:
+    """Half-index truncation of a built state; the builder may raise the requested one."""
+    return (vec.amps.size - 1) // 2
+
+
+def _check_tail(out: _Output, vec, requested: int) -> None:
     if vec.tail_bound > TAIL_WARN_THRESHOLD:
-        out.warn(f"tail_mass {vec.tail_bound:.3e} exceeds {TAIL_WARN_THRESHOLD:g}; raise --n-max")
+        effective = _n_max_effective(vec)
+        advice = ("raise --n-max" if effective <= requested
+                  else f"n_max was already raised from {requested} to {effective}")
+        out.warn(f"tail_mass {vec.tail_bound:.3e} exceeds {TAIL_WARN_THRESHOLD:g}; {advice}")
 
 
 def _modulus_grid(args) -> tuple[np.ndarray, float, int]:
@@ -160,9 +168,9 @@ def _cmd_state(args) -> _Output:
         command="state",
         columns=("level", "re", "im", "prob"),
         meta={"case": args.case, "r": params.r, "theta": params.theta, "n_max": params.n_max,
-              "tail_bound": vec.tail_bound},
+              "n_max_effective": _n_max_effective(vec), "tail_bound": vec.tail_bound},
     )
-    _check_tail(out, vec)
+    _check_tail(out, vec, params.n_max)
     for level, amp in zip(vec.levels, vec.amps):
         if amp == 0:
             continue  # structural zeros (odd offsets, padding) carry no information
@@ -177,10 +185,12 @@ def _cmd_stats(args) -> _Output:
         columns=("r", "meanK0", "Q", "g2", "A3"),
         meta={"case": args.case, "max": top, "steps": steps, "n_max": args.n_max},
     )
+    out.meta["n_max_effective"] = 0  # the largest over the sweep
     for r in grid:
         params = _params_from_args(args, r_override=float(r))
         vec = build_state(params)
-        _check_tail(out, vec)
+        out.meta["n_max_effective"] = max(out.meta["n_max_effective"], _n_max_effective(vec))
+        _check_tail(out, vec, params.n_max)
         mean, _ = stats.excitation_moments(vec)
         try:
             q = stats.mandel_q(vec)
@@ -224,9 +234,10 @@ def _cmd_quad_dist(args) -> _Output:
         command="quad-dist",
         columns=("x", "phi", "P"),
         meta={"case": "i", "r": args.r, "theta": args.theta, "n_max": args.n_max,
+              "n_max_effective": _n_max_effective(vec),
               "grid": {"x": [args.x_min, args.x_max, args.x_steps], "phi_steps": args.phi_steps}},
     )
-    _check_tail(out, vec)
+    _check_tail(out, vec, args.n_max)
     out.rows = _grid_rows(grid)
     return out
 
@@ -247,11 +258,11 @@ def _cmd_quasiprob(args) -> _Output:
         command="quasiprob",
         columns=("x", "p", "F"),
         meta={"case": args.case, "r": params.r, "theta": params.theta,
-              "s": args.s, "n_max": params.n_max,
+              "s": args.s, "n_max": params.n_max, "n_max_effective": _n_max_effective(vec),
               "grid": {"x": [args.x_min, args.x_max, args.x_steps],
                        "p": [args.p_min, args.p_max, args.p_steps]}},
     )
-    _check_tail(out, vec)
+    _check_tail(out, vec, params.n_max)
     out.rows = _grid_rows(grid)
     return out
 

@@ -7,18 +7,25 @@ sum.  Two independent routes are provided and must agree pointwise: the
 squared projection onto the quadrature eigenstate, and the explicit
 closed-form cosine double sum for the non-unitary-route states.
 
-Phase-space structure comes from the displacement operator generated by
-the Heisenberg pair.  Its matrix elements follow the two-branch closed
-form (Laguerre of degree min, order |difference|, factorial ratio
-sqrt(min!/max!), sign on the conjugated branch) that is forced by
-unitarity; a truncated matrix exponential oracle in the test suite pins
-it down.  The s-parameterized quasi-probability is then either the
-closed-form Laguerre double sum or, as a brute-force cross-check, the
-numerical 2-D Fourier transform of the characteristic function.
+Phase space goes through one kernel, ``_ordered_overlap(x, y, alpha,
+beta)`` = <x| e^{alpha K+} e^{beta K-} |y>: the Cahill-Glauber element
+sum grouped by the order |m - n|, one Laguerre sweep per order, pair
+weights in log space.  With beta = -conj(alpha) it is G(x, y; mu) =
+e^{|mu|^2/2} <x|D(mu)|y>.  Each phase-space quantity is one call:
 
-The Husimi endpoint s = -1 is evaluated through its analytic limit
-(coherent-state projection): the generic term is a 0 * inf product
-there and must not be evaluated literally.
+* characteristic function: C(lam, s) = e^{(s-1)|lam|^2/2} G(c, c; lam);
+* quasi-probability, s != -1: F(z, s) = 2/(pi (1-s)) e^{-2|z|^2/(1-s)}
+  Re <x|e^{alpha K+} e^{beta K-}|y> with x_n = c_n (sign t)^n,
+  y_n = c_n t^n, t^2 = |(1+s)/(1-s)|, sign that of (1+s)/(s-1),
+  alpha = w/(sign t), beta = conj(w)/t, w = 2z/(1-s); for -1 < s < 1
+  this is Re G(x, y; -2z/sqrt(1-s^2));
+* Husimi function, s = -1: F(z, -1) = e^{-|z|^2} |G(e_0, c; -z)|^2 / pi.
+
+The support cutoff applies to the vectors the kernel receives, here
+c_n t^n: as s -> -1 the high levels drop out, so the Laguerre sweeps
+stay at low degree, where 4|z|^2/(1-s^2) cannot overflow them.  The 2-D
+Fourier transform of the characteristic function
+(``quasi_probability_fourier``) is a brute-force cross-check.
 """
 
 from __future__ import annotations
@@ -29,12 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockVector
-from .specfun import (
-    assoc_laguerre,
-    assoc_laguerre_sequence,
-    log_factorial,
-    weighted_hermite_table,
-)
+from .specfun import assoc_laguerre_sequence, log_factorial, weighted_hermite_table
 from .states import CASE_NONLINEAR, SqueezeParams
 
 __all__ = [
@@ -43,7 +45,6 @@ __all__ = [
     "quadrature_wavefunction",
     "quadrature_distribution",
     "quadrature_distribution_closed",
-    "displacement_element_offsets",
     "characteristic_function",
     "quasi_probability",
     "quasi_probability_grid",
@@ -54,6 +55,10 @@ __all__ = [
 _SUPPORT_CUTOFF = 1e-150
 
 _IMAG_TOL = 1e-8
+
+# Phase-space points per kernel block: bounds its Laguerre table to
+# (degree + 1) x _BLOCK_POINTS floats however large the grid is.
+_BLOCK_POINTS = 4096
 
 
 class SParameterOutOfRange(ValueError):
@@ -73,10 +78,6 @@ class DistGrid:
     axis2: np.ndarray
     values: np.ndarray
     s: float | None = None
-
-
-def _support(v: FockVector) -> np.ndarray:
-    return np.nonzero(np.abs(v.amps) > _SUPPORT_CUTOFF)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -144,41 +145,83 @@ def quadrature_distribution_closed(
 
 
 # ---------------------------------------------------------------------------
-# displacement operator
+# displaced-overlap kernel
 # ---------------------------------------------------------------------------
 
 
-def displacement_element_offsets(row: int, col: int, lam: complex):
-    """<row|D(lam)|col> on excitation offsets (levels row+3, col+3).
+def _log_polar(v: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """ln|v| and v/|v| where |v| > cutoff; -inf and 0 elsewhere."""
+    v = np.asarray(v, dtype=complex)
+    mag = np.abs(v)
+    keep = mag > cutoff
+    log_mag = np.log(mag, out=np.full(mag.shape, -np.inf), where=keep)
+    return log_mag, np.divide(v, mag, out=np.zeros(v.shape, dtype=complex), where=keep)
 
-    Two-branch closed form: factorial ratio sqrt(min!/max!), Laguerre
-    degree min(row, col) and order |row - col|, with lam^(row-col) on
-    the raising-dominant branch and (-conj(lam))^(col-row) on the
-    conjugated branch, as required by D(lam)^dagger = D(-lam).
-    ``lam`` may be a complex scalar or array.
+
+def _ordered_overlap(x: np.ndarray, y: np.ndarray, alpha, beta) -> np.ndarray:
+    """<x| e^{alpha K+} e^{beta K-} |y> for complex arrays alpha, beta of one shape.
+
+    The elements are <m|e^{alpha K+} e^{beta K-}|n> = sqrt(n!/m!)
+    alpha^(m-n) L_n^(m-n)(-alpha beta) for m >= n and the mirror image
+    with beta^(n-m) for m < n.  Grouped by the order k = |m - n|:
+
+        sum_k sum_a sqrt(a!/(a+k)!) L_a^k(-alpha beta)
+              [alpha^k conj(x_{a+k}) y_a + (k > 0) beta^k conj(x_a) y_{a+k}]
+
+    One Laguerre sweep per k serves both branches in one real matrix
+    product with their pair weights, which are built in log space with
+    the largest weight of the order factored out.  Amplitudes of x and y
+    at or below ``_SUPPORT_CUTOFF`` are dropped.  With beta = -conj(alpha)
+    the result is e^{|alpha|^2 / 2} <x|D(alpha)|y> (Cahill and Glauber).
     """
-    if row < 0 or col < 0:
-        raise ValueError("offsets must be non-negative")
-    lam = np.asarray(lam, dtype=complex)
-    mag_sq = np.abs(lam) ** 2
-    gauss = np.exp(-0.5 * mag_sq)
-    if row >= col:
-        k = row - col
-        out = (
-            math.exp(0.5 * (log_factorial(col) - log_factorial(row)))
-            * lam**k
-            * gauss
-            * assoc_laguerre(col, k, mag_sq)
-        )
-    else:
-        k = col - row
-        out = (
-            math.exp(0.5 * (log_factorial(row) - log_factorial(col)))
-            * (-np.conj(lam)) ** k
-            * gauss
-            * assoc_laguerre(row, k, mag_sq)
-        )
-    return out if out.ndim else complex(out)
+    alpha = np.asarray(alpha, dtype=complex)
+    beta = np.asarray(beta, dtype=complex)
+    out = np.empty(alpha.size, dtype=complex)
+    for start in range(0, alpha.size, _BLOCK_POINTS):
+        block = slice(start, start + _BLOCK_POINTS)
+        out[block] = _overlap_block(x, y, alpha.ravel()[block], beta.ravel()[block])
+    return out.reshape(alpha.shape)
+
+
+def _overlap_block(x: np.ndarray, y: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``_ordered_overlap`` on 1-D alpha and beta of at most _BLOCK_POINTS points."""
+    arg = -(alpha * beta).real
+    total = np.zeros(arg.shape, dtype=complex)
+    supports = [np.nonzero(np.abs(v) > _SUPPORT_CUTOFF)[0] for v in (x, y)]
+    if not all(idx.size for idx in supports):
+        return total
+    size = 1 + max(idx[-1] for idx in supports)
+    (log_x, unit_x), (log_y, unit_y) = (
+        _log_polar(np.pad(v[:size], (0, size - v[:size].size)), _SUPPORT_CUTOFF) for v in (x, y)
+    )
+    (log_a, unit_a), (log_b, unit_b) = _log_polar(alpha, 0.0), _log_polar(beta, 0.0)
+    phase_a, phase_b = np.ones_like(unit_a), np.ones_like(unit_b)  # unit^k, carried along
+
+    log_fact = log_factorial(np.arange(size))
+    for k in range(size):
+        if k:
+            phase_a *= unit_a
+            phase_b *= unit_b
+        n = size - k
+        # row 0: the alpha^k branch, pairs (a + k, a); row 1: the beta^k branch, pairs (a, a + k)
+        log_w = np.array([log_x[k:] + log_y[:n], log_x[:n] + log_y[k:] if k else np.full(n, -np.inf)])
+        live = np.nonzero(np.isfinite(log_w).any(axis=0))[0]
+        if not live.size:
+            continue
+        top = live[-1] + 1
+        log_w = log_w[:, :top] + 0.5 * (log_fact[:top] - log_fact[k : k + top])
+        peak = log_w.max()
+        pair_phase = np.array([np.conj(unit_x[k : k + top]) * unit_y[:top],
+                               np.conj(unit_x[:top]) * unit_y[k : k + top]])
+        weights = np.exp(log_w - peak) * pair_phase
+        # one real product of the Laguerre rows with the real and imaginary weight rows
+        sums = np.concatenate([weights.real, weights.imag]) @ assoc_laguerre_sequence(top - 1, k, arg)
+        if k:
+            total += np.exp(peak + k * log_a) * phase_a * (sums[0] + 1j * sums[2])
+            total += np.exp(peak + k * log_b) * phase_b * (sums[1] + 1j * sums[3])
+        else:
+            total += math.exp(peak) * (sums[0] + 1j * sums[2])
+    return total
 
 
 def characteristic_function(v: FockVector, lam, s: float):
@@ -190,12 +233,9 @@ def characteristic_function(v: FockVector, lam, s: float):
     if s >= 1.0:
         raise SParameterOutOfRange(f"s must be < 1, got {s}")
     lam = np.asarray(lam, dtype=complex)
-    idx = _support(v)
-    total = np.zeros(lam.shape, dtype=complex)
-    for i in idx:
-        for j in idx:
-            total += np.conj(v.amps[i]) * v.amps[j] * displacement_element_offsets(i, j, lam)
-    total *= np.exp(0.5 * s * np.abs(lam) ** 2)
+    total = np.exp(0.5 * (s - 1.0) * np.abs(lam) ** 2) * _ordered_overlap(
+        v.amps, v.amps, lam, -np.conj(lam)
+    )
     return total if total.ndim else complex(total)
 
 
@@ -204,80 +244,24 @@ def characteristic_function(v: FockVector, lam, s: float):
 # ---------------------------------------------------------------------------
 
 
-def _husimi(v: FockVector, z: np.ndarray) -> np.ndarray:
-    """Analytic s = -1 endpoint: coherent-state projection / pi."""
-    idx = _support(v)
-    zc = np.conj(z)
-    mag = np.abs(z)
-    # z^b / sqrt(b!) assembled in log space; the b = 0 term is 1.
-    proj = np.zeros(z.shape, dtype=complex)
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(mag, out=np.full(z.shape, -np.inf), where=mag > 0)
-    unit = np.ones_like(z)
-    np.divide(zc, mag, out=unit, where=mag > 0)
-    for b in idx:
-        if b == 0:
-            proj += v.amps[0]
-        else:
-            proj += v.amps[b] * np.exp(b * log_mag - 0.5 * log_factorial(b)) * unit**b
-    return np.exp(-(mag**2)) * np.abs(proj) ** 2 / math.pi
-
-
 def _quasi_core(v: FockVector, z: np.ndarray, s: float) -> np.ndarray:
     """Closed-form F(z, s) on an array of phase-space points."""
     if s >= 1.0:
         raise SParameterOutOfRange(f"s must be < 1, got {s}")
+    c = v.amps
     if s == -1.0:
-        return _husimi(v, z)
-
-    idx = _support(v)
+        # coherent-state projection <z|v> = e^{-|z|^2/2} <0|e^{-z K+} e^{conj(z) K-}|v>
+        proj = _ordered_overlap(np.ones(1), c, -z, np.conj(z))
+        return np.exp(-np.abs(z) ** 2) * np.abs(proj) ** 2 / math.pi
+    # the pair weight ratio^a = (sign t)^a t^a is split between the two
+    # vectors, so the support cutoff sees c_n t^n (see the module docstring)
     ratio = (s + 1.0) / (s - 1.0)
-    warg = 4.0 * np.abs(z) ** 2 / (1.0 - s * s)
-    zc_scaled = 2.0 * np.conj(z) / (1.0 - s)
-    mag = np.abs(zc_scaled)
-    with np.errstate(divide="ignore"):
-        log_zmag = np.log(mag, out=np.full(z.shape, -np.inf), where=mag > 0)
-    unit = np.ones_like(zc_scaled)
-    np.divide(zc_scaled, mag, out=unit, where=mag > 0)
-
-    amps = v.amps
-    log_abs_amp = np.full(amps.size, -np.inf)
-    log_abs_amp[idx] = np.log(np.abs(amps[idx]))
-    phase = np.ones(amps.size, dtype=complex)
-    phase[idx] = amps[idx] / np.abs(amps[idx])
-    log_ratio = math.log(abs(ratio)) if ratio != 0.0 else -math.inf
-    ratio_sign = 1.0 if ratio >= 0.0 else -1.0
-
-    total = np.zeros(z.shape, dtype=float)
-    by_k: dict[int, list[int]] = {}
-    for a in idx:
-        for b in idx:
-            if b >= a:
-                by_k.setdefault(int(b - a), []).append(int(a))
-    for k, rows in by_k.items():
-        lag = assoc_laguerre_sequence(max(rows), k, warg)
-        if k == 0:
-            zpow_mag = np.zeros(z.shape)
-            zphase = np.ones_like(unit)
-        else:
-            zpow_mag = k * log_zmag
-            zphase = unit**k
-        for a in rows:
-            b = a + k
-            # scalar pair weight assembled in log magnitude to dodge
-            # intermediate under/overflow; exp(-inf) cleanly kills
-            # sub-support pairs
-            log_w = (
-                log_abs_amp[a]
-                + log_abs_amp[b]
-                + 0.5 * (log_factorial(a) - log_factorial(b))
-                + (a * log_ratio if a else 0.0)
-            )
-            pair_phase = np.conj(phase[a]) * phase[b] * ratio_sign**a
-            term = np.exp(log_w + zpow_mag) * (pair_phase * zphase).real * lag[a]
-            total += term if k == 0 else 2.0 * term
-    pref = 2.0 / (math.pi * (1.0 - s)) * np.exp(-2.0 * np.abs(z) ** 2 / (1.0 - s))
-    return pref * total
+    t = math.sqrt(abs(ratio))
+    sign = math.copysign(1.0, ratio)
+    n = np.arange(c.size)
+    w = 2.0 * z / (1.0 - s)
+    total = _ordered_overlap(c * (sign * t) ** n, c * t**n, w / (sign * t), np.conj(w) / t).real
+    return 2.0 / (math.pi * (1.0 - s)) * np.exp(-2.0 * np.abs(z) ** 2 / (1.0 - s)) * total
 
 
 def quasi_probability(v: FockVector, z: complex, s: float) -> float:

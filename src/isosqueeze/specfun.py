@@ -5,9 +5,12 @@ grids) funnels its factorial ratios and orthogonal-polynomial needs
 through this module.  Factorials are handled exclusively in log space:
 the amplitude laws involve ratios like (2n)!/((2n+2)!(2n+3)!) whose
 numerator and denominator separately overflow float64 long before the
-ratio does.  Polynomials use upward three-term recurrences; the
-explicit alternating sums cancel catastrophically past degree ~20 and
-are only used as cross-check oracles in the test suite.
+ratio does.  Polynomials use upward three-term recurrences: one sweep
+gives every degree of the associated Laguerre polynomials at a fixed
+order (the phase-space kernel reads them all), and the weighted
+Hermite table gives the oscillator eigenfunctions.  The explicit
+alternating sums cancel catastrophically past degree ~20 and are only
+used as cross-check oracles in the test suite.
 
 All functions are pure and accept scalars or numpy arrays where noted;
 they are safe to call concurrently.
@@ -21,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "log_factorial",
-    "assoc_laguerre",
     "assoc_laguerre_sequence",
     "weighted_hermite_table",
 ]
@@ -59,31 +61,12 @@ def log_factorial(n):
     return _LOG_FACTORIALS[n]
 
 
-def assoc_laguerre(n: int, k: int, x):
-    """Associated Laguerre polynomial L_n^k(x) by upward recurrence.
-
-    (m+1) L_{m+1}^k = (2m + k + 1 - x) L_m^k - (m + k) L_{m-1}^k,
-    stable for x >= 0 and the moderate negative arguments used by the
-    quasi-probability kernels.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("assoc_laguerre degree and order must be non-negative")
-    x = np.asarray(x, dtype=float)
-    l_prev = np.ones_like(x)
-    if n == 0:
-        return l_prev if l_prev.ndim else float(l_prev)
-    l_cur = 1.0 + k - x
-    for m in range(1, n):
-        l_cur, l_prev = ((2.0 * m + k + 1.0 - x) * l_cur - (m + k) * l_prev) / (m + 1.0), l_cur
-    return l_cur if l_cur.ndim else float(l_cur)
-
-
 def assoc_laguerre_sequence(n_max: int, k: int, x: np.ndarray) -> np.ndarray:
     """All of L_0^k(x) .. L_{n_max}^k(x) in one recurrence sweep.
 
-    Returns an array of shape (n_max + 1,) + x.shape.  The phase-space
-    grids evaluate many degrees at a fixed order, so a single sweep
-    beats n_max separate recurrences.
+    (m+1) L_{m+1}^k = (2m + k + 1 - x) L_m^k - (m + k) L_{m-1}^k.
+    Returns an array of shape (n_max + 1,) + x.shape.  L_n^k(x) alone
+    is the last row of a sweep to degree n.
     """
     if n_max < 0 or k < 0:
         raise ValueError("assoc_laguerre_sequence degree and order must be non-negative")
@@ -93,7 +76,12 @@ def assoc_laguerre_sequence(n_max: int, k: int, x: np.ndarray) -> np.ndarray:
     if n_max >= 1:
         out[1] = 1.0 + k - x
     for m in range(1, n_max):
-        out[m + 1] = ((2.0 * m + k + 1.0 - x) * out[m] - (m + k) * out[m - 1]) / (m + 1.0)
+        # in place, in the operation order of the recurrence above
+        row = out[m + 1, ...]
+        np.subtract(2.0 * m + k + 1.0, x, out=row)
+        row *= out[m]
+        row -= (m + k) * out[m - 1]
+        row /= m + 1.0
     return out
 
 

@@ -105,39 +105,33 @@ def unitary_xi04():
     return iq.build_squeezed(iq.SqueezeParams(kind="iii", r=0.4, n_max=70))
 
 
-def _laguerre(n: int, k: int, x: np.ndarray) -> np.ndarray:
-    """L_n^k(x) by its own upward recurrence, one degree at a time."""
-    l_prev = np.ones_like(x)
-    if n == 0:
-        return l_prev
-    l_cur = 1.0 + k - x
-    for m in range(1, n):
-        l_cur, l_prev = ((2.0 * m + k + 1.0 - x) * l_cur - (m + k) * l_prev) / (m + 1.0), l_cur
-    return l_cur
-
-
-def displacement_element(row: int, col: int, lam) -> np.ndarray:
-    """<row|D(lam)|col> on excitation offsets, Cahill-Glauber closed form.
-
-    Factorial ratio sqrt(min!/max!), Laguerre degree min(row, col) and
-    order |row - col|, lam^(row - col) on the raising-dominant branch
-    and (-conj(lam))^(col - row) on the conjugated branch (Phys. Rev.
-    177, 1857 and 1882, 1969).
-    """
-    lam = np.asarray(lam, dtype=complex)
-    mag_sq = np.abs(lam) ** 2
-    low, k = min(row, col), abs(row - col)
-    power = lam**k if row >= col else (-np.conj(lam)) ** k
-    ratio = sqrt(exp(lgamma(low + 1) - lgamma(low + k + 1)))
-    return ratio * power * np.exp(-0.5 * mag_sq) * _laguerre(low, k, mag_sq)
+def laguerre_rows(n_max: int, k: int, x: np.ndarray) -> list[np.ndarray]:
+    """L_0^k(x) .. L_{n_max}^k(x) by the upward three-term recurrence."""
+    rows = [np.ones_like(x), 1.0 + k - x]
+    for m in range(1, n_max):
+        rows.append(((2.0 * m + k + 1.0 - x) * rows[m] - (m + k) * rows[m - 1]) / (m + 1.0))
+    return rows
 
 
 def characteristic_function_pairs(v, lam, s: float) -> np.ndarray:
-    """e^{s |lam|^2 / 2} <v|D(lam)|v>, summed element by element over support pairs."""
+    """e^{s |lam|^2 / 2} <v|D(lam)|v>, summed element by element over support pairs.
+
+    Cahill-Glauber closed form (Phys. Rev. 177, 1857 and 1882, 1969):
+    <row|D(lam)|col> = sqrt(min!/max!) e^{-|lam|^2/2} L_min^k(|lam|^2)
+    with k = |row - col|, times lam^k for row >= col and (-conj(lam))^k
+    otherwise.
+    """
     lam = np.asarray(lam, dtype=complex)
+    mag_sq = np.abs(lam) ** 2
     support = np.nonzero(np.abs(v.amps) > 1e-150)[0]
+    laguerre: dict[int, list[np.ndarray]] = {}
     total = np.zeros(lam.shape, dtype=complex)
     for i in support:
         for j in support:
-            total += np.conj(v.amps[i]) * v.amps[j] * displacement_element(int(i), int(j), lam)
-    return total * np.exp(0.5 * s * np.abs(lam) ** 2)
+            low, k = int(min(i, j)), int(abs(i - j))
+            if k not in laguerre:
+                laguerre[k] = laguerre_rows(int(support[-1]), k, mag_sq)
+            power = lam**k if i >= j else (-np.conj(lam)) ** k
+            element = sqrt(exp(lgamma(low + 1) - lgamma(low + k + 1))) * power * laguerre[k][low]
+            total += np.conj(v.amps[i]) * v.amps[j] * element
+    return total * np.exp(0.5 * (s - 1.0) * mag_sq)

@@ -64,6 +64,25 @@ class TestStateCommand:
         meta = json.loads((target.with_suffix(".csv.meta.json")).read_text())
         assert any("tail_mass" in w for w in meta["warnings"])
 
+    def test_reports_effective_truncation(self, tmp_path, capsys):
+        # xi = 0.9999 drives the builder from n_max 70 to its ceiling
+        runs = {
+            "state": ["state", "--case", "iii", "--xi", "0.9999"],
+            "stats": ["stats", "--case", "iii", "--xi-max", "0.9999", "--xi-steps", "2"],
+            "quasiprob": ["quasiprob", "--case", "iii", "--xi", "0.9999", "--s", "-0.5",
+                          "--x-steps", "2", "--p-steps", "2"],
+        }
+        for name, argv in runs.items():
+            target = tmp_path / f"{name}.csv"
+            code, _, err = _run(capsys, *argv, "-o", str(target))
+            assert code == 0
+            meta = json.loads((target.with_suffix(".csv.meta.json")).read_text())
+            assert meta["n_max"] == 70
+            assert meta["n_max_effective"] == states._AUTO_N_MAX_CEILING
+            tail = [w for w in meta["warnings"] if "tail_mass" in w]
+            assert tail and not any("raise --n-max" in w for w in tail)
+            assert "raise --n-max" not in err
+
 
 class TestStatsCommand:
     def test_nonlinear_sweep_columns(self, capsys):
@@ -140,6 +159,22 @@ class TestQuasiprobCommand:
         code, _, err = _run(capsys, "quasiprob", "--case", "iii", "--xi", "0.3", "--s", "1.0")
         assert code == 3
         assert "error" in err
+
+    @staticmethod
+    def _grid(capsys, *argv):
+        code, out, _ = _run(capsys, "quasiprob", *argv, "--x-steps", "41", "--p-steps", "41")
+        assert code == 0
+        return np.array([float(line.split(",")[2]) for line in out.strip().splitlines()[1:]])
+
+    def test_finite_near_husimi_endpoint(self, capsys):
+        # 4|z|^2 / (1 - s^2) is large here; the Laguerre sweeps must stay finite
+        fig8 = ["--case", "i", "--r", "2.8284271247461903", "--theta", "0.7853981633974483"]
+        unitary = self._grid(capsys, "--case", "iii", "--xi", "0.9", "--s", "-0.99")
+        near = self._grid(capsys, *fig8, "--s", "-0.999999")
+        husimi = self._grid(capsys, *fig8, "--s", "-1")
+        assert np.all(np.isfinite(unitary)) and unitary.size == 41 * 41
+        assert np.all(np.isfinite(near))
+        assert np.max(np.abs(near - husimi)) < 1e-6
 
 
 class TestVerifyAlgebraCommand:

@@ -88,12 +88,20 @@ class TestClosedFormDistribution:
         assert grid.values.min() > -1e-12
 
 
+def _element(row, col, lam):
+    """<row|D(lam)|col> = e^{-|lam|^2/2} G(e_row, e_col; lam) through the library kernel."""
+    basis = np.eye(max(row, col) + 1)
+    lam = complex(lam)
+    overlap = dist._ordered_overlap(basis[row], basis[col], lam, -lam.conjugate())
+    return math.exp(-0.5 * abs(lam) ** 2) * complex(overlap)
+
+
 class TestDisplacement:
     def test_identity_at_zero(self):
-        assert dist.displacement_element_offsets(0, 0, 0.0 + 0.0j) == 1.0
+        assert _element(0, 0, 0.0 + 0.0j) == 1.0
 
     def test_vacuum_survival(self):
-        got = dist.displacement_element_offsets(0, 0, 1.0 + 0.0j)
+        got = _element(0, 0, 1.0 + 0.0j)
         assert got == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     @pytest.mark.parametrize("lam", [0.7 + 0.2j, -0.4 + 1.1j])
@@ -101,22 +109,22 @@ class TestDisplacement:
         oracle = displacement_expm(lam, 140)
         for row in range(10):
             for col in range(10):
-                got = dist.displacement_element_offsets(row, col, lam)
+                got = _element(row, col, lam)
                 assert got == pytest.approx(oracle[row, col], abs=1e-10)
 
     def test_unitarity_column_sum(self):
         # column |2n+3> with n = 1: sum over every level, odd ones included
         lam = 0.7 + 0.2j
         total = sum(
-            abs(dist.displacement_element_offsets(row, 2, lam)) ** 2 for row in range(120)
+            abs(_element(row, 2, lam)) ** 2 for row in range(120)
         )
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_adjoint_relation(self):
         lam = 0.5 - 0.8j
         for row, col in ((0, 3), (2, 5), (4, 1)):
-            left = dist.displacement_element_offsets(row, col, lam)
-            right = np.conj(dist.displacement_element_offsets(col, row, -lam))
+            left = _element(row, col, lam)
+            right = np.conj(_element(col, row, -lam))
             assert left == pytest.approx(right, abs=1e-13)
 
 
@@ -230,6 +238,18 @@ class TestQuasiProbability:
             closed = dist.quasi_probability(v, z, s)
             oracle = dist.quasi_probability_fourier(v, z, s)
             assert closed == pytest.approx(oracle, abs=1e-6)
+
+    def test_odd_offsets_match_fourier_oracle(self):
+        # complex amplitudes on every offset fix the sign of the odd orders;
+        # s < -1 has a negative Laguerre argument
+        rng = np.random.default_rng(1202)
+        amps = rng.normal(size=7) + 1j * rng.normal(size=7)
+        v = iq.FockVector(amps / np.linalg.norm(amps))
+        for s in (-3.0, -1.0, -0.5, 0.0, 0.5):
+            for z in (0.3 - 0.7j, 1.1 + 0.4j):
+                closed = dist.quasi_probability(v, z, s)
+                oracle = dist.quasi_probability_fourier(v, z, s)
+                assert closed == pytest.approx(oracle, abs=1e-9)
 
     def test_rejects_s_at_one(self):
         with pytest.raises(dist.SParameterOutOfRange):

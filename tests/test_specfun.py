@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from isosqueeze.specfun import (
-    assoc_laguerre,
-    assoc_laguerre_sequence,
-    log_factorial,
-    weighted_hermite_table,
-)
+from isosqueeze.specfun import assoc_laguerre_sequence, log_factorial, weighted_hermite_table
 from conftest import hermite_series, laguerre_series
 
 
@@ -49,6 +44,11 @@ class TestLogFactorial:
             log_factorial(np.array([3, -1]))
         with pytest.raises(ValueError):
             log_factorial(np.array([1.0, 2.0]))
+
+
+def assoc_laguerre(n, k, x):
+    """L_n^k(x), the last entry of one recurrence sweep."""
+    return assoc_laguerre_sequence(n, k, x)[n]
 
 
 class TestLaguerre:
@@ -92,7 +92,8 @@ class TestLaguerre:
         x = np.array([0.3, 2.0, 9.0])
         table = assoc_laguerre_sequence(12, 4, x)
         for n in range(13):
-            assert np.allclose(table[n], assoc_laguerre(n, 4, x), rtol=1e-13)
+            series = [laguerre_series(n, 4, float(xi)) for xi in x]
+            assert np.allclose(table[n], series, rtol=1e-13)
 
 
 class TestWeightedHermite:
