@@ -2,9 +2,10 @@
 
 The oracles here deliberately avoid the library's own code paths:
 explicit rational-arithmetic polynomial sums, direct term-by-term
-series summation with lgamma, dense-matrix operator algebra, and the
+series summation with lgamma, dense-matrix operator algebra, the
 per-element Cahill-Glauber displacement closed form summed pair by
-pair.
+pair, and the paper's cosine double sum for the quadrature
+distribution.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import isosqueeze as iq
+from isosqueeze.specfun import weighted_hermite_table
 
 
 def hermite_series(n: int, x: float) -> float:
@@ -135,3 +137,25 @@ def characteristic_function_pairs(v, lam, s: float) -> np.ndarray:
             element = sqrt(exp(lgamma(low + 1) - lgamma(low + k + 1))) * power * laguerre[k][low]
             total += np.conj(v.amps[i]) * v.amps[j] * element
     return total * np.exp(0.5 * (s - 1.0) * mag_sq)
+
+
+def quadrature_distribution_cosine(v, theta: float, x_axis, phi_axis) -> np.ndarray:
+    """P(x, phi) of a case-i state by the paper's cosine double sum; values[x, phi].
+
+    ``v`` carries |c_n| e^{i n theta} on offset 2n and zeros on odd
+    offsets.  With A_n(x) = |c_n| u_{2n}(x), grouped by d = m - n:
+    P = B_0(x) + 2 sum_d cos(d (2 phi - theta)) B_d(x) with
+    B_d(x) = sum_n A_n(x) A_{n+d}(x).
+    """
+    x_axis = np.asarray(x_axis, dtype=float)
+    phi_axis = np.asarray(phi_axis, dtype=float)
+    coeff = np.abs(v.amps[::2])
+    n_terms = coeff.size
+    amp = coeff[:, None] * weighted_hermite_table(2 * n_terms - 2, x_axis)[::2]
+    b = np.empty((n_terms, x_axis.size))
+    for d in range(n_terms):
+        b[d] = np.sum(amp[: n_terms - d] * amp[d:], axis=0)
+    cosines = np.cos(np.outer(2.0 * phi_axis - theta, np.arange(n_terms)))  # (phi, d)
+    weights = np.full(n_terms, 2.0)
+    weights[0] = 1.0
+    return ((cosines * weights[None, :]) @ b).T
