@@ -13,7 +13,7 @@ Husimi at s = -1).
 Modules
 -------
 specfun    log-factorials and stable polynomial recurrences
-fock       truncated state vectors, normalization, tail diagnostic
+fock       truncated state vectors and the tail diagnostic
 algebra    ladder-operator actions and identity verification
 states     state builders and the divergence diagnostic
 stats      photon statistics and moment diagnostics
@@ -22,7 +22,7 @@ dist       quadrature distribution and quasi-probability functions
 cli        reproducible CSV/JSON emission for every figure grid
 """
 
-from .fock import FockVector, InvalidParameter, ZeroVector, basis_vector, inner_product, normalize
+from .fock import FockVector, InvalidParameter, basis_vector, inner_product
 from .states import (
     CASE_NONLINEAR,
     CASE_UNITARY,
@@ -37,10 +37,8 @@ from .states import (
 __all__ = [
     "FockVector",
     "InvalidParameter",
-    "ZeroVector",
     "basis_vector",
     "inner_product",
-    "normalize",
     "CASE_NONLINEAR",
     "CASE_UNITARY",
     "RadiusViolation",

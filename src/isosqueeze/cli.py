@@ -229,7 +229,7 @@ def _cmd_quad_dist(args) -> _Output:
     xs = np.linspace(args.x_min, args.x_max, args.x_steps)
     phis = np.linspace(0.0, 2.0 * math.pi, args.phi_steps, endpoint=False)
     vec = build_state(params)
-    grid = dist.quadrature_distribution_closed(params, vec, xs, phis)
+    grid = dist.quadrature_distribution(vec, xs, phis)
     out = _Output(
         command="quad-dist",
         columns=("x", "phi", "P"),

@@ -2,10 +2,11 @@
 
 The quadrature eigenstates of the rotated Heisenberg quadrature carry
 the usual oscillator wavefunctions over the shifted ladder, so the
-phase-parameterized distribution P(x, phi) is a Hermite-weighted double
-sum.  Two independent routes are provided and must agree pointwise: the
-squared projection onto the quadrature eigenstate, and the explicit
-closed-form cosine double sum for the non-unitary-route states.
+phase-parameterized distribution is one projection,
+P(x, phi) = |sum_nu c_nu e^{-i nu phi} u_nu(x)|^2, for either squeezing
+route; it is non-negative by construction.  The paper's cosine double
+sum over half-indices is its case-i expansion and serves as the test
+oracle (``tests/conftest.py``).
 
 Phase space goes through one kernel, ``_ordered_overlap(x, y, alpha,
 beta)`` = <x| e^{alpha K+} e^{beta K-} |y>: the Cahill-Glauber element
@@ -37,14 +38,12 @@ import numpy as np
 
 from .fock import FockVector
 from .specfun import assoc_laguerre_sequence, log_factorial, weighted_hermite_table
-from .states import CASE_NONLINEAR, SqueezeParams
 
 __all__ = [
     "DistGrid",
     "SParameterOutOfRange",
     "quadrature_wavefunction",
     "quadrature_distribution",
-    "quadrature_distribution_closed",
     "characteristic_function",
     "quasi_probability",
     "quasi_probability_grid",
@@ -85,63 +84,30 @@ class DistGrid:
 # ---------------------------------------------------------------------------
 
 
-def quadrature_wavefunction(v: FockVector, x, phi: float):
-    """Projection of ``v`` onto the phase-phi quadrature eigenstate.
+def quadrature_wavefunction(v: FockVector, x, phi):
+    """Projection of ``v`` onto the phase-phi quadrature eigenstates.
 
     <x, phi|v> = sum_nu c_{nu+3} e^{-i nu phi} u_nu(x) with u_nu the
-    oscillator eigenfunctions.  ``x`` may be a scalar or 1-D array; the
-    squared magnitude of the result is the quadrature distribution.
+    oscillator eigenfunctions, summed over the nonzero amplitudes only.
+    ``x`` and ``phi`` may be scalars or arrays; the result has shape
+    phi.shape + x.shape, and a complex scalar when both are scalars.
+    Its squared magnitude is the quadrature distribution.
     """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    nu_max = v.amps.size - 1
-    table = weighted_hermite_table(nu_max, x_arr)
-    phases = np.exp(-1j * phi * np.arange(nu_max + 1))
-    psi = (v.amps * phases) @ table
-    return psi if np.ndim(x) else complex(psi[0])
+    x = np.asarray(x, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    nu = np.flatnonzero(v.amps)
+    table = weighted_hermite_table(nu.max(initial=0), x.ravel())[nu]  # (nu, x)
+    weights = v.amps[nu] * np.exp(-1j * np.multiply.outer(phi, nu))  # (phi, nu)
+    psi = (weights.real @ table + 1j * (weights.imag @ table)).reshape(phi.shape + x.shape)
+    return psi if psi.ndim else complex(psi)
 
 
 def quadrature_distribution(v: FockVector, x_axis: np.ndarray, phi_axis: np.ndarray) -> DistGrid:
-    """P(x, phi) = |<x, phi|v>|^2 on the grid, via the wavefunction."""
+    """P(x, phi) = |<x, phi|v>|^2 on the grid; values[i, j] at (x_i, phi_j)."""
     x_axis = np.asarray(x_axis, dtype=float)
     phi_axis = np.asarray(phi_axis, dtype=float)
-    nu_max = v.amps.size - 1
-    table = weighted_hermite_table(nu_max, x_axis)  # (nu, x)
-    phases = np.exp(-1j * np.outer(phi_axis, np.arange(nu_max + 1)))  # (phi, nu)
-    psi = (phases * v.amps[None, :]) @ table  # (phi, x)
+    psi = quadrature_wavefunction(v, x_axis, phi_axis)  # (phi, x)
     return DistGrid(axis1=x_axis, axis2=phi_axis, values=np.abs(psi.T) ** 2, s=None)
-
-
-def quadrature_distribution_closed(
-    params: SqueezeParams, v: FockVector, x_axis: np.ndarray, phi_axis: np.ndarray
-) -> DistGrid:
-    """Closed-form P(x, phi) for the non-unitary-route states.
-
-    ``v`` is the state ``build_state(params)``; the sum takes its
-    coefficient moduli and the phase theta of ``params``.  Evaluates
-    the explicit double sum over half-indices n, m with the
-    cos[(m - n)(2 phi - theta)] phase structure, grouped by d = m - n:
-    P = B_0(x) + 2 sum_d cos(d (2 phi - theta)) B_d(x) with
-    B_d(x) = sum_n A_n(x) A_{n+d}(x).  Must agree pointwise with the
-    squared-wavefunction route.
-    """
-    if params.kind != CASE_NONLINEAR:
-        raise ValueError("closed-form quadrature distribution is defined for kind 'i'")
-    x_axis = np.asarray(x_axis, dtype=float)
-    phi_axis = np.asarray(phi_axis, dtype=float)
-    coeff = np.abs(v.amps[::2])
-    n_terms = coeff.size
-    table = weighted_hermite_table(2 * n_terms - 2, x_axis)
-    amp = coeff[:, None] * table[::2]  # A_n(x), shape (n, x)
-
-    b = np.empty((n_terms, x_axis.size))
-    for d in range(n_terms):
-        b[d] = np.sum(amp[: n_terms - d] * amp[d:], axis=0)
-    psi_arg = 2.0 * phi_axis - params.theta
-    cosines = np.cos(np.outer(psi_arg, np.arange(n_terms)))  # (phi, d)
-    weights = np.full(n_terms, 2.0)
-    weights[0] = 1.0
-    values = (cosines * weights[None, :]) @ b  # (phi, x)
-    return DistGrid(axis1=x_axis, axis2=phi_axis, values=values.T, s=None)
 
 
 # ---------------------------------------------------------------------------

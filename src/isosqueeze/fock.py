@@ -21,9 +21,7 @@ __all__ = [
     "BASE_LEVEL",
     "FockVector",
     "InvalidParameter",
-    "ZeroVector",
     "basis_vector",
-    "normalize",
     "inner_product",
     "probabilities",
     "trailing_mass",
@@ -42,10 +40,6 @@ class InvalidParameter(ValueError):
     CLI reports it as a refusal (exit 3), unlike a ValueError raised
     inside a computation.
     """
-
-
-class ZeroVector(ValueError):
-    """Raised when an all-zero vector is asked to normalize."""
 
 
 @dataclass(frozen=True)
@@ -94,14 +88,6 @@ def basis_vector(level: int, size: int | None = None) -> FockVector:
     amps = np.zeros(size, dtype=complex)
     amps[level - BASE_LEVEL] = 1.0
     return FockVector(amps)
-
-
-def normalize(v: FockVector) -> FockVector:
-    """Scale ``v`` to unit 2-norm, direction unchanged."""
-    norm = float(np.linalg.norm(v.amps))
-    if norm == 0.0:
-        raise ZeroVector("cannot normalize a vector with all-zero amplitudes")
-    return FockVector(v.amps / norm, tail_bound=v.tail_bound / norm**2)
 
 
 def inner_product(u: FockVector, v: FockVector) -> complex:

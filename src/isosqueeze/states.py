@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fock import FockVector, InvalidParameter, normalize, trailing_mass
+from .fock import FockVector, InvalidParameter, trailing_mass
 from .specfun import log_factorial
 
 __all__ = [
@@ -119,15 +119,24 @@ def _log_terms_unitary(n_idx: np.ndarray, r: float) -> np.ndarray:
     return _log_modulus_power(n_idx, r) - n_idx * math.log(2.0) - lf(n_idx) + 0.5 * lf(2 * n_idx)
 
 
+def _log_norm(log_mag: np.ndarray) -> float:
+    """ln N = -1/2 ln sum_n e^{2 ln|c_n|} of unnormalized log-magnitudes.
+
+    The largest term is factored out before exponentiation and the rest
+    is summed with compensation, so N stays finite where the raw terms
+    would overflow.
+    """
+    log_sq = 2.0 * log_mag
+    peak = log_sq.max()
+    return -0.5 * (peak + math.log(math.fsum(np.exp(log_sq - peak))))
+
+
 def _assemble(params: SqueezeParams, log_terms_fn) -> FockVector:
     n_idx = np.arange(params.n_max + 1)
     log_mag = log_terms_fn(n_idx, params.r)
-    peak = log_mag.max()
-    mags = np.exp(log_mag - peak)
     amps = np.zeros(2 * params.n_max + 1, dtype=complex)
-    amps[::2] = mags * np.exp(1j * params.theta * n_idx)
-    vec = normalize(FockVector(amps))
-    return FockVector(vec.amps, tail_bound=trailing_mass(vec))
+    amps[::2] = np.exp(log_mag + _log_norm(log_mag)) * np.exp(1j * params.theta * n_idx)
+    return FockVector(amps, tail_bound=trailing_mass(FockVector(amps)))
 
 
 def build_nonlinear_squeezed(params: SqueezeParams) -> FockVector:
@@ -170,18 +179,9 @@ def build_state(params: SqueezeParams) -> FockVector:
 
 
 def norm_constant(params: SqueezeParams) -> float:
-    """Normalization constant of the closed-form expansion.
-
-    Computed by direct summation of the squared term magnitudes in log
-    space (largest term subtracted first, compensated accumulation), so
-    it stays finite where the raw terms would overflow.
-    """
-    n_idx = np.arange(params.n_max + 1)
+    """Normalization constant N of the closed-form expansion, exp(ln N)."""
     fn = _log_terms_nonlinear if params.kind == CASE_NONLINEAR else _log_terms_unitary
-    log_sq = 2.0 * fn(n_idx, params.r)
-    peak = log_sq.max()
-    total = math.fsum(np.exp(log_sq - peak))
-    return math.exp(-0.5 * (peak + math.log(total)))
+    return math.exp(_log_norm(fn(np.arange(params.n_max + 1), params.r)))
 
 
 def squeezed_norm_closed_form(r: float) -> float:

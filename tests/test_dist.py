@@ -5,7 +5,11 @@ import pytest
 
 import isosqueeze as iq
 from isosqueeze import dist
-from conftest import characteristic_function_pairs, displacement_expm
+from conftest import (
+    characteristic_function_pairs,
+    displacement_expm,
+    quadrature_distribution_cosine,
+)
 
 
 def _nonlinear(r, theta=0.0, n_max=70):
@@ -24,8 +28,8 @@ class TestQuadratureWavefunction:
             got = np.abs(dist.quadrature_wavefunction(vac, xs, phi)) ** 2
             assert np.allclose(got, np.exp(-xs * xs) / math.sqrt(math.pi), atol=1e-12)
 
-    def test_normalized_per_phase(self):
-        v = _nonlinear(10.0, 0.5)
+    @pytest.mark.parametrize("v", [_nonlinear(10.0, 0.5), _unitary(0.3, 0.8)], ids=["i", "iii"])
+    def test_normalized_per_phase(self, v):
         xs = np.linspace(-8.0, 8.0, 1601)
         for phi in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
             p = np.abs(dist.quadrature_wavefunction(v, xs, phi)) ** 2
@@ -43,7 +47,7 @@ class TestClosedFormDistribution:
         params = iq.SqueezeParams(kind="i", r=0.0, n_max=10)
         xs = np.linspace(-3.0, 3.0, 7)
         phis = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)
-        grid = dist.quadrature_distribution_closed(params, iq.build_state(params), xs, phis)
+        grid = dist.quadrature_distribution(iq.build_state(params), xs, phis)
         expected = np.exp(-xs * xs) / math.sqrt(math.pi)
         assert np.allclose(grid.values, expected[:, None], atol=1e-12)
 
@@ -51,17 +55,15 @@ class TestClosedFormDistribution:
         params = iq.SqueezeParams(kind="i", r=10.0, theta=0.5, n_max=70)
         xs = np.linspace(-5.0, 5.0, 41)
         phis = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
-        closed = dist.quadrature_distribution_closed(params, iq.build_state(params), xs, phis)
+        closed = quadrature_distribution_cosine(iq.build_state(params), params.theta, xs, phis)
         direct = dist.quadrature_distribution(iq.build_state(params), xs, phis)
-        assert np.max(np.abs(closed.values - direct.values)) < 1e-8
+        assert np.max(np.abs(closed - direct.values)) < 1e-8
 
     def test_even_in_x_at_aligned_phase(self):
         theta = 0.7
         params = iq.SqueezeParams(kind="i", r=6.0, theta=theta, n_max=50)
         xs = np.linspace(-4.0, 4.0, 33)
-        grid = dist.quadrature_distribution_closed(
-            params, iq.build_state(params), xs, np.array([theta / 2.0])
-        )
+        grid = dist.quadrature_distribution(iq.build_state(params), xs, np.array([theta / 2.0]))
         assert np.max(np.abs(grid.values[:, 0] - grid.values[::-1, 0])) < 1e-10
 
     def test_pi_periodic_in_phase(self):
@@ -73,18 +75,11 @@ class TestClosedFormDistribution:
         c = np.abs(dist.quadrature_wavefunction(v, xs, 0.9 + 2.0 * math.pi)) ** 2
         assert np.max(np.abs(a - c)) < 1e-10
 
-    def test_rejects_unitary_kind(self):
-        params = iq.SqueezeParams(kind="iii", r=0.3)
-        with pytest.raises(ValueError):
-            dist.quadrature_distribution_closed(
-                params, iq.build_state(params), np.array([0.0]), np.array([0.0])
-            )
-
     def test_values_non_negative(self):
         params = iq.SqueezeParams(kind="i", r=10.0, theta=0.5, n_max=70)
         xs = np.linspace(-5.0, 5.0, 51)
         phis = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
-        grid = dist.quadrature_distribution_closed(params, iq.build_state(params), xs, phis)
+        grid = dist.quadrature_distribution(iq.build_state(params), xs, phis)
         assert grid.values.min() > -1e-12
 
 

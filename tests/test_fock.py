@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -20,28 +18,6 @@ class TestFockVector:
         assert v.amps[2] == 1.0
 
 
-class TestNormalize:
-    def test_scaling(self):
-        v = fock.FockVector(np.array([2.0, 0.0, 0.0], dtype=complex))
-        out = fock.normalize(v)
-        assert np.allclose(out.amps, [1.0, 0.0, 0.0])
-
-    def test_symmetry(self):
-        v = fock.FockVector(np.array([1.0, 1j], dtype=complex))
-        out = fock.normalize(v)
-        assert np.allclose(out.amps, [1 / math.sqrt(2), 1j / math.sqrt(2)])
-
-    def test_random_unit_norm(self):
-        rng = np.random.default_rng(7)
-        amps = rng.normal(size=60) + 1j * rng.normal(size=60)
-        out = fock.normalize(fock.FockVector(amps))
-        assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-12
-
-    def test_zero_vector_raises(self):
-        with pytest.raises(fock.ZeroVector):
-            fock.normalize(fock.FockVector(np.zeros(4, dtype=complex)))
-
-
 class TestInnerProduct:
     def test_orthonormal_basis(self):
         three = iq.basis_vector(3, 5)
@@ -51,7 +27,8 @@ class TestInnerProduct:
 
     def test_self_normalized(self):
         rng = np.random.default_rng(11)
-        v = fock.normalize(fock.FockVector(rng.normal(size=30) + 1j * rng.normal(size=30)))
+        amps = rng.normal(size=30) + 1j * rng.normal(size=30)
+        v = fock.FockVector(amps / np.linalg.norm(amps))
         assert abs(fock.inner_product(v, v) - 1.0) < 1e-12
 
     def test_conjugate_symmetry(self):
