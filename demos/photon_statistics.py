@@ -5,8 +5,9 @@ for any beta) and the unitary-route state (amplitude xi, needs
 |xi| < 1), prints their photon-number distributions, and sweeps the
 moment diagnostics: mean excitation, Mandel Q, g2(0) and the
 moment-determinant ratio A3.  Both families come out super-Poissonian
-(Q > 0, g2 > 1) with A3 pinned at the number-state end of the witness
-band.
+(Q > 0, g2 > 1).  A3 prints -1 for every state: ``stats`` builds its
+mu matrix from <nu>^j instead of the <nu^j> of Agarwal and Tara (see
+the strict xfail ``TestA3::test_matches_agarwal_tara_definition``).
 
 Run:  python demos/photon_statistics.py
 """

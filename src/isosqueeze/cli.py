@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import algebra, dist, squeezing, stats
-from .fock import InvalidParameter
+from .fock import FockVector, InvalidParameter
 from .states import (
     CASE_NONLINEAR,
     CASE_UNITARY,
@@ -120,17 +120,14 @@ def _params_from_args(args, r_override: float | None = None) -> SqueezeParams:
     return SqueezeParams(kind=CASE_UNITARY, r=xi, theta=args.xi_phase, n_max=args.n_max)
 
 
-def _n_max_effective(vec) -> int:
-    """Half-index truncation of a built state; the builder may raise the requested one."""
-    return (vec.amps.size - 1) // 2
-
-
-def _check_tail(out: _Output, vec, requested: int) -> None:
-    if vec.tail_bound > TAIL_WARN_THRESHOLD:
-        effective = _n_max_effective(vec)
+def _check_tail(out: _Output, source: FockVector | squeezing.QuadReport, requested: int) -> None:
+    """Record the largest effective truncation; warn when the tail is fat."""
+    effective = source.n_max_effective
+    out.meta["n_max_effective"] = max(out.meta.get("n_max_effective", 0), effective)
+    if source.tail_bound > TAIL_WARN_THRESHOLD:
         advice = ("raise --n-max" if effective <= requested
                   else f"n_max was already raised from {requested} to {effective}")
-        out.warn(f"tail_mass {vec.tail_bound:.3e} exceeds {TAIL_WARN_THRESHOLD:g}; {advice}")
+        out.warn(f"tail_mass {source.tail_bound:.3e} exceeds {TAIL_WARN_THRESHOLD:g}; {advice}")
 
 
 def _modulus_grid(args) -> tuple[np.ndarray, float, int]:
@@ -168,7 +165,7 @@ def _cmd_state(args) -> _Output:
         command="state",
         columns=("level", "re", "im", "prob"),
         meta={"case": args.case, "r": params.r, "theta": params.theta, "n_max": params.n_max,
-              "n_max_effective": _n_max_effective(vec), "tail_bound": vec.tail_bound},
+              "n_max_effective": vec.n_max_effective, "tail_bound": vec.tail_bound},
     )
     _check_tail(out, vec, params.n_max)
     for level, amp in zip(vec.levels, vec.amps):
@@ -185,11 +182,9 @@ def _cmd_stats(args) -> _Output:
         columns=("r", "meanK0", "Q", "g2", "A3"),
         meta={"case": args.case, "max": top, "steps": steps, "n_max": args.n_max},
     )
-    out.meta["n_max_effective"] = 0  # the largest over the sweep
     for r in grid:
         params = _params_from_args(args, r_override=float(r))
         vec = build_state(params)
-        out.meta["n_max_effective"] = max(out.meta["n_max_effective"], _n_max_effective(vec))
         _check_tail(out, vec, params.n_max)
         mean, _ = stats.excitation_moments(vec)
         try:
@@ -217,7 +212,10 @@ def _cmd_squeeze(args) -> _Output:
               "theta_steps": args.theta_steps, "n_max": args.n_max},
     )
     kind = CASE_NONLINEAR if args.case == "i" else CASE_UNITARY
-    for report in squeezing.squeezing_grid(kind, grid, thetas, n_max=args.n_max):
+    reports = squeezing.squeezing_grid(kind, grid, thetas, n_max=args.n_max)
+    for report in reports[:: thetas.size]:  # one state per modulus
+        _check_tail(out, report, args.n_max)
+    for report in reports:
         out.rows.append((report.r, report.theta, report.i1, report.i2, report.i3, report.i4))
         if not report.uncertainty_ok:
             out.warn(f"uncertainty product below bound at r={report.r:.6g}, theta={report.theta:.6g}")
@@ -234,7 +232,7 @@ def _cmd_quad_dist(args) -> _Output:
         command="quad-dist",
         columns=("x", "phi", "P"),
         meta={"case": "i", "r": args.r, "theta": args.theta, "n_max": args.n_max,
-              "n_max_effective": _n_max_effective(vec),
+              "n_max_effective": vec.n_max_effective,
               "grid": {"x": [args.x_min, args.x_max, args.x_steps], "phi_steps": args.phi_steps}},
     )
     _check_tail(out, vec, args.n_max)
@@ -258,7 +256,7 @@ def _cmd_quasiprob(args) -> _Output:
         command="quasiprob",
         columns=("x", "p", "F"),
         meta={"case": args.case, "r": params.r, "theta": params.theta,
-              "s": args.s, "n_max": params.n_max, "n_max_effective": _n_max_effective(vec),
+              "s": args.s, "n_max": params.n_max, "n_max_effective": vec.n_max_effective,
               "grid": {"x": [args.x_min, args.x_max, args.x_steps],
                        "p": [args.p_min, args.p_max, args.p_steps]}},
     )

@@ -69,6 +69,11 @@ class FockVector:
         return np.arange(BASE_LEVEL, BASE_LEVEL + self.amps.size)
 
     @property
+    def n_max_effective(self) -> int:
+        """Half-index truncation held: the n_max a builder ended with, maybe above the requested one."""
+        return (self.amps.size - 1) // 2
+
+    @property
     def offsets(self) -> np.ndarray:
         """Excitation count above the effective vacuum |3>."""
         return np.arange(self.amps.size)

@@ -137,7 +137,7 @@ def amplitude_squared_identities(v: FockVector) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class QuadReport:
-    """Squeezing witnesses of one state on an (r, theta) grid cell."""
+    """Squeezing witnesses of one (r, theta) grid cell and the truncation of its state."""
 
     r: float
     theta: float
@@ -146,13 +146,15 @@ class QuadReport:
     i3: float
     i4: float
     uncertainty_ok: bool
+    n_max_effective: int
+    tail_bound: float
 
 
 def squeezing_report(v: FockVector, r: float, theta: float) -> QuadReport:
     """Evaluate all four witnesses plus the uncertainty-product check."""
     i1, i2, i3, i4 = _witnesses(_word_values(v))
     ok = _uncertainty_ok(i1, i2)
-    return QuadReport(r=r, theta=theta, i1=i1, i2=i2, i3=i3, i4=i4, uncertainty_ok=ok)
+    return QuadReport(r, theta, i1, i2, i3, i4, ok, v.n_max_effective, v.tail_bound)
 
 
 def squeezing_grid(
@@ -170,8 +172,9 @@ def squeezing_grid(
     <L^2> = e^{i theta} <L^2>_0, <L^4> = e^{2 i theta} <L^4>_0,
     <R^k> = conj <L^k>, <L> = <R> = 0, and <R L>, <R^2 L^2> and
     <L^2 R^2> do not depend on theta.  Each report carries the
-    caller's r and theta values; the row-major ordering is the stable
-    output contract relied on by the CSV emitters.
+    caller's r and theta values and the truncation of its modulus's
+    state; the row-major ordering is the stable output contract relied
+    on by the CSV emitters.
     """
     from .states import SqueezeParams, build_state
 
@@ -199,5 +202,5 @@ def squeezing_grid(
         i1, i2, i3, i4 = _witnesses(words)
         ok = _uncertainty_ok(i1, i2)
         for row in zip(thetas, i1.tolist(), i2.tolist(), i3.tolist(), i4.tolist(), ok.tolist()):
-            reports.append(QuadReport(r, *row))
+            reports.append(QuadReport(r, *row, state.n_max_effective, state.tail_bound))
     return reports

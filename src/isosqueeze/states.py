@@ -122,9 +122,8 @@ def _log_terms_unitary(n_idx: np.ndarray, r: float) -> np.ndarray:
 def _log_norm(log_mag: np.ndarray) -> float:
     """ln N = -1/2 ln sum_n e^{2 ln|c_n|} of unnormalized log-magnitudes.
 
-    The largest term is factored out before exponentiation and the rest
-    is summed with compensation, so N stays finite where the raw terms
-    would overflow.
+    Largest term first, then a compensated sum: N stays finite where
+    the raw terms would overflow.
     """
     log_sq = 2.0 * log_mag
     peak = log_sq.max()

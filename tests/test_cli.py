@@ -116,6 +116,21 @@ class TestSqueezeCommand:
         assert lines[0] == "r,theta,I1,I2,I3,I4"
         assert len(lines) == 1 + 2 * 4
 
+    @pytest.mark.parametrize("xi_max, steps, effective", [("0.9", "8", 140), ("0.9999", "1", 20000)])
+    def test_reports_effective_truncation(self, tmp_path, capsys, xi_max, steps, effective):
+        # the top modulus raises n_max from 70: once at xi 0.9, to the ceiling at 0.9999
+        target = tmp_path / "squeeze.csv"
+        code, _, err = _run(capsys, "squeeze", "--case", "iii", "--xi-max", xi_max,
+                            "--xi-steps", steps, "--theta-steps", "4", "-o", str(target))
+        assert code == 0
+        meta = json.loads((target.with_suffix(".csv.meta.json")).read_text())
+        assert meta["n_max"] == 70
+        assert meta["n_max_effective"] == effective
+        tail = [w for w in meta["warnings"] if "tail_mass" in w]
+        assert len(tail) == (effective == states._AUTO_N_MAX_CEILING)
+        assert all("n_max was already raised from 70 to 20000" in w for w in tail)
+        assert "raise --n-max" not in err
+
 
 class TestQuadDistCommand:
     def test_grid_emission(self, capsys):

@@ -1,0 +1,69 @@
+"""Properties that hold for every squeezed state, over drawn parameters.
+
+Hypothesis draws the route, modulus, phase and truncation; runs are
+derandomized, so every run checks the same examples.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import isosqueeze as iq
+from isosqueeze import dist, states, stats
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
+
+
+@st.composite
+def squeeze_params(draw):
+    kind = draw(st.sampled_from(["i", "iii"]))
+    # xi <= 0.7 keeps the widest case-iii quadrature well inside |x| < 15
+    r = draw(st.floats(1e-3, 31.0) if kind == "i" else st.floats(1e-3, 0.7))
+    theta = draw(st.floats(-2.0 * math.pi, 2.0 * math.pi))
+    return iq.SqueezeParams(kind=kind, r=r, theta=theta, n_max=draw(st.integers(1, 120)))
+
+
+@PROPERTY
+@given(squeeze_params())
+def test_unit_norm(params):
+    v = iq.build_state(params)
+    assert abs(np.sum(np.abs(v.amps) ** 2) - 1.0) < 1e-13
+
+
+@PROPERTY
+@given(squeeze_params())
+def test_norm_constant_scales_leading_amplitude(params):
+    # ln|c_0| of the unnormalized expansion: -ln(2! 3!)/2 on case i, 0 on case iii
+    v = iq.build_state(params)
+    log_c0 = -0.5 * math.log(12.0) if params.kind == "i" else 0.0
+    norm = states.norm_constant(replace(params, n_max=v.n_max_effective))
+    assert math.isclose(norm * math.exp(log_c0), abs(v.amps[0]), rel_tol=1e-13)
+
+
+@PROPERTY
+@given(squeeze_params())
+def test_quadrature_distribution_is_a_density_at_every_phase(params):
+    v = iq.build_state(params)
+    xs = np.linspace(-15.0, 15.0, 1201)
+    phis = np.linspace(0.0, math.pi, 6, endpoint=False)
+    grid = dist.quadrature_distribution(v, xs, phis)
+    assert grid.values.min() >= 0.0
+    assert np.max(np.abs(np.trapezoid(grid.values, xs, axis=0) - 1.0)) < 1e-10
+
+
+@PROPERTY
+@given(squeeze_params())
+def test_g2_is_one_plus_q_over_mean(params):
+    v = iq.build_state(params)
+    mean, _ = stats.excitation_moments(v)
+    assert math.isclose(stats.g2_zero(v), 1.0 + stats.mandel_q(v) / mean, rel_tol=1e-9)
+
+
+@PROPERTY
+@given(squeeze_params())
+def test_husimi_non_negative(params):
+    axis = np.linspace(-4.0, 4.0, 9)
+    grid = dist.quasi_probability_grid(iq.build_state(params), axis, axis, -1.0)
+    assert grid.values.min() >= 0.0

@@ -127,3 +127,25 @@ class TestA3:
             a3 = stats.a3_parameter(v)
             assert -1.0 - 1e-9 <= a3 < 0.0
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="_moment_matrices fills mu with <nu>^j, a rank-1 matrix with det 0, so "
+        "A3 = det m / (0 - det m) is -1 for every state; Agarwal and Tara "
+        "(PRA 46, 485, 1992) define mu_j = <nu^j>, which gives 0.2817 at xi = 0.4",
+    )
+    def test_matches_agarwal_tara_definition(self):
+        xi, n_terms = 0.4, 150
+        p = np.array([unitary_probability(n, xi) for n in range(n_terms)])
+        nu = 2.0 * np.arange(n_terms)  # P(2n) sits on offset 2n
+        factorial = [np.sum(p * np.prod([nu - t for t in range(j)], axis=0)) for j in range(1, 5)]
+        ordinary = [np.sum(p * nu**j) for j in range(1, 5)]
+
+        def hankel_det(m):
+            return np.linalg.det([[1.0, m[0], m[1]], [m[0], m[1], m[2]], [m[1], m[2], m[3]]])
+
+        det_m, det_mu = hankel_det(factorial), hankel_det(ordinary)
+        expected = det_m / (det_mu - det_m)
+        assert expected == pytest.approx(0.2817, abs=1e-4)
+        assert stats.a3_parameter(_unitary_state(xi)) == pytest.approx(expected, rel=1e-9)
+
