@@ -70,7 +70,7 @@ class FockVector:
 
     @property
     def n_max_effective(self) -> int:
-        """Half-index truncation held: the n_max a builder ended with, maybe above the requested one."""
+        """Half-index truncation (len - 1) // 2: the n_max a builder ended with."""
         return (self.amps.size - 1) // 2
 
     @property
