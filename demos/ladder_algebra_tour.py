@@ -18,16 +18,17 @@ from isosqueeze import algebra, basis_vector
 print("deformation weight f(n) at n = 1, 3, 4, 6:",
       [algebra.deform_f(n) for n in (1, 3, 4, 6)])
 
+# Every operator is one entry of the coefficient table, applied by name.
 bottom = basis_vector(3, 8)
-print("\ndeformed lowering on |3> :", algebra.apply_deformed_lowering(bottom).amps[:4])
-print("deformed raising  on |3> :", algebra.apply_deformed_raising(bottom).amps[:4],
+print("\ndeformed lowering on |3> :", algebra.apply("N-", bottom).amps[:4])
+print("deformed raising  on |3> :", algebra.apply("N+", bottom).amps[:4],
       "(coefficient 2*sqrt(3))")
 
 # The symmetrically rescaled pair acts on |3>, |4>, ... exactly like the
 # textbook ladder on |0>, |1>, ...
-print("rescaled raising  on |3> :", algebra.apply_heisenberg_raising(bottom).amps[:4])
+print("rescaled raising  on |3> :", algebra.apply("K+", bottom).amps[:4])
 seven = basis_vector(7, 10)
-print("excitation count  on |7> :", algebra.apply_excitation_number(seven).amps[4].real,
+print("excitation count  on |7> :", algebra.apply("K0", seven).amps[4].real,
       "(level 7 sits 4 rungs above the effective vacuum)")
 
 # --- commutator identities -------------------------------------------------

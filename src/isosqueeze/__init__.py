@@ -14,7 +14,7 @@ Modules
 -------
 specfun    log-factorials and stable polynomial recurrences
 fock       truncated state vectors and the tail diagnostic
-algebra    ladder-operator actions and identity verification
+algebra    ladder-operator coefficient table and identity verification
 states     state builders and the divergence diagnostic
 stats      photon statistics and moment diagnostics
 squeezing  quadrature / amplitude-squared squeezing witnesses
@@ -22,7 +22,7 @@ dist       quadrature distribution and quasi-probability functions
 cli        reproducible CSV/JSON emission for every figure grid
 """
 
-from .fock import FockVector, InvalidParameter, basis_vector, inner_product
+from .fock import FockVector, InvalidParameter, basis_vector
 from .states import (
     CASE_NONLINEAR,
     CASE_UNITARY,
@@ -38,7 +38,6 @@ __all__ = [
     "FockVector",
     "InvalidParameter",
     "basis_vector",
-    "inner_product",
     "CASE_NONLINEAR",
     "CASE_UNITARY",
     "RadiusViolation",

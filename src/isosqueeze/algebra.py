@@ -1,47 +1,76 @@
-"""Ladder-operator actions on the truncated space and identity checks.
+"""Ladder operators of the deformed ladder as one coefficient table.
 
 The deformation function f(n) = sqrt((n-1)(n-3)) vanishes at n = 1 and
 n = 3, which is what isolates level 0 and turns |3> into the effective
-ground state.  Two operator pairs act on this ladder:
+ground state.  Three operator pairs act on this ladder: the deformed,
+f-weighted pair N-, N+ (with N0); the one-sided rescalings R+ (raising
+only) and R- (lowering only) behind the non-unitary squeezing routes;
+and the symmetric rescaling K-, K+ (with K0), which satisfies
+[K-, K+] = 1 exactly and acts on |3>, |4>, ... the way the
+conventional pair acts on |0>, |1>, ...
 
-* deformed lowering/raising  -- the f-weighted ladder pair,
-* Heisenberg lowering/raising -- the symmetrically rescaled pair that
-                                satisfies [lower, raise] = 1 exactly,
-                                acting on |3>, |4>, ... the way the
-                                conventional pair acts on |0>, |1>, ...
-
-plus the two one-sided rescalings (raising-only and lowering-only)
-that generate the non-unitary squeezing routes.
-
-Operators are implemented as basis-action rules (an index shift and a
-per-level coefficient), never as dense matrices: application is O(dim)
-and the coefficients are single square roots of exact integer products,
-which keeps the identity checks at the 1e-11 level.
+``_OPERATORS`` is the only place that knows what an operator does: each
+entry is an index shift and a coefficient law c(n), so that
+op|n> = c(n) |n + shift>.  Every coefficient is a single square root of
+an exact integer product, which keeps the identity checks at the 1e-11
+level.  ``word_action`` gives the coefficient of an operator word on
+each level, ``apply`` acts with one operator on a truncated vector, and
+``verify_commutators`` evaluates the identity table ``_IDENTITIES`` as
+arrays over the levels.  Operators are never dense matrices.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
-from .fock import BASE_LEVEL, FockVector, InvalidParameter, basis_vector
+from .fock import BASE_LEVEL, FockVector, InvalidParameter
 
 __all__ = [
     "deform_f",
-    "apply_deformed_lowering",
-    "apply_deformed_raising",
-    "apply_heisenberg_lowering",
-    "apply_heisenberg_raising",
-    "apply_excitation_number",
-    "apply_level_number",
-    "apply_rescaled_raising",
-    "apply_rescaled_lowering",
+    "word_action",
+    "apply",
     "verify_commutators",
     "casimir_eigenvalue",
     "deformed_energy",
     "vibration_frequency",
 ]
+
+# name -> (index shift, coefficient law c(n) on float levels n >= 3).
+# Every lowering law vanishes at the bottom level |3>.
+_OPERATORS = {
+    "N-": (-1, lambda n: np.sqrt(n * (n - 1.0) * (n - 3.0))),  # sqrt(n) f(n)
+    "N+": (+1, lambda n: np.sqrt((n + 1.0) * n * (n - 2.0))),  # sqrt(n+1) f(n+1)
+    "N0": (0, lambda n: n),
+    "K-": (-1, lambda n: np.sqrt(n - 3.0)),
+    "K+": (+1, lambda n: np.sqrt(n - 2.0)),
+    "K0": (0, lambda n: n - 3.0),
+    "R+": (+1, lambda n: np.sqrt((n - 2.0) / (n * (n + 1.0)))),
+    "R-": (-1, lambda n: np.sqrt((n - 3.0) / (n * (n - 1.0)))),
+}
+
+# label -> (A, B, rhs): [A, B] = sum of scale * word over the (scale, word)
+# terms of rhs.  Words list operators in operator order, leftmost acting last.
+_IDENTITIES = {
+    # deformed algebra
+    "[N+,N-] = 5 N0 - 3 N0^2": (("N+",), ("N-",), ((5.0, ("N0",)), (-3.0, ("N0", "N0")))),
+    "[N0,N+] = +N+": (("N0",), ("N+",), ((1.0, ("N+",)),)),
+    "[N0,N-] = -N-": (("N0",), ("N-",), ((-1.0, ("N-",)),)),
+    # raising-only rescaling
+    "[N-,R+] = 1": (("N-",), ("R+",), ((1.0, ()),)),
+    "[R+N-,N-] = -N-": (("R+", "N-"), ("N-",), ((-1.0, ("N-",)),)),
+    "[R+N-,R+] = +R+": (("R+", "N-"), ("R+",), ((1.0, ("R+",)),)),
+    # lowering-only rescaling
+    "[R-,N+] = 1": (("R-",), ("N+",), ((1.0, ()),)),
+    "[N+R-,R-] = -R-": (("N+", "R-"), ("R-",), ((-1.0, ("R-",)),)),
+    "[N+R-,N+] = +N+": (("N+", "R-"), ("N+",), ((1.0, ("N+",)),)),
+    # symmetric rescaling (Heisenberg pair)
+    "[K-,K+] = 1": (("K-",), ("K+",), ((1.0, ()),)),
+    "[K0,K-] = -K-": (("K0",), ("K-",), ((-1.0, ("K-",)),)),
+    "[K0,K+] = +K+": (("K0",), ("K+",), ((1.0, ("K+",)),)),
+}
 
 
 def deform_f(n: int) -> float:
@@ -52,140 +81,60 @@ def deform_f(n: int) -> float:
     return math.sqrt(prod)
 
 
-def _spectral_weight(n: int) -> float:
-    """Eigenvalue of the lower*raise composite at level n: (n+1) f(n+1)^2."""
-    return (n + 1.0) * n * (n - 2.0)
+def word_action(ops: Sequence[str], n) -> tuple[np.ndarray, int]:
+    """(coeff, shift) with word |n> = coeff(n) |n + shift> for levels ``n``.
+
+    ``ops`` lists operator names of ``_OPERATORS`` in operator order,
+    leftmost acting last; the empty word is the identity.  Walking the
+    word right to left, levels below 3 are clamped to 3: a word can only
+    pass below the bottom through a lowering from |3>, whose coefficient
+    is zero, so the clamp only ever multiplies zeros.
+    """
+    level = np.asarray(n, dtype=float)
+    coeff = np.ones(level.shape)
+    shift = 0
+    for op in reversed(ops):
+        step, law = _OPERATORS[op]
+        at = level + shift if shift >= 0 else np.maximum(level + shift, BASE_LEVEL)
+        coeff *= law(at)
+        shift += step
+    return coeff, shift
 
 
-def _apply_diagonal(v: FockVector, coeff: np.ndarray) -> FockVector:
-    return FockVector(v.amps * coeff, tail_bound=v.tail_bound)
+def apply(op: str, v: FockVector) -> FockVector:
+    """op|v> on the window of ``v``.
 
-
-def _apply_lowering(v: FockVector, coeff: np.ndarray) -> FockVector:
-    # |n> -> coeff(n) |n-1>; the bottom coefficient is structurally zero
-    # for every lowering operator here, so no mass leaves the window.
-    out = np.zeros_like(v.amps)
-    out[:-1] = v.amps[1:] * coeff[1:]
-    return FockVector(out, tail_bound=v.tail_bound)
-
-
-def _apply_raising(v: FockVector, coeff: np.ndarray) -> FockVector:
-    # |n> -> coeff(n) |n+1>; the top level falls off the window and its
-    # probability goes into the tail bound.
-    out = np.zeros_like(v.amps)
-    out[1:] = v.amps[:-1] * coeff[:-1]
-    dropped = abs(v.amps[-1] * coeff[-1]) ** 2
+    Nothing leaves the bottom (every lowering law vanishes at |3>); the
+    probability a raising carries off the top level is added to the
+    tail bound.
+    """
+    coeff, shift = word_action((op,), v.levels)
+    moved = v.amps * coeff
+    out = np.roll(moved, shift)
+    if shift:
+        out[0 if shift > 0 else -1] = 0.0  # the level that wrapped round
+    dropped = abs(moved[-1]) ** 2 if shift > 0 else 0.0
     return FockVector(out, tail_bound=v.tail_bound + dropped)
 
 
-def _levels(v: FockVector) -> np.ndarray:
-    return v.levels.astype(float)
-
-
-def apply_deformed_lowering(v: FockVector) -> FockVector:
-    """|n> -> sqrt(n) f(n) |n-1>; annihilates |3> since f(3) = 0."""
-    n = _levels(v)
-    return _apply_lowering(v, np.sqrt(n * (n - 1.0) * (n - 3.0)))
-
-
-def apply_deformed_raising(v: FockVector) -> FockVector:
-    """|n> -> sqrt(n+1) f(n+1) |n+1>."""
-    n = _levels(v)
-    return _apply_raising(v, np.sqrt((n + 1.0) * n * (n - 2.0)))
-
-
-def apply_heisenberg_lowering(v: FockVector) -> FockVector:
-    """Rescaled ladder-down: |n> -> sqrt(n-3) |n-1>; annihilates |3>."""
-    n = _levels(v)
-    return _apply_lowering(v, np.sqrt(n - 3.0))
-
-
-def apply_heisenberg_raising(v: FockVector) -> FockVector:
-    """Rescaled ladder-up: |n> -> sqrt(n-2) |n+1>."""
-    n = _levels(v)
-    return _apply_raising(v, np.sqrt(n - 2.0))
-
-
-def apply_excitation_number(v: FockVector) -> FockVector:
-    """Counting operator of the rescaled pair: |n> -> (n-3) |n>."""
-    return _apply_diagonal(v, _levels(v) - 3.0)
-
-
-def apply_level_number(v: FockVector) -> FockVector:
-    """Principal level number: |n> -> n |n>."""
-    return _apply_diagonal(v, _levels(v))
-
-
-def apply_rescaled_raising(v: FockVector) -> FockVector:
-    """One-sided rescaled raising: |n> -> sqrt((n-2)/(n(n+1))) |n+1>.
-
-    Partner of the deformed lowering in the first non-unitary squeezing
-    route; [deformed_lowering, rescaled_raising] = 1 on the ladder.
-    """
-    n = _levels(v)
-    return _apply_raising(v, np.sqrt((n - 2.0) / (n * (n + 1.0))))
-
-
-def apply_rescaled_lowering(v: FockVector) -> FockVector:
-    """One-sided rescaled lowering: |n> -> sqrt((n-3)/(n(n-1))) |n-1>."""
-    n = _levels(v)
-    return _apply_lowering(v, np.sqrt((n - 3.0) / (n * (n - 1.0))))
-
-
-def _commutator(a, b, v: FockVector) -> np.ndarray:
-    return a(b(v)).amps - b(a(v)).amps
-
-
 def verify_commutators(n_low: int = BASE_LEVEL, n_high: int = 60) -> dict:
-    """Evaluate every algebra identity on basis levels n_low..n_high.
+    """Evaluate every identity of ``_IDENTITIES`` on basis levels n_low..n_high.
 
-    Both sides of each commutator are formed by operator application on
-    a window wide enough that raising never reaches the truncation
-    edge; deviations are reported, never raised.
+    Each term of an identity maps |n> onto the same level, so its
+    residue on |n> is one number, (AB - BA - rhs) coefficient, and the
+    residues of all levels form one array.  Deviations are reported,
+    never raised.
     """
     if n_low < BASE_LEVEL:
         raise InvalidParameter(f"physical levels start at {BASE_LEVEL}, got n_low={n_low}")
     if n_high < n_low + 2:
         raise InvalidParameter("need n_high >= n_low + 2 for two-sided neighbours")
-
-    Nm, Np = apply_deformed_lowering, apply_deformed_raising
-    N0 = apply_level_number
-    Rp, Rm = apply_rescaled_raising, apply_rescaled_lowering
-    Km, Kp = apply_heisenberg_lowering, apply_heisenberg_raising
-    K0 = apply_excitation_number
-
-    def comp(outer, inner):
-        return lambda v: outer(inner(v))
-
-    checks = {
-        # deformed algebra
-        "[N+,N-] = 5 N0 - 3 N0^2": lambda v: _commutator(Np, Nm, v)
-        - (5.0 * _levels(v) - 3.0 * _levels(v) ** 2) * v.amps,
-        "[N0,N+] = +N+": lambda v: _commutator(N0, Np, v) - Np(v).amps,
-        "[N0,N-] = -N-": lambda v: _commutator(N0, Nm, v) + Nm(v).amps,
-        # raising-only rescaling
-        "[N-,R+] = 1": lambda v: _commutator(Nm, Rp, v) - v.amps,
-        "[R+N-,N-] = -N-": lambda v: _commutator(comp(Rp, Nm), Nm, v) + Nm(v).amps,
-        "[R+N-,R+] = +R+": lambda v: _commutator(comp(Rp, Nm), Rp, v) - Rp(v).amps,
-        # lowering-only rescaling
-        "[R-,N+] = 1": lambda v: _commutator(Rm, Np, v) - v.amps,
-        "[N+R-,R-] = -R-": lambda v: _commutator(comp(Np, Rm), Rm, v) + Rm(v).amps,
-        "[N+R-,N+] = +N+": lambda v: _commutator(comp(Np, Rm), Np, v) - Np(v).amps,
-        # symmetric rescaling (Heisenberg pair)
-        "[K-,K+] = 1": lambda v: _commutator(Km, Kp, v) - v.amps,
-        "[K0,K-] = -K-": lambda v: _commutator(K0, Km, v) + Km(v).amps,
-        "[K0,K+] = +K+": lambda v: _commutator(K0, Kp, v) - Kp(v).amps,
-    }
-
-    # window: levels 3 .. n_high + 3 so double raisings stay interior
-    size = n_high + 3 - BASE_LEVEL + 1
-    deviations = {label: 0.0 for label in checks}
-    for n in range(n_low, n_high + 1):
-        v = basis_vector(n, size)
-        for label, residual in checks.items():
-            dev = float(np.max(np.abs(residual(v))))
-            if dev > deviations[label]:
-                deviations[label] = dev
+    n = np.arange(n_low, n_high + 1)
+    deviations = {}
+    for label, (a, b, rhs) in _IDENTITIES.items():
+        commutator = word_action(a + b, n)[0] - word_action(b + a, n)[0]
+        expected = sum(scale * word_action(word, n)[0] for scale, word in rhs)
+        deviations[label] = float(np.max(np.abs(commutator - expected)))
     return {
         "levels": [n_low, n_high],
         "identities": deviations,
@@ -193,9 +142,9 @@ def verify_commutators(n_low: int = BASE_LEVEL, n_high: int = 60) -> dict:
     }
 
 
-def _casimir_shift(n: float) -> float:
-    """h(n) = (5/2) n (n+1) - n (n+1) (n + 1/2)."""
-    return 2.5 * n * (n + 1.0) - n * (n + 1.0) * (n + 0.5)
+def _casimir_shift(n: int) -> int:
+    """h(n) = (5/2) n (n+1) - n (n+1) (n + 1/2) = n (n+1) (2-n), an integer."""
+    return n * (n + 1) * (2 - n)
 
 
 def casimir_eigenvalue(n: int) -> float:
@@ -203,15 +152,16 @@ def casimir_eigenvalue(n: int) -> float:
 
     Also cross-checks the equivalent ordering (raise lower) + h(N0 - 1)
     and flags disagreement, which would indicate a broken coefficient
-    table rather than a property of the state.
+    table rather than a property of the state.  Both are integers and
+    are evaluated exactly; as floats they disagree from n = 330283 on.
     """
     if n < BASE_LEVEL:
         raise ValueError(f"physical levels start at {BASE_LEVEL}")
-    first = _spectral_weight(n) + _casimir_shift(n)
-    second = n * (n - 1.0) * (n - 3.0) + _casimir_shift(n - 1.0)
-    if abs(first - second) > 1e-9:
+    first = (n + 1) * n * (n - 2) + _casimir_shift(n)  # (n+1) f(n+1)^2 + h(n)
+    second = n * (n - 1) * (n - 3) + _casimir_shift(n - 1)
+    if first != second:
         raise ArithmeticError(f"Casimir orderings disagree at n={n}: {first} vs {second}")
-    return first
+    return float(first)
 
 
 def deformed_energy(n: int) -> float:

@@ -61,7 +61,7 @@ _BLOCK_POINTS = 4096
 
 
 class SParameterOutOfRange(ValueError):
-    """s >= 1 requested; the s = 1 endpoint is singular and out of scope."""
+    """s >= 1 requested, or s so close to 1 that F(z, s) overflows float64."""
 
 
 @dataclass(frozen=True)
@@ -211,10 +211,25 @@ def characteristic_function(v: FockVector, lam, s: float):
 
 
 def _quasi_core(v: FockVector, z: np.ndarray, s: float) -> np.ndarray:
-    """Closed-form F(z, s) on an array of phase-space points."""
+    """Closed-form F(z, s) on an array of phase-space points.
+
+    The pair weights grow like ((1+s)/(1-s))^n, so as s -> 1 the sums
+    overflow; a grid that is not finite is refused, never returned.
+    """
     if s >= 1.0:
         raise SParameterOutOfRange(f"s must be < 1, got {s}")
-    c = v.amps
+    try:
+        with np.errstate(all="ignore"):
+            values = _quasi_values(v.amps, z, s)
+    except OverflowError:  # math.exp of a kernel peak weight
+        values = np.array(math.inf)
+    if not np.all(np.isfinite(values)):
+        raise SParameterOutOfRange(f"F(z, s) is not finite on this grid at s = {s}")
+    return values
+
+
+def _quasi_values(c: np.ndarray, z: np.ndarray, s: float) -> np.ndarray:
+    """F(z, s) of the amplitudes ``c``, s < 1, without the finiteness check."""
     if s == -1.0:
         # coherent-state projection <z|v> = e^{-|z|^2/2} <0|e^{-z K+} e^{conj(z) K-}|v>
         proj = _ordered_overlap(np.ones(1), c, -z, np.conj(z))

@@ -22,7 +22,6 @@ __all__ = [
     "FockVector",
     "InvalidParameter",
     "basis_vector",
-    "inner_product",
     "probabilities",
     "trailing_mass",
 ]
@@ -93,12 +92,6 @@ def basis_vector(level: int, size: int | None = None) -> FockVector:
     amps = np.zeros(size, dtype=complex)
     amps[level - BASE_LEVEL] = 1.0
     return FockVector(amps)
-
-
-def inner_product(u: FockVector, v: FockVector) -> complex:
-    """<u|v> = sum_n conj(u_n) v_n; the shorter vector is zero-padded."""
-    n = min(u.amps.size, v.amps.size)
-    return complex(np.vdot(u.amps[:n], v.amps[:n]))
 
 
 def probabilities(v: FockVector) -> np.ndarray:

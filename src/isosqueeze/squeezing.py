@@ -1,8 +1,8 @@
 """Quadrature and amplitude-squared squeezing witnesses.
 
-The quadrature pair x = (raise + lower)/sqrt(2), p = i(raise - lower)/
-sqrt(2) built from the Heisenberg ladder satisfies [x, p] = i, so a
-variance below 1/2 in either direction is genuine squeezing.  The four
+The quadrature pair x = (K+ + K-)/sqrt(2), p = i(K+ - K-)/sqrt(2)
+built from the Heisenberg ladder satisfies [x, p] = i, so a variance
+below 1/2 in either direction is genuine squeezing.  The four
 witnesses used throughout are
 
     I1 = 2 (dx)^2 - 1,   I2 = 2 (dp)^2 - 1
@@ -12,10 +12,14 @@ I3, I4 for the real and imaginary parts of the squared amplitude,
 where the reference level is the commutator expectation 2 <K0> + 1.
 A negative witness signals squeezing in the corresponding direction.
 
-The formulas live in one helper of word values.  ``squeezing_report``
-feeds it the nine words of an arbitrary vector; ``squeezing_grid``
-feeds it whole theta rows, built from five words of one theta = 0
-state per modulus, because the squeeze phase only rotates the words.
+A ladder word is a string of '+' (K+) and '-' (K-).  Its coefficient on
+each level comes from the operator table of ``algebra``
+(``word_action``); this module holds no coefficient law of its own.
+The I1..I4 formulas live in one helper of word values.
+``squeezing_report`` feeds it the nine words of an arbitrary vector;
+``squeezing_grid`` feeds it whole theta rows, built from five words of
+one theta = 0 state per modulus, because the squeeze phase only
+rotates the words.
 """
 
 from __future__ import annotations
@@ -25,13 +29,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .algebra import word_action
 from .fock import FockVector, InvalidParameter
 
 __all__ = [
     "QuadReport",
     "expectation_ladder_word",
-    "quadrature_identities",
-    "amplitude_squared_identities",
     "squeezing_report",
     "squeezing_grid",
 ]
@@ -42,36 +45,27 @@ _IMAG_TOL = 1e-10
 # Every distinct ladder word that enters I1..I4.
 _WITNESS_WORDS = ("-", "+", "--", "++", "+-", "----", "++++", "++--", "--++")
 
+# Word tokens -> operator names of ``algebra._OPERATORS``.
+_LADDER = {"+": "K+", "plus": "K+", "-": "K-", "minus": "K-"}
+
 
 def expectation_ladder_word(v: FockVector, word: Sequence[str] | str) -> complex:
     """<v| word |v> for a word in the Heisenberg ladder operators.
 
-    ``word`` lists '+' (raising) and '-' (lowering) in operator order,
-    leftmost acting last; e.g. "+-" is raise-after-lower.  The word is
-    one weighted shifted dot product: walking it right to left, the
-    amplitude starting at offset nu picks up sqrt(nu') per lowering
-    from offset nu' (zero at the bottom) and sqrt(nu' + 1) per raising,
-    and is paired with the amplitude at nu + k for the net shift k.
-    Raisings are never cut at the truncation edge.
+    ``word`` lists '+' (K+, raising) and '-' (K-, lowering) in operator
+    order, leftmost acting last; e.g. "+-" is raise-after-lower.  The
+    word is one weighted shifted dot product: ``algebra.word_action``
+    gives its coefficient on every level of ``v`` and its net shift k,
+    and each amplitude is paired with the one k levels away.  Raisings
+    are never cut at the truncation edge.
     """
-    steps = []
-    for tok in word:
-        if tok in ("+", "plus"):
-            steps.append(1)
-        elif tok in ("-", "minus"):
-            steps.append(-1)
-        else:
-            raise ValueError(f"word tokens must be '+'/'-' (or 'plus'/'minus'), got {tok!r}")
-    if len(steps) > 4:
+    bad = [tok for tok in word if tok not in _LADDER]
+    if bad:
+        raise ValueError(f"word tokens must be '+'/'-' (or 'plus'/'minus'), got {bad[0]!r}")
+    if len(word) > 4:
         raise ValueError("ladder words longer than 4 are not used here")
+    coeff, shift = word_action([_LADDER[tok] for tok in word], v.levels)
     size = v.amps.size
-    nu = np.arange(size, dtype=float)
-    coeff = np.ones(size)
-    shift = 0
-    for step in reversed(steps):
-        # offsets pushed below the bottom already carry a zero weight
-        coeff *= np.sqrt(np.maximum(nu + shift + (step > 0), 0.0))
-        shift += step
     lo, hi = max(0, -shift), min(size, size - shift)
     return complex(np.vdot(v.amps[lo + shift : hi + shift], coeff[lo:hi] * v.amps[lo:hi]))
 
@@ -113,28 +107,6 @@ def _uncertainty_ok(i1, i2):
     return (i1 + 1.0) * (i2 + 1.0) >= 1.0 - 1e-9
 
 
-def _word_values(v: FockVector) -> dict:
-    return {word: expectation_ladder_word(v, word) for word in _WITNESS_WORDS}
-
-
-def quadrature_identities(v: FockVector) -> tuple[float, float]:
-    """(I1, I2): shifted doubled variances of the two quadratures.
-
-    Negative means the corresponding quadrature variance is below the
-    vacuum value 1/2.
-    """
-    return _witnesses(_word_values(v))[:2]
-
-
-def amplitude_squared_identities(v: FockVector) -> tuple[float, float]:
-    """(I3, I4): squared-amplitude squeezing witnesses.
-
-    Negative I3 (I4) means squeezing in the real (imaginary) part of
-    the squared field amplitude.
-    """
-    return _witnesses(_word_values(v))[2:]
-
-
 @dataclass(frozen=True)
 class QuadReport:
     """Squeezing witnesses of one (r, theta) grid cell and the truncation of its state."""
@@ -151,8 +123,8 @@ class QuadReport:
 
 
 def squeezing_report(v: FockVector, r: float, theta: float) -> QuadReport:
-    """Evaluate all four witnesses plus the uncertainty-product check."""
-    i1, i2, i3, i4 = _witnesses(_word_values(v))
+    """Witnesses I1, I2 (quadrature) and I3, I4 (squared amplitude) of ``v`` at (r, theta)."""
+    i1, i2, i3, i4 = _witnesses({w: expectation_ladder_word(v, w) for w in _WITNESS_WORDS})
     ok = _uncertainty_ok(i1, i2)
     return QuadReport(r, theta, i1, i2, i3, i4, ok, v.n_max_effective, v.tail_bound)
 

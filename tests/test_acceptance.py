@@ -60,7 +60,8 @@ def test_criterion_2_unitary_route_closed_forms():
         assert stats.mandel_q(v) == pytest.approx(2.0 * mean + 1.0, abs=1e-8)
         assert stats.g2_zero(v) == pytest.approx(3.0 + 1.0 / mean, abs=1e-8)
         assert stats.mandel_q(v) > 0.0 and stats.g2_zero(v) > 1.0
-        i1, i2 = squeezing.quadrature_identities(v)
+        rep = squeezing.squeezing_report(v, xi, 0.0)
+        i1, i2 = rep.i1, rep.i2
         assert i1 == pytest.approx(2.0 * xi / (1.0 - xi), abs=1e-6)
         assert i2 == pytest.approx(-2.0 * xi / (1.0 + xi), abs=1e-6)
     _report(2, "norm, moments, Q, g2, I1/I2 match the squeezed-vacuum closed forms",

@@ -9,34 +9,34 @@ from conftest import heisenberg_matrices
 
 
 def _amps(level, size, op):
-    return op(iq.basis_vector(level, size)).amps
+    return algebra.apply(op, iq.basis_vector(level, size)).amps
 
 
 class TestBasisActions:
     def test_deformed_lowering_annihilates_bottom(self):
-        assert np.all(_amps(3, 6, algebra.apply_deformed_lowering) == 0.0)
+        assert np.all(_amps(3, 6, "N-") == 0.0)
 
     def test_deformed_raising_on_bottom(self):
-        out = _amps(3, 6, algebra.apply_deformed_raising)
+        out = _amps(3, 6, "N+")
         assert out[1] == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-15)
         assert np.count_nonzero(out) == 1
 
     def test_deformed_lowering_on_four(self):
-        out = _amps(4, 6, algebra.apply_deformed_lowering)
+        out = _amps(4, 6, "N-")
         assert out[0] == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-15)
 
     def test_heisenberg_pair_on_bottom(self):
-        assert np.all(_amps(3, 6, algebra.apply_heisenberg_lowering) == 0.0)
-        up = _amps(3, 6, algebra.apply_heisenberg_raising)
+        assert np.all(_amps(3, 6, "K-") == 0.0)
+        up = _amps(3, 6, "K+")
         assert up[1] == pytest.approx(1.0, rel=1e-15)
 
     def test_excitation_number_eigenvalue(self):
-        out = _amps(7, 8, algebra.apply_excitation_number)
+        out = _amps(7, 8, "K0")
         assert out[4] == 4.0
 
     def test_raising_drop_feeds_tail_bound(self):
         top = iq.basis_vector(5, 3)  # |5> at the window edge
-        out = algebra.apply_heisenberg_raising(top)
+        out = algebra.apply("K+", top)
         assert np.all(out.amps == 0.0)
         assert out.tail_bound == pytest.approx(3.0)  # |sqrt(5-2)|^2
 
@@ -60,11 +60,25 @@ class TestCommutators:
             "[K0,K+] = +K+",
         }
 
+    def test_residues_detect_a_perturbed_law(self, monkeypatch):
+        # scaling the R+ law by 1 + 1e-6 must show in every identity that
+        # contains R+ and leave every other residue at its exact value
+        before = algebra.verify_commutators(3, 60)["identities"]
+        step, law = algebra._OPERATORS["R+"]
+        monkeypatch.setitem(algebra._OPERATORS, "R+", (step, lambda n: law(n) * (1.0 + 1e-6)))
+        after = algebra.verify_commutators(3, 60)["identities"]
+        assert sum("R+" in label for label in after) == 3
+        for label, dev in after.items():
+            if "R+" in label:
+                assert dev > 1e-8, label
+            else:
+                assert dev == before[label], label
+
     def test_deformed_commutator_on_five(self):
         v = iq.basis_vector(5, 12)
         lhs = (
-            algebra.apply_deformed_raising(algebra.apply_deformed_lowering(v)).amps
-            - algebra.apply_deformed_lowering(algebra.apply_deformed_raising(v)).amps
+            algebra.apply("N+", algebra.apply("N-", v)).amps
+            - algebra.apply("N-", algebra.apply("N+", v)).amps
         )
         assert lhs[2] == pytest.approx(-50.0, abs=1e-12)
 
@@ -74,8 +88,8 @@ class TestCommutators:
         for n in range(3, 40):
             v = iq.basis_vector(n, 45)
             lhs = (
-                algebra.apply_heisenberg_lowering(algebra.apply_heisenberg_raising(v)).amps
-                - algebra.apply_heisenberg_raising(algebra.apply_heisenberg_lowering(v)).amps
+                algebra.apply("K-", algebra.apply("K+", v)).amps
+                - algebra.apply("K+", algebra.apply("K-", v)).amps
             )
             assert np.max(np.abs(lhs - v.amps)) < 1e-12
 
@@ -87,8 +101,8 @@ class TestCommutators:
         u_amps[:30] = rng.normal(size=30) + 1j * rng.normal(size=30)
         v_amps[:30] = rng.normal(size=30) + 1j * rng.normal(size=30)
         u, v = fock.FockVector(u_amps), fock.FockVector(v_amps)
-        lhs = fock.inner_product(u, algebra.apply_heisenberg_raising(v))
-        rhs = fock.inner_product(algebra.apply_heisenberg_lowering(u), v)
+        lhs = np.vdot(u.amps, algebra.apply("K+", v).amps)
+        rhs = np.vdot(algebra.apply("K-", u).amps, v.amps)
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -100,8 +114,8 @@ class TestDenseMatrixOracle:
         amps[-1] = 0.0  # keep raising inside the window
         v = fock.FockVector(amps)
         lower, upper = heisenberg_matrices(dim)
-        assert np.allclose(algebra.apply_heisenberg_lowering(v).amps, lower @ amps, atol=1e-12)
-        assert np.allclose(algebra.apply_heisenberg_raising(v).amps, upper @ amps, atol=1e-12)
+        assert np.allclose(algebra.apply("K-", v).amps, lower @ amps, atol=1e-12)
+        assert np.allclose(algebra.apply("K+", v).amps, upper @ amps, atol=1e-12)
 
 
 class TestCasimir:
@@ -116,9 +130,10 @@ class TestCasimir:
             assert abs(algebra.casimir_eigenvalue(n)) < 1e-9
 
     def test_orderings_agree(self):
-        # both orderings are evaluated inside; a disagreement raises
-        for n in range(3, 61):
-            algebra.casimir_eigenvalue(n)
+        # both orderings are evaluated inside; a disagreement raises.  In
+        # float arithmetic they first disagree at n = 330283.
+        for n in (*range(3, 61), 330283, 10**6):
+            assert algebra.casimir_eigenvalue(n) == 0.0
 
 
 class TestSpectrum:

@@ -200,6 +200,12 @@ class TestVerifyAlgebraCommand:
         assert payload["max_deviation"] < 1e-10
         assert payload["casimir_peak"] < 1e-9
 
+    def test_high_levels(self, capsys):
+        # float Casimir terms pass 2^53 there; the orderings must still agree
+        code, out, _ = _run(capsys, "verify-algebra", "--n-low", "1000000", "--n-high", "1000002")
+        assert code == 0
+        assert json.loads(out)["casimir_peak"] == 0.0
+
 
 class TestDualCheckCommand:
     def test_divergent_verdict(self, capsys):
@@ -241,10 +247,13 @@ class TestValidation:
             ["dual-check", "--terms", "1"],
             ["verify-algebra", "--n-low", "5", "--n-high", "6"],
             ["verify-algebra", "--n-low", "1"],
+            ["quasiprob", "--case", "i", "--r", "1", "--s", "0.999"],
+            ["quasiprob", "--case", "i", "--r", "20", "--s", "0.99999",
+             "--x-steps", "3", "--p-steps", "3"],
         ],
         ids=["r_steps_0", "theta_steps_0", "r_nan", "s_nan", "r_max_inf", "xi_beyond_s_bound",
              "x_min_nan", "r_negative", "n_max_0", "terms_1", "levels_too_close",
-             "n_low_below_base"],
+             "n_low_below_base", "s_near_1_nan_grid", "s_near_1_overflow"],
     )
     def test_bad_input_exits_3(self, capsys, argv):
         code, out, err = _run(capsys, *argv)

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 import isosqueeze as iq
@@ -16,31 +15,6 @@ class TestFockVector:
         v = iq.basis_vector(5, 6)
         assert list(v.levels) == [3, 4, 5, 6, 7, 8]
         assert v.amps[2] == 1.0
-
-
-class TestInnerProduct:
-    def test_orthonormal_basis(self):
-        three = iq.basis_vector(3, 5)
-        four = iq.basis_vector(4, 5)
-        assert fock.inner_product(three, three) == 1.0
-        assert fock.inner_product(three, four) == 0.0
-
-    def test_self_normalized(self):
-        rng = np.random.default_rng(11)
-        amps = rng.normal(size=30) + 1j * rng.normal(size=30)
-        v = fock.FockVector(amps / np.linalg.norm(amps))
-        assert abs(fock.inner_product(v, v) - 1.0) < 1e-12
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(13)
-        u = fock.FockVector(rng.normal(size=20) + 1j * rng.normal(size=20))
-        v = fock.FockVector(rng.normal(size=20) + 1j * rng.normal(size=20))
-        assert abs(fock.inner_product(u, v) - np.conj(fock.inner_product(v, u))) < 1e-15
-
-    def test_length_mismatch_zero_pads(self):
-        u = iq.basis_vector(3, 3)
-        v = iq.basis_vector(3, 9)
-        assert fock.inner_product(u, v) == 1.0
 
 
 class TestTailDiagnostics:

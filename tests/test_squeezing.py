@@ -18,12 +18,12 @@ WITNESS_WORDS = ("-", "+", "--", "++", "+-", "----", "++++", "++--", "--++")
 
 def _operator_route(v, word):
     """<v| word |v> by applying the ladder operators to the padded vector."""
-    ops = {"+": algebra.apply_heisenberg_raising, "-": algebra.apply_heisenberg_lowering}
+    ops = {"+": "K+", "-": "K-"}
     bra = fock.FockVector(np.concatenate([v.amps, np.zeros(len(word), dtype=complex)]))
     ket = bra
     for tok in reversed(word):
-        ket = ops[tok](ket)
-    return fock.inner_product(bra, ket)
+        ket = algebra.apply(ops[tok], ket)
+    return np.vdot(bra.amps, ket.amps)
 
 
 class TestLadderWords:
@@ -92,11 +92,13 @@ class TestLadderWords:
 
 class TestQuadratureIdentities:
     def test_effective_vacuum(self):
-        assert squeezing.quadrature_identities(iq.basis_vector(3, 6)) == (0.0, 0.0)
+        rep = squeezing.squeezing_report(iq.basis_vector(3, 6), 0.0, 0.0)
+        assert (rep.i1, rep.i2) == (0.0, 0.0)
 
     def test_unitary_closed_forms(self):
         xi = 0.4
-        i1, i2 = squeezing.quadrature_identities(_unitary_state(xi))
+        rep = squeezing.squeezing_report(_unitary_state(xi), xi, 0.0)
+        i1, i2 = rep.i1, rep.i2
         assert i1 == pytest.approx(2.0 * xi / (1.0 - xi), abs=1e-10)
         assert i2 == pytest.approx(-2.0 * xi / (1.0 + xi), abs=1e-10)
 
@@ -104,24 +106,24 @@ class TestQuadratureIdentities:
         # I1 + 1 = 2 (dx)^2 and I2 + 1 = 2 (dp)^2 with the quadratures
         # applied as operators, independently of the identity expansion
         def apply_x(v):
-            raised = algebra.apply_heisenberg_raising(v)
-            lowered = algebra.apply_heisenberg_lowering(v)
+            raised = algebra.apply("K+", v)
+            lowered = algebra.apply("K-", v)
             return fock.FockVector(
                 (raised.amps + lowered.amps) / math.sqrt(2.0), tail_bound=raised.tail_bound
             )
 
         def apply_p(v):
-            raised = algebra.apply_heisenberg_raising(v)
-            lowered = algebra.apply_heisenberg_lowering(v)
+            raised = algebra.apply("K+", v)
+            lowered = algebra.apply("K-", v)
             return fock.FockVector(
                 1j * (raised.amps - lowered.amps) / math.sqrt(2.0), tail_bound=raised.tail_bound
             )
 
         padded = fock.FockVector(np.concatenate([nonlinear_r20.amps, np.zeros(2, dtype=complex)]))
-        i1, i2 = squeezing.quadrature_identities(nonlinear_r20)
-        for witness, quad in ((i1, apply_x), (i2, apply_p)):
-            second = fock.inner_product(padded, quad(quad(padded))).real
-            first = fock.inner_product(padded, quad(padded)).real
+        rep = squeezing.squeezing_report(nonlinear_r20, 20.0, 0.0)
+        for witness, quad in ((rep.i1, apply_x), (rep.i2, apply_p)):
+            second = np.vdot(padded.amps, quad(quad(padded)).amps).real
+            first = np.vdot(padded.amps, quad(padded).amps).real
             assert witness + 1.0 == pytest.approx(2.0 * (second - first * first), abs=1e-10)
 
     def test_out_of_phase_by_pi(self):
@@ -133,7 +135,8 @@ class TestQuadratureIdentities:
 
     def test_sum_rule(self, nonlinear_r20):
         # I1 + I2 = 4 <R L> when single-step words vanish
-        i1, i2 = squeezing.quadrature_identities(nonlinear_r20)
+        rep = squeezing.squeezing_report(nonlinear_r20, 20.0, 0.0)
+        i1, i2 = rep.i1, rep.i2
         cross = squeezing.expectation_ladder_word(nonlinear_r20, "+-").real
         assert i1 + i2 == pytest.approx(4.0 * cross, abs=1e-10)
         assert i1 + i2 >= -1e-9
@@ -144,12 +147,14 @@ class TestAmplitudeSquaredIdentities:
         # <L^2 R^2> = 2 on the effective vacuum, so both witnesses vanish
         vac = iq.basis_vector(3, 8)
         assert squeezing.expectation_ladder_word(vac, "--++") == pytest.approx(2.0, rel=1e-14)
-        i3, i4 = squeezing.amplitude_squared_identities(vac)
+        rep = squeezing.squeezing_report(vac, 0.0, 0.0)
+        i3, i4 = rep.i3, rep.i4
         assert i3 == pytest.approx(0.0, abs=1e-14)
         assert i4 == pytest.approx(0.0, abs=1e-14)
 
     def test_unitary_state_squeezes_one_witness(self):
-        i3, i4 = squeezing.amplitude_squared_identities(_unitary_state(0.4))
+        rep = squeezing.squeezing_report(_unitary_state(0.4), 0.4, 0.0)
+        i3, i4 = rep.i3, rep.i4
         assert min(i3, i4) < 0.0 < max(i3, i4)
 
     def test_alternation_quarter_period(self):
