@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +40,8 @@ from .states import (
 __all__ = ["main"]
 
 TAIL_WARN_THRESHOLD = 1e-6
+# A quasi-probability grid whose sum F dx dp is further than this from 1 is flagged.
+MASS_WARN_THRESHOLD = 1e-2
 
 
 class ValidationError(ValueError):
@@ -82,24 +85,17 @@ class _Output:
         }
 
     def write(self, path: str | None, fmt: str) -> None:
-        if fmt == "json":
-            text = json.dumps(self.json_payload(), indent=1) + "\n"
-            if path:
-                with open(path, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
-            return
-        text = self.csv_text()
-        header = {"command": self.command, **self.meta, "warnings": self.warnings}
+        """CSV with a ``.meta.json`` beside it and warnings on stderr, or one JSON payload."""
+        csv = fmt != "json"
+        text = self.csv_text() if csv else json.dumps(self.json_payload(), indent=1) + "\n"
         if path:
-            with open(path, "w") as fh:
-                fh.write(text)
-            with open(path + ".meta.json", "w") as fh:
-                fh.write(json.dumps(header, indent=1) + "\n")
+            Path(path).write_text(text)
+            if csv:
+                header = {"command": self.command, **self.meta, "warnings": self.warnings}
+                Path(path + ".meta.json").write_text(json.dumps(header, indent=1) + "\n")
         else:
             sys.stdout.write(text)
-        for message in self.warnings:
+        for message in self.warnings if csv else ():
             print(f"warning: {message}", file=sys.stderr)
 
 
@@ -261,6 +257,13 @@ def _cmd_quasiprob(args) -> _Output:
                        "p": [args.p_min, args.p_max, args.p_steps]}},
     )
     _check_tail(out, vec, params.n_max)
+    mass = None  # sum F dx dp; a single-point axis has no cell size
+    if min(xs.size, ps.size) > 1:
+        mass = float(grid.values.sum() * abs((xs[1] - xs[0]) * (ps[1] - ps[0])))
+        if abs(mass - 1.0) > MASS_WARN_THRESHOLD:
+            out.warn(f"grid_mass {mass:.6g} differs from 1 by more than {MASS_WARN_THRESHOLD:g}; "
+                     "the grid misses part of the support or the sums lost precision")
+    out.meta["grid_mass"] = mass
     out.rows = _grid_rows(grid)
     return out
 

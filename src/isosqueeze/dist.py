@@ -10,8 +10,11 @@ oracle (``tests/conftest.py``).
 
 Phase space goes through one kernel, ``_ordered_overlap(x, y, alpha,
 beta)`` = <x| e^{alpha K+} e^{beta K-} |y>: the Cahill-Glauber element
-sum grouped by the order |m - n|, one Laguerre sweep per order, pair
-weights in log space.  With beta = -conj(alpha) it is G(x, y; mu) =
+sum grouped by the order k = |m - n|, pair weights in log space.  Its
+callers keep alpha beta real and |alpha| = |beta|, so each order is
+radial coefficients, functions of -alpha beta alone, times the phases
+e^{ik arg alpha} and e^{ik arg beta}: the Laguerre sweeps run over the
+distinct arguments only.  With beta = -conj(alpha) it is G(x, y; mu) =
 e^{|mu|^2/2} <x|D(mu)|y>.  Each phase-space quantity is one call:
 
 * characteristic function: C(lam, s) = e^{(s-1)|lam|^2/2} G(c, c; lam);
@@ -134,60 +137,67 @@ def _ordered_overlap(x: np.ndarray, y: np.ndarray, alpha, beta) -> np.ndarray:
         sum_k sum_a sqrt(a!/(a+k)!) L_a^k(-alpha beta)
               [alpha^k conj(x_{a+k}) y_a + (k > 0) beta^k conj(x_a) y_{a+k}]
 
-    One Laguerre sweep per k serves both branches in one real matrix
-    product with their pair weights, which are built in log space with
-    the largest weight of the order factored out.  Amplitudes of x and y
+    Contract: alpha beta is real and |alpha| = |beta|, so the argument
+    -alpha beta fixes ln|alpha| and ln|beta| (read at its first point; a
+    point that disagrees raises ValueError) and order k is
+    R_k^alpha e^{ik arg alpha} + R_k^beta e^{ik arg beta}.  Points are
+    sorted by argument and taken in blocks of ``_BLOCK_POINTS``.  In a
+    block one Laguerre sweep per k over the distinct arguments gives both
+    radial coefficients in one real matrix product with the pair weights,
+    built in log space with the largest weight of the order factored out;
+    the phases are then applied point by point.  Amplitudes of x and y
     at or below ``_SUPPORT_CUTOFF`` are dropped.  With beta = -conj(alpha)
     the result is e^{|alpha|^2 / 2} <x|D(alpha)|y> (Cahill and Glauber).
     """
     alpha = np.asarray(alpha, dtype=complex)
     beta = np.asarray(beta, dtype=complex)
-    out = np.empty(alpha.size, dtype=complex)
-    for start in range(0, alpha.size, _BLOCK_POINTS):
-        block = slice(start, start + _BLOCK_POINTS)
-        out[block] = _overlap_block(x, y, alpha.ravel()[block], beta.ravel()[block])
-    return out.reshape(alpha.shape)
-
-
-def _overlap_block(x: np.ndarray, y: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """``_ordered_overlap`` on 1-D alpha and beta of at most _BLOCK_POINTS points."""
-    arg = -(alpha * beta).real
-    total = np.zeros(arg.shape, dtype=complex)
+    total = np.zeros(alpha.size, dtype=complex)
     supports = [np.nonzero(np.abs(v) > _SUPPORT_CUTOFF)[0] for v in (x, y)]
     if not all(idx.size for idx in supports):
-        return total
+        return total.reshape(alpha.shape)
     size = 1 + max(idx[-1] for idx in supports)
     (log_x, unit_x), (log_y, unit_y) = (
         _log_polar(np.pad(v[:size], (0, size - v[:size].size)), _SUPPORT_CUTOFF) for v in (x, y)
     )
-    (log_a, unit_a), (log_b, unit_b) = _log_polar(alpha, 0.0), _log_polar(beta, 0.0)
-    phase_a, phase_b = np.ones_like(unit_a), np.ones_like(unit_b)  # unit^k, carried along
-
     log_fact = log_factorial(np.arange(size))
-    for k in range(size):
-        if k:
-            phase_a *= unit_a
-            phase_b *= unit_b
-        n = size - k
-        # row 0: the alpha^k branch, pairs (a + k, a); row 1: the beta^k branch, pairs (a, a + k)
-        log_w = np.array([log_x[k:] + log_y[:n], log_x[:n] + log_y[k:] if k else np.full(n, -np.inf)])
-        live = np.nonzero(np.isfinite(log_w).any(axis=0))[0]
-        if not live.size:
-            continue
-        top = live[-1] + 1
-        log_w = log_w[:, :top] + 0.5 * (log_fact[:top] - log_fact[k : k + top])
-        peak = log_w.max()
-        pair_phase = np.array([np.conj(unit_x[k : k + top]) * unit_y[:top],
-                               np.conj(unit_x[:top]) * unit_y[k : k + top]])
-        weights = np.exp(log_w - peak) * pair_phase
-        # one real product of the Laguerre rows with the real and imaginary weight rows
-        sums = np.concatenate([weights.real, weights.imag]) @ assoc_laguerre_sequence(top - 1, k, arg)
-        if k:
-            total += np.exp(peak + k * log_a) * phase_a * (sums[0] + 1j * sums[2])
-            total += np.exp(peak + k * log_b) * phase_b * (sums[1] + 1j * sums[3])
-        else:
-            total += math.exp(peak) * (sums[0] + 1j * sums[2])
-    return total
+    a, b = alpha.ravel(), beta.ravel()
+    by_arg = np.argsort(-(a * b).real, kind="stable")  # points that share an argument become neighbours
+    for start in range(0, a.size, _BLOCK_POINTS):
+        pts = by_arg[start : start + _BLOCK_POINTS]
+        key, first, inverse = np.unique(-(a[pts] * b[pts]).real, return_index=True, return_inverse=True)
+        (log_a, unit_a), (log_b, unit_b) = _log_polar(a[pts], 0.0), _log_polar(b[pts], 0.0)
+        log_ab = np.array([log_a[first], log_b[first]])  # ln|alpha|, ln|beta| per distinct argument
+        # each point matches its argument's first point up to rounding, except below the normal
+        # range, where alpha beta lost its digits but |alpha| < 1.5e-154 and k > 0 terms vanish
+        loose = np.abs(key[inverse]) < np.finfo(float).tiny
+        if not np.all(loose | np.isclose(log_ab[:, inverse], [log_a, log_b], rtol=0.0, atol=1e-12)):
+            raise ValueError("the overlap kernel needs alpha beta real and |alpha| = |beta|")
+        block = np.zeros(pts.size, dtype=complex)
+        phase_a, phase_b = np.ones_like(unit_a), np.ones_like(unit_b)  # unit^k, carried along
+        for k in range(size):
+            if k:
+                phase_a *= unit_a
+                phase_b *= unit_b
+            n = size - k
+            # row 0: the alpha^k branch, pairs (a + k, a); row 1: the beta^k branch, pairs (a, a + k)
+            log_w = np.array([log_x[k:] + log_y[:n], log_x[:n] + log_y[k:] if k else np.full(n, -np.inf)])
+            live = np.nonzero(np.isfinite(log_w).any(axis=0))[0]
+            if not live.size:
+                continue
+            top = live[-1] + 1
+            log_w = log_w[:, :top] + 0.5 * (log_fact[:top] - log_fact[k : k + top])
+            peak = log_w.max()
+            pair_phase = np.array([np.conj(unit_x[k : k + top]) * unit_y[:top],
+                                   np.conj(unit_x[:top]) * unit_y[k : k + top]])
+            weights = np.exp(log_w - peak) * pair_phase
+            # one real product of the Laguerre rows with the real and imaginary weight rows,
+            # then the radial coefficients R_k^alpha, R_k^beta on the distinct arguments
+            sums = np.concatenate([weights.real, weights.imag]) @ assoc_laguerre_sequence(top - 1, k, key)
+            coef = (sums[:2] + 1j * sums[2:]) * (np.exp(peak + k * log_ab) if k else math.exp(peak))
+            block += coef[0, inverse] * phase_a
+            block += coef[1, inverse] * phase_b
+        total[pts] = block
+    return total.reshape(alpha.shape)
 
 
 def characteristic_function(v: FockVector, lam, s: float):
@@ -199,9 +209,8 @@ def characteristic_function(v: FockVector, lam, s: float):
     if s >= 1.0:
         raise SParameterOutOfRange(f"s must be < 1, got {s}")
     lam = np.asarray(lam, dtype=complex)
-    total = np.exp(0.5 * (s - 1.0) * np.abs(lam) ** 2) * _ordered_overlap(
-        v.amps, v.amps, lam, -np.conj(lam)
-    )
+    # the Gaussian factor after the kernel, so that its array is not held during the kernel
+    total = _ordered_overlap(v.amps, v.amps, lam, -np.conj(lam)) * np.exp(0.5 * (s - 1.0) * np.abs(lam) ** 2)
     return total if total.ndim else complex(total)
 
 

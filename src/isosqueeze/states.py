@@ -44,7 +44,6 @@ __all__ = [
     "build_squeezed",
     "build_state",
     "norm_constant",
-    "squeezed_norm_closed_form",
     "dual_series_diagnosis",
 ]
 
@@ -181,13 +180,6 @@ def norm_constant(params: SqueezeParams) -> float:
     """Normalization constant N of the closed-form expansion, exp(ln N)."""
     fn = _log_terms_nonlinear if params.kind == CASE_NONLINEAR else _log_terms_unitary
     return math.exp(_log_norm(fn(np.arange(params.n_max + 1), params.r)))
-
-
-def squeezed_norm_closed_form(r: float) -> float:
-    """Closed form of the unitary-route normalization: (1 - r^2)^(1/4)."""
-    if not 0.0 <= r < 1.0:
-        raise RadiusViolation(f"closed form needs 0 <= r < 1, got {r}")
-    return (1.0 - r * r) ** 0.25
 
 
 @dataclass(frozen=True)

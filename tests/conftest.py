@@ -81,6 +81,11 @@ def unitary_probability(n: int, xi: float) -> float:
     return float(np.sqrt(1 - xi * xi) * np.exp(log_term))
 
 
+def squeezed_norm_closed_form(xi: float) -> float:
+    """Unitary-route normalization in closed form: (1 - xi^2)^(1/4)."""
+    return (1.0 - xi * xi) ** 0.25
+
+
 def heisenberg_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense lowering/raising matrices on excitation offsets 0..dim-1."""
     lower = np.zeros((dim, dim))

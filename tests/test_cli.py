@@ -192,6 +192,18 @@ class TestQuasiprobCommand:
         assert np.max(np.abs(near - husimi)) < 1e-6
 
 
+    @pytest.mark.parametrize("s, flagged", [("0.5", False), ("0.99", True)])
+    def test_grid_mass_reported_and_flagged(self, tmp_path, capsys, s, flagged):
+        # the fig-8 state sums to 3.1e11 on the default grid at s = 0.99
+        fig8 = ["--case", "i", "--r", "2.8284271247461903", "--theta", "0.7853981633974483"]
+        target = tmp_path / "q.csv"
+        code, _, err = _run(capsys, "quasiprob", *fig8, "--s", s, "-o", str(target))
+        assert code == 0
+        meta = json.loads(Path(str(target) + ".meta.json").read_text())
+        assert (abs(meta["grid_mass"] - 1.0) > 1e-2) is flagged
+        assert ("warning: grid_mass" in err) is flagged
+        assert any(w.startswith("grid_mass") for w in meta["warnings"]) is flagged
+
 class TestVerifyAlgebraCommand:
     def test_json_report(self, capsys):
         code, out, _ = _run(capsys, "verify-algebra", "--n-high", "40")

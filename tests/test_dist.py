@@ -171,6 +171,66 @@ class TestCharacteristicFunction:
             dist.characteristic_function(iq.basis_vector(3, 3), 0.1 + 0.0j, 1.0)
 
 
+class TestOverlapKernel:
+    """The kernel sweeps Laguerre rows over distinct arguments, in blocks."""
+
+    @staticmethod
+    def _random_odd():
+        rng = np.random.default_rng(707)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        return iq.FockVector(amps / np.linalg.norm(amps))
+
+    @pytest.mark.parametrize("s", [0.5, 0.0, -1.0, -3.0])
+    @pytest.mark.parametrize("state", ["fig8", "random_odd"])
+    @pytest.mark.parametrize("points", ["symmetric", "random"])
+    def test_grid_matches_single_points(self, s, state, points):
+        v = _nonlinear(2.0 * math.sqrt(2.0), math.pi / 4.0) if state == "fig8" else self._random_odd()
+        if points == "symmetric":  # mirror and transposed points share an argument
+            xs = ps = np.linspace(-2.0, 2.0, 7)
+        else:
+            rng = np.random.default_rng(11)
+            xs, ps = rng.uniform(-2.5, 2.5, 5), rng.uniform(-2.5, 2.5, 4)
+        grid = dist.quasi_probability_grid(v, xs, ps, s)
+        single = [[dist.quasi_probability(v, complex(x, p), s) for p in ps] for x in xs]
+        np.testing.assert_allclose(grid.values, single, rtol=1e-12, atol=0.0)
+
+    @pytest.fixture
+    def sweep_widths(self, monkeypatch):
+        """The number of arguments of every Laguerre sweep the kernel runs."""
+        widths = []
+        sweep = dist.assoc_laguerre_sequence
+
+        def counted(n_max, k, x):
+            widths.append(x.size)
+            return sweep(n_max, k, x)
+
+        monkeypatch.setattr(dist, "assoc_laguerre_sequence", counted)
+        return widths
+
+    def test_sweeps_run_over_distinct_arguments(self, sweep_widths):
+        xs = np.linspace(-2.0, 2.0, 9)
+        dist.quasi_probability_grid(_nonlinear(2.0 * math.sqrt(2.0), math.pi / 4.0), xs, xs, 0.0)
+        distinct = np.unique(np.abs(xs[:, None] + 1j * xs[None, :]) ** 2).size
+        assert sweep_widths and set(sweep_widths) == {distinct}
+
+    def test_blocks_match_smaller_calls(self, sweep_widths, nonlinear_r20):
+        # triples lam, -lam, conj(lam) share an argument; more distinct
+        # arguments than one block holds, and groups cut by block edges
+        rng = np.random.default_rng(4096)
+        size = dist._BLOCK_POINTS + 300
+        lam = 3.0 * np.sqrt(rng.random(size)) * np.exp(2j * math.pi * rng.random(size))
+        lam = np.concatenate([lam, -lam, np.conj(lam)])
+        pieces = [dist.characteristic_function(nonlinear_r20, part, 0.0) for part in np.array_split(lam, 9)]
+        whole = dist.characteristic_function(nonlinear_r20, lam, 0.0)
+        np.testing.assert_allclose(whole, np.concatenate(pieces), rtol=1e-12, atol=1e-15)
+        assert max(sweep_widths) <= dist._BLOCK_POINTS < lam.size // 3
+
+    def test_contract_violation_raises(self):
+        # equal arguments -alpha beta = 1 with |alpha| != |beta|
+        with pytest.raises(ValueError, match="alpha"):
+            dist._ordered_overlap(np.ones(3), np.ones(3), np.array([1.0, 2.0]), np.array([-1.0, -0.5]))
+
+
 class TestQuasiProbability:
     def test_vacuum_wigner_origin(self):
         got = dist.quasi_probability(iq.basis_vector(3, 3), 0.0 + 0.0j, 0.0)

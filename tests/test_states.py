@@ -5,6 +5,7 @@ import pytest
 
 import isosqueeze as iq
 from isosqueeze import fock, states
+from conftest import squeezed_norm_closed_form
 
 
 class TestNonlinearBuilder:
@@ -59,13 +60,13 @@ class TestUnitaryBuilder:
     def test_norm_constant_series_vs_closed_form(self):
         params = iq.SqueezeParams(kind="iii", r=0.4, n_max=70)
         assert states.norm_constant(params) == pytest.approx(
-            states.squeezed_norm_closed_form(0.4), abs=1e-10
+            squeezed_norm_closed_form(0.4), abs=1e-10
         )
 
     def test_norm_constant_deep_squeezing(self):
         params = iq.SqueezeParams(kind="iii", r=0.9, n_max=300)
         assert states.norm_constant(params) == pytest.approx(
-            states.squeezed_norm_closed_form(0.9), abs=1e-8
+            squeezed_norm_closed_form(0.9), abs=1e-8
         )
 
     def test_matches_textbook_squeezed_vacuum(self):
