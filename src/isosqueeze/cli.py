@@ -182,19 +182,19 @@ def _cmd_stats(args) -> _Output:
         params = _params_from_args(args, r_override=float(r))
         vec = build_state(params)
         _check_tail(out, vec, params.n_max)
-        mean, _ = stats.excitation_moments(vec)
+        m = stats.moments(vec)
         try:
-            q = stats.mandel_q(vec)
-            g2 = stats.g2_zero(vec)
+            q = stats.mandel_q(m)
+            g2 = stats.g2_zero(m)
         except stats.UndefinedMoment:
             out.warn(f"Q/g2 undefined at r={r:.6g} (zero mean excitation)")
             q = g2 = math.nan
         try:
-            a3 = stats.a3_parameter(vec)
+            a3 = stats.a3_parameter(m)
         except stats.UndefinedA3:
             out.warn(f"A3 undefined at r={r:.6g} (degenerate moments)")
             a3 = math.nan
-        out.rows.append((float(r), mean, q, g2, a3))
+        out.rows.append((float(r), float(m[0]), q, g2, a3))
     return out
 
 

@@ -8,21 +8,22 @@ route; it is non-negative by construction.  The paper's cosine double
 sum over half-indices is its case-i expansion and serves as the test
 oracle (``tests/conftest.py``).
 
-Phase space goes through one kernel, ``_ordered_overlap(x, y, alpha,
-beta)`` = <x| e^{alpha K+} e^{beta K-} |y>: the Cahill-Glauber element
-sum grouped by the order k = |m - n|, pair weights in log space.  Its
-callers keep alpha beta real and |alpha| = |beta|, so each order is
-radial coefficients, functions of -alpha beta alone, times the phases
-e^{ik arg alpha} and e^{ik arg beta}: the Laguerre sweeps run over the
-distinct arguments only.  With beta = -conj(alpha) it is G(x, y; mu) =
-e^{|mu|^2/2} <x|D(mu)|y>.  Each phase-space quantity is one call:
+Phase space goes through one kernel, ``_ordered_overlap(x, y, mu,
+sign)`` = <x| e^{mu K+} e^{sign conj(mu) K-} |y> with sign = +-1: the
+Cahill-Glauber element sum grouped by the order k = |m - n|, pair
+weights in log space.  Its form makes the Laguerre argument
+-sign |mu|^2 real, so each order is radial coefficients, functions of
+that argument alone, times the phases e^{+-ik arg mu}: the Laguerre
+sweeps run over the distinct arguments only.  With sign = -1 it is
+G(x, y; mu) = e^{|mu|^2/2} <x|D(mu)|y>.  Each phase-space quantity is
+one call:
 
 * characteristic function: C(lam, s) = e^{(s-1)|lam|^2/2} G(c, c; lam);
 * quasi-probability, s != -1: F(z, s) = 2/(pi (1-s)) e^{-2|z|^2/(1-s)}
-  Re <x|e^{alpha K+} e^{beta K-}|y> with x_n = c_n (sign t)^n,
+  Re <x|e^{mu K+} e^{sign conj(mu) K-}|y> with x_n = c_n (sign t)^n,
   y_n = c_n t^n, t^2 = |(1+s)/(1-s)|, sign that of (1+s)/(s-1),
-  alpha = w/(sign t), beta = conj(w)/t, w = 2z/(1-s); for -1 < s < 1
-  this is Re G(x, y; -2z/sqrt(1-s^2));
+  mu = w/(sign t), w = 2z/(1-s); for -1 < s < 1 this is
+  Re G(x, y; -2z/sqrt(1-s^2));
 * Husimi function, s = -1: F(z, -1) = e^{-|z|^2} |G(e_0, c; -z)|^2 / pi.
 
 The support cutoff applies to the vectors the kernel receives, here
@@ -127,57 +128,51 @@ def _log_polar(v: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
     return log_mag, np.divide(v, mag, out=np.zeros(v.shape, dtype=complex), where=keep)
 
 
-def _ordered_overlap(x: np.ndarray, y: np.ndarray, alpha, beta) -> np.ndarray:
-    """<x| e^{alpha K+} e^{beta K-} |y> for complex arrays alpha, beta of one shape.
+def _ordered_overlap(x: np.ndarray, y: np.ndarray, mu, sign) -> np.ndarray:
+    """<x| e^{mu K+} e^{sign conj(mu) K-} |y> for a complex array mu and sign = +-1.
 
-    The elements are <m|e^{alpha K+} e^{beta K-}|n> = sqrt(n!/m!)
-    alpha^(m-n) L_n^(m-n)(-alpha beta) for m >= n and the mirror image
-    with beta^(n-m) for m < n.  Grouped by the order k = |m - n|:
+    With alpha = mu and beta = sign conj(mu) the elements are
+    <m|e^{alpha K+} e^{beta K-}|n> = sqrt(n!/m!) alpha^(m-n)
+    L_n^(m-n)(-alpha beta) for m >= n and the mirror image with
+    beta^(n-m) for m < n.  Grouped by the order k = |m - n|:
 
-        sum_k sum_a sqrt(a!/(a+k)!) L_a^k(-alpha beta)
-              [alpha^k conj(x_{a+k}) y_a + (k > 0) beta^k conj(x_a) y_{a+k}]
+        sum_k sum_a sqrt(a!/(a+k)!) L_a^k(-sign |mu|^2) |mu|^k
+              [e^{ik arg mu} conj(x_{a+k}) y_a + (k > 0) sign^k e^{-ik arg mu} conj(x_a) y_{a+k}]
 
-    Contract: alpha beta is real and |alpha| = |beta|, so the argument
-    -alpha beta fixes ln|alpha| and ln|beta| (read at its first point; a
-    point that disagrees raises ValueError) and order k is
-    R_k^alpha e^{ik arg alpha} + R_k^beta e^{ik arg beta}.  Points are
-    sorted by argument and taken in blocks of ``_BLOCK_POINTS``.  In a
-    block one Laguerre sweep per k over the distinct arguments gives both
-    radial coefficients in one real matrix product with the pair weights,
-    built in log space with the largest weight of the order factored out;
-    the phases are then applied point by point.  Amplitudes of x and y
-    at or below ``_SUPPORT_CUTOFF`` are dropped.  With beta = -conj(alpha)
-    the result is e^{|alpha|^2 / 2} <x|D(alpha)|y> (Cahill and Glauber).
+    so order k is radial coefficients of the Laguerre argument
+    -sign |mu|^2 (|mu|^k read at its first point) times the phases
+    e^{+-ik arg mu}.  Points are sorted by argument and taken in blocks
+    of ``_BLOCK_POINTS``.  In a block one Laguerre sweep per k over the
+    distinct arguments gives both radial coefficients in one real
+    matrix product with the pair weights, built in log space with the
+    largest weight of the order factored out; the phases are then
+    applied point by point.  Amplitudes of x and y at or below
+    ``_SUPPORT_CUTOFF`` are dropped.  With sign = -1 the result is
+    e^{|mu|^2 / 2} <x|D(mu)|y> (Cahill and Glauber).
     """
-    alpha = np.asarray(alpha, dtype=complex)
-    beta = np.asarray(beta, dtype=complex)
-    total = np.zeros(alpha.size, dtype=complex)
+    mu = np.asarray(mu, dtype=complex)
+    total = np.zeros(mu.size, dtype=complex)
     supports = [np.nonzero(np.abs(v) > _SUPPORT_CUTOFF)[0] for v in (x, y)]
     if not all(idx.size for idx in supports):
-        return total.reshape(alpha.shape)
+        return total.reshape(mu.shape)
     size = 1 + max(idx[-1] for idx in supports)
     (log_x, unit_x), (log_y, unit_y) = (
         _log_polar(np.pad(v[:size], (0, size - v[:size].size)), _SUPPORT_CUTOFF) for v in (x, y)
     )
     log_fact = log_factorial(np.arange(size))
-    a, b = alpha.ravel(), beta.ravel()
-    by_arg = np.argsort(-(a * b).real, kind="stable")  # points that share an argument become neighbours
-    for start in range(0, a.size, _BLOCK_POINTS):
+    flat = mu.ravel()
+    arg = -sign * (flat * flat.conj()).real  # -alpha beta, real by construction
+    by_arg = np.argsort(arg, kind="stable")  # points that share an argument become neighbours
+    for start in range(0, flat.size, _BLOCK_POINTS):
         pts = by_arg[start : start + _BLOCK_POINTS]
-        key, first, inverse = np.unique(-(a[pts] * b[pts]).real, return_index=True, return_inverse=True)
-        (log_a, unit_a), (log_b, unit_b) = _log_polar(a[pts], 0.0), _log_polar(b[pts], 0.0)
-        log_ab = np.array([log_a[first], log_b[first]])  # ln|alpha|, ln|beta| per distinct argument
-        # each point matches its argument's first point up to rounding, except below the normal
-        # range, where alpha beta lost its digits but |alpha| < 1.5e-154 and k > 0 terms vanish
-        loose = np.abs(key[inverse]) < np.finfo(float).tiny
-        if not np.all(loose | np.isclose(log_ab[:, inverse], [log_a, log_b], rtol=0.0, atol=1e-12)):
-            raise ValueError("the overlap kernel needs alpha beta real and |alpha| = |beta|")
+        key, first, inverse = np.unique(arg[pts], return_index=True, return_inverse=True)
+        log_mu, unit_mu = _log_polar(flat[pts], 0.0)
+        log_mu = log_mu[first]  # ln|mu| per distinct argument
         block = np.zeros(pts.size, dtype=complex)
-        phase_a, phase_b = np.ones_like(unit_a), np.ones_like(unit_b)  # unit^k, carried along
+        phase = np.ones_like(unit_mu)  # e^{ik arg mu}, carried along
         for k in range(size):
             if k:
-                phase_a *= unit_a
-                phase_b *= unit_b
+                phase *= unit_mu
             n = size - k
             # row 0: the alpha^k branch, pairs (a + k, a); row 1: the beta^k branch, pairs (a, a + k)
             log_w = np.array([log_x[k:] + log_y[:n], log_x[:n] + log_y[k:] if k else np.full(n, -np.inf)])
@@ -191,13 +186,14 @@ def _ordered_overlap(x: np.ndarray, y: np.ndarray, alpha, beta) -> np.ndarray:
                                    np.conj(unit_x[:top]) * unit_y[k : k + top]])
             weights = np.exp(log_w - peak) * pair_phase
             # one real product of the Laguerre rows with the real and imaginary weight rows,
-            # then the radial coefficients R_k^alpha, R_k^beta on the distinct arguments
+            # then the radial coefficients of both branches on the distinct arguments
             sums = np.concatenate([weights.real, weights.imag]) @ assoc_laguerre_sequence(top - 1, k, key)
-            coef = (sums[:2] + 1j * sums[2:]) * (np.exp(peak + k * log_ab) if k else math.exp(peak))
-            block += coef[0, inverse] * phase_a
-            block += coef[1, inverse] * phase_b
+            coef = (sums[:2] + 1j * sums[2:]) * (np.exp(peak + k * log_mu) if k else math.exp(peak))
+            coef[1] *= sign**k  # e^{ik arg beta} = sign^k e^{-ik arg mu}
+            block += coef[0, inverse] * phase
+            block += coef[1, inverse] * np.conj(phase)
         total[pts] = block
-    return total.reshape(alpha.shape)
+    return total.reshape(mu.shape)
 
 
 def characteristic_function(v: FockVector, lam, s: float):
@@ -210,7 +206,7 @@ def characteristic_function(v: FockVector, lam, s: float):
         raise SParameterOutOfRange(f"s must be < 1, got {s}")
     lam = np.asarray(lam, dtype=complex)
     # the Gaussian factor after the kernel, so that its array is not held during the kernel
-    total = _ordered_overlap(v.amps, v.amps, lam, -np.conj(lam)) * np.exp(0.5 * (s - 1.0) * np.abs(lam) ** 2)
+    total = _ordered_overlap(v.amps, v.amps, lam, -1) * np.exp(0.5 * (s - 1.0) * np.abs(lam) ** 2)
     return total if total.ndim else complex(total)
 
 
@@ -241,7 +237,7 @@ def _quasi_values(c: np.ndarray, z: np.ndarray, s: float) -> np.ndarray:
     """F(z, s) of the amplitudes ``c``, s < 1, without the finiteness check."""
     if s == -1.0:
         # coherent-state projection <z|v> = e^{-|z|^2/2} <0|e^{-z K+} e^{conj(z) K-}|v>
-        proj = _ordered_overlap(np.ones(1), c, -z, np.conj(z))
+        proj = _ordered_overlap(np.ones(1), c, -z, -1)
         return np.exp(-np.abs(z) ** 2) * np.abs(proj) ** 2 / math.pi
     # the pair weight ratio^a = (sign t)^a t^a is split between the two
     # vectors, so the support cutoff sees c_n t^n (see the module docstring)
@@ -250,7 +246,7 @@ def _quasi_values(c: np.ndarray, z: np.ndarray, s: float) -> np.ndarray:
     sign = math.copysign(1.0, ratio)
     n = np.arange(c.size)
     w = 2.0 * z / (1.0 - s)
-    total = _ordered_overlap(c * (sign * t) ** n, c * t**n, w / (sign * t), np.conj(w) / t).real
+    total = _ordered_overlap(c * (sign * t) ** n, c * t**n, w / (sign * t), sign).real
     return 2.0 / (math.pi * (1.0 - s)) * np.exp(-2.0 * np.abs(z) ** 2 / (1.0 - s)) * total
 
 

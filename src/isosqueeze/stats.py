@@ -3,9 +3,12 @@
 All quantities are taken with respect to the excitation number above
 the effective vacuum |3> (the counting operator of the Heisenberg
 pair), which acts on |3>, |4>, ... exactly as the usual photon number
-acts on |0>, |1>, ...  Moments are accumulated from the probability
-vector with exact falling-factorial weights rather than by repeated
-operator application; this avoids truncation-edge leakage entirely.
+acts on |0>, |1>, ...  ``moments`` reads the probability vector once
+and returns the falling-factorial moments m_1..m_4, accumulated with
+exact falling-factorial weights rather than by repeated operator
+application, so truncation-edge leakage cannot enter.  Mandel Q,
+g2(0) and A3 are closed forms of that one table: <nu> = m_1 and
+<nu^2> = m_2 + m_1.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ from .fock import FockVector, probabilities
 __all__ = [
     "UndefinedMoment",
     "UndefinedA3",
-    "excitation_moments",
+    "moments",
     "mandel_q",
     "g2_zero",
-    "factorial_moment",
     "a3_parameter",
 ]
 
@@ -33,43 +35,34 @@ class UndefinedA3(ZeroDivisionError):
     """A3 denominator vanishes (0/0); the input is degenerate."""
 
 
-def excitation_moments(v: FockVector) -> tuple[float, float]:
-    """First two moments of the excitation number above |3>."""
-    nu = v.offsets.astype(float)
-    p = probabilities(v)
-    return float(np.sum(nu * p)), float(np.sum(nu * nu * p))
+def moments(v: FockVector) -> np.ndarray:
+    """Falling-factorial moments m_j = sum nu (nu-1) ... (nu-j+1) P(nu), j = 1..4.
 
-
-def mandel_q(v: FockVector) -> float:
-    """Mandel Q = <nu^2>/<nu> - <nu> - 1; > 0 is super-Poissonian."""
-    mean, mean_sq = excitation_moments(v)
-    if mean == 0.0:
-        raise UndefinedMoment("Mandel Q undefined for a state with zero mean excitation")
-    return mean_sq / mean - mean - 1.0
-
-def g2_zero(v: FockVector) -> float:
-    """Zero-delay second-order correlation (<nu^2> - <nu>) / <nu>^2."""
-    mean, mean_sq = excitation_moments(v)
-    if mean == 0.0:
-        raise UndefinedMoment("g2(0) undefined for a state with zero mean excitation")
-    return (mean_sq - mean) / mean**2
-
-
-def factorial_moment(v: FockVector, j: int) -> float:
-    """j-th falling-factorial moment sum nu (nu-1) ... (nu-j+1) P(nu).
-
-    Offsets below j contribute exactly zero, so the sum effectively
-    starts at the first even offset >= j.
+    One running weight is multiplied by nu - j per order; offsets below
+    j contribute exactly zero, so m_j effectively starts at offset j.
     """
-    if not 1 <= j <= 4:
-        raise ValueError("factorial moments are tabulated for j = 1..4")
     nu = v.offsets.astype(float)
     p = probabilities(v)
+    m = np.empty(4)
     weight = np.ones_like(nu)
-    for t in range(j):
-        weight = weight * (nu - t)
-    weight[: j] = 0.0  # clip the identically-zero head against rounding
-    return float(np.sum(weight * p))
+    for j in range(4):
+        weight *= nu - j
+        m[j] = np.sum(weight * p)
+    return m
+
+
+def mandel_q(m: np.ndarray) -> float:
+    """Mandel Q = m_2/m_1 - m_1 of a ``moments`` table; > 0 is super-Poissonian."""
+    if m[0] == 0.0:
+        raise UndefinedMoment("Mandel Q undefined for a state with zero mean excitation")
+    return float(m[1] / m[0] - m[0])
+
+
+def g2_zero(m: np.ndarray) -> float:
+    """Zero-delay second-order correlation m_2 / m_1^2 of a ``moments`` table."""
+    if m[0] == 0.0:
+        raise UndefinedMoment("g2(0) undefined for a state with zero mean excitation")
+    return float(m[1] / m[0] ** 2)
 
 
 def _det3(m: np.ndarray) -> float:
@@ -81,27 +74,20 @@ def _det3(m: np.ndarray) -> float:
     )
 
 
-def _moment_matrices(v: FockVector) -> tuple[np.ndarray, np.ndarray]:
-    m = [factorial_moment(v, j) for j in range(1, 5)]
-    mean = m[0]
-    mu = [mean**j for j in range(1, 5)]
-    mat_m = np.array(
-        [[1.0, m[0], m[1]], [m[0], m[1], m[2]], [m[1], m[2], m[3]]]
-    )
-    mat_mu = np.array(
-        [[1.0, mu[0], mu[1]], [mu[0], mu[1], mu[2]], [mu[1], mu[2], mu[3]]]
-    )
-    return mat_m, mat_mu
+def _hankel(h) -> np.ndarray:
+    """[[1, h_1, h_2], [h_1, h_2, h_3], [h_2, h_3, h_4]]."""
+    return np.array([[1.0, h[0], h[1]], [h[0], h[1], h[2]], [h[1], h[2], h[3]]])
 
 
-def a3_parameter(v: FockVector) -> float:
-    """Moment-determinant ratio det m3 / (det mu3 - det m3).
+def a3_parameter(m: np.ndarray) -> float:
+    """Moment-determinant ratio det m3 / (det mu3 - det m3) of a ``moments`` table.
 
     Values in [-1, 0) witness non-classicality; -1 is attained by
     number states.  Raises :class:`UndefinedA3` when the denominator
     vanishes (all moments zero, e.g. the effective vacuum).
     """
-    mat_m, mat_mu = _moment_matrices(v)
+    mat_m = _hankel(m)
+    mat_mu = _hankel([float(m[0]) ** j for j in range(1, 5)])
     det_m = _det3(mat_m)
     det_mu = _det3(mat_mu)
     # identically zero in exact arithmetic; allow cofactor rounding at the

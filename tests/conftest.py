@@ -2,10 +2,11 @@
 
 The oracles here deliberately avoid the library's own code paths:
 explicit rational-arithmetic polynomial sums, direct term-by-term
-series summation with lgamma, dense-matrix operator algebra, the
-per-element Cahill-Glauber displacement closed form summed pair by
-pair, and the paper's cosine double sum for the quadrature
-distribution.
+series summation with lgamma, power moments summed from nu^j P(nu)
+(the library reads falling-factorial moments), dense-matrix operator
+algebra, the per-element Cahill-Glauber displacement closed form
+summed pair by pair, and the paper's cosine double sum for the
+quadrature distribution.
 """
 
 from __future__ import annotations
@@ -84,6 +85,25 @@ def unitary_probability(n: int, xi: float) -> float:
 def squeezed_norm_closed_form(xi: float) -> float:
     """Unitary-route normalization in closed form: (1 - xi^2)^(1/4)."""
     return (1.0 - xi * xi) ** 0.25
+
+
+def power_moments(v) -> tuple[float, float]:
+    """<nu> and <nu^2> of the excitation number above |3>, summed from nu^j P(nu)."""
+    nu = v.offsets.astype(float)
+    p = np.abs(v.amps) ** 2
+    return float(np.sum(nu * p)), float(np.sum(nu * nu * p))
+
+
+def mandel_q_power(v) -> float:
+    """Mandel Q = <nu^2>/<nu> - <nu> - 1 from the power moments."""
+    mean, mean_sq = power_moments(v)
+    return mean_sq / mean - mean - 1.0
+
+
+def g2_zero_power(v) -> float:
+    """g2(0) = (<nu^2> - <nu>) / <nu>^2 from the power moments."""
+    mean, mean_sq = power_moments(v)
+    return (mean_sq - mean) / mean**2
 
 
 def heisenberg_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:

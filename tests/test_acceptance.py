@@ -55,11 +55,12 @@ def test_criterion_2_unitary_route_closed_forms():
             (1.0 - xi * xi) ** 0.25, abs=1e-10
         )
         v = iq.build_squeezed(params)
-        mean, _ = stats.excitation_moments(v)
+        m = stats.moments(v)
+        mean = m[0]
         assert mean == pytest.approx(xi * xi / (1.0 - xi * xi), abs=1e-8)
-        assert stats.mandel_q(v) == pytest.approx(2.0 * mean + 1.0, abs=1e-8)
-        assert stats.g2_zero(v) == pytest.approx(3.0 + 1.0 / mean, abs=1e-8)
-        assert stats.mandel_q(v) > 0.0 and stats.g2_zero(v) > 1.0
+        assert stats.mandel_q(m) == pytest.approx(2.0 * mean + 1.0, abs=1e-8)
+        assert stats.g2_zero(m) == pytest.approx(3.0 + 1.0 / mean, abs=1e-8)
+        assert stats.mandel_q(m) > 0.0 and stats.g2_zero(m) > 1.0
         rep = squeezing.squeezing_report(v, xi, 0.0)
         i1, i2 = rep.i1, rep.i2
         assert i1 == pytest.approx(2.0 * xi / (1.0 - xi), abs=1e-6)
@@ -72,9 +73,10 @@ def test_criterion_3_nonlinear_route_sweep():
     start = time.perf_counter()
     for r in np.linspace(31.0 / 64.0, 31.0, 64):
         v = iq.build_nonlinear_squeezed(iq.SqueezeParams(kind="i", r=float(r), n_max=70))
-        assert stats.mandel_q(v) > 0.0
-        assert stats.g2_zero(v) > 1.0
-        a3 = stats.a3_parameter(v)
+        m = stats.moments(v)
+        assert stats.mandel_q(m) > 0.0
+        assert stats.g2_zero(m) > 1.0
+        a3 = stats.a3_parameter(m)
         assert -1.0 - 1e-9 <= a3 < 0.0
 
     thetas = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)

@@ -104,6 +104,20 @@ class TestStatsCommand:
         assert rows[0] == pytest.approx(0.2)
         assert rows[-1] == pytest.approx(0.8)
 
+    def test_one_moment_table_per_point(self, capsys, monkeypatch):
+        tables = []
+        moments = stats.moments
+
+        def counted(v):
+            tables.append(v)
+            return moments(v)
+
+        monkeypatch.setattr(stats, "moments", counted)
+        code, out, _ = _run(capsys, "stats", "--case", "i", "--r-max", "31", "--r-steps", "5")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 5
+        assert len(tables) == 5
+
 
 class TestSqueezeCommand:
     def test_columns_and_grid_shape(self, capsys):
@@ -287,7 +301,7 @@ class TestValidation:
         def broken(v):
             raise ValueError("internal failure")
 
-        monkeypatch.setattr(stats, "excitation_moments", broken)
+        monkeypatch.setattr(stats, "moments", broken)
         with pytest.raises(ValueError, match="internal failure"):
             main(["stats", "--case", "i", "--r-max", "5", "--r-steps", "2"])
 

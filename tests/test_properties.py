@@ -11,7 +11,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import isosqueeze as iq
-from isosqueeze import dist, states, stats
+from isosqueeze import dist, squeezing, states, stats
+from conftest import g2_zero_power, mandel_q_power
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
 
@@ -56,9 +57,31 @@ def test_quadrature_distribution_is_a_density_at_every_phase(params):
 @PROPERTY
 @given(squeeze_params())
 def test_g2_is_one_plus_q_over_mean(params):
+    m = stats.moments(iq.build_state(params))
+    assert math.isclose(stats.g2_zero(m), 1.0 + stats.mandel_q(m) / m[0], rel_tol=1e-9)
+
+
+@PROPERTY
+@given(squeeze_params())
+def test_q_and_g2_match_power_moment_oracle(params):
     v = iq.build_state(params)
-    mean, _ = stats.excitation_moments(v)
-    assert math.isclose(stats.g2_zero(v), 1.0 + stats.mandel_q(v) / mean, rel_tol=1e-9)
+    m = stats.moments(v)
+    assert math.isclose(stats.mandel_q(m), mandel_q_power(v), rel_tol=1e-12)
+    assert math.isclose(stats.g2_zero(m), g2_zero_power(v), rel_tol=1e-12)
+
+
+@PROPERTY
+@given(
+    st.sampled_from(["i", "iii"]),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=1, max_size=8),
+)
+def test_uncertainty_product(kind, fraction, thetas):
+    # (I1 + 1)(I2 + 1) >= 1 is the Heisenberg bound of the two quadrature variances
+    r = 31.0 * fraction if kind == "i" else 0.95 * fraction
+    for report in squeezing.squeezing_grid(kind, [r], thetas):
+        assert (report.i1 + 1.0) * (report.i2 + 1.0) >= 1.0 - 1e-9
+        assert report.uncertainty_ok
 
 
 @PROPERTY

@@ -1,15 +1,22 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import isosqueeze as iq
 from isosqueeze import fock, stats
-from conftest import unitary_probability
+from conftest import power_moments, unitary_probability
 
 
 def _unitary_state(xi, n_max=400):
     return iq.build_squeezed(iq.SqueezeParams(kind="iii", r=xi, n_max=n_max))
+
+
+def _mean_and_square(v):
+    """<nu> = m_1 and <nu^2> = m_2 + m_1 from the moment table."""
+    m = stats.moments(v)
+    return float(m[0]), float(m[1] + m[0])
 
 
 def _photon_distribution(v):
@@ -39,19 +46,19 @@ class TestPhotonDistribution:
 
 class TestExcitationMoments:
     def test_effective_vacuum(self):
-        assert stats.excitation_moments(iq.basis_vector(3, 4)) == (0.0, 0.0)
+        assert _mean_and_square(iq.basis_vector(3, 4)) == (0.0, 0.0)
 
     def test_eigenstate(self):
-        assert stats.excitation_moments(iq.basis_vector(7, 8)) == (4.0, 16.0)
+        assert _mean_and_square(iq.basis_vector(7, 8)) == (4.0, 16.0)
 
     def test_unitary_closed_form(self):
         for xi in (0.2, 0.4, 0.7):
-            mean, _ = stats.excitation_moments(_unitary_state(xi))
+            mean, _ = _mean_and_square(_unitary_state(xi))
             assert mean == pytest.approx(xi * xi / (1.0 - xi * xi), abs=1e-10)
 
     def test_direct_series_oracle(self):
         xi = 0.4
-        mean, mean_sq = stats.excitation_moments(_unitary_state(xi, n_max=70))
+        mean, mean_sq = _mean_and_square(_unitary_state(xi, n_max=70))
         oracle_mean = sum(2 * n * unitary_probability(n, xi) for n in range(71))
         oracle_sq = sum((2 * n) ** 2 * unitary_probability(n, xi) for n in range(71))
         assert mean == pytest.approx(oracle_mean, rel=1e-12)
@@ -61,76 +68,97 @@ class TestExcitationMoments:
 class TestMandelAndG2:
     @pytest.mark.parametrize("xi", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_squeezed_vacuum_closed_forms(self, xi):
-        v = _unitary_state(xi)
-        mean, _ = stats.excitation_moments(v)
-        assert stats.mandel_q(v) == pytest.approx(2.0 * mean + 1.0, abs=1e-8)
-        assert stats.g2_zero(v) == pytest.approx(3.0 + 1.0 / mean, abs=1e-8)
+        m = stats.moments(_unitary_state(xi))
+        mean = m[0]
+        assert stats.mandel_q(m) == pytest.approx(2.0 * mean + 1.0, abs=1e-8)
+        assert stats.g2_zero(m) == pytest.approx(3.0 + 1.0 / mean, abs=1e-8)
 
     def test_q_g2_relation(self, nonlinear_r20):
-        mean, _ = stats.excitation_moments(nonlinear_r20)
-        q = stats.mandel_q(nonlinear_r20)
-        g2 = stats.g2_zero(nonlinear_r20)
+        m = stats.moments(nonlinear_r20)
+        mean = m[0]
+        q = stats.mandel_q(m)
+        g2 = stats.g2_zero(m)
         assert q == pytest.approx(mean * (g2 - 1.0), abs=1e-10)
 
     def test_undefined_on_vacuum(self):
+        vacuum = stats.moments(iq.basis_vector(3, 4))
         with pytest.raises(stats.UndefinedMoment):
-            stats.mandel_q(iq.basis_vector(3, 4))
+            stats.mandel_q(vacuum)
         with pytest.raises(stats.UndefinedMoment):
-            stats.g2_zero(iq.basis_vector(3, 4))
+            stats.g2_zero(vacuum)
 
     def test_nonlinear_sweep_super_poissonian(self):
         for r in np.linspace(31.0 / 16, 31.0, 16):
             v = iq.build_nonlinear_squeezed(iq.SqueezeParams(kind="i", r=float(r), n_max=70))
-            assert stats.mandel_q(v) > 0.0
-            assert stats.g2_zero(v) > 1.0
+            m = stats.moments(v)
+            assert stats.mandel_q(m) > 0.0
+            assert stats.g2_zero(m) > 1.0
 
 
 class TestFactorialMoments:
     def test_eigenstate_falling_factorials(self):
-        five = iq.basis_vector(5, 8)
-        assert stats.factorial_moment(five, 1) == 2.0
-        assert stats.factorial_moment(five, 2) == 2.0
-        assert stats.factorial_moment(five, 3) == 0.0
-        assert stats.factorial_moment(five, 4) == 0.0
+        m = stats.moments(iq.basis_vector(5, 8))
+        assert m[0] == 2.0
+        assert m[1] == 2.0
+        assert m[2] == 0.0
+        assert m[3] == 0.0
 
     def test_vacuum_all_zero(self):
         vac = iq.basis_vector(3, 6)
-        assert all(stats.factorial_moment(vac, j) == 0.0 for j in range(1, 5))
+        assert all(m == 0.0 for m in stats.moments(vac))
 
     def test_second_moment_operator_identity(self, unitary_xi04):
         # R^2 L^2 = K0 (K0 - 1) on the ladder
-        mean, mean_sq = stats.excitation_moments(unitary_xi04)
-        assert stats.factorial_moment(unitary_xi04, 2) == pytest.approx(mean_sq - mean, abs=1e-10)
+        mean, mean_sq = power_moments(unitary_xi04)
+        assert stats.moments(unitary_xi04)[1] == pytest.approx(mean_sq - mean, abs=1e-10)
 
     def test_non_negative(self, nonlinear_r20, unitary_xi04):
         for v in (nonlinear_r20, unitary_xi04):
-            for j in range(1, 5):
-                assert stats.factorial_moment(v, j) >= 0.0
+            for m in stats.moments(v):
+                assert m >= 0.0
 
-    def test_range_checked(self):
-        with pytest.raises(ValueError):
-            stats.factorial_moment(iq.basis_vector(3, 4), 5)
+
+def _exact_factorial_moments(p):
+    """sum nu (nu-1) ... (nu-j+1) p_nu for j = 1..4 in rational arithmetic."""
+    return [sum(math.perm(nu, j) * Fraction(p_nu) for nu, p_nu in enumerate(p)) for j in range(1, 5)]
+
+
+class TestMomentTable:
+    """``moments`` against exact rational sums."""
+
+    @pytest.mark.parametrize("level", [3, 4, 5, 6, 7, 12, 40])
+    def test_number_states_exact(self, level):
+        v = iq.basis_vector(level, level + 5)
+        assert stats.moments(v).tolist() == _exact_factorial_moments(fock.probabilities(v).tolist())
+
+    def test_random_rational_distribution(self):
+        rng = np.random.default_rng(1992)
+        counts = rng.integers(0, 1000, size=60).tolist()
+        p = [Fraction(c, sum(counts)) for c in counts]
+        m = stats.moments(iq.FockVector(np.sqrt([float(p_nu) for p_nu in p])))
+        for got, want in zip(m, _exact_factorial_moments(p)):
+            assert got == pytest.approx(float(want), rel=1e-13)
 
 
 class TestA3:
     def test_number_state_hits_minus_one(self):
         # det m3 of |5>: [[1,2,2],[2,2,0],[2,0,0]] = -8; det mu3 = 0
-        assert stats.a3_parameter(iq.basis_vector(5, 12)) == pytest.approx(-1.0, abs=1e-12)
+        assert stats.a3_parameter(stats.moments(iq.basis_vector(5, 12))) == pytest.approx(-1.0, abs=1e-12)
 
     def test_vacuum_undefined(self):
         with pytest.raises(stats.UndefinedA3):
-            stats.a3_parameter(iq.basis_vector(3, 6))
+            stats.a3_parameter(stats.moments(iq.basis_vector(3, 6)))
 
     def test_nonlinear_sweep_in_witness_band(self):
         for r in np.linspace(31.0 / 16, 31.0, 16):
             v = iq.build_nonlinear_squeezed(iq.SqueezeParams(kind="i", r=float(r), n_max=70))
-            a3 = stats.a3_parameter(v)
+            a3 = stats.a3_parameter(stats.moments(v))
             assert -1.0 - 1e-9 <= a3 < 0.0
 
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
-        reason="_moment_matrices fills mu with <nu>^j, a rank-1 matrix with det 0, so "
+        reason="a3_parameter fills mu with <nu>^j = m_1^j, a rank-1 matrix with det 0, so "
         "A3 = det m / (0 - det m) is -1 for every state; Agarwal and Tara "
         "(PRA 46, 485, 1992) define mu_j = <nu^j>, which gives 0.2817 at xi = 0.4",
     )
@@ -147,5 +175,5 @@ class TestA3:
         det_m, det_mu = hankel_det(factorial), hankel_det(ordinary)
         expected = det_m / (det_mu - det_m)
         assert expected == pytest.approx(0.2817, abs=1e-4)
-        assert stats.a3_parameter(_unitary_state(xi)) == pytest.approx(expected, rel=1e-9)
+        assert stats.a3_parameter(stats.moments(_unitary_state(xi))) == pytest.approx(expected, rel=1e-9)
 
