@@ -12,12 +12,12 @@ the strict xfail ``TestA3::test_matches_agarwal_tara_definition``).
 Run:  python demos/photon_statistics.py
 """
 
-from isosqueeze import SqueezeParams, build_nonlinear_squeezed, build_squeezed
+from isosqueeze import SqueezeParams, build_state
 from isosqueeze import fock, stats
 
 # --- photon-number distributions ------------------------------------------
-nonlinear = build_nonlinear_squeezed(SqueezeParams(kind="i", r=20.0, n_max=70))
-unitary = build_squeezed(SqueezeParams(kind="iii", r=0.4, n_max=70))
+nonlinear = build_state(SqueezeParams(kind="i", r=20.0, n_max=70))
+unitary = build_state(SqueezeParams(kind="iii", r=0.4, n_max=70))
 
 print("non-unitary route, r = 20 -- leading probabilities:")
 for level, prob in zip(nonlinear.levels[:12], fock.probabilities(nonlinear)):
@@ -35,7 +35,7 @@ for level, prob in zip(unitary.levels[:12], fock.probabilities(unitary)):
 print("\nnon-unitary route sweep (n_max = 70):")
 print(f"  {'r':>5} {'meanK0':>10} {'Q':>10} {'g2(0)':>10} {'A3':>8}")
 for r in (0.5, 2.0, 5.0, 10.0, 20.0, 31.0):
-    v = build_nonlinear_squeezed(SqueezeParams(kind="i", r=r, n_max=70))
+    v = build_state(SqueezeParams(kind="i", r=r, n_max=70))
     m = stats.moments(v)  # falling-factorial moments; <K0> = m[0]
     print(f"  {r:5.1f} {m[0]:10.5f} {stats.mandel_q(m):10.5f} "
           f"{stats.g2_zero(m):10.4f} {stats.a3_parameter(m):8.4f}")
@@ -43,7 +43,7 @@ for r in (0.5, 2.0, 5.0, 10.0, 20.0, 31.0):
 print("\nunitary route sweep (closed forms: Q = 2<K0>+1, g2 = 3 + 1/<K0>):")
 print(f"  {'xi':>5} {'meanK0':>10} {'Q':>10} {'g2(0)':>10}")
 for xi in (0.1, 0.3, 0.5, 0.7, 0.9):
-    v = build_squeezed(SqueezeParams(kind="iii", r=xi, n_max=400))
+    v = build_state(SqueezeParams(kind="iii", r=xi, n_max=400))
     m = stats.moments(v)
     print(f"  {xi:5.1f} {m[0]:10.5f} {stats.mandel_q(m):10.5f} {stats.g2_zero(m):10.4f}")
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from isosqueeze import SqueezeParams, build_squeezed
+from isosqueeze import SqueezeParams, build_state
 from isosqueeze import squeezing
 
 # --- phase sweep at fixed modulus, non-unitary route ------------------------
@@ -41,14 +41,14 @@ print("max |I3(theta+pi/2) - I4(theta)|:", np.max(np.abs(np.roll(i3, -4) - i4)))
 # --- unitary route: closed forms at real xi ---------------------------------
 print("\nunitary route at real xi (I1 = 2 xi/(1-xi), I2 = -2 xi/(1+xi)):")
 for xi in (0.2, 0.4, 0.6):
-    v = build_squeezed(SqueezeParams(kind="iii", r=xi, n_max=200))
+    v = build_state(SqueezeParams(kind="iii", r=xi, n_max=200))
     rep = squeezing.squeezing_report(v, xi, 0.0)
     got1, got2 = rep.i1, rep.i2
     print(f"  xi={xi}:  I1 {got1:+.6f} (closed {2*xi/(1-xi):+.6f})   "
           f"I2 {got2:+.6f} (closed {-2*xi/(1+xi):+.6f})")
 
 # The Heisenberg floor (I1+1)(I2+1) >= 1 is saturated by the unitary route:
-v = build_squeezed(SqueezeParams(kind="iii", r=0.4, n_max=200))
+v = build_state(SqueezeParams(kind="iii", r=0.4, n_max=200))
 rep = squeezing.squeezing_report(v, 0.4, 0.0)
 one, two = rep.i1, rep.i2
 print("\nuncertainty product (I1+1)(I2+1) for xi = 0.4:", (one + 1.0) * (two + 1.0))

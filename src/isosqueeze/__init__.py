@@ -13,9 +13,10 @@ Husimi at s = -1).
 Modules
 -------
 specfun    log-factorials and stable polynomial recurrences
-fock       truncated state vectors and the tail diagnostic
+fock       truncated state vectors
 algebra    ladder-operator coefficient table and identity verification
-states     state builders and the divergence diagnostic
+states     the one state builder, its truncation policy and the
+           divergence diagnostic
 stats      photon statistics and moment diagnostics
 squeezing  quadrature / amplitude-squared squeezing witnesses
 dist       quadrature distribution and quasi-probability functions
@@ -28,8 +29,6 @@ from .states import (
     CASE_UNITARY,
     RadiusViolation,
     SqueezeParams,
-    build_nonlinear_squeezed,
-    build_squeezed,
     build_state,
     dual_series_diagnosis,
 )
@@ -42,8 +41,6 @@ __all__ = [
     "CASE_UNITARY",
     "RadiusViolation",
     "SqueezeParams",
-    "build_nonlinear_squeezed",
-    "build_squeezed",
     "build_state",
     "dual_series_diagnosis",
 ]

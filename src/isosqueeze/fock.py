@@ -4,8 +4,7 @@ The physical Hilbert space here excludes levels 0, 1 and 2: the level-0
 state is dynamically isolated and levels 1-2 are absent from the
 spectrum, so every vector lives on the ladder |3>, |4>, |5>, ...  A
 ``FockVector`` stores complex amplitudes for a contiguous run of levels
-starting at 3, together with a tail diagnostic estimating how much
-probability the truncation discards.
+starting at 3, together with the tail diagnostic ``states`` recorded.
 
 Vectors are immutable after construction and freely shareable between
 workers.
@@ -23,13 +22,9 @@ __all__ = [
     "InvalidParameter",
     "basis_vector",
     "probabilities",
-    "trailing_mass",
 ]
 
 BASE_LEVEL = 3
-
-# Number of top retained levels summed for the truncation diagnostic.
-TAIL_WINDOW = 5
 
 
 class InvalidParameter(ValueError):
@@ -45,9 +40,9 @@ class InvalidParameter(ValueError):
 class FockVector:
     """Complex amplitudes on levels 3, 4, 5, ...
 
-    ``tail_bound`` is an upper-bound proxy for the probability mass the
-    truncation discarded; builders populate it from the trailing
-    retained probabilities.
+    ``tail_bound`` is a proxy for the probability mass the truncation
+    discarded, set by ``states.build_state``; ``algebra.apply`` adds
+    what a raising moves off the top level.
     """
 
     amps: np.ndarray
@@ -98,13 +93,3 @@ def probabilities(v: FockVector) -> np.ndarray:
     """|amplitude|^2 per retained level."""
     return np.abs(v.amps) ** 2
 
-
-def trailing_mass(v: FockVector, window: int = TAIL_WINDOW) -> float:
-    """Probability carried by the top ``window`` retained levels.
-
-    The base level never counts towards the tail, so short windows on
-    barely-truncated states still report ~0 rather than the head mass.
-    """
-    p = probabilities(v)
-    start = max(1, p.size - window)
-    return float(p[start:].sum())

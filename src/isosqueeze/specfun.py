@@ -28,37 +28,32 @@ __all__ = [
     "weighted_hermite_table",
 ]
 
-# ln(n!) running sums, grown on demand; index n holds ln(n!).  The
-# array is a copy of the list for vectorized lookups.
-_LOG_FACTORIALS: list[float] = [0.0]
-_LOG_FACTORIAL_ARRAY = np.zeros(1)
+# ln(n!) for n = 0 .. size - 1 as a running sum of math.log(k), grown
+# on demand; one table serves scalar and array lookups.
+_LOG_FACTORIALS = np.zeros(1)
 
 
 def log_factorial(n):
-    """Return ln(n!) as a cached running sum of logs.
+    """Return ln(n!) from a cached running sum of logs.
 
     The cumulative construction makes log_factorial(n+1) -
     log_factorial(n) reproduce ln(n+1) to the last bit, which the
     series code relies on when forming term ratios.  An integer
-    ndarray ``n`` returns the array of ln(n!) values, bit-identical to
-    the scalar results.
+    ndarray ``n`` returns the array of ln(n!) values; an integer scalar
+    returns a float, bit-identical to the array entry.  Non-integer
+    input (float scalars included) is refused.
     """
-    global _LOG_FACTORIAL_ARRAY
-    if isinstance(n, np.ndarray):
-        if n.dtype.kind not in "iu" or (n.size and n.min() < 0):
-            raise ValueError("log_factorial expects non-negative integers")
-        top = int(n.max()) if n.size else 0
-        if _LOG_FACTORIAL_ARRAY.size <= top:
-            log_factorial(top)  # grows the list
-            _LOG_FACTORIAL_ARRAY = np.array(_LOG_FACTORIALS)
-        return _LOG_FACTORIAL_ARRAY[n]
-    if n < 0 or n != int(n):
-        raise ValueError(f"log_factorial expects a non-negative integer, got {n!r}")
-    n = int(n)
-    while len(_LOG_FACTORIALS) <= n:
-        k = len(_LOG_FACTORIALS)
-        _LOG_FACTORIALS.append(_LOG_FACTORIALS[-1] + math.log(k))
-    return _LOG_FACTORIALS[n]
+    global _LOG_FACTORIALS
+    idx = np.asarray(n)
+    if idx.dtype.kind not in "iu" or (idx.size and idx.min() < 0):
+        raise ValueError(f"log_factorial expects non-negative integers, got {n!r}")
+    top = int(idx.max()) if idx.size else 0
+    table = _LOG_FACTORIALS  # a local reference: a concurrent grower may swap the global
+    if table.size <= top:
+        steps = [table[-1]] + [math.log(k) for k in range(table.size, top + 1)]
+        table = _LOG_FACTORIALS = np.concatenate((table, np.add.accumulate(steps)[1:]))
+    out = table[idx]
+    return out if isinstance(n, np.ndarray) else float(out)
 
 
 def assoc_laguerre_sequence(n_max: int, k: int, x: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Squeezed-state construction on the truncated ladder.
 
-Two squeezing routes produce normalizable states:
+``build_state`` is the one route from ``SqueezeParams`` to a state;
+``kind`` picks the amplitude law from ``_LOG_TERMS``:
 
 * the non-unitary route ("case i"), driven by the one-sided rescaled
   raising operator together with the deformed lowering operator, whose
@@ -21,7 +22,8 @@ non-unitary squeezing operator is never exponentiated: its matrix is
 non-normal and exponentiation is numerically fragile, while the
 expansion is exact.  All factorial ratios go through log space and the
 largest log-term is subtracted before exponentiation, so construction
-stays finite at any amplitude (checked out to r ~ 31 and beyond).
+stays finite at any amplitude (checked against 50 digits to r = 1e3).
+This module alone holds the truncation policy (see ``build_state``).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fock import FockVector, InvalidParameter, trailing_mass
+from .fock import FockVector, InvalidParameter
 from .specfun import log_factorial
 
 __all__ = [
@@ -40,8 +42,6 @@ __all__ = [
     "SqueezeParams",
     "RadiusViolation",
     "DualSeriesReport",
-    "build_nonlinear_squeezed",
-    "build_squeezed",
     "build_state",
     "norm_constant",
     "dual_series_diagnosis",
@@ -50,8 +50,10 @@ __all__ = [
 CASE_NONLINEAR = "i"
 CASE_UNITARY = "iii"
 
-# Builders raise the truncation for strongly squeezed unitary states
-# until the trailing retained probability drops below this.
+# tail_bound is the probability on the top TAIL_WINDOW retained levels,
+# a proxy for the discarded mass; build_state grows strongly squeezed
+# unitary states until it drops below _AUTO_TAIL_TARGET.
+TAIL_WINDOW = 5
 _AUTO_TAIL_TARGET = 1e-10
 _AUTO_N_MAX_CEILING = 20000
 
@@ -129,57 +131,40 @@ def _log_norm(log_mag: np.ndarray) -> float:
     return -0.5 * (peak + math.log(math.fsum(np.exp(log_sq - peak))))
 
 
-def _assemble(params: SqueezeParams, log_terms_fn) -> FockVector:
+_LOG_TERMS = {CASE_NONLINEAR: _log_terms_nonlinear, CASE_UNITARY: _log_terms_unitary}
+
+
+def _assemble(params: SqueezeParams) -> FockVector:
+    """The state at exactly ``params.n_max``, with its tail proxy."""
     n_idx = np.arange(params.n_max + 1)
-    log_mag = log_terms_fn(n_idx, params.r)
+    log_mag = _LOG_TERMS[params.kind](n_idx, params.r)
     amps = np.zeros(2 * params.n_max + 1, dtype=complex)
     amps[::2] = np.exp(log_mag + _log_norm(log_mag)) * np.exp(1j * params.theta * n_idx)
-    return FockVector(amps, tail_bound=trailing_mass(FockVector(amps)))
-
-
-def build_nonlinear_squeezed(params: SqueezeParams) -> FockVector:
-    """Non-unitary-route squeezed state for beta = r e^{i theta}.
-
-    Amplitudes follow c_{2n+3} ~ beta^n / (2^n n!) *
-    sqrt((2n)! / ((2n+2)! (2n+3)!)); odd offsets are exactly zero and
-    the result is normalized to unit 2-norm.
-    """
-    if params.kind != CASE_NONLINEAR:
-        raise ValueError("build_nonlinear_squeezed expects kind 'i'")
-    return _assemble(params, _log_terms_nonlinear)
-
-
-def build_squeezed(params: SqueezeParams) -> FockVector:
-    """Unitary-route squeezed state for xi = r e^{i theta}, |xi| < 1.
-
-    Amplitudes follow c_{2n+3} ~ xi^n sqrt((2n)!) / (2^n n!), the
-    squeezed-vacuum law with tanh(r_s) = |xi| shifted to base level 3.
-    For |xi| > 0.7 the truncation is raised automatically until the
-    trailing retained probability drops below 1e-10.
-    """
-    if params.kind != CASE_UNITARY:
-        raise ValueError("build_squeezed expects kind 'iii'")
-    p = params
-    vec = _assemble(p, _log_terms_unitary)
-    while p.r > 0.7 and trailing_mass(vec) >= _AUTO_TAIL_TARGET:
-        if p.n_max >= _AUTO_N_MAX_CEILING:
-            break
-        p = replace(p, n_max=min(2 * p.n_max, _AUTO_N_MAX_CEILING))
-        vec = _assemble(p, _log_terms_unitary)
-    return vec
+    # the base level never counts, so a barely truncated state reports ~0
+    tail = float(np.sum(np.abs(amps[max(1, amps.size - TAIL_WINDOW):]) ** 2))
+    return FockVector(amps, tail_bound=tail)
 
 
 def build_state(params: SqueezeParams) -> FockVector:
-    """Dispatch on the route kind."""
-    if params.kind == CASE_NONLINEAR:
-        return build_nonlinear_squeezed(params)
-    return build_squeezed(params)
+    """Normalized squeezed state of route ``params.kind``; odd offsets are 0.
+
+    Case i: c_{2n+3} ~ beta^n / (2^n n!) sqrt((2n)! / ((2n+2)! (2n+3)!)).
+    Case iii: c_{2n+3} ~ xi^n sqrt((2n)!) / (2^n n!).  For case iii with
+    |xi| > 0.7, n_max doubles until the tail proxy is below 1e-10 or
+    n_max reaches 20000.
+    """
+    p = params
+    vec = _assemble(p)
+    while (p.kind == CASE_UNITARY and p.r > 0.7 and vec.tail_bound >= _AUTO_TAIL_TARGET
+           and p.n_max < _AUTO_N_MAX_CEILING):
+        p = replace(p, n_max=min(2 * p.n_max, _AUTO_N_MAX_CEILING))
+        vec = _assemble(p)
+    return vec
 
 
 def norm_constant(params: SqueezeParams) -> float:
     """Normalization constant N of the closed-form expansion, exp(ln N)."""
-    fn = _log_terms_nonlinear if params.kind == CASE_NONLINEAR else _log_terms_unitary
-    return math.exp(_log_norm(fn(np.arange(params.n_max + 1), params.r)))
+    return math.exp(_log_norm(_LOG_TERMS[params.kind](np.arange(params.n_max + 1), params.r)))
 
 
 @dataclass(frozen=True)

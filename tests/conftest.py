@@ -5,8 +5,8 @@ explicit rational-arithmetic polynomial sums, direct term-by-term
 series summation with lgamma, power moments summed from nu^j P(nu)
 (the library reads falling-factorial moments), dense-matrix operator
 algebra, the per-element Cahill-Glauber displacement closed form
-summed pair by pair, and the paper's cosine double sum for the
-quadrature distribution.
+summed pair by pair, the paper's cosine double sum for the
+quadrature distribution, and both amplitude laws in 50-digit mpmath.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lgamma, exp, factorial, sqrt
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -87,6 +88,25 @@ def squeezed_norm_closed_form(xi: float) -> float:
     return (1.0 - xi * xi) ** 0.25
 
 
+def amplitudes_mp(kind: str, r: float, theta: float, n_max: int) -> np.ndarray:
+    """Normalized c_{2n+3}, n = 0..n_max, of either law at 50 digits.
+
+    Case i: beta^n / (2^n n!) sqrt((2n)! / ((2n+2)! (2n+3)!)); case iii:
+    xi^n sqrt((2n)!) / (2^n n!); both normalized over the retained n.
+    """
+    with mpmath.workdps(50):
+        amp = mpmath.mpc(mpmath.cos(theta), mpmath.sin(theta)) * r
+        f = mpmath.factorial
+        terms = []
+        for n in range(n_max + 1):
+            term = amp**n * mpmath.sqrt(f(2 * n)) / (2**n * f(n))
+            if kind == "i":
+                term /= mpmath.sqrt(f(2 * n + 2) * f(2 * n + 3))
+            terms.append(term)
+        norm = mpmath.sqrt(mpmath.fsum(abs(t) ** 2 for t in terms))
+        return np.array([complex(t / norm) for t in terms])
+
+
 def power_moments(v) -> tuple[float, float]:
     """<nu> and <nu^2> of the excitation number above |3>, summed from nu^j P(nu)."""
     nu = v.offsets.astype(float)
@@ -124,12 +144,12 @@ def displacement_expm(lam: complex, dim: int) -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def nonlinear_r20():
-    return iq.build_nonlinear_squeezed(iq.SqueezeParams(kind="i", r=20.0, n_max=70))
+    return iq.build_state(iq.SqueezeParams(kind="i", r=20.0, n_max=70))
 
 
 @pytest.fixture(scope="session")
 def unitary_xi04():
-    return iq.build_squeezed(iq.SqueezeParams(kind="iii", r=0.4, n_max=70))
+    return iq.build_state(iq.SqueezeParams(kind="iii", r=0.4, n_max=70))
 
 
 def laguerre_rows(n_max: int, k: int, x: np.ndarray) -> list[np.ndarray]:

@@ -54,7 +54,7 @@ def test_criterion_2_unitary_route_closed_forms():
         assert states.norm_constant(params) == pytest.approx(
             (1.0 - xi * xi) ** 0.25, abs=1e-10
         )
-        v = iq.build_squeezed(params)
+        v = iq.build_state(params)
         m = stats.moments(v)
         mean = m[0]
         assert mean == pytest.approx(xi * xi / (1.0 - xi * xi), abs=1e-8)
@@ -72,7 +72,7 @@ def test_criterion_2_unitary_route_closed_forms():
 def test_criterion_3_nonlinear_route_sweep():
     start = time.perf_counter()
     for r in np.linspace(31.0 / 64.0, 31.0, 64):
-        v = iq.build_nonlinear_squeezed(iq.SqueezeParams(kind="i", r=float(r), n_max=70))
+        v = iq.build_state(iq.SqueezeParams(kind="i", r=float(r), n_max=70))
         m = stats.moments(v)
         assert stats.mandel_q(m) > 0.0
         assert stats.g2_zero(m) > 1.0

@@ -163,9 +163,9 @@ class TestQuadDistCommand:
         builds = []
         assemble = states._assemble
 
-        def counting(params, log_terms_fn):
+        def counting(params):
             builds.append(params)
-            return assemble(params, log_terms_fn)
+            return assemble(params)
 
         monkeypatch.setattr(states, "_assemble", counting)
         code, _, _ = _run(capsys, "quad-dist", "--r", "10", "--x-steps", "5", "--phi-steps", "4")

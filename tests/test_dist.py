@@ -13,11 +13,11 @@ from conftest import (
 
 
 def _nonlinear(r, theta=0.0, n_max=70):
-    return iq.build_nonlinear_squeezed(iq.SqueezeParams(kind="i", r=r, theta=theta, n_max=n_max))
+    return iq.build_state(iq.SqueezeParams(kind="i", r=r, theta=theta, n_max=n_max))
 
 
 def _unitary(xi, phase=0.0, n_max=120):
-    return iq.build_squeezed(iq.SqueezeParams(kind="iii", r=xi, theta=phase, n_max=n_max))
+    return iq.build_state(iq.SqueezeParams(kind="iii", r=xi, theta=phase, n_max=n_max))
 
 
 class TestQuadratureWavefunction:

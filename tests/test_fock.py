@@ -19,11 +19,11 @@ class TestFockVector:
 
 class TestTailDiagnostics:
     def test_vacuum_has_no_tail(self):
-        assert fock.trailing_mass(iq.build_state(iq.SqueezeParams(kind="i", r=0.0))) <= 1e-300
+        assert iq.build_state(iq.SqueezeParams(kind="i", r=0.0)).tail_bound <= 1e-300
 
     def test_unitary_tail_small(self):
         params = iq.SqueezeParams(kind="iii", r=0.4, n_max=70)
-        tail = fock.trailing_mass(iq.build_state(params))
+        tail = iq.build_state(params).tail_bound
         assert tail < 1e-12
         # direct series oracle over the top retained half-indices
         oracle = sum(unitary_probability(n, 0.4) for n in (68, 69, 70))
@@ -31,7 +31,7 @@ class TestTailDiagnostics:
 
     def test_nonlinear_tail_small(self):
         params = iq.SqueezeParams(kind="i", r=20.0, n_max=70)
-        tail = fock.trailing_mass(iq.build_state(params))
+        tail = iq.build_state(params).tail_bound
         assert tail < 1e-8
         log_norm_sq = nonlinear_log_norm_sq(20.0)
         oracle = sum(nonlinear_probability(n, 20.0, log_norm_sq) for n in (68, 69, 70))

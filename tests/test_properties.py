@@ -90,3 +90,24 @@ def test_husimi_non_negative(params):
     axis = np.linspace(-4.0, 4.0, 9)
     grid = dist.quasi_probability_grid(iq.build_state(params), axis, axis, -1.0)
     assert grid.values.min() >= 0.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    st.floats(-1.0, 0.5),
+    st.sampled_from(["i", "iii"]),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(-math.pi, math.pi),
+    st.integers(1, 60),
+)
+def test_quasi_probability_has_unit_mass(s, kind, fraction, theta, n_max):
+    # case iii converges for xi < (1 - s)/(1 + s); half of that keeps the grid's support inside +-8
+    if kind == "i":
+        r = 8.0 * fraction
+    else:
+        r = fraction * (0.6 if s == -1.0 else min(0.6, 0.5 * (1.0 - s) / (1.0 + s)))
+    v = iq.build_state(iq.SqueezeParams(kind=kind, r=r, theta=theta, n_max=n_max))
+    axis = np.linspace(-8.0, 8.0, 121)
+    values = dist.quasi_probability_grid(v, axis, axis, s).values
+    step = axis[1] - axis[0]
+    assert abs(values.sum() * step * step - 1.0) < 1e-10

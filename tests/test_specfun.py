@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from isosqueeze import specfun
 from isosqueeze.specfun import assoc_laguerre_sequence, log_factorial, weighted_hermite_table
 from conftest import hermite_series, laguerre_series
 
@@ -38,6 +39,23 @@ class TestLogFactorial:
         want = np.array([log_factorial(int(k)) for k in n])
         assert np.array_equal(got, want)
         assert log_factorial(n[:0]).shape == (0,)
+
+    def test_rejects_float_scalar(self):
+        with pytest.raises(ValueError):
+            log_factorial(5.0)
+
+    def test_table_is_running_sum_across_growths(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_LOG_FACTORIALS", np.zeros(1))
+        running = [0.0]
+        for k in range(1, 3001):
+            running.append(running[-1] + math.log(k))
+        for top in (40, 7, 1501, 900, 3000):  # grown and read in mixed order
+            if top % 2:
+                log_factorial(top)
+            else:
+                log_factorial(np.arange(top + 1)[::-1])
+        assert np.array_equal(specfun._LOG_FACTORIALS, np.array(running))
+        assert all(log_factorial(k) == running[k] for k in range(0, 3001, 13))
 
     def test_array_rejects_negative_and_non_integer(self):
         with pytest.raises(ValueError):

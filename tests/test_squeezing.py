@@ -9,7 +9,7 @@ from conftest import unitary_probability
 
 
 def _unitary_state(xi, n_max=200):
-    return iq.build_squeezed(iq.SqueezeParams(kind="iii", r=xi, n_max=n_max))
+    return iq.build_state(iq.SqueezeParams(kind="iii", r=xi, n_max=n_max))
 
 
 # every distinct ladder word that enters I1..I4

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import isosqueeze as iq
-from isosqueeze import fock, states
-from conftest import squeezed_norm_closed_form
+from isosqueeze import states
+from conftest import amplitudes_mp, squeezed_norm_closed_form
 
 
 class TestNonlinearBuilder:
     def test_zero_amplitude_is_effective_vacuum(self):
-        v = iq.build_nonlinear_squeezed(iq.SqueezeParams(kind="i", r=0.0))
+        v = iq.build_state(iq.SqueezeParams(kind="i", r=0.0))
         assert v.amps[0] == 1.0
         assert np.all(v.amps[1:] == 0.0)
 
@@ -29,7 +29,7 @@ class TestNonlinearBuilder:
     def test_amplitude_ratio_recurrence(self):
         # |c_{2(n+1)+3} / c_{2n+3}|^2 against the explicit ratio law
         r = 7.5
-        v = iq.build_nonlinear_squeezed(iq.SqueezeParams(kind="i", r=r, n_max=40))
+        v = iq.build_state(iq.SqueezeParams(kind="i", r=r, n_max=40))
         even = v.amps[::2]
         for n in range(0, 25):
             got = abs(even[n + 1] / even[n]) ** 2
@@ -41,19 +41,15 @@ class TestNonlinearBuilder:
             assert got == pytest.approx(expected, rel=1e-10)
 
     def test_phase_enters_through_power(self):
-        flat = iq.build_nonlinear_squeezed(iq.SqueezeParams(kind="i", r=5.0, n_max=30))
-        spun = iq.build_nonlinear_squeezed(iq.SqueezeParams(kind="i", r=5.0, theta=0.8, n_max=30))
+        flat = iq.build_state(iq.SqueezeParams(kind="i", r=5.0, n_max=30))
+        spun = iq.build_state(iq.SqueezeParams(kind="i", r=5.0, theta=0.8, n_max=30))
         n_idx = np.arange(31)
         assert np.allclose(spun.amps[::2], flat.amps[::2] * np.exp(1j * 0.8 * n_idx), atol=1e-14)
-
-    def test_kind_checked(self):
-        with pytest.raises(ValueError):
-            iq.build_nonlinear_squeezed(iq.SqueezeParams(kind="iii", r=0.2))
 
 
 class TestUnitaryBuilder:
     def test_zero_is_effective_vacuum(self):
-        v = iq.build_squeezed(iq.SqueezeParams(kind="iii", r=0.0))
+        v = iq.build_state(iq.SqueezeParams(kind="iii", r=0.0))
         assert v.amps[0] == 1.0
         assert states.norm_constant(iq.SqueezeParams(kind="iii", r=0.0)) == 1.0
 
@@ -71,7 +67,7 @@ class TestUnitaryBuilder:
 
     def test_matches_textbook_squeezed_vacuum(self):
         xi, phase = 0.55, 0.9
-        v = iq.build_squeezed(iq.SqueezeParams(kind="iii", r=xi, theta=phase, n_max=200))
+        v = iq.build_state(iq.SqueezeParams(kind="iii", r=xi, theta=phase, n_max=200))
         r_s = math.atanh(xi)
         n_idx = np.arange(201)
         log_mag = (
@@ -88,12 +84,52 @@ class TestUnitaryBuilder:
             iq.SqueezeParams(kind="iii", r=1.0)
 
     def test_auto_raise_controls_tail(self):
-        v = iq.build_squeezed(iq.SqueezeParams(kind="iii", r=0.9, n_max=70))
-        assert fock.trailing_mass(v) < 1e-10
+        v = iq.build_state(iq.SqueezeParams(kind="iii", r=0.9, n_max=70))
+        assert v.tail_bound < 1e-10
         assert v.amps.size > 2 * 70 + 1  # truncation was raised
+
+    def test_one_vector_per_rung(self, monkeypatch):
+        made = []
+
+        class Counting(states.FockVector):
+            def __post_init__(self):
+                made.append(self.amps.size)
+                super().__post_init__()
+
+        monkeypatch.setattr(states, "FockVector", Counting)
+        v = iq.build_state(iq.SqueezeParams(kind="iii", r=0.999, n_max=70))
+        rungs = [70 * 2**j for j in range(8)]  # 70 .. 8960
+        assert v.n_max_effective == rungs[-1]
+        assert made == [2 * n + 1 for n in rungs]
 
     def test_tail_bound_recorded(self, unitary_xi04):
         assert 0.0 <= unitary_xi04.tail_bound < 1e-12
+
+
+class TestAmplitudeOracle:
+    """build_state against both laws at 50 digits, out to extreme modulus."""
+
+    @pytest.mark.parametrize(
+        "kind, r, n_max, rel",
+        [
+            ("i", 1e-3, 70, 1e-11),
+            ("i", 31.0, 70, 1e-11),
+            ("i", 1e3, 70, 1e-11),
+            ("i", 1e3, 200, 1e-11),
+            ("iii", 0.5, 70, 1e-11),
+            ("iii", 0.999, 70, 1e-8),  # grown to n_max 8960
+        ],
+    )
+    def test_matches_mpmath(self, kind, r, n_max, rel):
+        v = iq.build_state(iq.SqueezeParams(kind=kind, r=r, theta=0.7, n_max=n_max))
+        want = amplitudes_mp(kind, r, 0.7, v.n_max_effective)
+        got = v.amps[::2]
+        keep = np.abs(want) > 1e-250
+        assert np.max(np.abs(got[keep] - want[keep]) / np.abs(want[keep])) < rel
+        assert np.all(v.amps[1::2] == 0.0)
+        # the top 5 retained levels hold the even offsets of n_max - 2 .. n_max
+        tail = float(np.sum(np.abs(want[-3:]) ** 2))
+        assert v.tail_bound == pytest.approx(tail, rel=1e-9, abs=1e-300)
 
 
 class TestDualSeries:

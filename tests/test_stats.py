@@ -10,7 +10,7 @@ from conftest import power_moments, unitary_probability
 
 
 def _unitary_state(xi, n_max=400):
-    return iq.build_squeezed(iq.SqueezeParams(kind="iii", r=xi, n_max=n_max))
+    return iq.build_state(iq.SqueezeParams(kind="iii", r=xi, n_max=n_max))
 
 
 def _mean_and_square(v):
@@ -89,7 +89,7 @@ class TestMandelAndG2:
 
     def test_nonlinear_sweep_super_poissonian(self):
         for r in np.linspace(31.0 / 16, 31.0, 16):
-            v = iq.build_nonlinear_squeezed(iq.SqueezeParams(kind="i", r=float(r), n_max=70))
+            v = iq.build_state(iq.SqueezeParams(kind="i", r=float(r), n_max=70))
             m = stats.moments(v)
             assert stats.mandel_q(m) > 0.0
             assert stats.g2_zero(m) > 1.0
@@ -151,7 +151,7 @@ class TestA3:
 
     def test_nonlinear_sweep_in_witness_band(self):
         for r in np.linspace(31.0 / 16, 31.0, 16):
-            v = iq.build_nonlinear_squeezed(iq.SqueezeParams(kind="i", r=float(r), n_max=70))
+            v = iq.build_state(iq.SqueezeParams(kind="i", r=float(r), n_max=70))
             a3 = stats.a3_parameter(stats.moments(v))
             assert -1.0 - 1e-9 <= a3 < 0.0
 
