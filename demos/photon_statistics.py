@@ -12,8 +12,10 @@ the strict xfail ``TestA3::test_matches_agarwal_tara_definition``).
 Run:  python demos/photon_statistics.py
 """
 
+import numpy as np
+
 from isosqueeze import SqueezeParams, build_state
-from isosqueeze import fock, stats
+from isosqueeze import fock, states, stats
 
 # --- photon-number distributions ------------------------------------------
 nonlinear = build_state(SqueezeParams(kind="i", r=20.0, n_max=70))
@@ -32,19 +34,31 @@ for level, prob in zip(unitary.levels[:12], fock.probabilities(unitary)):
         print(f"  |{level:3d}>  {prob:8.5f}  {'#' * int(60 * prob)}")
 
 # --- moment diagnostics over the amplitude sweep ---------------------------
+def moment_table(kind, moduli, n_max):
+    """One falling-factorial moment row per modulus; <K0> = m[:, 0].
+
+    ``build_sweep`` groups the states by the truncation they end at; the
+    builders put probability on even offsets only, so each group's
+    moments are read over nu = 0, 2, 4, ...
+    """
+    m = np.empty((len(moduli), 4))
+    for rung in states.build_sweep(kind, moduli, n_max=n_max):
+        m[rung.rows] = stats.moments(np.abs(rung.amps) ** 2, 2 * np.arange(rung.n_max + 1))
+    return m
+
+
 print("\nnon-unitary route sweep (n_max = 70):")
 print(f"  {'r':>5} {'meanK0':>10} {'Q':>10} {'g2(0)':>10} {'A3':>8}")
-for r in (0.5, 2.0, 5.0, 10.0, 20.0, 31.0):
-    v = build_state(SqueezeParams(kind="i", r=r, n_max=70))
-    m = stats.moments(v)  # falling-factorial moments; <K0> = m[0]
-    print(f"  {r:5.1f} {m[0]:10.5f} {stats.mandel_q(m):10.5f} "
-          f"{stats.g2_zero(m):10.4f} {stats.a3_parameter(m):8.4f}")
+r_values = (0.5, 2.0, 5.0, 10.0, 20.0, 31.0)
+m = moment_table("i", r_values, 70)
+for row in zip(r_values, m[:, 0], stats.mandel_q(m), stats.g2_zero(m), stats.a3_parameter(m)):
+    print("  {:5.1f} {:10.5f} {:10.5f} {:10.4f} {:8.4f}".format(*row))
 
 print("\nunitary route sweep (closed forms: Q = 2<K0>+1, g2 = 3 + 1/<K0>):")
 print(f"  {'xi':>5} {'meanK0':>10} {'Q':>10} {'g2(0)':>10}")
-for xi in (0.1, 0.3, 0.5, 0.7, 0.9):
-    v = build_state(SqueezeParams(kind="iii", r=xi, n_max=400))
-    m = stats.moments(v)
-    print(f"  {xi:5.1f} {m[0]:10.5f} {stats.mandel_q(m):10.5f} {stats.g2_zero(m):10.4f}")
+xi_values = (0.1, 0.3, 0.5, 0.7, 0.9)
+m = moment_table("iii", xi_values, 400)
+for row in zip(xi_values, m[:, 0], stats.mandel_q(m), stats.g2_zero(m)):
+    print("  {:5.1f} {:10.5f} {:10.5f} {:10.4f}".format(*row))
 
 print("\nboth families stay super-Poissonian: Q > 0 and g2(0) > 1 throughout.")

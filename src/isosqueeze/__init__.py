@@ -15,8 +15,8 @@ Modules
 specfun    log-factorials and stable polynomial recurrences
 fock       truncated state vectors
 algebra    ladder-operator coefficient table and identity verification
-states     the one state builder, its truncation policy and the
-           divergence diagnostic
+states     the one sweep builder (``build_state`` is its one-row case),
+           its truncation policy and the divergence diagnostic
 stats      photon statistics and moment diagnostics
 squeezing  quadrature / amplitude-squared squeezing witnesses
 dist       quadrature distribution and quasi-probability functions

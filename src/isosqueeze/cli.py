@@ -18,6 +18,7 @@ propagates.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -28,12 +29,13 @@ from typing import Sequence
 import numpy as np
 
 from . import algebra, dist, squeezing, stats
-from .fock import FockVector, InvalidParameter
+from .fock import InvalidParameter
 from .states import (
     CASE_NONLINEAR,
     CASE_UNITARY,
     SqueezeParams,
     build_state,
+    build_sweep,
     dual_series_diagnosis,
 )
 
@@ -116,14 +118,13 @@ def _params_from_args(args, r_override: float | None = None) -> SqueezeParams:
     return SqueezeParams(kind=CASE_UNITARY, r=xi, theta=args.xi_phase, n_max=args.n_max)
 
 
-def _check_tail(out: _Output, source: FockVector | squeezing.QuadReport, requested: int) -> None:
+def _check_tail(out: _Output, effective: int, tail_bound: float, requested: int) -> None:
     """Record the largest effective truncation; warn when the tail is fat."""
-    effective = source.n_max_effective
     out.meta["n_max_effective"] = max(out.meta.get("n_max_effective", 0), effective)
-    if source.tail_bound > TAIL_WARN_THRESHOLD:
+    if tail_bound > TAIL_WARN_THRESHOLD:
         advice = ("raise --n-max" if effective <= requested
                   else f"n_max was already raised from {requested} to {effective}")
-        out.warn(f"tail_mass {source.tail_bound:.3e} exceeds {TAIL_WARN_THRESHOLD:g}; {advice}")
+        out.warn(f"tail_mass {tail_bound:.3e} exceeds {TAIL_WARN_THRESHOLD:g}; {advice}")
 
 
 def _modulus_grid(args) -> tuple[np.ndarray, float, int]:
@@ -163,7 +164,7 @@ def _cmd_state(args) -> _Output:
         meta={"case": args.case, "r": params.r, "theta": params.theta, "n_max": params.n_max,
               "n_max_effective": vec.n_max_effective, "tail_bound": vec.tail_bound},
     )
-    _check_tail(out, vec, params.n_max)
+    _check_tail(out, vec.n_max_effective, vec.tail_bound, params.n_max)
     for level, amp in zip(vec.levels, vec.amps):
         if amp == 0:
             continue  # structural zeros (odd offsets, padding) carry no information
@@ -173,28 +174,27 @@ def _cmd_state(args) -> _Output:
 
 def _cmd_stats(args) -> _Output:
     grid, top, steps = _modulus_grid(args)
+    params = _params_from_args(args, r_override=top)
     out = _Output(
         command="stats",
         columns=("r", "meanK0", "Q", "g2", "A3"),
         meta={"case": args.case, "max": top, "steps": steps, "n_max": args.n_max},
     )
-    for r in grid:
-        params = _params_from_args(args, r_override=float(r))
-        vec = build_state(params)
-        _check_tail(out, vec, params.n_max)
-        m = stats.moments(vec)
-        try:
-            q = stats.mandel_q(m)
-            g2 = stats.g2_zero(m)
-        except stats.UndefinedMoment:
+    m, effective, tail = np.empty((steps, 4)), np.empty(steps, dtype=int), np.empty(steps)
+    for rung in build_sweep(params.kind, grid, params.theta, params.n_max):
+        # the builders put probability on even offsets only: moments reads those
+        m[rung.rows] = stats.moments(np.abs(rung.amps) ** 2, 2 * np.arange(rung.n_max + 1))
+        effective[rung.rows], tail[rung.rows] = rung.n_max, rung.tail_bound
+    q, g2, a3 = stats.mandel_q(m), stats.g2_zero(m), stats.a3_parameter(m)
+    rows = zip(grid.tolist(), m[:, 0].tolist(), q.tolist(), g2.tolist(), a3.tolist())
+    for row, n_eff, tail_mass in zip(rows, effective.tolist(), tail.tolist()):
+        r, _, q_r, _, a3_r = row
+        _check_tail(out, n_eff, tail_mass, params.n_max)
+        if math.isnan(q_r):
             out.warn(f"Q/g2 undefined at r={r:.6g} (zero mean excitation)")
-            q = g2 = math.nan
-        try:
-            a3 = stats.a3_parameter(m)
-        except stats.UndefinedA3:
+        if math.isnan(a3_r):
             out.warn(f"A3 undefined at r={r:.6g} (degenerate moments)")
-            a3 = math.nan
-        out.rows.append((float(r), float(m[0]), q, g2, a3))
+        out.rows.append(row)
     return out
 
 
@@ -210,7 +210,7 @@ def _cmd_squeeze(args) -> _Output:
     kind = CASE_NONLINEAR if args.case == "i" else CASE_UNITARY
     reports = squeezing.squeezing_grid(kind, grid, thetas, n_max=args.n_max)
     for report in reports[:: thetas.size]:  # one state per modulus
-        _check_tail(out, report, args.n_max)
+        _check_tail(out, report.n_max_effective, report.tail_bound, args.n_max)
     for report in reports:
         out.rows.append((report.r, report.theta, report.i1, report.i2, report.i3, report.i4))
         if not report.uncertainty_ok:
@@ -231,7 +231,7 @@ def _cmd_quad_dist(args) -> _Output:
               "n_max_effective": vec.n_max_effective,
               "grid": {"x": [args.x_min, args.x_max, args.x_steps], "phi_steps": args.phi_steps}},
     )
-    _check_tail(out, vec, args.n_max)
+    _check_tail(out, vec.n_max_effective, vec.tail_bound, args.n_max)
     out.rows = _grid_rows(grid)
     return out
 
@@ -256,7 +256,7 @@ def _cmd_quasiprob(args) -> _Output:
               "grid": {"x": [args.x_min, args.x_max, args.x_steps],
                        "p": [args.p_min, args.p_max, args.p_steps]}},
     )
-    _check_tail(out, vec, params.n_max)
+    _check_tail(out, vec.n_max_effective, vec.tail_bound, params.n_max)
     mass = None  # sum F dx dp; a single-point axis has no cell size
     if min(xs.size, ps.size) > 1:
         mass = float(grid.values.sum() * abs((xs[1] - xs[0]) * (ps[1] - ps[0])))
@@ -317,6 +317,7 @@ def _add_point_params(sub) -> None:
     sub.add_argument("--xi-phase", type=float, default=0.0, help="phase of xi (case iii)")
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isosqueeze",

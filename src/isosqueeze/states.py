@@ -1,7 +1,7 @@
 """Squeezed-state construction on the truncated ladder.
 
-``build_state`` is the one route from ``SqueezeParams`` to a state;
-``kind`` picks the amplitude law from ``_LOG_TERMS``:
+``build_sweep`` is the one route from moduli to states (``build_state``
+is its one-row case); ``kind`` picks the amplitude law:
 
 * the non-unitary route ("case i"), driven by the one-sided rescaled
   raising operator together with the deformed lowering operator, whose
@@ -20,16 +20,18 @@ that, which is why no builder exists for it.
 States are built directly from the closed-form expansions.  The
 non-unitary squeezing operator is never exponentiated: its matrix is
 non-normal and exponentiation is numerically fragile, while the
-expansion is exact.  All factorial ratios go through log space and the
-largest log-term is subtracted before exponentiation, so construction
-stays finite at any amplitude (checked against 50 digits to r = 1e3).
-This module alone holds the truncation policy (see ``build_state``).
+expansion is exact.  As ln|c_n|(r) = n ln r + g(n), each truncation
+rung of a sweep is one (moduli x levels) outer sum.  Factorial ratios
+go through log space and each row's largest log-term is subtracted
+before exponentiation, so construction stays finite at any amplitude
+(checked against 50 digits to r = 1e3).  This module alone holds the
+truncation policy (see ``build_sweep``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +44,8 @@ __all__ = [
     "SqueezeParams",
     "RadiusViolation",
     "DualSeriesReport",
+    "SweepRung",
+    "build_sweep",
     "build_state",
     "norm_constant",
     "dual_series_diagnosis",
@@ -51,7 +55,7 @@ CASE_NONLINEAR = "i"
 CASE_UNITARY = "iii"
 
 # tail_bound is the probability on the top TAIL_WINDOW retained levels,
-# a proxy for the discarded mass; build_state grows strongly squeezed
+# a proxy for the discarded mass; build_sweep grows strongly squeezed
 # unitary states until it drops below _AUTO_TAIL_TARGET.
 TAIL_WINDOW = 5
 _AUTO_TAIL_TARGET = 1e-10
@@ -96,75 +100,92 @@ class SqueezeParams:
         return self.r * complex(math.cos(self.theta), math.sin(self.theta))
 
 
-def _log_modulus_power(n_idx: np.ndarray, r: float) -> np.ndarray:
-    """ln r^n with the r = 0 limit resolved to the n = 0 term only."""
-    if r == 0.0:
-        return np.where(n_idx == 0, 0.0, -np.inf)
-    return n_idx * math.log(r)
+# h(n), the part of ln|c_n| that depends on the kind (see ``build_sweep``)
+_KIND_LOG_TERM = {
+    CASE_NONLINEAR: lambda n: 0.5 * (log_factorial(2 * n) - log_factorial(2 * n + 2)
+                                     - log_factorial(2 * n + 3)),
+    CASE_UNITARY: lambda n: 0.5 * log_factorial(2 * n),
+}
 
 
-def _log_terms_nonlinear(n_idx: np.ndarray, r: float) -> np.ndarray:
-    """ln of the unnormalized |2n+3> amplitude magnitude, case i."""
-    lf = log_factorial
-    return (
-        _log_modulus_power(n_idx, r)
-        - n_idx * math.log(2.0)
-        - lf(n_idx)
-        + 0.5 * (lf(2 * n_idx) - lf(2 * n_idx + 2) - lf(2 * n_idx + 3))
-    )
+def _log_terms(kind: str, r: np.ndarray, n_idx: np.ndarray) -> np.ndarray:
+    """Unnormalized ln|c_n| = n ln r - n ln 2 - ln n! + h(n), one row per modulus.
+
+    The n-only terms are evaluated once for all rows; r = 0 keeps n = 0 only.
+    """
+    log_r = [math.log(x) if x > 0.0 else -math.inf for x in r]
+    power = np.zeros((len(r), n_idx.size))
+    np.multiply.outer(log_r, n_idx[1:], out=power[:, 1:])
+    return power - n_idx * math.log(2.0) - log_factorial(n_idx) + _KIND_LOG_TERM[kind](n_idx)
 
 
-def _log_terms_unitary(n_idx: np.ndarray, r: float) -> np.ndarray:
-    """ln of the unnormalized |2n+3> amplitude magnitude, case iii."""
-    lf = log_factorial
-    return _log_modulus_power(n_idx, r) - n_idx * math.log(2.0) - lf(n_idx) + 0.5 * lf(2 * n_idx)
-
-
-def _log_norm(log_mag: np.ndarray) -> float:
-    """ln N = -1/2 ln sum_n e^{2 ln|c_n|} of unnormalized log-magnitudes.
+def _log_norm(log_mag: np.ndarray) -> np.ndarray:
+    """ln N = -1/2 ln sum_n e^{2 ln|c_n|} per row of unnormalized log-magnitudes.
 
     Largest term first, then a compensated sum: N stays finite where
     the raw terms would overflow.
     """
     log_sq = 2.0 * log_mag
-    peak = log_sq.max()
-    return -0.5 * (peak + math.log(math.fsum(np.exp(log_sq - peak))))
+    peak = log_sq.max(axis=1)
+    sums = np.exp(log_sq - peak[:, None]).tolist()
+    return -0.5 * (peak + np.array([math.log(math.fsum(row)) for row in sums]))
 
 
-_LOG_TERMS = {CASE_NONLINEAR: _log_terms_nonlinear, CASE_UNITARY: _log_terms_unitary}
+def _assemble(kind: str, r: np.ndarray, theta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes of |2n+3>, n = 0..n_max, one row per modulus, and each row's tail proxy."""
+    n_idx = np.arange(n_max + 1)
+    log_mag = _log_terms(kind, r, n_idx)
+    amps = np.exp(log_mag + _log_norm(log_mag)[:, None]) * np.exp(1j * theta * n_idx)
+    # the top TAIL_WINDOW offsets 2 n_max + 1 - TAIL_WINDOW .. 2 n_max hold these
+    # half indices; the base level never counts, so a barely truncated state reports ~0
+    low = max(1, (2 * n_max + 2 - TAIL_WINDOW) // 2)
+    return amps, np.sum(np.abs(amps[:, low:]) ** 2, axis=1)
 
 
-def _assemble(params: SqueezeParams) -> FockVector:
-    """The state at exactly ``params.n_max``, with its tail proxy."""
-    n_idx = np.arange(params.n_max + 1)
-    log_mag = _LOG_TERMS[params.kind](n_idx, params.r)
-    amps = np.zeros(2 * params.n_max + 1, dtype=complex)
-    amps[::2] = np.exp(log_mag + _log_norm(log_mag)) * np.exp(1j * params.theta * n_idx)
-    # the base level never counts, so a barely truncated state reports ~0
-    tail = float(np.sum(np.abs(amps[max(1, amps.size - TAIL_WINDOW):]) ** 2))
-    return FockVector(amps, tail_bound=tail)
+@dataclass(frozen=True)
+class SweepRung:
+    """Sweep states that end at ``n_max``: row k is ``moduli[rows[k]]``, ``amps[k, n]`` on |2n+3>."""
+
+    rows: np.ndarray
+    n_max: int
+    amps: np.ndarray
+    tail_bound: np.ndarray
+
+
+def build_sweep(kind: str, moduli, theta: float = 0.0, n_max: int = 70) -> list[SweepRung]:
+    """Normalized squeezed states of route ``kind`` at each modulus, grouped by truncation.
+
+    Case i: c_{2n+3} ~ beta^n / (2^n n!) sqrt((2n)! / ((2n+2)! (2n+3)!)).
+    Case iii: c_{2n+3} ~ xi^n sqrt((2n)!) / (2^n n!).  Each rung forms all
+    its rows as one outer sum.  Case-iii rows with |xi| > 0.7 whose tail
+    proxy is at least 1e-10 move on to the next rung, 2 n_max, until
+    n_max reaches 20000; the rungs come in increasing n_max.
+    """
+    # every modulus passes the checks of a single state
+    r = np.array([SqueezeParams(kind, float(x), theta, n_max).r for x in moduli])
+    rows = np.arange(r.size)
+    rungs = []
+    while rows.size:
+        amps, tail = _assemble(kind, r[rows], theta, n_max)
+        grow = ((kind == CASE_UNITARY) & (r[rows] > 0.7) & (tail >= _AUTO_TAIL_TARGET)
+                & (n_max < _AUTO_N_MAX_CEILING))
+        if not grow.all():
+            rungs.append(SweepRung(rows[~grow], n_max, amps[~grow], tail[~grow]))
+        rows, n_max = rows[grow], min(2 * n_max, _AUTO_N_MAX_CEILING)
+    return rungs
 
 
 def build_state(params: SqueezeParams) -> FockVector:
-    """Normalized squeezed state of route ``params.kind``; odd offsets are 0.
-
-    Case i: c_{2n+3} ~ beta^n / (2^n n!) sqrt((2n)! / ((2n+2)! (2n+3)!)).
-    Case iii: c_{2n+3} ~ xi^n sqrt((2n)!) / (2^n n!).  For case iii with
-    |xi| > 0.7, n_max doubles until the tail proxy is below 1e-10 or
-    n_max reaches 20000.
-    """
-    p = params
-    vec = _assemble(p)
-    while (p.kind == CASE_UNITARY and p.r > 0.7 and vec.tail_bound >= _AUTO_TAIL_TARGET
-           and p.n_max < _AUTO_N_MAX_CEILING):
-        p = replace(p, n_max=min(2 * p.n_max, _AUTO_N_MAX_CEILING))
-        vec = _assemble(p)
-    return vec
+    """The state of ``params``: the one-row case of ``build_sweep``."""
+    (rung,) = build_sweep(params.kind, [params.r], params.theta, params.n_max)
+    amps = np.zeros(2 * rung.n_max + 1, dtype=complex)
+    amps[::2] = rung.amps[0]
+    return FockVector(amps, tail_bound=float(rung.tail_bound[0]))
 
 
 def norm_constant(params: SqueezeParams) -> float:
     """Normalization constant N of the closed-form expansion, exp(ln N)."""
-    return math.exp(_log_norm(_LOG_TERMS[params.kind](np.arange(params.n_max + 1), params.r)))
+    return math.exp(_log_norm(_log_terms(params.kind, [params.r], np.arange(params.n_max + 1)))[0])
 
 
 @dataclass(frozen=True)

@@ -3,23 +3,21 @@
 All quantities are taken with respect to the excitation number above
 the effective vacuum |3> (the counting operator of the Heisenberg
 pair), which acts on |3>, |4>, ... exactly as the usual photon number
-acts on |0>, |1>, ...  ``moments`` reads the probability vector once
-and returns the falling-factorial moments m_1..m_4, accumulated with
-exact falling-factorial weights rather than by repeated operator
-application, so truncation-edge leakage cannot enter.  Mandel Q,
-g2(0) and A3 are closed forms of that one table: <nu> = m_1 and
-<nu^2> = m_2 + m_1.
+acts on |0>, |1>, ...  ``moments`` reads a (rows, levels) probability
+array once and returns each row's falling-factorial moments m_1..m_4,
+accumulated with exact falling-factorial weights rather than by
+repeated operator application, so truncation-edge leakage cannot enter.
+A sweep passes each ``build_sweep`` rung on the even offsets only,
+where the builders put all probability.  Mandel Q, g2(0) and A3 are
+array closed forms of that (rows, 4) table, NaN where undefined:
+<nu> = m_1 and <nu^2> = m_2 + m_1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fock import FockVector, probabilities
-
 __all__ = [
-    "UndefinedMoment",
-    "UndefinedA3",
     "moments",
     "mandel_q",
     "g2_zero",
@@ -27,47 +25,41 @@ __all__ = [
 ]
 
 
-class UndefinedMoment(ZeroDivisionError):
-    """Moment ratio undefined: the state carries no excitation."""
+def moments(p: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Falling-factorial moments m_j = sum nu (nu-1) ... (nu-j+1) P(nu), j = 1..4, per row.
 
-
-class UndefinedA3(ZeroDivisionError):
-    """A3 denominator vanishes (0/0); the input is degenerate."""
-
-
-def moments(v: FockVector) -> np.ndarray:
-    """Falling-factorial moments m_j = sum nu (nu-1) ... (nu-j+1) P(nu), j = 1..4.
-
-    One running weight is multiplied by nu - j per order; offsets below
-    j contribute exactly zero, so m_j effectively starts at offset j.
+    Row k of ``p`` is one distribution, its column i the probability of
+    offset ``nu[i]``; the result is a (rows, 4) table.  One running
+    weight is multiplied by nu - j per order; offsets below j contribute
+    exactly zero, so m_j effectively starts at offset j.
     """
-    nu = v.offsets.astype(float)
-    p = probabilities(v)
-    m = np.empty(4)
+    nu = np.asarray(nu, dtype=float)
+    m = np.empty((p.shape[0], 4))
     weight = np.ones_like(nu)
     for j in range(4):
         weight *= nu - j
-        m[j] = np.sum(weight * p)
+        m[:, j] = np.sum(weight * p, axis=1)
     return m
 
 
-def mandel_q(m: np.ndarray) -> float:
-    """Mandel Q = m_2/m_1 - m_1 of a ``moments`` table; > 0 is super-Poissonian."""
-    if m[0] == 0.0:
-        raise UndefinedMoment("Mandel Q undefined for a state with zero mean excitation")
-    return float(m[1] / m[0] - m[0])
+def _where_excited(num, den, m1) -> np.ndarray:
+    """num / den where the mean excitation m1 is nonzero; NaN (undefined) where it is 0."""
+    return np.divide(num, den, out=np.full(np.shape(m1), np.nan), where=m1 != 0.0)
 
 
-def g2_zero(m: np.ndarray) -> float:
-    """Zero-delay second-order correlation m_2 / m_1^2 of a ``moments`` table."""
-    if m[0] == 0.0:
-        raise UndefinedMoment("g2(0) undefined for a state with zero mean excitation")
-    return float(m[1] / m[0] ** 2)
+def mandel_q(m: np.ndarray) -> np.ndarray:
+    """Mandel Q = m_2/m_1 - m_1 per row of a ``moments`` table; > 0 is super-Poissonian."""
+    return _where_excited(m[..., 1], m[..., 0], m[..., 0]) - m[..., 0]
 
 
-def _det3(m: np.ndarray) -> float:
-    """Cofactor expansion of a 3x3; deterministic rounding, no pivoting."""
-    return float(
+def g2_zero(m: np.ndarray) -> np.ndarray:
+    """Zero-delay second-order correlation m_2 / m_1^2 per row of a ``moments`` table."""
+    return _where_excited(m[..., 1], m[..., 0] ** 2, m[..., 0])
+
+
+def _det3(m: np.ndarray) -> np.ndarray:
+    """Cofactor expansion of 3x3 matrices m[i, j, ...]; deterministic rounding, no pivoting."""
+    return (
         m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
         - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
         + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
@@ -75,27 +67,26 @@ def _det3(m: np.ndarray) -> float:
 
 
 def _hankel(h) -> np.ndarray:
-    """[[1, h_1, h_2], [h_1, h_2, h_3], [h_2, h_3, h_4]]."""
-    return np.array([[1.0, h[0], h[1]], [h[0], h[1], h[2]], [h[1], h[2], h[3]]])
+    """[[1, h_1, h_2], [h_1, h_2, h_3], [h_2, h_3, h_4]], stacked along the trailing axes of h_j."""
+    one = np.ones_like(h[0])
+    return np.array([[one, h[0], h[1]], [h[0], h[1], h[2]], [h[1], h[2], h[3]]])
 
 
-def a3_parameter(m: np.ndarray) -> float:
-    """Moment-determinant ratio det m3 / (det mu3 - det m3) of a ``moments`` table.
+def a3_parameter(m: np.ndarray) -> np.ndarray:
+    """Moment-determinant ratio det m3 / (det mu3 - det m3) per row of a ``moments`` table.
 
     Values in [-1, 0) witness non-classicality; -1 is attained by
-    number states.  Raises :class:`UndefinedA3` when the denominator
-    vanishes (all moments zero, e.g. the effective vacuum).
+    number states.  NaN where the denominator vanishes (0/0: all moments
+    zero, e.g. the effective vacuum).
     """
-    mat_m = _hankel(m)
-    mat_mu = _hankel([float(m[0]) ** j for j in range(1, 5)])
-    det_m = _det3(mat_m)
+    h = [m[..., j] for j in range(4)]
+    mat_mu = _hankel([h[0] ** j for j in range(1, 5)])
+    det_m = _det3(_hankel(h))
     det_mu = _det3(mat_mu)
     # identically zero in exact arithmetic; allow cofactor rounding at the
     # scale of the matrix entries before declaring a sign violation
-    mu_scale = max(1.0, float(np.abs(mat_mu).max()) ** 3)
-    if det_mu < -1e-13 * mu_scale:
-        raise ArithmeticError(f"mu-moment determinant should be non-negative, got {det_mu}")
+    mu_scale = np.maximum(1.0, np.abs(mat_mu).max(axis=(0, 1)) ** 3)
+    if np.any(det_mu < -1e-13 * mu_scale):
+        raise ArithmeticError(f"mu-moment determinant should be non-negative, got {np.min(det_mu)}")
     denom = det_mu - det_m
-    if abs(denom) < 1e-14:
-        raise UndefinedA3("A3 is 0/0 for this state")
-    return det_m / denom
+    return np.divide(det_m, denom, out=np.full(np.shape(denom), np.nan), where=np.abs(denom) >= 1e-14)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import isosqueeze as iq
+from isosqueeze import fock, stats
 from isosqueeze.specfun import weighted_hermite_table
 
 
@@ -112,6 +113,11 @@ def power_moments(v) -> tuple[float, float]:
     nu = v.offsets.astype(float)
     p = np.abs(v.amps) ** 2
     return float(np.sum(nu * p)), float(np.sum(nu * nu * p))
+
+
+def state_moments(v) -> np.ndarray:
+    """The ``stats.moments`` row of one state, read over all of its offsets."""
+    return stats.moments(fock.probabilities(v)[None], v.offsets)[0]
 
 
 def mandel_q_power(v) -> float:

@@ -20,7 +20,7 @@ import pytest
 import isosqueeze as iq
 from isosqueeze import algebra, dist, squeezing, stats, states
 from isosqueeze.cli import main as cli_main
-from conftest import quadrature_distribution_cosine
+from conftest import quadrature_distribution_cosine, state_moments
 
 
 def _report(number: int, label: str, elapsed: float | None = None) -> None:
@@ -55,7 +55,7 @@ def test_criterion_2_unitary_route_closed_forms():
             (1.0 - xi * xi) ** 0.25, abs=1e-10
         )
         v = iq.build_state(params)
-        m = stats.moments(v)
+        m = state_moments(v)
         mean = m[0]
         assert mean == pytest.approx(xi * xi / (1.0 - xi * xi), abs=1e-8)
         assert stats.mandel_q(m) == pytest.approx(2.0 * mean + 1.0, abs=1e-8)
@@ -73,7 +73,7 @@ def test_criterion_3_nonlinear_route_sweep():
     start = time.perf_counter()
     for r in np.linspace(31.0 / 64.0, 31.0, 64):
         v = iq.build_state(iq.SqueezeParams(kind="i", r=float(r), n_max=70))
-        m = stats.moments(v)
+        m = state_moments(v)
         assert stats.mandel_q(m) > 0.0
         assert stats.g2_zero(m) > 1.0
         a3 = stats.a3_parameter(m)

@@ -10,7 +10,7 @@ import pytest
 
 import isosqueeze
 from isosqueeze import states, stats
-from isosqueeze.cli import _Output, main
+from isosqueeze.cli import _Output, build_parser, main
 
 
 def _run(capsys, *argv):
@@ -105,18 +105,26 @@ class TestStatsCommand:
         assert rows[-1] == pytest.approx(0.8)
 
     def test_one_moment_table_per_point(self, capsys, monkeypatch):
-        tables = []
+        # one moments row per sweep point, however the points split into truncation rungs
+        calls = []
         moments = stats.moments
 
-        def counted(v):
-            tables.append(v)
-            return moments(v)
+        def counted(p, nu):
+            calls.append((p.shape[0], len(nu)))
+            return moments(p, nu)
 
         monkeypatch.setattr(stats, "moments", counted)
         code, out, _ = _run(capsys, "stats", "--case", "i", "--r-max", "31", "--r-steps", "5")
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 5
-        assert len(tables) == 5
+        assert calls == [(5, 71)]
+        calls.clear()
+        code, out, _ = _run(capsys, "stats", "--case", "iii", "--xi-max", "0.999", "--xi-steps", "8")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 8
+        assert sum(rows for rows, _ in calls) == 8
+        levels = [n for _, n in calls]
+        assert len(calls) > 1 and levels == sorted(set(levels))  # one call per rung
 
 
 class TestSqueezeCommand:
@@ -160,17 +168,17 @@ class TestQuadDistCommand:
 
 
     def test_builds_one_state(self, capsys, monkeypatch):
-        builds = []
+        assembled = []
         assemble = states._assemble
 
-        def counting(params):
-            builds.append(params)
-            return assemble(params)
+        def counting(kind, r, theta, n_max):
+            assembled.append(len(r))
+            return assemble(kind, r, theta, n_max)
 
         monkeypatch.setattr(states, "_assemble", counting)
         code, _, _ = _run(capsys, "quad-dist", "--r", "10", "--x-steps", "5", "--phi-steps", "4")
         assert code == 0
-        assert len(builds) == 1
+        assert assembled == [1]  # one rung of one row
 
 
 class TestQuasiprobCommand:
@@ -298,7 +306,7 @@ class TestValidation:
 
     def test_internal_value_error_propagates(self, monkeypatch, capsys):
         # a ValueError from inside a computation is a bug, not a refusal
-        def broken(v):
+        def broken(p, nu):
             raise ValueError("internal failure")
 
         monkeypatch.setattr(stats, "moments", broken)
@@ -358,3 +366,42 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["verdict"] == "divergent"
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; reuse must not leak state between calls."""
+
+    COMMANDS = [
+        ["state", "--case", "iii", "--xi", "0.4"],
+        ["stats", "--case", "i", "--r-max", "5", "--r-steps", "4", "--theta", "0.3"],
+        ["stats", "--case", "iii", "--xi-max", "0.95", "--xi-steps", "3"],
+        ["squeeze", "--case", "i", "--r-max", "5", "--r-steps", "2", "--theta-steps", "3"],
+        ["quasiprob", "--case", "i", "--r", "2", "--s", "-1", "--x-steps", "3", "--p-steps", "3"],
+        ["dual-check", "--terms", "5", "--format", "csv"],
+    ]
+
+    def test_in_process_calls_match_fresh_processes(self, tmp_path, capsys):
+        src = str(Path(isosqueeze.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for k, argv in enumerate(self.COMMANDS):
+            here, fresh = tmp_path / f"here{k}.csv", tmp_path / f"fresh{k}.csv"
+            assert main([*argv, "-o", str(here)]) == 0
+            proc = subprocess.run([sys.executable, "-m", "isosqueeze.cli", *argv, "-o", str(fresh)],
+                                  capture_output=True, timeout=120, env=env)
+            assert proc.returncode == 0
+            assert here.read_bytes() == fresh.read_bytes()
+            assert Path(f"{here}.meta.json").read_bytes() == Path(f"{fresh}.meta.json").read_bytes()
+        capsys.readouterr()
+
+    def test_usage_error_after_success_exits_2(self, capsys):
+        assert build_parser() is build_parser()
+        assert main(["dual-check", "--terms", "5"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "--case", "i", "--no-such-flag"])
+        assert exc.value.code == 2
+        # the parser still serves the next call, defaults included
+        assert main(["stats", "--case", "i", "--r-steps", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "r,meanK0,Q,g2,A3" and len(lines) == 3
+        assert lines[2].startswith("31,")

@@ -11,8 +11,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import isosqueeze as iq
-from isosqueeze import dist, squeezing, states, stats
-from conftest import g2_zero_power, mandel_q_power
+from isosqueeze import dist, fock, squeezing, states, stats
+from conftest import g2_zero_power, mandel_q_power, power_moments, state_moments
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
 
@@ -24,6 +24,41 @@ def squeeze_params(draw):
     r = draw(st.floats(1e-3, 31.0) if kind == "i" else st.floats(1e-3, 0.7))
     theta = draw(st.floats(-2.0 * math.pi, 2.0 * math.pi))
     return iq.SqueezeParams(kind=kind, r=r, theta=theta, n_max=draw(st.integers(1, 120)))
+
+
+@st.composite
+def sweeps(draw):
+    kind = draw(st.sampled_from(["i", "iii"]))
+    if kind == "i":
+        modulus = st.one_of(st.just(0.0), st.floats(0.0, 40.0), st.floats(40.0, 1e3))
+    else:
+        # both sides of the xi = 0.7 growth threshold, up to 0.999 (n_max 70 grows to 8960)
+        modulus = st.one_of(st.sampled_from([0.0, 0.7, 0.999]), st.floats(0.0, 0.7), st.floats(0.7, 0.999))
+    moduli = draw(st.lists(modulus, min_size=1, max_size=6))
+    theta = draw(st.floats(-2.0 * math.pi, 2.0 * math.pi))
+    return kind, moduli, theta, draw(st.integers(1, 120))
+
+
+@PROPERTY
+@given(sweeps())
+def test_sweep_rows_match_single_builds(sweep):
+    kind, moduli, theta, n_max = sweep
+    rungs = states.build_sweep(kind, moduli, theta, n_max)
+    assert sorted(np.concatenate([rung.rows for rung in rungs]).tolist()) == list(range(len(moduli)))
+    assert [rung.n_max for rung in rungs] == sorted({rung.n_max for rung in rungs})
+    for rung in rungs:
+        p = np.abs(rung.amps) ** 2
+        m = stats.moments(p, 2 * np.arange(rung.n_max + 1))
+        for k, row in enumerate(rung.rows):
+            v = iq.build_state(iq.SqueezeParams(kind=kind, r=moduli[row], theta=theta, n_max=n_max))
+            assert v.n_max_effective == rung.n_max
+            assert math.isclose(rung.tail_bound[k], v.tail_bound, rel_tol=1e-12, abs_tol=0.0)
+            single = fock.probabilities(v)
+            assert np.max(np.abs(p[k] - single[::2])) <= 1e-15
+            assert not single[1::2].any()
+            mean, mean_sq = power_moments(v)
+            assert math.isclose(m[k, 0], mean, rel_tol=1e-12, abs_tol=0.0)
+            assert math.isclose(m[k, 1] + m[k, 0], mean_sq, rel_tol=1e-12, abs_tol=0.0)
 
 
 @PROPERTY
@@ -57,7 +92,7 @@ def test_quadrature_distribution_is_a_density_at_every_phase(params):
 @PROPERTY
 @given(squeeze_params())
 def test_g2_is_one_plus_q_over_mean(params):
-    m = stats.moments(iq.build_state(params))
+    m = state_moments(iq.build_state(params))
     assert math.isclose(stats.g2_zero(m), 1.0 + stats.mandel_q(m) / m[0], rel_tol=1e-9)
 
 
@@ -65,7 +100,7 @@ def test_g2_is_one_plus_q_over_mean(params):
 @given(squeeze_params())
 def test_q_and_g2_match_power_moment_oracle(params):
     v = iq.build_state(params)
-    m = stats.moments(v)
+    m = state_moments(v)
     assert math.isclose(stats.mandel_q(m), mandel_q_power(v), rel_tol=1e-12)
     assert math.isclose(stats.g2_zero(m), g2_zero_power(v), rel_tol=1e-12)
 

@@ -89,18 +89,26 @@ class TestUnitaryBuilder:
         assert v.amps.size > 2 * 70 + 1  # truncation was raised
 
     def test_one_vector_per_rung(self, monkeypatch):
-        made = []
+        # one assembly of the one row per rung, and one vector at the end
+        assembled, made = [], []
+        assemble = states._assemble
+
+        def counting(kind, r, theta, n_max):
+            assembled.append((len(r), n_max))
+            return assemble(kind, r, theta, n_max)
 
         class Counting(states.FockVector):
             def __post_init__(self):
                 made.append(self.amps.size)
                 super().__post_init__()
 
+        monkeypatch.setattr(states, "_assemble", counting)
         monkeypatch.setattr(states, "FockVector", Counting)
         v = iq.build_state(iq.SqueezeParams(kind="iii", r=0.999, n_max=70))
         rungs = [70 * 2**j for j in range(8)]  # 70 .. 8960
         assert v.n_max_effective == rungs[-1]
-        assert made == [2 * n + 1 for n in rungs]
+        assert assembled == [(1, n) for n in rungs]
+        assert made == [2 * rungs[-1] + 1]
 
     def test_tail_bound_recorded(self, unitary_xi04):
         assert 0.0 <= unitary_xi04.tail_bound < 1e-12

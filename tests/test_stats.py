@@ -6,7 +6,7 @@ import pytest
 
 import isosqueeze as iq
 from isosqueeze import fock, stats
-from conftest import power_moments, unitary_probability
+from conftest import power_moments, state_moments, unitary_probability
 
 
 def _unitary_state(xi, n_max=400):
@@ -15,7 +15,7 @@ def _unitary_state(xi, n_max=400):
 
 def _mean_and_square(v):
     """<nu> = m_1 and <nu^2> = m_2 + m_1 from the moment table."""
-    m = stats.moments(v)
+    m = state_moments(v)
     return float(m[0]), float(m[1] + m[0])
 
 
@@ -68,36 +68,36 @@ class TestExcitationMoments:
 class TestMandelAndG2:
     @pytest.mark.parametrize("xi", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_squeezed_vacuum_closed_forms(self, xi):
-        m = stats.moments(_unitary_state(xi))
+        m = state_moments(_unitary_state(xi))
         mean = m[0]
         assert stats.mandel_q(m) == pytest.approx(2.0 * mean + 1.0, abs=1e-8)
         assert stats.g2_zero(m) == pytest.approx(3.0 + 1.0 / mean, abs=1e-8)
 
     def test_q_g2_relation(self, nonlinear_r20):
-        m = stats.moments(nonlinear_r20)
+        m = state_moments(nonlinear_r20)
         mean = m[0]
         q = stats.mandel_q(m)
         g2 = stats.g2_zero(m)
         assert q == pytest.approx(mean * (g2 - 1.0), abs=1e-10)
 
     def test_undefined_on_vacuum(self):
-        vacuum = stats.moments(iq.basis_vector(3, 4))
-        with pytest.raises(stats.UndefinedMoment):
-            stats.mandel_q(vacuum)
-        with pytest.raises(stats.UndefinedMoment):
-            stats.g2_zero(vacuum)
+        # NaN marks the vacuum row; the number state |5> beside it keeps its values
+        table = np.array([state_moments(iq.basis_vector(3, 4)), state_moments(iq.basis_vector(5, 6))])
+        q, g2 = stats.mandel_q(table), stats.g2_zero(table)
+        assert math.isnan(q[0]) and math.isnan(g2[0])
+        assert (q[1], g2[1]) == (-1.0, 0.5)
 
     def test_nonlinear_sweep_super_poissonian(self):
         for r in np.linspace(31.0 / 16, 31.0, 16):
             v = iq.build_state(iq.SqueezeParams(kind="i", r=float(r), n_max=70))
-            m = stats.moments(v)
+            m = state_moments(v)
             assert stats.mandel_q(m) > 0.0
             assert stats.g2_zero(m) > 1.0
 
 
 class TestFactorialMoments:
     def test_eigenstate_falling_factorials(self):
-        m = stats.moments(iq.basis_vector(5, 8))
+        m = state_moments(iq.basis_vector(5, 8))
         assert m[0] == 2.0
         assert m[1] == 2.0
         assert m[2] == 0.0
@@ -105,16 +105,16 @@ class TestFactorialMoments:
 
     def test_vacuum_all_zero(self):
         vac = iq.basis_vector(3, 6)
-        assert all(m == 0.0 for m in stats.moments(vac))
+        assert all(m == 0.0 for m in state_moments(vac))
 
     def test_second_moment_operator_identity(self, unitary_xi04):
         # R^2 L^2 = K0 (K0 - 1) on the ladder
         mean, mean_sq = power_moments(unitary_xi04)
-        assert stats.moments(unitary_xi04)[1] == pytest.approx(mean_sq - mean, abs=1e-10)
+        assert state_moments(unitary_xi04)[1] == pytest.approx(mean_sq - mean, abs=1e-10)
 
     def test_non_negative(self, nonlinear_r20, unitary_xi04):
         for v in (nonlinear_r20, unitary_xi04):
-            for m in stats.moments(v):
+            for m in state_moments(v):
                 assert m >= 0.0
 
 
@@ -129,13 +129,13 @@ class TestMomentTable:
     @pytest.mark.parametrize("level", [3, 4, 5, 6, 7, 12, 40])
     def test_number_states_exact(self, level):
         v = iq.basis_vector(level, level + 5)
-        assert stats.moments(v).tolist() == _exact_factorial_moments(fock.probabilities(v).tolist())
+        assert state_moments(v).tolist() == _exact_factorial_moments(fock.probabilities(v).tolist())
 
     def test_random_rational_distribution(self):
         rng = np.random.default_rng(1992)
         counts = rng.integers(0, 1000, size=60).tolist()
         p = [Fraction(c, sum(counts)) for c in counts]
-        m = stats.moments(iq.FockVector(np.sqrt([float(p_nu) for p_nu in p])))
+        m = state_moments(iq.FockVector(np.sqrt([float(p_nu) for p_nu in p])))
         for got, want in zip(m, _exact_factorial_moments(p)):
             assert got == pytest.approx(float(want), rel=1e-13)
 
@@ -143,16 +143,18 @@ class TestMomentTable:
 class TestA3:
     def test_number_state_hits_minus_one(self):
         # det m3 of |5>: [[1,2,2],[2,2,0],[2,0,0]] = -8; det mu3 = 0
-        assert stats.a3_parameter(stats.moments(iq.basis_vector(5, 12))) == pytest.approx(-1.0, abs=1e-12)
+        assert stats.a3_parameter(state_moments(iq.basis_vector(5, 12))) == pytest.approx(-1.0, abs=1e-12)
 
     def test_vacuum_undefined(self):
-        with pytest.raises(stats.UndefinedA3):
-            stats.a3_parameter(stats.moments(iq.basis_vector(3, 6)))
+        table = np.array([state_moments(iq.basis_vector(3, 6)), state_moments(iq.basis_vector(5, 12))])
+        a3 = stats.a3_parameter(table)
+        assert math.isnan(a3[0])
+        assert a3[1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_nonlinear_sweep_in_witness_band(self):
         for r in np.linspace(31.0 / 16, 31.0, 16):
             v = iq.build_state(iq.SqueezeParams(kind="i", r=float(r), n_max=70))
-            a3 = stats.a3_parameter(stats.moments(v))
+            a3 = stats.a3_parameter(state_moments(v))
             assert -1.0 - 1e-9 <= a3 < 0.0
 
     @pytest.mark.xfail(
@@ -175,5 +177,5 @@ class TestA3:
         det_m, det_mu = hankel_det(factorial), hankel_det(ordinary)
         expected = det_m / (det_mu - det_m)
         assert expected == pytest.approx(0.2817, abs=1e-4)
-        assert stats.a3_parameter(stats.moments(_unitary_state(xi))) == pytest.approx(expected, rel=1e-9)
+        assert stats.a3_parameter(state_moments(_unitary_state(xi))) == pytest.approx(expected, rel=1e-9)
 
