@@ -15,21 +15,21 @@ Run:  python demos/photon_statistics.py
 import numpy as np
 
 from isosqueeze import SqueezeParams, build_state
-from isosqueeze import fock, states, stats
+from isosqueeze import states, stats
 
 # --- photon-number distributions ------------------------------------------
 nonlinear = build_state(SqueezeParams(kind="i", r=20.0, n_max=70))
 unitary = build_state(SqueezeParams(kind="iii", r=0.4, n_max=70))
 
 print("non-unitary route, r = 20 -- leading probabilities:")
-for level, prob in zip(nonlinear.levels[:12], fock.probabilities(nonlinear)):
+for level, prob in zip(nonlinear.levels[:12], np.abs(nonlinear.amps) ** 2):
     bar = "#" * int(60 * prob)
     if prob > 0:
         print(f"  |{level:3d}>  {prob:8.5f}  {bar}")
 print("  (support sits on every second level: 3, 5, 7, ...)")
 
 print("\nunitary route, xi = 0.4 -- leading probabilities:")
-for level, prob in zip(unitary.levels[:12], fock.probabilities(unitary)):
+for level, prob in zip(unitary.levels[:12], np.abs(unitary.amps) ** 2):
     if prob > 0:
         print(f"  |{level:3d}>  {prob:8.5f}  {'#' * int(60 * prob)}")
 

@@ -18,7 +18,7 @@ algebra    ladder-operator coefficient table and identity verification
 states     the one sweep builder (``build_state`` is its one-row case),
            its truncation policy and the divergence diagnostic
 stats      photon statistics and moment diagnostics
-squeezing  quadrature / amplitude-squared squeezing witnesses
+squeezing  quadrature / amplitude-squared witnesses over an (r, theta) grid
 dist       quadrature distribution and quasi-probability functions
 cli        reproducible CSV/JSON emission for every figure grid
 """

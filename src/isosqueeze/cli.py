@@ -5,8 +5,9 @@ writes deterministic CSV (12 significant digits, fixed column order)
 or JSON.  Identical invocations produce byte-identical output, which
 is what the golden-file tests rely on.  Numeric oddities encountered
 during a sweep (truncation tail too fat, moment ratios undefined at a
-degenerate grid point) are surfaced as warnings in the JSON metadata,
-never as failures: sweeps must not abort at degenerate cells.
+degenerate grid point, g2 beyond the float range) are surfaced as
+warnings in the JSON metadata, never as failures: sweeps must not
+abort at degenerate cells.
 
 Exit status: 0 success (warnings included), 2 usage error, 3 refused
 input (``ValidationError``, ``InvalidParameter`` including
@@ -140,13 +141,13 @@ def _modulus_grid(args) -> tuple[np.ndarray, float, int]:
     return np.linspace(top / steps, top, steps), top, steps
 
 
-def _grid_rows(grid: dist.DistGrid) -> list[tuple]:
-    """(axis1, axis2, value) rows of a 2-D grid, row-major in (axis1, axis2)."""
-    n1, n2 = grid.values.shape
+def _grid_rows(axis1, axis2, *columns) -> list[tuple]:
+    """(axis1, axis2, *values) rows of (axis1 x axis2) value grids, row-major in (axis1, axis2)."""
+    n1, n2 = len(axis1), len(axis2)
     return list(zip(
-        np.repeat(grid.axis1, n2).tolist(),
-        np.tile(grid.axis2, n1).tolist(),
-        grid.values.ravel().tolist(),
+        np.repeat(axis1, n2).tolist(),
+        np.tile(axis2, n1).tolist(),
+        *(np.ravel(values).tolist() for values in columns),
     ))
 
 
@@ -188,10 +189,12 @@ def _cmd_stats(args) -> _Output:
     q, g2, a3 = stats.mandel_q(m), stats.g2_zero(m), stats.a3_parameter(m)
     rows = zip(grid.tolist(), m[:, 0].tolist(), q.tolist(), g2.tolist(), a3.tolist())
     for row, n_eff, tail_mass in zip(rows, effective.tolist(), tail.tolist()):
-        r, _, q_r, _, a3_r = row
+        r, _, q_r, g2_r, a3_r = row
         _check_tail(out, n_eff, tail_mass, params.n_max)
         if math.isnan(q_r):
             out.warn(f"Q/g2 undefined at r={r:.6g} (zero mean excitation)")
+        elif math.isinf(g2_r):
+            out.warn(f"g2 overflows at r={r:.6g} (1/mean excitation exceeds the float range)")
         if math.isnan(a3_r):
             out.warn(f"A3 undefined at r={r:.6g} (degenerate moments)")
         out.rows.append(row)
@@ -208,13 +211,12 @@ def _cmd_squeeze(args) -> _Output:
               "theta_steps": args.theta_steps, "n_max": args.n_max},
     )
     kind = CASE_NONLINEAR if args.case == "i" else CASE_UNITARY
-    reports = squeezing.squeezing_grid(kind, grid, thetas, n_max=args.n_max)
-    for report in reports[:: thetas.size]:  # one state per modulus
-        _check_tail(out, report.n_max_effective, report.tail_bound, args.n_max)
-    for report in reports:
-        out.rows.append((report.r, report.theta, report.i1, report.i2, report.i3, report.i4))
-        if not report.uncertainty_ok:
-            out.warn(f"uncertainty product below bound at r={report.r:.6g}, theta={report.theta:.6g}")
+    witness = squeezing.squeezing_grid(kind, grid, thetas, n_max=args.n_max)
+    for n_eff, tail_mass in zip(witness.n_max_effective.tolist(), witness.tail_bound.tolist()):
+        _check_tail(out, n_eff, tail_mass, args.n_max)
+    out.rows = _grid_rows(grid, thetas, witness.i1, witness.i2, witness.i3, witness.i4)
+    for row, col in np.argwhere(~witness.uncertainty_ok).tolist():
+        out.warn(f"uncertainty product below bound at r={grid[row]:.6g}, theta={thetas[col]:.6g}")
     return out
 
 
@@ -232,7 +234,7 @@ def _cmd_quad_dist(args) -> _Output:
               "grid": {"x": [args.x_min, args.x_max, args.x_steps], "phi_steps": args.phi_steps}},
     )
     _check_tail(out, vec.n_max_effective, vec.tail_bound, args.n_max)
-    out.rows = _grid_rows(grid)
+    out.rows = _grid_rows(grid.axis1, grid.axis2, grid.values)
     return out
 
 
@@ -264,7 +266,7 @@ def _cmd_quasiprob(args) -> _Output:
             out.warn(f"grid_mass {mass:.6g} differs from 1 by more than {MASS_WARN_THRESHOLD:g}; "
                      "the grid misses part of the support or the sums lost precision")
     out.meta["grid_mass"] = mass
-    out.rows = _grid_rows(grid)
+    out.rows = _grid_rows(grid.axis1, grid.axis2, grid.values)
     return out
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "FockVector",
     "InvalidParameter",
     "basis_vector",
-    "probabilities",
 ]
 
 BASE_LEVEL = 3
@@ -41,8 +40,10 @@ class FockVector:
     """Complex amplitudes on levels 3, 4, 5, ...
 
     ``tail_bound`` is a proxy for the probability mass the truncation
-    discarded, set by ``states.build_state``; ``algebra.apply`` adds
-    what a raising moves off the top level.
+    discarded: ``states.build_state`` copies it from the ``build_sweep``
+    row of the state (the mass on the top retained levels, not a true
+    bound), and ``algebra.apply`` adds what a raising moves off the top
+    level.
     """
 
     amps: np.ndarray
@@ -87,9 +88,3 @@ def basis_vector(level: int, size: int | None = None) -> FockVector:
     amps = np.zeros(size, dtype=complex)
     amps[level - BASE_LEVEL] = 1.0
     return FockVector(amps)
-
-
-def probabilities(v: FockVector) -> np.ndarray:
-    """|amplitude|^2 per retained level."""
-    return np.abs(v.amps) ** 2
-

@@ -1,4 +1,4 @@
-"""Quadrature and amplitude-squared squeezing witnesses.
+"""Quadrature and amplitude-squared squeezing witnesses over an (r, theta) grid.
 
 The quadrature pair x = (K+ + K-)/sqrt(2), p = i(K+ - K-)/sqrt(2)
 built from the Heisenberg ladder satisfies [x, p] = i, so a variance
@@ -12,167 +12,127 @@ I3, I4 for the real and imaginary parts of the squared amplitude,
 where the reference level is the commutator expectation 2 <K0> + 1.
 A negative witness signals squeezing in the corresponding direction.
 
-A ladder word is a string of '+' (K+) and '-' (K-).  Its coefficient on
-each level comes from the operator table of ``algebra``
-(``word_action``); this module holds no coefficient law of its own.
-The I1..I4 formulas live in one helper of word values.
-``squeezing_report`` feeds it the nine words of an arbitrary vector;
-``squeezing_grid`` feeds it whole theta rows, built from five words of
-one theta = 0 state per modulus, because the squeeze phase only
-rotates the words.
+``squeezing_grid`` is the one route.  It builds every modulus's
+theta = 0 state with one ``states.build_sweep`` call and reads five
+ladder words per state as row-wise shifted products of each rung's
+amplitudes, with coefficients from ``algebra.word_action``; this
+module holds no coefficient law of its own.  The squeeze phase only
+rotates the words, so one state gives a whole theta row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .algebra import word_action
-from .fock import FockVector, InvalidParameter
+from .fock import InvalidParameter
+from .states import build_sweep
 
 __all__ = [
-    "QuadReport",
-    "expectation_ladder_word",
-    "squeezing_report",
+    "WitnessGrid",
     "squeezing_grid",
 ]
 
-# Imaginary residue allowed on nominally real identity values.
-_IMAG_TOL = 1e-10
-
-# Every distinct ladder word that enters I1..I4.
-_WITNESS_WORDS = ("-", "+", "--", "++", "+-", "----", "++++", "++--", "--++")
-
-# Word tokens -> operator names of ``algebra._OPERATORS``.
-_LADDER = {"+": "K+", "plus": "K+", "-": "K-", "minus": "K-"}
-
-
-def expectation_ladder_word(v: FockVector, word: Sequence[str] | str) -> complex:
-    """<v| word |v> for a word in the Heisenberg ladder operators.
-
-    ``word`` lists '+' (K+, raising) and '-' (K-, lowering) in operator
-    order, leftmost acting last; e.g. "+-" is raise-after-lower.  The
-    word is one weighted shifted dot product: ``algebra.word_action``
-    gives its coefficient on every level of ``v`` and its net shift k,
-    and each amplitude is paired with the one k levels away.  Raisings
-    are never cut at the truncation edge.
-    """
-    bad = [tok for tok in word if tok not in _LADDER]
-    if bad:
-        raise ValueError(f"word tokens must be '+'/'-' (or 'plus'/'minus'), got {bad[0]!r}")
-    if len(word) > 4:
-        raise ValueError("ladder words longer than 4 are not used here")
-    coeff, shift = word_action([_LADDER[tok] for tok in word], v.levels)
-    size = v.amps.size
-    lo, hi = max(0, -shift), min(size, size - shift)
-    return complex(np.vdot(v.amps[lo + shift : hi + shift], coeff[lo:hi] * v.amps[lo:hi]))
-
-
-def _real_part(value, label: str):
-    """Real part of a nominally real identity value (scalar or array)."""
-    residue = np.max(np.abs(np.imag(value)), initial=0.0)
-    if residue > _IMAG_TOL:
-        raise ArithmeticError(f"{label} should be real; imaginary residue {residue:.3e}")
-    return np.real(value)
-
-
-def _witnesses(w: Mapping) -> tuple:
-    """(I1, I2, I3, I4) from the expectations ``w[word]`` of the witness words.
-
-    With L/R the lowering/raising operators,
-    I1 = <L^2> + <R^2> - <L>^2 - <R>^2 - 2 <L><R> + 2 <R L> and I2 has
-    the first four signs flipped; I3 and I4 are quarter-weighted
-    combinations of the quartic words and the squared second moments,
-    referenced against <R L> + 1/2.  Word values may be complex scalars
-    or arrays over theta.
-    """
-    low, high, low2, high2, cross = w["-"], w["+"], w["--"], w["++"], w["+-"]
-    low4, high4 = w["----"], w["++++"]
-    even = -(low**2) - high**2 - 2.0 * low * high + 2.0 * cross
-    i1 = _real_part(low2 + high2 + even, "I1")
-    i2 = _real_part(-low2 - high2 + 2.0 * low**2 + 2.0 * high**2 + even, "I2")
-    shared = -2.0 * low2 * high2 + (w["++--"] + w["--++"])
-    i3 = _real_part(
-        0.25 * (low4 + high4 - low2**2 - high2**2 + shared) - cross - 0.5, "I3"
-    )
-    i4 = _real_part(
-        0.25 * (-low4 - high4 + low2**2 + high2**2 + shared) - cross - 0.5, "I4"
-    )
-    return i1, i2, i3, i4
-
-
-def _uncertainty_ok(i1, i2):
-    return (i1 + 1.0) * (i2 + 1.0) >= 1.0 - 1e-9
+# The theta-independent words at theta = 0, as K-/K+ operator names in
+# operator order (leftmost acting last): <L^2>, <L^4>, <R L>, <R^2 L^2>, <L^2 R^2>.
+_WORDS = (
+    ("K-", "K-"),
+    ("K-", "K-", "K-", "K-"),
+    ("K+", "K-"),
+    ("K+", "K+", "K-", "K-"),
+    ("K-", "K-", "K+", "K+"),
+)
 
 
 @dataclass(frozen=True)
-class QuadReport:
-    """Squeezing witnesses of one (r, theta) grid cell and the truncation of its state."""
+class WitnessGrid:
+    """I1..I4 and the uncertainty flag per (modulus, theta) cell; truncation per modulus."""
 
-    r: float
-    theta: float
-    i1: float
-    i2: float
-    i3: float
-    i4: float
-    uncertainty_ok: bool
-    n_max_effective: int
-    tail_bound: float
+    i1: np.ndarray
+    i2: np.ndarray
+    i3: np.ndarray
+    i4: np.ndarray
+    uncertainty_ok: np.ndarray
+    n_max_effective: np.ndarray
+    tail_bound: np.ndarray
 
 
-def squeezing_report(v: FockVector, r: float, theta: float) -> QuadReport:
-    """Witnesses I1, I2 (quadrature) and I3, I4 (squared amplitude) of ``v`` at (r, theta)."""
-    i1, i2, i3, i4 = _witnesses({w: expectation_ladder_word(v, w) for w in _WITNESS_WORDS})
-    ok = _uncertainty_ok(i1, i2)
-    return QuadReport(r, theta, i1, i2, i3, i4, ok, v.n_max_effective, v.tail_bound)
+def _word_values(amps: np.ndarray) -> np.ndarray:
+    """The ``_WORDS`` expectations of each row of a rung's amplitudes on |2n+3>, n = 0..n_max.
+
+    The rows are laid out as complex vectors the way a built state is,
+    on levels 3 .. 2 n_max + 3 with zeros on odd offsets, so each word
+    value is the same dot product, summed in the same order, as on the
+    state alone, whichever rows share the rung.  A word of net shift k
+    pairs each amplitude with the one k levels away; raisings are never
+    cut at the truncation edge.
+    """
+    rows, size = amps.shape[0], 2 * amps.shape[1] - 1
+    vectors = np.zeros((rows, size), dtype=complex)
+    vectors[:, ::2] = amps
+    values = np.empty((len(_WORDS), rows))
+    for j, ops in enumerate(_WORDS):
+        coeff, shift = word_action(ops, np.arange(3, size + 3))
+        # every word here lowers or keeps the level (shift <= 0); one dot product per row
+        bra, ket = vectors[:, None, : size + shift], coeff[-shift:] * vectors[:, -shift:]
+        values[j] = (bra @ ket[:, :, None])[:, 0, 0].real
+    return values
+
+
+def _witnesses(low2, low4, cross, quartic) -> tuple:
+    """(I1, I2, I3, I4) from <L^2>, <L^4>, <R L> and <R^2 L^2> + <L^2 R^2>.
+
+    With L/R the lowering/raising operators, <R^k> = conj <L^k> and the
+    single-step words vanish on the builders' even support, so
+    I1 = <L^2> + <R^2> + 2 <R L> and I2 has the first two signs flipped;
+    I3 and I4 are quarter-weighted combinations of the quartic words and
+    the squared second moments, referenced against <R L> + 1/2.  The
+    imaginary parts cancel exactly.
+    """
+    high2, high4 = np.conj(low2), np.conj(low4)
+    even = 2.0 * cross
+    shared = -2.0 * low2 * high2 + quartic
+    i1 = low2 + high2 + even
+    i2 = -low2 - high2 + even
+    i3 = 0.25 * (low4 + high4 - low2**2 - high2**2 + shared) - cross - 0.5
+    i4 = 0.25 * (-low4 - high4 + low2**2 + high2**2 + shared) - cross - 0.5
+    return tuple(np.real(i) for i in (i1, i2, i3, i4))
 
 
 def squeezing_grid(
     kind: str,
-    r_values: Iterable[float],
-    theta_values: Iterable[float],
+    moduli: Iterable[float],
+    thetas: Iterable[float],
     n_max: int = 70,
-) -> list[QuadReport]:
-    """Witness sweep over an (r, theta) grid, row-major in (r, theta).
+) -> WitnessGrid:
+    """Witnesses of route ``kind`` over the (modulus, theta) grid, in the caller's order.
 
-    One state is built per modulus, at theta = 0, and gives the whole
-    theta row.  This rests on both builders putting |c_n| e^{i n theta}
-    on offset 2n and exact zeros on odd offsets, with the case-iii
-    truncation chosen from |c_n| alone.  Hence, for every theta,
-    <L^2> = e^{i theta} <L^2>_0, <L^4> = e^{2 i theta} <L^4>_0,
-    <R^k> = conj <L^k>, <L> = <R> = 0, and <R L>, <R^2 L^2> and
-    <L^2 R^2> do not depend on theta.  Each report carries the
-    caller's r and theta values and the truncation of its modulus's
-    state; the row-major ordering is the stable output contract relied
-    on by the CSV emitters.
+    Both builders put |c_n| e^{i n theta} on |2n+3> and the case-iii
+    truncation is chosen from |c_n| alone, so for every theta
+    <L^2> = e^{i theta} <L^2>_0, <L^4> = e^{2 i theta} <L^4>_0 and <R L>,
+    <R^2 L^2> and <L^2 R^2> do not depend on theta.  Row k of every
+    (moduli x thetas) array and entry k of ``n_max_effective`` and
+    ``tail_bound`` belong to ``moduli[k]``.
     """
-    from .states import SqueezeParams, build_state
-
-    thetas = list(theta_values)
-    angles = np.asarray(thetas, dtype=float)
+    angles = np.asarray(list(thetas), dtype=float)
     if not np.all(np.isfinite(angles)):
         raise InvalidParameter("theta values must be finite")
-    turn, turn2 = np.exp(1j * angles), np.exp(2j * angles)
-    reports = []
-    for r in r_values:
-        state = build_state(SqueezeParams(kind=kind, r=r, theta=0.0, n_max=n_max))
-        low2 = turn * expectation_ladder_word(state, "--")
-        low4 = turn2 * expectation_ladder_word(state, "----")
-        words = {
-            "-": 0.0,
-            "+": 0.0,
-            "--": low2,
-            "++": np.conj(low2),
-            "+-": expectation_ladder_word(state, "+-"),
-            "----": low4,
-            "++++": np.conj(low4),
-            "++--": expectation_ladder_word(state, "++--"),
-            "--++": expectation_ladder_word(state, "--++"),
-        }
-        i1, i2, i3, i4 = _witnesses(words)
-        ok = _uncertainty_ok(i1, i2)
-        for row in zip(thetas, i1.tolist(), i2.tolist(), i3.tolist(), i4.tolist(), ok.tolist()):
-            reports.append(QuadReport(r, *row, state.n_max_effective, state.tail_bound))
-    return reports
+    rungs = build_sweep(kind, list(moduli), 0.0, n_max)
+    rows = sum(rung.rows.size for rung in rungs)
+    words = np.empty((len(_WORDS), rows))
+    effective, tail = np.empty(rows, dtype=int), np.empty(rows)
+    for rung in rungs:
+        words[:, rung.rows] = _word_values(rung.amps)
+        effective[rung.rows], tail[rung.rows] = rung.n_max, rung.tail_bound
+    low2, low4, cross, quartic = (
+        words[0][:, None] * np.exp(1j * angles),
+        words[1][:, None] * np.exp(2j * angles),
+        words[2][:, None],
+        words[3][:, None] + words[4][:, None],
+    )
+    i1, i2, i3, i4 = _witnesses(low2, low4, cross, quartic)
+    ok = (i1 + 1.0) * (i2 + 1.0) >= 1.0 - 1e-9
+    return WitnessGrid(i1, i2, i3, i4, ok, effective, tail)

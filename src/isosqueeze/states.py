@@ -47,7 +47,6 @@ __all__ = [
     "SweepRung",
     "build_sweep",
     "build_state",
-    "norm_constant",
     "dual_series_diagnosis",
 ]
 
@@ -181,11 +180,6 @@ def build_state(params: SqueezeParams) -> FockVector:
     amps = np.zeros(2 * rung.n_max + 1, dtype=complex)
     amps[::2] = rung.amps[0]
     return FockVector(amps, tail_bound=float(rung.tail_bound[0]))
-
-
-def norm_constant(params: SqueezeParams) -> float:
-    """Normalization constant N of the closed-form expansion, exp(ln N)."""
-    return math.exp(_log_norm(_log_terms(params.kind, [params.r], np.arange(params.n_max + 1)))[0])
 
 
 @dataclass(frozen=True)

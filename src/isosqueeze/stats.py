@@ -9,8 +9,9 @@ accumulated with exact falling-factorial weights rather than by
 repeated operator application, so truncation-edge leakage cannot enter.
 A sweep passes each ``build_sweep`` rung on the even offsets only,
 where the builders put all probability.  Mandel Q, g2(0) and A3 are
-array closed forms of that (rows, 4) table, NaN where undefined:
-<nu> = m_1 and <nu^2> = m_2 + m_1.
+array closed forms of that (rows, 4) table, NaN where undefined and
+g2 inf where it exceeds the float range: <nu> = m_1 and
+<nu^2> = m_2 + m_1.
 """
 
 from __future__ import annotations
@@ -53,8 +54,14 @@ def mandel_q(m: np.ndarray) -> np.ndarray:
 
 
 def g2_zero(m: np.ndarray) -> np.ndarray:
-    """Zero-delay second-order correlation m_2 / m_1^2 per row of a ``moments`` table."""
-    return _where_excited(m[..., 1], m[..., 0] ** 2, m[..., 0])
+    """Zero-delay second-order correlation m_2 / m_1^2 per row of a ``moments`` table.
+
+    Taken as (m_2 / m_1) / m_1, which stays finite where m_1^2 underflows;
+    inf where even that overflows (m_1 near the smallest subnormal).
+    """
+    m1 = m[..., 0]
+    with np.errstate(over="ignore"):
+        return _where_excited(_where_excited(m[..., 1], m1, m1), m1, m1)
 
 
 def _det3(m: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's own code paths:
 explicit rational-arithmetic polynomial sums, direct term-by-term
 series summation with lgamma, power moments summed from nu^j P(nu)
 (the library reads falling-factorial moments), dense-matrix operator
-algebra, the per-element Cahill-Glauber displacement closed form
+algebra (ladder words and the I1..I4 witnesses as dense-operator
+variances), the per-element Cahill-Glauber displacement closed form
 summed pair by pair, the paper's cosine double sum for the
 quadrature distribution, and both amplitude laws in 50-digit mpmath.
 """
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import isosqueeze as iq
-from isosqueeze import fock, stats
+from isosqueeze import stats
 from isosqueeze.specfun import weighted_hermite_table
 
 
@@ -117,7 +118,7 @@ def power_moments(v) -> tuple[float, float]:
 
 def state_moments(v) -> np.ndarray:
     """The ``stats.moments`` row of one state, read over all of its offsets."""
-    return stats.moments(fock.probabilities(v)[None], v.offsets)[0]
+    return stats.moments(np.abs(v.amps[None]) ** 2, v.offsets)[0]
 
 
 def mandel_q_power(v) -> float:
@@ -138,6 +139,45 @@ def heisenberg_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
     for nu in range(dim - 1):
         lower[nu, nu + 1] = np.sqrt(nu + 1.0)
     return lower, lower.T.copy()
+
+
+def ladder_word(v, word: str) -> complex:
+    """<v| word |v> for a word of '+' (raising) and '-' (lowering), leftmost acting last.
+
+    Dense ``heisenberg_matrices`` on the vector padded by the word's
+    length, so no raising is cut at the truncation edge.
+    """
+    ket = np.concatenate([v.amps, np.zeros(len(word), dtype=complex)])
+    lower, upper = heisenberg_matrices(ket.size)
+    out = ket
+    for tok in reversed(word):
+        out = (upper if tok == "+" else lower) @ out
+    return complex(np.vdot(ket, out))
+
+
+def witness_oracle(v) -> tuple[float, float, float, float]:
+    """(I1, I2, I3, I4) of ``v`` from variances of dense operators.
+
+    On the vector padded by 4 levels, with L/R the dense lowering/raising
+    matrices: I1 = 2 Var(x) - 1 and I2 = 2 Var(p) - 1 for
+    x = (L + R)/sqrt(2), p = i(R - L)/sqrt(2); I3 = Var(Y1) - <R L> - 1/2
+    and I4 = Var(Y2) - <R L> - 1/2 for Y1 = (L^2 + R^2)/2,
+    Y2 = i(R^2 - L^2)/2.
+    """
+    ket = np.concatenate([v.amps, np.zeros(4, dtype=complex)])
+    lower, upper = heisenberg_matrices(ket.size)
+
+    def variance(op):
+        first = np.vdot(ket, op @ ket)
+        return (np.vdot(ket, op @ (op @ ket)) - first * first).real
+
+    x = (lower + upper) / sqrt(2.0)
+    p = 1j * (upper - lower) / sqrt(2.0)
+    low2, high2 = lower @ lower, upper @ upper
+    y1, y2 = 0.5 * (low2 + high2), 0.5j * (high2 - low2)
+    number = np.vdot(ket, upper @ (lower @ ket)).real
+    return (2.0 * variance(x) - 1.0, 2.0 * variance(p) - 1.0,
+            variance(y1) - number - 0.5, variance(y2) - number - 0.5)
 
 
 def displacement_expm(lam: complex, dim: int) -> np.ndarray:

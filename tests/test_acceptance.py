@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import isosqueeze as iq
-from isosqueeze import algebra, dist, squeezing, stats, states
+from isosqueeze import algebra, dist, squeezing, stats
 from isosqueeze.cli import main as cli_main
 from conftest import quadrature_distribution_cosine, state_moments
 
@@ -50,19 +50,17 @@ def test_criterion_2_unitary_route_closed_forms():
     start = time.perf_counter()
     for tenth in range(1, 10):
         xi = tenth / 10.0
-        params = iq.SqueezeParams(kind="iii", r=xi, n_max=400)
-        assert states.norm_constant(params) == pytest.approx(
-            (1.0 - xi * xi) ** 0.25, abs=1e-10
-        )
-        v = iq.build_state(params)
+        v = iq.build_state(iq.SqueezeParams(kind="iii", r=xi, n_max=400))
+        # |c_3| is the normalization constant N of the unitary route
+        assert abs(v.amps[0]) == pytest.approx((1.0 - xi * xi) ** 0.25, abs=1e-10)
         m = state_moments(v)
         mean = m[0]
         assert mean == pytest.approx(xi * xi / (1.0 - xi * xi), abs=1e-8)
         assert stats.mandel_q(m) == pytest.approx(2.0 * mean + 1.0, abs=1e-8)
         assert stats.g2_zero(m) == pytest.approx(3.0 + 1.0 / mean, abs=1e-8)
         assert stats.mandel_q(m) > 0.0 and stats.g2_zero(m) > 1.0
-        rep = squeezing.squeezing_report(v, xi, 0.0)
-        i1, i2 = rep.i1, rep.i2
+        grid = squeezing.squeezing_grid("iii", [xi], [0.0], n_max=400)
+        i1, i2 = grid.i1[0, 0], grid.i2[0, 0]
         assert i1 == pytest.approx(2.0 * xi / (1.0 - xi), abs=1e-6)
         assert i2 == pytest.approx(-2.0 * xi / (1.0 + xi), abs=1e-6)
     _report(2, "norm, moments, Q, g2, I1/I2 match the squeezed-vacuum closed forms",
@@ -80,11 +78,8 @@ def test_criterion_3_nonlinear_route_sweep():
         assert -1.0 - 1e-9 <= a3 < 0.0
 
     thetas = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
-    reports = squeezing.squeezing_grid("i", [5.0], thetas, n_max=70)
-    i1 = np.array([rep.i1 for rep in reports])
-    i2 = np.array([rep.i2 for rep in reports])
-    i3 = np.array([rep.i3 for rep in reports])
-    i4 = np.array([rep.i4 for rep in reports])
+    grid = squeezing.squeezing_grid("i", [5.0], thetas, n_max=70)
+    i1, i2, i3, i4 = grid.i1[0], grid.i2[0], grid.i3[0], grid.i4[0]
     # out-of-phase by pi: I1(theta + pi) = I2(theta)
     assert np.max(np.abs(np.roll(i1, -64) - i2)) < 1e-8
     assert i1.min() < 0.0 < i1.max() and i2.min() < 0.0 < i2.max()

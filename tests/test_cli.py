@@ -8,9 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mpmath
+
 import isosqueeze
-from isosqueeze import states, stats
+from isosqueeze import cli, squeezing, states, stats
 from isosqueeze.cli import _Output, build_parser, main
+from conftest import amplitudes_mp
 
 
 def _run(capsys, *argv):
@@ -126,6 +129,43 @@ class TestStatsCommand:
         levels = [n for _, n in calls]
         assert len(calls) > 1 and levels == sorted(set(levels))  # one call per rung
 
+    def test_g2_finite_where_mean_squared_underflows(self, tmp_path, capsys):
+        # m_1 ~ 1e-171, so m_1^2 underflows; g2 must still match 50 digits
+        target = tmp_path / "g.csv"
+        code, _, err = _run(capsys, "stats", "--case", "i", "--r-max", "1e-84", "--r-steps", "2",
+                            "-o", str(target))
+        assert code == 0
+        assert "RuntimeWarning" not in err
+        rows = [line.split(",") for line in target.read_text().splitlines()[1:]]
+        assert len(rows) == 2
+        for r_text, _, _, g2_text, _ in rows:
+            amps = amplitudes_mp("i", float(r_text), 0.0, 70)
+            with mpmath.workdps(50):
+                p = [abs(mpmath.mpc(a)) ** 2 for a in amps]
+                m1 = mpmath.fsum(2 * n * pn for n, pn in enumerate(p))
+                m2 = mpmath.fsum(2 * n * (2 * n - 1) * pn for n, pn in enumerate(p))
+                want = float(m2 / m1**2)
+            assert float(g2_text) == pytest.approx(want, rel=1e-11)
+        meta = json.loads(Path(str(target) + ".meta.json").read_text())
+        assert not [w for w in meta["warnings"] if "g2" in w]
+
+    def test_g2_overflow_named_in_warning(self, tmp_path, capsys):
+        # at xi ~ 1e-161 the mean excitation is subnormal and g2 ~ 1/m_1 overflows
+        target = tmp_path / "g.csv"
+        code, _, err = _run(capsys, "stats", "--case", "iii", "--xi-max", "1e-160",
+                            "-o", str(target))
+        assert code == 0
+        assert "RuntimeWarning" not in err
+        warnings = json.loads(Path(str(target) + ".meta.json").read_text())["warnings"]
+        rows = [line.split(",") for line in target.read_text().splitlines()[1:]]
+        overflowed = [r for r, _, _, g2, _ in rows if math.isinf(float(g2))]
+        assert overflowed
+        for r in overflowed:
+            assert f"g2 overflows at r={float(r):.6g} (1/mean excitation exceeds the float range)" in warnings
+        for r, _, _, g2, _ in rows:
+            if math.isnan(float(g2)):
+                assert f"Q/g2 undefined at r={float(r):.6g} (zero mean excitation)" in warnings
+
 
 class TestSqueezeCommand:
     def test_columns_and_grid_shape(self, capsys):
@@ -152,6 +192,27 @@ class TestSqueezeCommand:
         assert len(tail) == (effective == states._AUTO_N_MAX_CEILING)
         assert all("n_max was already raised from 70 to 20000" in w for w in tail)
         assert "raise --n-max" not in err
+
+
+    def test_one_build_sweep_per_command(self, capsys, monkeypatch):
+        # the whole (r, theta) grid, every rung included, is one sweep build
+        calls = []
+        build_sweep = states.build_sweep
+
+        def counted(kind, moduli, *args, **kwargs):
+            calls.append(len(moduli))
+            return build_sweep(kind, moduli, *args, **kwargs)
+
+        for module in (states, squeezing, cli):
+            monkeypatch.setattr(module, "build_sweep", counted)
+        for case, flag, top in (("i", "--r-max", "31"), ("iii", "--xi-max", "0.9")):
+            calls.clear()
+            code, out, _ = _run(capsys, "squeeze", "--case", case, flag, top,
+                                "--r-steps" if case == "i" else "--xi-steps", "8",
+                                "--theta-steps", "4")
+            assert code == 0
+            assert len(out.strip().splitlines()) == 1 + 8 * 4
+            assert calls == [8]
 
 
 class TestQuadDistCommand:

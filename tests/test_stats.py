@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import isosqueeze as iq
-from isosqueeze import fock, stats
+from isosqueeze import stats
 from conftest import power_moments, state_moments, unitary_probability
 
 
@@ -20,7 +20,7 @@ def _mean_and_square(v):
 
 
 def _photon_distribution(v):
-    return list(zip(v.levels.tolist(), fock.probabilities(v).tolist()))
+    return list(zip(v.levels.tolist(), (np.abs(v.amps) ** 2).tolist()))
 
 
 class TestPhotonDistribution:
@@ -87,6 +87,11 @@ class TestMandelAndG2:
         assert math.isnan(q[0]) and math.isnan(g2[0])
         assert (q[1], g2[1]) == (-1.0, 0.5)
 
+    def test_g2_where_m1_squared_underflows(self):
+        # m_1^2 = 1e-342 underflows to 0; (m_2/m_1)/m_1 keeps g2 = 2e171
+        table = np.array([[1e-171, 2e-171, 0.0, 0.0]])
+        assert stats.g2_zero(table)[0] == pytest.approx(2e171, rel=1e-15)
+
     def test_nonlinear_sweep_super_poissonian(self):
         for r in np.linspace(31.0 / 16, 31.0, 16):
             v = iq.build_state(iq.SqueezeParams(kind="i", r=float(r), n_max=70))
@@ -129,7 +134,7 @@ class TestMomentTable:
     @pytest.mark.parametrize("level", [3, 4, 5, 6, 7, 12, 40])
     def test_number_states_exact(self, level):
         v = iq.basis_vector(level, level + 5)
-        assert state_moments(v).tolist() == _exact_factorial_moments(fock.probabilities(v).tolist())
+        assert state_moments(v).tolist() == _exact_factorial_moments((np.abs(v.amps) ** 2).tolist())
 
     def test_random_rational_distribution(self):
         rng = np.random.default_rng(1992)
