@@ -74,7 +74,8 @@ class _Output:
     def csv_text(self) -> str:
         template = ",".join(self._formats())
         lines = [",".join(self.columns)]
-        lines.extend(template % row for row in self.rows)
+        formatted = self.rows and all(isinstance(v, str) for v in self.rows[0])  # by ``_grid_rows``
+        lines.extend(map(",".join, self.rows) if formatted else (template % row for row in self.rows))
         return "\n".join(lines) + "\n"
 
     def json_payload(self) -> dict:
@@ -142,13 +143,11 @@ def _modulus_grid(args) -> tuple[np.ndarray, float, int]:
 
 
 def _grid_rows(axis1, axis2, *columns) -> list[tuple]:
-    """(axis1, axis2, *values) rows of (axis1 x axis2) value grids, row-major in (axis1, axis2)."""
-    n1, n2 = len(axis1), len(axis2)
-    return list(zip(
-        np.repeat(axis1, n2).tolist(),
-        np.tile(axis2, n1).tolist(),
-        *(np.ravel(values).tolist() for values in columns),
-    ))
+    """(axis1, axis2, *values) rows of %.12g strings, row-major; each axis value formatted once."""
+    fmt = "%.12g".__mod__
+    first, second = (list(map(fmt, np.asarray(axis, dtype=float).tolist())) for axis in (axis1, axis2))
+    return list(zip([a for a in first for _ in second], second * len(first),
+                    *(map(fmt, np.ravel(values).tolist()) for values in columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +255,8 @@ def _cmd_quasiprob(args) -> _Output:
         meta={"case": args.case, "r": params.r, "theta": params.theta,
               "s": args.s, "n_max": params.n_max, "n_max_effective": vec.n_max_effective,
               "grid": {"x": [args.x_min, args.x_max, args.x_steps],
-                       "p": [args.p_min, args.p_max, args.p_steps]}},
+                       "p": [args.p_min, args.p_max, args.p_steps]},
+              "kernel_levels": grid.kernel_levels, "kernel_error_bound": grid.kernel_error_bound},
     )
     _check_tail(out, vec.n_max_effective, vec.tail_bound, params.n_max)
     mass = None  # sum F dx dp; a single-point axis has no cell size

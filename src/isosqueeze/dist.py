@@ -26,11 +26,18 @@ one call:
   Re G(x, y; -2z/sqrt(1-s^2));
 * Husimi function, s = -1: F(z, -1) = e^{-|z|^2} |G(e_0, c; -z)|^2 / pi.
 
-The support cutoff applies to the vectors the kernel receives, here
-c_n t^n: as s -> -1 the high levels drop out, so the Laguerre sweeps
-stay at low degree, where 4|z|^2/(1-s^2) cannot overflow them.  The 2-D
-Fourier transform of the characteristic function
-(``quasi_probability_fourier``) is a brute-force cross-check.
+Each call hands the kernel the shortest leading run of levels whose
+cut provably moves F by at most 1e-16 * 2/(pi (1-s)) and C by at most
+1e-16 (``_kept_levels``): by that scale times eta (2 A + eta), A the
+norm of the vector and eta a bound on its dropped part.  For s <= 0,
+F = 2/(pi (1-s)) <c|D(z) r^N D(z)^dagger|c>, q = |r| = |(1+s)/(s-1)| <= 1,
+and eta is the tail norm or, for 0 < q < 1, sum_n |c_n| sqrt(q^n
+L_n(-(1-q)^2 |z|^2/q)) >= |q^{N/2} D(z)^dagger tail|.  For 0 < s < 1,
+F = 2/(pi (1-s)) e^{-s|mu|^2/2} Re <x|D(mu)|y> and the vector is
+|x_n| = |y_n| = |c_n| t^n.  For C, D is unitary: the tail norm, times
+e^{s |lam|^2 / 2} for s > 0.  The 2-D Fourier transform of the
+characteristic function (``quasi_probability_fourier``) is a
+brute-force cross-check.
 """
 
 from __future__ import annotations
@@ -54,8 +61,8 @@ __all__ = [
     "quasi_probability_fourier",
 ]
 
-# Amplitudes below this cannot influence double sums at float64 scale.
-_SUPPORT_CUTOFF = 1e-150
+# Largest move of C, and of F in units of 2/(pi (1-s)), that dropping levels may cause.
+_KERNEL_TOL = 1e-16
 
 _IMAG_TOL = 1e-8
 
@@ -73,14 +80,16 @@ class DistGrid:
     """Sampled distribution values over a 2-D grid.
 
     ``values[i, j]`` corresponds to (axis1[i], axis2[j]).  ``s`` is the
-    ordering parameter for quasi-probability grids and None for the
-    quadrature distribution.
+    ordering parameter for quasi-probability grids, which also carry the
+    kernel's levels and error bound, and None for P(x, phi).
     """
 
     axis1: np.ndarray
     axis2: np.ndarray
     values: np.ndarray
     s: float | None = None
+    kernel_levels: int | None = None
+    kernel_error_bound: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +128,33 @@ def quadrature_distribution(v: FockVector, x_axis: np.ndarray, phi_axis: np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _log_polar(v: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """ln|v| and v/|v| where |v| > cutoff; -inf and 0 elsewhere."""
+def _log_polar(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln|v| and v/|v| where |v| is a normal float; -inf and 0 elsewhere (v/|v| would overflow)."""
     v = np.asarray(v, dtype=complex)
     mag = np.abs(v)
-    keep = mag > cutoff
+    keep = mag >= np.finfo(float).tiny
     log_mag = np.log(mag, out=np.full(mag.shape, -np.inf), where=keep)
     return log_mag, np.divide(v, mag, out=np.zeros(v.shape, dtype=complex), where=keep)
+
+
+def _kept_levels(c: np.ndarray, s: float = 0.0, z_sq_max: float = 0.0,
+                 log_scale: float = 0.0) -> tuple[int, float]:
+    """(levels, bound) of the shortest leading run of ``c`` the kernel needs: bound <=
+    ``_KERNEL_TOL`` in units of e^{log_scale} for C and of 2/(pi (1-s)) for F on a
+    grid with |z|^2 <= z_sq_max (module docstring)."""
+    q = abs((1.0 + s) / (1.0 - s))
+    # ln|c_n|, and for s > 0 ln(|c_n| t^n), the moduli of F's kernel vectors
+    log_c = _log_polar(c)[0] + (0.5 * math.log(q) * np.arange(c.size) if s > 0.0 else 0.0)
+    log_eta = 0.5 * np.logaddexp.accumulate(2.0 * log_c[::-1])[::-1]  # tail norm from each level on
+    if s < 0.0 and q > 0.0:
+        u, rho, log_b = (1.0 - q) ** 2 * z_sq_max, q + (1.0 - q) ** 2 * z_sq_max, [0.0]
+        for n in range(1, c.size):  # ln sqrt(P_n), P_n = q^n L_n(-u/q), from the ratios P_n/P_{n-1}
+            log_b.append(log_b[-1] + 0.5 * math.log(rho))
+            rho = ((2 * n + 1) * q + u - n * q * q / rho) / (n + 1)
+        log_eta = np.minimum(log_eta, np.logaddexp.accumulate((log_c + log_b)[::-1])[::-1])
+    log_drop = np.append(log_scale + log_eta + np.logaddexp(math.log(2.0) + log_eta[0], log_eta), -np.inf)
+    kept = int(np.argmax(log_drop <= math.log(_KERNEL_TOL)))  # the last entry keeps every level
+    return kept, math.exp(log_drop[kept])
 
 
 def _ordered_overlap(x: np.ndarray, y: np.ndarray, mu, sign) -> np.ndarray:
@@ -146,19 +175,18 @@ def _ordered_overlap(x: np.ndarray, y: np.ndarray, mu, sign) -> np.ndarray:
     distinct arguments gives both radial coefficients in one real
     matrix product with the pair weights, built in log space with the
     largest weight of the order factored out; the phases are then
-    applied point by point.  Amplitudes of x and y at or below
-    ``_SUPPORT_CUTOFF`` are dropped.  With sign = -1 the result is
+    applied point by point.  Every amplitude of x and y is summed
+    (subnormals count as zeros): the callers cut the vectors to the
+    levels ``_kept_levels`` allows.  With sign = -1 the result is
     e^{|mu|^2 / 2} <x|D(mu)|y> (Cahill and Glauber).
     """
     mu = np.asarray(mu, dtype=complex)
     total = np.zeros(mu.size, dtype=complex)
-    supports = [np.nonzero(np.abs(v) > _SUPPORT_CUTOFF)[0] for v in (x, y)]
+    supports = [np.flatnonzero(v) for v in (x, y)]
     if not all(idx.size for idx in supports):
         return total.reshape(mu.shape)
     size = 1 + max(idx[-1] for idx in supports)
-    (log_x, unit_x), (log_y, unit_y) = (
-        _log_polar(np.pad(v[:size], (0, size - v[:size].size)), _SUPPORT_CUTOFF) for v in (x, y)
-    )
+    (log_x, unit_x), (log_y, unit_y) = (_log_polar(np.pad(v[:size], (0, size - v[:size].size))) for v in (x, y))
     log_fact = log_factorial(np.arange(size))
     flat = mu.ravel()
     arg = -sign * (flat * flat.conj()).real  # -alpha beta, real by construction
@@ -166,7 +194,7 @@ def _ordered_overlap(x: np.ndarray, y: np.ndarray, mu, sign) -> np.ndarray:
     for start in range(0, flat.size, _BLOCK_POINTS):
         pts = by_arg[start : start + _BLOCK_POINTS]
         key, first, inverse = np.unique(arg[pts], return_index=True, return_inverse=True)
-        log_mu, unit_mu = _log_polar(flat[pts], 0.0)
+        log_mu, unit_mu = _log_polar(flat[pts])
         log_mu = log_mu[first]  # ln|mu| per distinct argument
         block = np.zeros(pts.size, dtype=complex)
         phase = np.ones_like(unit_mu)  # e^{ik arg mu}, carried along
@@ -205,8 +233,10 @@ def characteristic_function(v: FockVector, lam, s: float):
     if s >= 1.0:
         raise SParameterOutOfRange(f"s must be < 1, got {s}")
     lam = np.asarray(lam, dtype=complex)
+    kept, _ = _kept_levels(v.amps, log_scale=0.5 * max(s, 0.0) * np.abs(lam).max(initial=0.0) ** 2)
+    c = v.amps[:kept]
     # the Gaussian factor after the kernel, so that its array is not held during the kernel
-    total = _ordered_overlap(v.amps, v.amps, lam, -1) * np.exp(0.5 * (s - 1.0) * np.abs(lam) ** 2)
+    total = _ordered_overlap(c, c, lam, -1) * np.exp(0.5 * (s - 1.0) * np.abs(lam) ** 2)
     return total if total.ndim else complex(total)
 
 
@@ -215,22 +245,23 @@ def characteristic_function(v: FockVector, lam, s: float):
 # ---------------------------------------------------------------------------
 
 
-def _quasi_core(v: FockVector, z: np.ndarray, s: float) -> np.ndarray:
-    """Closed-form F(z, s) on an array of phase-space points.
+def _quasi_core(v: FockVector, z: np.ndarray, s: float) -> tuple[np.ndarray, int, float]:
+    """Closed-form F(z, s) on an array of phase-space points, the levels kept and the bound met.
 
     The pair weights grow like ((1+s)/(1-s))^n, so as s -> 1 the sums
     overflow; a grid that is not finite is refused, never returned.
     """
     if s >= 1.0:
         raise SParameterOutOfRange(f"s must be < 1, got {s}")
+    kept, bound = _kept_levels(v.amps, s, np.abs(z).max(initial=0.0) ** 2)
     try:
         with np.errstate(all="ignore"):
-            values = _quasi_values(v.amps, z, s)
+            values = _quasi_values(v.amps[:kept], z, s)
     except OverflowError:  # math.exp of a kernel peak weight
         values = np.array(math.inf)
     if not np.all(np.isfinite(values)):
         raise SParameterOutOfRange(f"F(z, s) is not finite on this grid at s = {s}")
-    return values
+    return values, kept, 2.0 / (math.pi * (1.0 - s)) * bound
 
 
 def _quasi_values(c: np.ndarray, z: np.ndarray, s: float) -> np.ndarray:
@@ -239,8 +270,7 @@ def _quasi_values(c: np.ndarray, z: np.ndarray, s: float) -> np.ndarray:
         # coherent-state projection <z|v> = e^{-|z|^2/2} <0|e^{-z K+} e^{conj(z) K-}|v>
         proj = _ordered_overlap(np.ones(1), c, -z, -1)
         return np.exp(-np.abs(z) ** 2) * np.abs(proj) ** 2 / math.pi
-    # the pair weight ratio^a = (sign t)^a t^a is split between the two
-    # vectors, so the support cutoff sees c_n t^n (see the module docstring)
+    # the pair weight ratio^a = (sign t)^a t^a is split between the two vectors
     ratio = (s + 1.0) / (s - 1.0)
     t = math.sqrt(abs(ratio))
     sign = math.copysign(1.0, ratio)
@@ -259,7 +289,7 @@ def quasi_probability(v: FockVector, z: complex, s: float) -> float:
     suppressed non-unitary-route states, and for |xi| < (1-s)/(1+s) on
     the unitary route.
     """
-    return float(_quasi_core(v, np.asarray(z, dtype=complex).reshape(1), s)[0])
+    return float(_quasi_core(v, np.asarray(z, dtype=complex).reshape(1), s)[0][0])
 
 
 def quasi_probability_grid(
@@ -268,8 +298,8 @@ def quasi_probability_grid(
     """F(x + i p, s) sampled on the grid; values[i, j] at (x_i, p_j)."""
     x_axis = np.asarray(x_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
-    z = x_axis[:, None] + 1j * p_axis[None, :]
-    return DistGrid(axis1=x_axis, axis2=p_axis, values=_quasi_core(v, z, s), s=s)
+    values, kept, bound = _quasi_core(v, x_axis[:, None] + 1j * p_axis[None, :], s)
+    return DistGrid(x_axis, p_axis, values, s, kernel_levels=kept, kernel_error_bound=bound)
 
 
 def _oracle_radius(v: FockVector, s: float) -> float:

@@ -8,6 +8,10 @@ algebra (ladder words and the I1..I4 witnesses as dense-operator
 variances), the per-element Cahill-Glauber displacement closed form
 summed pair by pair, the paper's cosine double sum for the
 quadrature distribution, and both amplitude laws in 50-digit mpmath.
+The full-support phase-space route (``quasi_probability_full``,
+``characteristic_function_full``) runs a copy of the library kernel on
+the uncut state, in the same arithmetic, so the levels the library
+drops can be checked against its 1e-16 contract.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import pytest
 
 import isosqueeze as iq
 from isosqueeze import stats
-from isosqueeze.specfun import weighted_hermite_table
+from isosqueeze.specfun import assoc_laguerre_sequence, log_factorial, weighted_hermite_table
 
 
 def hermite_series(n: int, x: float) -> float:
@@ -228,6 +232,93 @@ def characteristic_function_pairs(v, lam, s: float) -> np.ndarray:
             element = sqrt(exp(lgamma(low + 1) - lgamma(low + k + 1))) * power * laguerre[k][low]
             total += np.conj(v.amps[i]) * v.amps[j] * element
     return total * np.exp(0.5 * (s - 1.0) * mag_sq)
+
+
+# The phase-space kernel dropped amplitudes at or below this before its
+# support came from a bound.
+FULL_SUPPORT_CUTOFF = 1e-150
+
+
+def _log_polar(v, cutoff: float):
+    v = np.asarray(v, dtype=complex)
+    mag = np.abs(v)
+    keep = (mag > cutoff) & (mag >= np.finfo(float).tiny)  # v/|v| overflows at subnormal |v|
+    log_mag = np.log(mag, out=np.full(mag.shape, -np.inf), where=keep)
+    return log_mag, np.divide(v, mag, out=np.zeros(v.shape, dtype=complex), where=keep)
+
+
+def full_support_overlap(x, y, mu, sign, block_points: int = 4096) -> np.ndarray:
+    """<x| e^{mu K+} e^{sign conj(mu) K-} |y> over the amplitudes of x and y above 1e-150.
+
+    A copy of the library kernel (``dist._ordered_overlap``) as it was
+    before its callers cut the vectors by a bound: the Cahill-Glauber
+    element sum grouped by the order k = |m - n|, each order one
+    Laguerre sweep over the distinct arguments of a block.
+    """
+    mu = np.asarray(mu, dtype=complex)
+    total = np.zeros(mu.size, dtype=complex)
+    supports = [np.nonzero(np.abs(v) > FULL_SUPPORT_CUTOFF)[0] for v in (x, y)]
+    if not all(idx.size for idx in supports):
+        return total.reshape(mu.shape)
+    size = 1 + max(idx[-1] for idx in supports)
+    (log_x, unit_x), (log_y, unit_y) = (
+        _log_polar(np.pad(v[:size], (0, size - v[:size].size)), FULL_SUPPORT_CUTOFF) for v in (x, y)
+    )
+    log_fact = log_factorial(np.arange(size))
+    flat = mu.ravel()
+    arg = -sign * (flat * flat.conj()).real
+    by_arg = np.argsort(arg, kind="stable")
+    for start in range(0, flat.size, block_points):
+        pts = by_arg[start : start + block_points]
+        key, first, inverse = np.unique(arg[pts], return_index=True, return_inverse=True)
+        log_mu, unit_mu = _log_polar(flat[pts], 0.0)
+        log_mu = log_mu[first]
+        block = np.zeros(pts.size, dtype=complex)
+        phase = np.ones_like(unit_mu)
+        for k in range(size):
+            if k:
+                phase *= unit_mu
+            n = size - k
+            log_w = np.array([log_x[k:] + log_y[:n], log_x[:n] + log_y[k:] if k else np.full(n, -np.inf)])
+            live = np.nonzero(np.isfinite(log_w).any(axis=0))[0]
+            if not live.size:
+                continue
+            top = live[-1] + 1
+            log_w = log_w[:, :top] + 0.5 * (log_fact[:top] - log_fact[k : k + top])
+            peak = log_w.max()
+            pair_phase = np.array([np.conj(unit_x[k : k + top]) * unit_y[:top],
+                                   np.conj(unit_x[:top]) * unit_y[k : k + top]])
+            weights = np.exp(log_w - peak) * pair_phase
+            sums = np.concatenate([weights.real, weights.imag]) @ assoc_laguerre_sequence(top - 1, k, key)
+            coef = (sums[:2] + 1j * sums[2:]) * (np.exp(peak + k * log_mu) if k else np.exp(peak))
+            coef[1] *= sign**k
+            block += coef[0, inverse] * phase
+            block += coef[1, inverse] * np.conj(phase)
+        total[pts] = block
+    return total.reshape(mu.shape)
+
+
+def quasi_probability_full(v, z, s: float) -> np.ndarray:
+    """F(z, s) on an array of points by the kernel on every level of ``v``; s < 1, no finiteness check."""
+    z = np.asarray(z, dtype=complex)
+    c = v.amps
+    with np.errstate(all="ignore"):
+        if s == -1.0:
+            proj = full_support_overlap(np.ones(1), c, -z, -1)
+            return np.exp(-np.abs(z) ** 2) * np.abs(proj) ** 2 / np.pi
+        ratio = (s + 1.0) / (s - 1.0)
+        t = np.sqrt(abs(ratio))
+        sign = np.copysign(1.0, ratio)
+        n = np.arange(c.size)
+        w = 2.0 * z / (1.0 - s)
+        total = full_support_overlap(c * (sign * t) ** n, c * t**n, w / (sign * t), sign).real
+        return 2.0 / (np.pi * (1.0 - s)) * np.exp(-2.0 * np.abs(z) ** 2 / (1.0 - s)) * total
+
+
+def characteristic_function_full(v, lam, s: float) -> np.ndarray:
+    """C(lam, s) on an array of points by the kernel on every level of ``v``."""
+    lam = np.asarray(lam, dtype=complex)
+    return full_support_overlap(v.amps, v.amps, lam, -1) * np.exp(0.5 * (s - 1.0) * np.abs(lam) ** 2)
 
 
 def quadrature_distribution_cosine(v, theta: float, x_axis, phi_axis) -> np.ndarray:

@@ -275,6 +275,17 @@ class TestQuasiprobCommand:
         assert np.max(np.abs(near - husimi)) < 1e-6
 
 
+    @pytest.mark.parametrize("s, levels", [("0.5", 25), ("0", 19), ("-1", 19)])
+    def test_kernel_levels_and_bound_in_meta(self, tmp_path, capsys, s, levels):
+        # the figure-8 command: the levels the phase-space kernel kept and the bound their cut met
+        fig8 = ["--case", "i", "--r", "2.8284271247461903", "--theta", "0.7853981633974483"]
+        target = tmp_path / "q.csv"
+        code, _, _ = _run(capsys, "quasiprob", *fig8, "--s", s, "-o", str(target))
+        assert code == 0
+        meta = json.loads(Path(str(target) + ".meta.json").read_text())
+        assert meta["kernel_levels"] == levels
+        assert 0.0 < meta["kernel_error_bound"] <= 1e-16 * 2.0 / (math.pi * (1.0 - float(s)))
+
     @pytest.mark.parametrize("s, flagged", [("0.5", False), ("0.99", True)])
     def test_grid_mass_reported_and_flagged(self, tmp_path, capsys, s, flagged):
         # the fig-8 state sums to 3.1e11 on the default grid at s = 0.99

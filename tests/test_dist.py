@@ -9,6 +9,7 @@ from conftest import (
     characteristic_function_pairs,
     displacement_expm,
     quadrature_distribution_cosine,
+    quasi_probability_full,
 )
 
 
@@ -170,6 +171,16 @@ class TestCharacteristicFunction:
         with pytest.raises(dist.SParameterOutOfRange):
             dist.characteristic_function(iq.basis_vector(3, 3), 0.1 + 0.0j, 1.0)
 
+    def test_subnormal_lambda_is_the_origin(self, unitary_xi04):
+        # lam / |lam| overflows at a subnormal |lam|; the kernel reads such lam as 0
+        lam = np.array([5e-324, -2e-310j, 0.0])
+        values = dist.characteristic_function(unitary_xi04, lam, 0.5)
+        np.testing.assert_array_equal(values, values[2])
+        assert values[2] == pytest.approx(1.0, abs=1e-15)
+        axis = np.array([-5e-324, 0.0])
+        grid = dist.quasi_probability_grid(unitary_xi04, axis, axis, 0.0)
+        np.testing.assert_array_equal(grid.values, grid.values[1, 1])
+
 
 class TestOverlapKernel:
     """The kernel sweeps Laguerre rows over distinct arguments, in blocks."""
@@ -304,3 +315,13 @@ class TestQuasiProbability:
     def test_rejects_s_at_one(self):
         with pytest.raises(dist.SParameterOutOfRange):
             dist.quasi_probability(iq.basis_vector(3, 3), 0.0 + 0.0j, 1.0)
+
+    def test_case_iii_cut_meets_the_contract_where_a_fixed_cut_does_not(self, unitary_xi04):
+        # dropping the kernel amplitudes c_n t^n at or below 1e-20 moves F by 1.7e-14 on this grid
+        axis = np.linspace(-4.0, 4.0, 41)
+        grid = dist.quasi_probability_grid(unitary_xi04, axis, axis, -0.5)
+        full = quasi_probability_full(unitary_xi04, axis[:, None] + 1j * axis[None, :], -0.5)
+        contract = 1e-16 * 2.0 / (math.pi * 1.5)
+        assert grid.kernel_levels == 79 < unitary_xi04.amps.size
+        assert 0.0 < grid.kernel_error_bound <= contract
+        assert np.max(np.abs(grid.values - full)) <= contract

@@ -11,9 +11,18 @@ from hypothesis import given, settings, strategies as st
 
 import isosqueeze as iq
 from isosqueeze import dist, squeezing, states, stats
-from conftest import g2_zero_power, mandel_q_power, power_moments, state_moments
+from conftest import (
+    characteristic_function_full,
+    characteristic_function_pairs,
+    g2_zero_power,
+    mandel_q_power,
+    power_moments,
+    quasi_probability_full,
+    state_moments,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
+EPS = np.finfo(float).eps
 
 
 @st.composite
@@ -135,3 +144,56 @@ def test_quasi_probability_has_unit_mass(s, kind, fraction, theta, n_max):
     values = dist.quasi_probability_grid(v, axis, axis, s).values
     step = axis[1] - axis[0]
     assert abs(values.sum() * step * step - 1.0) < 1e-10
+
+
+@st.composite
+def phase_space_cases(draw):
+    """A state, s in [-1, 0.9] and a square grid up to +-6; case iii inside |xi| < (1 - s)/(1 + s)."""
+    kind = draw(st.sampled_from(["i", "iii"]))
+    s = draw(st.floats(-1.0, 0.9))
+    if kind == "i":
+        r = draw(st.floats(0.0, 30.0))
+    else:
+        # below xi ~ 0.866 the state keeps its 141 levels, which keeps the full-support oracle quick
+        r = draw(st.floats(0.0, 0.95)) * (0.9 if s <= 0.0 else min(0.9, (1.0 - s) / (1.0 + s)))
+    theta = draw(st.floats(-math.pi, math.pi))
+    axis = np.linspace(-1.0, 1.0, draw(st.integers(2, 9))) * draw(st.floats(0.5, 6.0))
+    return iq.SqueezeParams(kind=kind, r=r, theta=theta), s, axis
+
+
+@PROPERTY
+@given(phase_space_cases())
+def test_quasi_probability_cut_meets_its_contract(case):
+    # the levels the kernel drops move F by at most 1e-16 * 2/(pi (1 - s)); the cut and the
+    # full sums also round differently, by up to 2 ulp of the cell
+    params, s, axis = case
+    v = iq.build_state(params)
+    grid = dist.quasi_probability_grid(v, axis, axis, s)
+    full = quasi_probability_full(v, axis[:, None] + 1j * axis[None, :], s)
+    contract = 1e-16 * 2.0 / (math.pi * (1.0 - s))
+    assert 0.0 <= grid.kernel_error_bound <= contract
+    assert grid.kernel_levels <= v.amps.size
+    assert np.all(np.abs(grid.values - full) <= contract + 2.0 * EPS * np.abs(full))
+
+
+@PROPERTY
+@given(
+    st.sampled_from(["i", "iii"]),
+    st.floats(0.0, 1.0),
+    st.floats(-math.pi, math.pi),
+    st.integers(1, 40),
+    st.floats(-1.0, 0.9),
+    st.floats(0.0, 4.0),
+    st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=6),
+)
+def test_characteristic_function_cut_meets_its_contract(kind, fraction, theta, n_max, s, radius, angles):
+    r = (30.0 if kind == "i" else 0.9) * fraction
+    v = iq.build_state(iq.SqueezeParams(kind=kind, r=r, theta=theta, n_max=n_max))
+    lam = radius * np.exp(1j * np.array(angles))
+    got = dist.characteristic_function(v, lam, s)
+    full = characteristic_function_full(v, lam, s)
+    assert np.all(np.abs(got - full) <= 1e-16 + 2.0 * EPS * np.abs(full))
+    # the element-by-element oracle sums in another order: agreement to rounding of the scale e^{s|lam|^2/2}
+    scale = np.exp(0.5 * s * np.abs(lam) ** 2)
+    pairs = characteristic_function_pairs(v, lam, 0.0) * scale
+    assert np.all(np.abs(got - pairs) <= 1e-12 * np.abs(pairs) + 1e-14 * np.maximum(scale, 1.0))
