@@ -74,8 +74,7 @@ class _Output:
     def csv_text(self) -> str:
         template = ",".join(self._formats())
         lines = [",".join(self.columns)]
-        formatted = self.rows and all(isinstance(v, str) for v in self.rows[0])  # by ``_grid_rows``
-        lines.extend(map(",".join, self.rows) if formatted else (template % row for row in self.rows))
+        lines.extend(template % row for row in self.rows)
         return "\n".join(lines) + "\n"
 
     def json_payload(self) -> dict:

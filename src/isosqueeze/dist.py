@@ -233,7 +233,7 @@ def characteristic_function(v: FockVector, lam, s: float):
     if s >= 1.0:
         raise SParameterOutOfRange(f"s must be < 1, got {s}")
     lam = np.asarray(lam, dtype=complex)
-    kept, _ = _kept_levels(v.amps, log_scale=0.5 * max(s, 0.0) * np.abs(lam).max(initial=0.0) ** 2)
+    kept, _ = _kept_levels(v.amps, log_scale=0.5 * s * np.abs(lam).max(initial=0.0) ** 2 if s > 0.0 else 0.0)
     c = v.amps[:kept]
     # the Gaussian factor after the kernel, so that its array is not held during the kernel
     total = _ordered_overlap(c, c, lam, -1) * np.exp(0.5 * (s - 1.0) * np.abs(lam) ** 2)
