@@ -14,7 +14,8 @@ Cahill-Glauber element sum grouped by the order k = |m - n|, pair
 weights in log space.  Its form makes the Laguerre argument
 -sign |mu|^2 real, so each order is radial coefficients, functions of
 that argument alone, times the phases e^{+-ik arg mu}: the Laguerre
-sweeps run over the distinct arguments only.  With sign = -1 it is
+sweeps run over the distinct arguments only, a run of orders per sweep
+while their table fits a fixed float budget.  With sign = -1 it is
 G(x, y; mu) = e^{|mu|^2/2} <x|D(mu)|y>.  Each phase-space quantity is
 one call:
 
@@ -42,6 +43,7 @@ brute-force cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,9 +68,16 @@ _KERNEL_TOL = 1e-16
 
 _IMAG_TOL = 1e-8
 
-# Phase-space points per kernel block: bounds its Laguerre table to
-# (degree + 1) x _BLOCK_POINTS floats however large the grid is.
+# Phase-space points per kernel block: bounds the distinct Laguerre
+# arguments of a block's sweeps to _BLOCK_POINTS however large the grid is.
 _BLOCK_POINTS = 4096
+
+# Floats of one grouped Laguerre sweep, (degree + 1) x orders x distinct
+# arguments.  Orders are swept together while their table fits; an order
+# whose table alone is larger is swept by itself.  2^16 was no faster and
+# raised the phase-space benchmark's peak RSS by ~0.35 MiB (glibc: each
+# larger freed table lifts the mmap threshold, keeping arrays on the heap).
+_TABLE_FLOATS = 1 << 15
 
 
 class SParameterOutOfRange(ValueError):
@@ -170,12 +179,18 @@ def _ordered_overlap(x: np.ndarray, y: np.ndarray, mu, sign) -> np.ndarray:
 
     so order k is radial coefficients of the Laguerre argument
     -sign |mu|^2 (|mu|^k read at its first point) times the phases
-    e^{+-ik arg mu}.  Points are sorted by argument and taken in blocks
-    of ``_BLOCK_POINTS``.  In a block one Laguerre sweep per k over the
-    distinct arguments gives both radial coefficients in one real
-    matrix product with the pair weights, built in log space with the
-    largest weight of the order factored out; the phases are then
-    applied point by point.  Every amplitude of x and y is summed
+    e^{+-ik arg mu}.  The pair weights of each order with a live pair
+    are built once per call, in log space with the largest weight of
+    the order factored out.  Points are sorted by argument and taken in
+    blocks of ``_BLOCK_POINTS``.  In a block, one Laguerre sweep over
+    the distinct arguments serves a run of consecutive live orders
+    whose table, (degree + 1) x orders x arguments, fits
+    ``_TABLE_FLOATS``; an order whose table alone does not fit is swept
+    by itself.  Each order's slice of the table gives both radial
+    coefficients in one real matrix product with its pair weights, the
+    same product on the same shapes as a sweep of that order alone, and
+    the table is released before the phases are applied point by
+    point.  Every amplitude of x and y is summed
     (subnormals count as zeros): the callers cut the vectors to the
     levels ``_kept_levels`` allows.  With sign = -1 the result is
     e^{|mu|^2 / 2} <x|D(mu)|y> (Cahill and Glauber).
@@ -188,6 +203,21 @@ def _ordered_overlap(x: np.ndarray, y: np.ndarray, mu, sign) -> np.ndarray:
     size = 1 + max(idx[-1] for idx in supports)
     (log_x, unit_x), (log_y, unit_y) = (_log_polar(np.pad(v[:size], (0, size - v[:size].size))) for v in (x, y))
     log_fact = log_factorial(np.arange(size))
+    orders = []  # (k, weight rows, ln of the factored-out peak) of each order with a live pair
+    for k in range(size):
+        n = size - k
+        # row 0: the alpha^k branch, pairs (a + k, a); row 1: the beta^k branch, pairs (a, a + k)
+        log_w = np.array([log_x[k:] + log_y[:n], log_x[:n] + log_y[k:] if k else np.full(n, -np.inf)])
+        live = np.nonzero(np.isfinite(log_w).any(axis=0))[0]
+        if not live.size:
+            continue
+        top = live[-1] + 1
+        log_w = log_w[:, :top] + 0.5 * (log_fact[:top] - log_fact[k : k + top])
+        peak = log_w.max()
+        pair_phase = np.array([np.conj(unit_x[k : k + top]) * unit_y[:top],
+                               np.conj(unit_x[:top]) * unit_y[k : k + top]])
+        weights = np.exp(log_w - peak) * pair_phase
+        orders.append((k, np.concatenate([weights.real, weights.imag]), peak))
     flat = mu.ravel()
     arg = -sign * (flat * flat.conj()).real  # -alpha beta, real by construction
     by_arg = np.argsort(arg, kind="stable")  # points that share an argument become neighbours
@@ -197,31 +227,42 @@ def _ordered_overlap(x: np.ndarray, y: np.ndarray, mu, sign) -> np.ndarray:
         log_mu, unit_mu = _log_polar(flat[pts])
         log_mu = log_mu[first]  # ln|mu| per distinct argument
         block = np.zeros(pts.size, dtype=complex)
-        phase = np.ones_like(unit_mu)  # e^{ik arg mu}, carried along
-        for k in range(size):
-            if k:
-                phase *= unit_mu
-            n = size - k
-            # row 0: the alpha^k branch, pairs (a + k, a); row 1: the beta^k branch, pairs (a, a + k)
-            log_w = np.array([log_x[k:] + log_y[:n], log_x[:n] + log_y[k:] if k else np.full(n, -np.inf)])
-            live = np.nonzero(np.isfinite(log_w).any(axis=0))[0]
-            if not live.size:
-                continue
-            top = live[-1] + 1
-            log_w = log_w[:, :top] + 0.5 * (log_fact[:top] - log_fact[k : k + top])
-            peak = log_w.max()
-            pair_phase = np.array([np.conj(unit_x[k : k + top]) * unit_y[:top],
-                                   np.conj(unit_x[:top]) * unit_y[k : k + top]])
-            weights = np.exp(log_w - peak) * pair_phase
-            # one real product of the Laguerre rows with the real and imaginary weight rows,
-            # then the radial coefficients of both branches on the distinct arguments
-            sums = np.concatenate([weights.real, weights.imag]) @ assoc_laguerre_sequence(top - 1, k, key)
-            coef = (sums[:2] + 1j * sums[2:]) * (np.exp(peak + k * log_mu) if k else math.exp(peak))
-            coef[1] *= sign**k  # e^{ik arg beta} = sign^k e^{-ik arg mu}
-            block += coef[0, inverse] * phase
-            block += coef[1, inverse] * np.conj(phase)
+        phase, at = np.ones_like(unit_mu), 0  # e^{i at arg mu}, carried along
+        for group in _order_groups(orders, key.size):
+            top = max(rows.shape[1] for _, rows, _ in group)
+            ks = np.array([k for k, _, _ in group])
+            # a lone order is swept as a scalar, which numpy broadcasts faster than a (1, 1) array
+            table = assoc_laguerre_sequence(top - 1, ks[:, None] if ks.size > 1 else ks[0], key)
+            table = table.reshape(top, ks.size, key.size)
+            # one real product of each order's Laguerre rows with its real and imaginary weight
+            # rows; the table is released before the coefficients and phases are formed
+            sums = [rows @ table[: rows.shape[1], i] for i, (_, rows, _) in enumerate(group)]
+            del table
+            for (k, _, peak), order_sums in zip(group, sums):
+                for _ in range(k - at):
+                    phase *= unit_mu
+                at = k
+                # the radial coefficients of both branches on the distinct arguments
+                coef = (order_sums[:2] + 1j * order_sums[2:]) * (np.exp(peak + k * log_mu) if k else math.exp(peak))
+                coef[1] *= sign**k  # e^{ik arg beta} = sign^k e^{-ik arg mu}
+                block += coef[0, inverse] * phase
+                block += coef[1, inverse] * np.conj(phase)
         total[pts] = block
     return total.reshape(mu.shape)
+
+
+def _order_groups(orders: list, width: int) -> list:
+    """``orders`` cut into runs whose Laguerre table, (largest top) x orders x ``width``
+    floats, fits ``_TABLE_FLOATS``; an order whose table alone does not fit is a run."""
+    groups, top = [], 0
+    for order in orders:
+        top = max(top, order[1].shape[1])
+        if groups and top * (len(groups[-1]) + 1) * width <= _TABLE_FLOATS:
+            groups[-1].append(order)
+        else:
+            groups.append([order])
+            top = order[1].shape[1]
+    return groups
 
 
 def characteristic_function(v: FockVector, lam, s: float):
@@ -303,15 +344,26 @@ def quasi_probability_grid(
 
 
 def _oracle_radius(v: FockVector, s: float) -> float:
-    """Smallest circle radius where |C| has decayed below 1e-13."""
+    """Smallest circle radius of 6, 8, .., 24 where |C| has decayed below 1e-13.
+
+    Raises ArithmeticError when |C| has not decayed by radius 24: the
+    transform cut there would be wrong, not merely inaccurate.
+    """
     angles = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False))
-    radius = 6.0
-    while radius < 24.0:
+    for radius in range(6, 25, 2):
         peak = np.max(np.abs(characteristic_function(v, radius * angles, s)))
         if peak < 1e-13:
-            break
-        radius += 2.0
-    return radius
+            return float(radius)
+    raise ArithmeticError(f"Fourier oracle: |C| is still {peak:.3e} at radius 24")
+
+
+@functools.cache
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``nodes``-point Gauss-Legendre rule on [-1, 1], built once per node count; read-only."""
+    rule = np.polynomial.legendre.leggauss(nodes)
+    for part in rule:
+        part.flags.writeable = False
+    return rule
 
 
 def quasi_probability_fourier(
@@ -324,15 +376,17 @@ def quasi_probability_fourier(
     """Brute-force oracle: polar-grid Fourier transform of C(lam, s).
 
     F(z, s) = (1/pi^2) int C(lam, s) e^{conj(lam) z - lam conj(z)} d^2 lam,
-    integrated with Gauss-Legendre nodes radially and a periodic
-    rectangle rule in angle (spectrally accurate for the periodic
-    integrand), radius cut where |C| falls below 1e-13.  Intended for
-    small-truncation states; cost grows with the support squared.
+    integrated with Gauss-Legendre nodes radially (the rule is built
+    once per node count) and a periodic rectangle rule in angle
+    (spectrally accurate for the periodic integrand), radius cut where
+    |C| falls below 1e-13; ArithmeticError when it has not by radius
+    24.  Intended for small-truncation states; cost grows with the
+    support squared.
     """
     if s >= 1.0:
         raise SParameterOutOfRange(f"s must be < 1, got {s}")
     radius = _oracle_radius(v, s)
-    nodes, weights = np.polynomial.legendre.leggauss(radial_nodes)
+    nodes, weights = _gauss_legendre(radial_nodes)
     u = 0.5 * radius * (nodes + 1.0)
     w = 0.5 * radius * weights
     ang = np.linspace(0.0, 2.0 * math.pi, angular_nodes, endpoint=False)

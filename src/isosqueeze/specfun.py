@@ -6,9 +6,10 @@ through this module.  Factorials are handled exclusively in log space:
 the amplitude laws involve ratios like (2n)!/((2n+2)!(2n+3)!) whose
 numerator and denominator separately overflow float64 long before the
 ratio does.  Polynomials use upward three-term recurrences: one sweep
-gives every degree of the associated Laguerre polynomials at a fixed
-order (the phase-space kernel reads them all), and the weighted
-Hermite table gives the oscillator eigenfunctions.  The explicit
+gives every degree of the associated Laguerre polynomials for an array
+of orders at once (the phase-space kernel reads a run of orders from
+one sweep), and the weighted Hermite table gives the oscillator
+eigenfunctions.  The explicit
 alternating sums cancel catastrophically past degree ~20 and are only
 used as cross-check oracles in the test suite.
 
@@ -56,26 +57,34 @@ def log_factorial(n):
     return out if isinstance(n, np.ndarray) else float(out)
 
 
-def assoc_laguerre_sequence(n_max: int, k: int, x: np.ndarray) -> np.ndarray:
+def assoc_laguerre_sequence(n_max: int, k, x: np.ndarray) -> np.ndarray:
     """All of L_0^k(x) .. L_{n_max}^k(x) in one recurrence sweep.
 
     (m+1) L_{m+1}^k = (2m + k + 1 - x) L_m^k - (m + k) L_{m-1}^k.
-    Returns an array of shape (n_max + 1,) + x.shape.  L_n^k(x) alone
-    is the last row of a sweep to degree n.
+    The order ``k`` is an integer or an integer array that broadcasts
+    against ``x``; each entry is swept in the same operation order as
+    a sweep at that order alone, so the values are bit-identical to
+    it.  Returns an array of shape (n_max + 1,) + the broadcast shape.
+    L_n^k(x) alone is the last row of a sweep to degree n.
     """
-    if n_max < 0 or k < 0:
+    k = np.asarray(k)
+    if n_max < 0 or k.min() < 0:
         raise ValueError("assoc_laguerre_sequence degree and order must be non-negative")
     x = np.asarray(x, dtype=float)
-    out = np.empty((n_max + 1,) + x.shape, dtype=float)
+    first = 1.0 + k - x  # L_1, in the broadcast shape
+    out = np.empty((n_max + 1,) + first.shape, dtype=float)
     out[0] = 1.0
     if n_max >= 1:
-        out[1] = 1.0 + k - x
+        out[1] = first
+    # the recurrence coefficients of every degree m = 1 .. n_max - 1, formed once
+    m = np.arange(1.0, n_max).reshape((-1,) + (1,) * k.ndim)
+    diagonal, lower = 2.0 * m + k + 1.0, m + k
     for m in range(1, n_max):
         # in place, in the operation order of the recurrence above
         row = out[m + 1, ...]
-        np.subtract(2.0 * m + k + 1.0, x, out=row)
+        np.subtract(diagonal[m - 1], x, out=row)
         row *= out[m]
-        row -= (m + k) * out[m - 1]
+        row -= lower[m - 1] * out[m - 1]
         row /= m + 1.0
     return out
 

@@ -8,6 +8,7 @@ from isosqueeze import dist
 from conftest import (
     characteristic_function_pairs,
     displacement_expm,
+    full_support_overlap,
     quadrature_distribution_cosine,
     quasi_probability_full,
 )
@@ -237,6 +238,64 @@ class TestOverlapKernel:
         assert max(sweep_widths) <= dist._BLOCK_POINTS < lam.size // 3
 
 
+def _benchmark_kernel_call(name):
+    """The public call behind one of three kernel inputs of the benchmark, run for its side effect."""
+    if name.startswith("fig1a"):  # both fig-1a states at n_max 24 and the 64 golden-spiral lambdas
+        v = _nonlinear(20.0, n_max=24) if name == "fig1a_i" else _unitary(0.4, n_max=24)
+        k = np.arange(32)
+        lam = 2.5 * np.sqrt((k + 0.5) / 32) * np.exp(2.399963229728653j * k)
+        return lambda: dist.characteristic_function(v, np.concatenate([lam, -lam]), 0.0)
+    if name == "case_iii_wigner":  # 79 levels, 590 distinct arguments
+        axis = np.linspace(-4.0, 4.0, 41)
+        return lambda: dist.quasi_probability_grid(_unitary(0.4, n_max=70), axis, axis, 0.0)
+    # the Fourier oracle's 128 x 128 polar grid, on the fig-8 state at n_max 6
+    small = _nonlinear(2.0 * math.sqrt(2.0), math.pi / 4.0, n_max=6)
+    return lambda: dist.quasi_probability_fourier(small, 0.5 - 1.0j, 0.5, 128, 128)
+
+
+_BENCHMARK_KERNEL_CALLS = ["fig1a_i", "fig1a_iii", "case_iii_wigner", "oracle_polar_grid"]
+
+
+class TestGroupedSweeps:
+    """Laguerre orders swept together in a bounded table give the per-order kernel's bits."""
+
+    @pytest.mark.parametrize("name", _BENCHMARK_KERNEL_CALLS)
+    def test_bit_identical_to_per_order_kernel(self, name, monkeypatch):
+        calls = []
+        kernel = dist._ordered_overlap
+        monkeypatch.setattr(dist, "_ordered_overlap", lambda *args: calls.append(args) or kernel(*args))
+        _benchmark_kernel_call(name)()
+        args = max(calls, key=lambda call: np.size(call[2]))  # the grid, not the oracle's radius circles
+        assert np.array_equal(kernel(*args), full_support_overlap(*args))
+
+    @pytest.fixture
+    def sweep_tables(self, monkeypatch):
+        """(orders, floats) of the table of every Laguerre sweep the kernel runs."""
+        tables = []
+        sweep = dist.assoc_laguerre_sequence
+
+        def recorded(n_max, k, x):
+            table = sweep(n_max, k, x)
+            tables.append((np.size(k), table.size))
+            return table
+
+        monkeypatch.setattr(dist, "assoc_laguerre_sequence", recorded)
+        return tables
+
+    def test_tables_stay_within_the_budget_or_one_order(self, sweep_tables):
+        for name in _BENCHMARK_KERNEL_CALLS:
+            _benchmark_kernel_call(name)()
+        assert all(floats <= dist._TABLE_FLOATS or orders == 1 for orders, floats in sweep_tables)
+        # both paths ran: orders swept together, and a lone order whose table exceeds the budget
+        assert any(orders > 1 for orders, _ in sweep_tables)
+        assert any(orders == 1 and floats > dist._TABLE_FLOATS for orders, floats in sweep_tables)
+
+    def test_few_arguments_sweep_many_orders_at_once(self, sweep_tables):
+        # 25 live orders (every even k below 49 levels) over 32 distinct arguments
+        _benchmark_kernel_call("fig1a_iii")()
+        assert len(sweep_tables) <= 2 and sum(orders for orders, _ in sweep_tables) == 25
+
+
 class TestQuasiProbability:
     def test_vacuum_wigner_origin(self):
         got = dist.quasi_probability(iq.basis_vector(3, 3), 0.0 + 0.0j, 0.0)
@@ -311,6 +370,13 @@ class TestQuasiProbability:
                 closed = dist.quasi_probability(v, z, s)
                 oracle = dist.quasi_probability_fourier(v, z, s)
                 assert closed == pytest.approx(oracle, abs=1e-9)
+
+    def test_fourier_oracle_refuses_an_undecayed_cut(self):
+        # at s = 0.9, |C| on the radius-24 circle is still about 1e-4: the cut transform read
+        # 4.8e-5 against the closed form 2.5e-7
+        v = _nonlinear(2.0 * math.sqrt(2.0), math.pi / 4.0, n_max=6)
+        with pytest.raises(ArithmeticError, match="radius 24"):
+            dist.quasi_probability_fourier(v, 0.5 - 1.0j, 0.9, 128, 128)
 
     def test_rejects_s_at_one(self):
         with pytest.raises(dist.SParameterOutOfRange):

@@ -114,6 +114,20 @@ class TestLaguerre:
             assert np.allclose(table[n], series, rtol=1e-13)
 
 
+    def test_array_orders_match_stacked_sweeps(self):
+        ks = np.array([0, 1, 4, 9, 30])
+        x = np.array([-2.5, 0.0, 0.3, 2.0, 9.0, 41.0])
+        table = assoc_laguerre_sequence(24, ks[:, None], x)
+        stacked = np.stack([assoc_laguerre_sequence(24, int(k), x) for k in ks], axis=1)
+        assert table.shape == (25, ks.size, x.size)
+        assert np.array_equal(table, stacked)
+
+    def test_rejects_negative_order_in_array(self):
+        for ks in (np.array([[-1], [2]]), np.array([[3], [0], [-4]])):
+            with pytest.raises(ValueError):
+                assoc_laguerre_sequence(5, ks, np.array([0.5, 1.0]))
+
+
 class TestWeightedHermite:
     def test_matches_direct_formula(self):
         xs = np.linspace(-4.0, 4.0, 17)
