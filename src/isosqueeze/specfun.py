@@ -77,8 +77,8 @@ def assoc_laguerre_sequence(n_max: int, k, x: np.ndarray) -> np.ndarray:
     if n_max >= 1:
         out[1] = first
     # the recurrence coefficients of every degree m = 1 .. n_max - 1, formed once
-    m = np.arange(1.0, n_max).reshape((-1,) + (1,) * k.ndim)
-    diagonal, lower = 2.0 * m + k + 1.0, m + k
+    degree = np.arange(1.0, n_max).reshape((-1,) + (1,) * k.ndim)
+    diagonal, lower = 2.0 * degree + k + 1.0, degree + k
     for m in range(1, n_max):
         # in place, in the operation order of the recurrence above
         row = out[m + 1, ...]

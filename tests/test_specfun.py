@@ -124,7 +124,7 @@ class TestLaguerre:
 
     def test_rejects_negative_order_in_array(self):
         for ks in (np.array([[-1], [2]]), np.array([[3], [0], [-4]])):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="non-negative"):
                 assoc_laguerre_sequence(5, ks, np.array([0.5, 1.0]))
 
 
