@@ -239,7 +239,7 @@ class TestOverlapKernel:
 
 
 def _benchmark_kernel_call(name):
-    """The public call behind one of three kernel inputs of the benchmark, run for its side effect."""
+    """A public call whose kernel input is one the benchmark's phase-space and char-fn workloads make."""
     if name.startswith("fig1a"):  # both fig-1a states at n_max 24 and the 64 golden-spiral lambdas
         v = _nonlinear(20.0, n_max=24) if name == "fig1a_i" else _unitary(0.4, n_max=24)
         k = np.arange(32)

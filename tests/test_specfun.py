@@ -113,7 +113,6 @@ class TestLaguerre:
             series = [laguerre_series(n, 4, float(xi)) for xi in x]
             assert np.allclose(table[n], series, rtol=1e-13)
 
-
     def test_array_orders_match_stacked_sweeps(self):
         ks = np.array([0, 1, 4, 9, 30])
         x = np.array([-2.5, 0.0, 0.3, 2.0, 9.0, 41.0])
