@@ -53,11 +53,14 @@ class ValidationError(ValueError):
 
 @dataclass
 class _Output:
-    """Collects one command's table + metadata, then writes it once."""
+    """Collects one command's table + metadata, then writes it once.
+
+    ``cells`` holds the table row-major: floats print as %.12g, any other cell as its text.
+    """
 
     command: str
     columns: Sequence[str] = ()
-    rows: list[tuple] = field(default_factory=list)
+    cells: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
@@ -65,26 +68,27 @@ class _Output:
         if message not in self.warnings:
             self.warnings.append(message)
 
-    def _formats(self) -> list[str]:
-        """Per-column %-format, from the value types of the first row."""
-        if not self.rows:
-            return []
-        return ["%.12g" if isinstance(v, float) else "%s" for v in self.rows[0]]
+    def _formats(self) -> tuple[list[str], int]:
+        """Per-column %-format, from the value types of the first row, and the row count."""
+        width = len(self.columns)
+        return (["%.12g" if isinstance(v, float) else "%s" for v in self.cells[:width]],
+                len(self.cells) // width)
 
     def csv_text(self) -> str:
-        template = ",".join(self._formats())
-        lines = [",".join(self.columns)]
-        lines.extend(template % row for row in self.rows)
-        return "\n".join(lines) + "\n"
+        # one % over the whole table; cell text is an argument, never part of the template
+        formats, n_rows = self._formats()
+        return ",".join(self.columns) + "\n" + ((",".join(formats) + "\n") * n_rows) % tuple(self.cells)
 
     def json_payload(self) -> dict:
-        formats = self._formats()
+        formats, n_rows = self._formats()
+        text = [f % v for f, v in zip(formats * n_rows, self.cells)]
+        width = len(self.columns)
         return {
             "command": self.command,
             **self.meta,
             "warnings": self.warnings,
             "columns": list(self.columns),
-            "rows": [[f % v for f, v in zip(formats, row)] for row in self.rows],
+            "rows": [text[k:k + width] for k in range(0, len(text), width)],
         }
 
     def write(self, path: str | None, fmt: str) -> None:
@@ -119,13 +123,17 @@ def _params_from_args(args, r_override: float | None = None) -> SqueezeParams:
     return SqueezeParams(kind=CASE_UNITARY, r=xi, theta=args.xi_phase, n_max=args.n_max)
 
 
-def _check_tail(out: _Output, effective: int, tail_bound: float, requested: int) -> None:
-    """Record the largest effective truncation; warn when the tail is fat."""
-    out.meta["n_max_effective"] = max(out.meta.get("n_max_effective", 0), effective)
-    if tail_bound > TAIL_WARN_THRESHOLD:
-        advice = ("raise --n-max" if effective <= requested
-                  else f"n_max was already raised from {requested} to {effective}")
-        out.warn(f"tail_mass {tail_bound:.3e} exceeds {TAIL_WARN_THRESHOLD:g}; {advice}")
+def _check_tail(out: _Output, effective, tail_bound, requested: int) -> None:
+    """Record the largest effective truncation; warn, in row order, where the tail is fat.
+
+    ``effective`` and ``tail_bound`` hold one value per row, or one scalar each for one state.
+    """
+    effective, tail_bound = np.atleast_1d(effective).tolist(), np.atleast_1d(tail_bound)
+    out.meta["n_max_effective"] = max(out.meta.get("n_max_effective", 0), *effective)
+    for k in np.flatnonzero(tail_bound > TAIL_WARN_THRESHOLD).tolist():
+        advice = ("raise --n-max" if effective[k] <= requested
+                  else f"n_max was already raised from {requested} to {effective[k]}")
+        out.warn(f"tail_mass {tail_bound[k]:.3e} exceeds {TAIL_WARN_THRESHOLD:g}; {advice}")
 
 
 def _modulus_grid(args) -> tuple[np.ndarray, float, int]:
@@ -141,12 +149,24 @@ def _modulus_grid(args) -> tuple[np.ndarray, float, int]:
     return np.linspace(top / steps, top, steps), top, steps
 
 
-def _grid_rows(axis1, axis2, *columns) -> list[tuple]:
-    """(axis1, axis2, *values) rows of %.12g strings, row-major; each axis value formatted once."""
+def _cells(*columns: list) -> list:
+    """The row-major cells of equal-length columns."""
+    cells = [None] * (len(columns) * len(columns[0]))
+    for k, column in enumerate(columns):
+        cells[k::len(columns)] = column
+    return cells
+
+
+def _grid_rows(axis1, axis2, *columns) -> list:
+    """Cells of the (axis1, axis2, *values) rows, row-major.
+
+    Each axis value is formatted to %.12g text once; the value columns
+    stay floats for the table's one format call.
+    """
     fmt = "%.12g".__mod__
     first, second = (list(map(fmt, np.asarray(axis, dtype=float).tolist())) for axis in (axis1, axis2))
-    return list(zip([a for a in first for _ in second], second * len(first),
-                    *(map(fmt, np.ravel(values).tolist()) for values in columns)))
+    return _cells([a for a in first for _ in second], second * len(first),
+                  *(np.ravel(values).tolist() for values in columns))
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +184,10 @@ def _cmd_state(args) -> _Output:
               "n_max_effective": vec.n_max_effective, "tail_bound": vec.tail_bound},
     )
     _check_tail(out, vec.n_max_effective, vec.tail_bound, params.n_max)
-    for level, amp in zip(vec.levels, vec.amps):
-        if amp == 0:
-            continue  # structural zeros (odd offsets, padding) carry no information
-        out.rows.append((int(level), float(amp.real), float(amp.imag), float(abs(amp) ** 2)))
+    keep = np.flatnonzero(vec.amps)  # structural zeros (odd offsets, padding) carry no information
+    amps = vec.amps[keep]
+    out.cells = _cells(vec.levels[keep].tolist(), amps.real.tolist(), amps.imag.tolist(),
+                       (np.abs(amps) ** 2).tolist())
     return out
 
 
@@ -185,17 +205,19 @@ def _cmd_stats(args) -> _Output:
         m[rung.rows] = stats.moments(np.abs(rung.amps) ** 2, 2 * np.arange(rung.n_max + 1))
         effective[rung.rows], tail[rung.rows] = rung.n_max, rung.tail_bound
     q, g2, a3 = stats.mandel_q(m), stats.g2_zero(m), stats.a3_parameter(m)
-    rows = zip(grid.tolist(), m[:, 0].tolist(), q.tolist(), g2.tolist(), a3.tolist())
-    for row, n_eff, tail_mass in zip(rows, effective.tolist(), tail.tolist()):
-        r, _, q_r, g2_r, a3_r = row
-        _check_tail(out, n_eff, tail_mass, params.n_max)
-        if math.isnan(q_r):
+    out.cells = np.column_stack((grid, m[:, 0], q, g2, a3)).ravel().tolist()
+    out.meta["n_max_effective"] = int(effective.max())
+    q_nan, g2_inf, a3_nan = np.isnan(q), np.isinf(g2), np.isnan(a3)
+    # only flagged rows are visited, in row order, so the warnings come row by row
+    for k in np.flatnonzero((tail > TAIL_WARN_THRESHOLD) | q_nan | g2_inf | a3_nan).tolist():
+        r = grid[k]
+        _check_tail(out, effective[k], tail[k], params.n_max)
+        if q_nan[k]:
             out.warn(f"Q/g2 undefined at r={r:.6g} (zero mean excitation)")
-        elif math.isinf(g2_r):
+        elif g2_inf[k]:
             out.warn(f"g2 overflows at r={r:.6g} (1/mean excitation exceeds the float range)")
-        if math.isnan(a3_r):
+        if a3_nan[k]:
             out.warn(f"A3 undefined at r={r:.6g} (degenerate moments)")
-        out.rows.append(row)
     return out
 
 
@@ -210,9 +232,8 @@ def _cmd_squeeze(args) -> _Output:
     )
     kind = CASE_NONLINEAR if args.case == "i" else CASE_UNITARY
     witness = squeezing.squeezing_grid(kind, grid, thetas, n_max=args.n_max)
-    for n_eff, tail_mass in zip(witness.n_max_effective.tolist(), witness.tail_bound.tolist()):
-        _check_tail(out, n_eff, tail_mass, args.n_max)
-    out.rows = _grid_rows(grid, thetas, witness.i1, witness.i2, witness.i3, witness.i4)
+    _check_tail(out, witness.n_max_effective, witness.tail_bound, args.n_max)
+    out.cells = _grid_rows(grid, thetas, witness.i1, witness.i2, witness.i3, witness.i4)
     for row, col in np.argwhere(~witness.uncertainty_ok).tolist():
         out.warn(f"uncertainty product below bound at r={grid[row]:.6g}, theta={thetas[col]:.6g}")
     return out
@@ -232,7 +253,7 @@ def _cmd_quad_dist(args) -> _Output:
               "grid": {"x": [args.x_min, args.x_max, args.x_steps], "phi_steps": args.phi_steps}},
     )
     _check_tail(out, vec.n_max_effective, vec.tail_bound, args.n_max)
-    out.rows = _grid_rows(grid.axis1, grid.axis2, grid.values)
+    out.cells = _grid_rows(grid.axis1, grid.axis2, grid.values)
     return out
 
 
@@ -265,7 +286,7 @@ def _cmd_quasiprob(args) -> _Output:
             out.warn(f"grid_mass {mass:.6g} differs from 1 by more than {MASS_WARN_THRESHOLD:g}; "
                      "the grid misses part of the support or the sums lost precision")
     out.meta["grid_mass"] = mass
-    out.rows = _grid_rows(grid.axis1, grid.axis2, grid.values)
+    out.cells = _grid_rows(grid.axis1, grid.axis2, grid.values)
     return out
 
 
@@ -278,8 +299,8 @@ def _cmd_verify_algebra(args) -> _Output:
         "max_deviation": report["max_deviation"],
         "casimir_peak": casimir_peak,
     }
-    for label, dev in report["identities"].items():
-        out.rows.append((label, float(dev)))
+    identities = report["identities"]
+    out.cells = _cells(list(identities), [float(dev) for dev in identities.values()])
     return out
 
 
@@ -291,8 +312,7 @@ def _cmd_dual_check(args) -> _Output:
         "limit_estimate": report.limit_estimate,
         "verdict": report.verdict,
     }
-    for n, x in enumerate(report.x_seq, start=1):
-        out.rows.append((n, float(x)))
+    out.cells = _cells(list(range(1, report.x_seq.size + 1)), report.x_seq.tolist())
     return out
 
 

@@ -160,8 +160,11 @@ def build_sweep(kind: str, moduli, theta: float = 0.0, n_max: int = 70) -> list[
     proxy is at least 1e-10 move on to the next rung, 2 n_max, until
     n_max reaches 20000; the rungs come in increasing n_max.
     """
-    # every modulus passes the checks of a single state
-    r = np.array([SqueezeParams(kind, float(x), theta, n_max).r for x in moduli])
+    r = np.array(moduli, dtype=float)
+    if r.size:  # each modulus passes a single state's checks; the first that fails raises as its state
+        bad = ~np.isfinite(r) | (r < 0.0) | ((kind == CASE_UNITARY) & (r >= 1.0))
+        for k in (0, bad.argmax()):  # row 0 also carries the checks of kind, theta and n_max
+            SqueezeParams(kind, float(r[k]), theta, n_max)
     rows = np.arange(r.size)
     rungs = []
     while rows.size:

@@ -215,6 +215,43 @@ class TestSqueezeCommand:
             assert calls == [8]
 
 
+class TestWarningOrder:
+    """The exact warnings and truncation of commands whose rows raise several flags."""
+
+    G2 = "g2 overflows at r={} (1/mean excitation exceeds the float range)"
+    A3 = "A3 undefined at r={} (degenerate moments)"
+    TAIL = "tail_mass {} exceeds 1e-06; "
+
+    CASES = [
+        # g2 and A3 warnings interleaved row by row
+        (["stats", "--case", "iii", "--xi-max", "1e-160", "--xi-steps", "3"], 70,
+         [G2.format("3.33333e-161"), A3.format("3.33333e-161"),
+          G2.format("6.66667e-161"), A3.format("6.66667e-161"),
+          G2.format("1e-160"), A3.format("1e-160")]),
+        # both advice texts; repeated texts are kept once, in first-seen order
+        (["stats", "--case", "iii", "--xi-max", "0.9999", "--xi-steps", "8", "--n-max", "10"], 20000,
+         [TAIL.format("3.348e-06") + "raise --n-max", TAIL.format("1.249e-04") + "raise --n-max",
+          TAIL.format("3.115e-06") + "n_max was already raised from 10 to 20000"]),
+        (["stats", "--case", "i", "--r-max", "1e-84", "--r-steps", "2"], 70,
+         [A3.format("5e-85"), A3.format("1e-84")]),
+        (["squeeze", "--case", "iii", "--xi-max", "0.9999", "--xi-steps", "4", "--theta-steps", "2",
+          "--n-max", "10"], 20000,
+         [TAIL.format("3.348e-06") + "raise --n-max",
+          TAIL.format("3.115e-06") + "n_max was already raised from 10 to 20000"]),
+    ]
+
+    @pytest.mark.parametrize("argv, effective, warnings", CASES,
+                             ids=["stats_g2_a3", "stats_tail", "stats_tiny_r", "squeeze_tail"])
+    def test_pinned_warnings(self, tmp_path, capsys, argv, effective, warnings):
+        target = tmp_path / "w.csv"
+        code, _, err = _run(capsys, *argv, "-o", str(target))
+        assert code == 0
+        meta = json.loads(Path(f"{target}.meta.json").read_text())
+        assert meta["warnings"] == warnings
+        assert meta["n_max_effective"] == effective
+        assert err == "".join(f"warning: {w}\n" for w in warnings)
+
+
 class TestQuadDistCommand:
     def test_grid_emission(self, capsys):
         code, out, _ = _run(
@@ -297,6 +334,29 @@ class TestQuasiprobCommand:
         assert (abs(meta["grid_mass"] - 1.0) > 1e-2) is flagged
         assert ("warning: grid_mass" in err) is flagged
         assert any(w.startswith("grid_mass") for w in meta["warnings"]) is flagged
+
+class TestJsonMatchesCsv:
+    @pytest.mark.parametrize("argv", [
+        ["quasiprob", "--case", "i", "--r", "2.8284271247461903", "--theta", "0.7853981633974483",
+         "--s", "0.5", "--x-steps", "7", "--p-steps", "5"],
+        ["quasiprob", "--case", "iii", "--xi", "0.4", "--s", "-1", "--x-steps", "1", "--p-steps", "3"],
+        ["squeeze", "--case", "i", "--r-max", "31", "--r-steps", "3", "--theta-steps", "4"],
+        ["squeeze", "--case", "iii", "--xi-max", "0.9999", "--xi-steps", "2", "--theta-steps", "3",
+         "--n-max", "10"],
+    ])
+    def test_rows_cell_for_cell(self, tmp_path, capsys, argv):
+        target = tmp_path / "t.csv"
+        assert main([*argv, "-o", str(target)]) == 0
+        capsys.readouterr()
+        code, out, _ = _run(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        header, *lines = target.read_text().splitlines()
+        assert payload["columns"] == header.split(",")
+        assert payload["rows"] == [line.split(",") for line in lines]
+        meta = json.loads(Path(f"{target}.meta.json").read_text())
+        assert {k: v for k, v in payload.items() if k not in ("columns", "rows")} == meta
+
 
 class TestVerifyAlgebraCommand:
     def test_json_report(self, capsys):
@@ -409,12 +469,32 @@ class TestReproducibility:
         # the per-value formatting the row template replaced
         values = [0.0, -0.0, 5e-324, -2.2e-308, math.inf, -math.inf, math.nan, 1.0 / 3.0,
                   123456789012.5, np.float64(2.0) / 3.0, -1e300]
-        rows = [(k, "label,with comma", v, -v) for k, v in enumerate(values)]
-        out = _Output(command="t", columns=("n", "s", "a", "b"), rows=rows)
-        expected = ["n,s,a,b"] + [
-            ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) for row in rows
+        # cell text with % and , must print as itself, never act as a format
+        rows = [(k, "label,with comma %s %d %%", v, -v) for k, v in enumerate(values)]
+        out = _Output(command="t", columns=("n", "s", "a", "b"), cells=[c for row in rows for c in row])
+        text = [[f"{v:.12g}" if isinstance(v, float) else str(v) for v in row] for row in rows]
+        assert out.csv_text() == "\n".join(["n,s,a,b"] + [",".join(row) for row in text]) + "\n"
+        assert out.json_payload()["rows"] == text
+
+    def test_grid_rows_match_per_value_format(self):
+        axis1 = [-0.0, 5e-324, 1.0 / 3.0]
+        axis2 = np.array([0.0, -1e300, 2.5])
+        special = [math.inf, -math.inf, math.nan, -0.0, 2.2e-310, 5e-324, 1.0 / 3.0, -7.0, 1e-5]
+        values = np.array(special).reshape(3, 3)
+        cells = cli._grid_rows(axis1, axis2, values, -values)
+        out = _Output(command="t", columns=("x", "y", "v", "w"), cells=cells)
+        expected = ["x,y,v,w"] + [
+            f"{a:.12g},{b:.12g},{values[i, j]:.12g},{-values[i, j]:.12g}"
+            for i, a in enumerate(axis1) for j, b in enumerate(axis2)
         ]
         assert out.csv_text() == "\n".join(expected) + "\n"
+        assert out.json_payload()["rows"] == [line.split(",") for line in expected[1:]]
+        # a string cell beside the grid's cells: text with % and , is copied, not interpreted
+        label = _Output(command="t", columns=("x", "y", "v", "w", "s"),
+                        cells=cli._cells(cells[0::4], cells[1::4], cells[2::4], cells[3::4],
+                                         ["100% sure, %s"] * 9))
+        assert label.csv_text() == "\n".join(
+            [f"{expected[0]},s"] + [f"{line},100% sure, %s" for line in expected[1:]]) + "\n"
 
     def test_n_max_flag_bounds_levels(self, capsys):
         code, out, _ = _run(capsys, "state", "--case", "i", "--r", "3", "--n-max", "5")

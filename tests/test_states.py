@@ -123,6 +123,48 @@ class TestUnitaryBuilder:
         assert 0.0 <= unitary_xi04.tail_bound < 1e-12
 
 
+class TestSweepValidation:
+    """``build_sweep`` refuses a sweep exactly as the single state of its first bad modulus."""
+
+    @staticmethod
+    def _refusal(kind, r, theta=0.0, n_max=70):
+        with pytest.raises(ValueError) as exc:
+            states.SqueezeParams(kind, r, theta, n_max)
+        return exc.value
+
+    @pytest.mark.parametrize("kind, bad", [
+        ("i", math.nan), ("i", -0.5), ("i", math.inf), ("iii", math.nan), ("iii", -1e-300),
+        ("iii", 1.0), ("iii", 1.5),
+    ])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_first_bad_modulus_raises_as_a_single_state(self, kind, bad, where):
+        moduli = [0.1, 0.2, 0.3, 0.4, 0.5]
+        moduli[where] = bad
+        moduli.append(-2.0)  # a later bad modulus must not be the one reported
+        want = self._refusal(kind, bad)
+        with pytest.raises(type(want)) as exc:
+            states.build_sweep(kind, np.array(moduli))
+        assert type(exc.value) is type(want)
+        assert str(exc.value) == str(want)
+
+    @pytest.mark.parametrize("theta, n_max", [(math.nan, 70), (0.0, 0)])
+    def test_parameters_of_every_row_are_checked_at_the_first(self, theta, n_max):
+        # theta and n_max fail every row, so the first modulus names the refusal
+        want = self._refusal("i", 0.1, theta, n_max)
+        with pytest.raises(type(want)) as exc:
+            states.build_sweep("i", [0.1, -1.0], theta, n_max)
+        assert str(exc.value) == str(want)
+
+    def test_bad_kind(self):
+        want = self._refusal("ii", 0.1)
+        with pytest.raises(type(want)) as exc:
+            states.build_sweep("ii", [0.1, math.nan])
+        assert str(exc.value) == str(want)
+
+    def test_empty_sweep_is_not_validated(self):
+        assert states.build_sweep("iii", [], math.nan, 0) == []
+
+
 class TestAmplitudeOracle:
     """build_state against both laws at 50 digits, out to extreme modulus."""
 
