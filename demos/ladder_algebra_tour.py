@@ -10,7 +10,7 @@ frequency equals the level-energy gap.
 Run:  python demos/ladder_algebra_tour.py
 """
 
-from isosqueeze import algebra, basis_vector
+from isosqueeze import algebra
 
 # --- basis actions ---------------------------------------------------------
 # The deformation weight f(n) = sqrt((n-1)(n-3)) vanishes at n = 3, which is
@@ -18,17 +18,19 @@ from isosqueeze import algebra, basis_vector
 print("deformation weight f(n) at n = 1, 3, 4, 6:",
       [algebra.deform_f(n) for n in (1, 3, 4, 6)])
 
-# Every operator is one entry of the coefficient table, applied by name.
-bottom = basis_vector(3, 8)
-print("\ndeformed lowering on |3> :", algebra.apply("N-", bottom).amps[:4])
-print("deformed raising  on |3> :", algebra.apply("N+", bottom).amps[:4],
-      "(coefficient 2*sqrt(3))")
+# Every operator is one entry of the coefficient table: op|n> = c(n) |n + shift>.
+def action(op, n):
+    coeff, shift = algebra.word_action((op,), n)
+    return f"{float(coeff):.6g} |{n + shift}>" if coeff else "0"
+
+
+print("\ndeformed lowering on |3> :", action("N-", 3), "(the bottom is annihilated)")
+print("deformed raising  on |3> :", action("N+", 3), "(coefficient 2*sqrt(3))")
 
 # The symmetrically rescaled pair acts on |3>, |4>, ... exactly like the
 # textbook ladder on |0>, |1>, ...
-print("rescaled raising  on |3> :", algebra.apply("K+", bottom).amps[:4])
-seven = basis_vector(7, 10)
-print("excitation count  on |7> :", algebra.apply("K0", seven).amps[4].real,
+print("rescaled raising  on |3> :", action("K+", 3))
+print("excitation count  on |7> :", action("K0", 7),
       "(level 7 sits 4 rungs above the effective vacuum)")
 
 # --- commutator identities -------------------------------------------------

@@ -14,9 +14,9 @@ entry is an index shift and a coefficient law c(n), so that
 op|n> = c(n) |n + shift>.  Every coefficient is a single square root of
 an exact integer product, which keeps the identity checks at the 1e-11
 level.  ``word_action`` gives the coefficient of an operator word on
-each level, ``apply`` acts with one operator on a truncated vector, and
-``verify_commutators`` evaluates the identity table ``_IDENTITIES`` as
-arrays over the levels.  Operators are never dense matrices.
+each level, and ``verify_commutators`` evaluates the identity table
+``_IDENTITIES`` as arrays over the levels.  Operators are never dense
+matrices.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import BASE_LEVEL, FockVector, InvalidParameter
+from .fock import BASE_LEVEL, InvalidParameter
 
 __all__ = [
     "deform_f",
     "word_action",
-    "apply",
     "verify_commutators",
     "casimir_eigenvalue",
     "deformed_energy",
@@ -99,22 +98,6 @@ def word_action(ops: Sequence[str], n) -> tuple[np.ndarray, int]:
         coeff *= law(at)
         shift += step
     return coeff, shift
-
-
-def apply(op: str, v: FockVector) -> FockVector:
-    """op|v> on the window of ``v``.
-
-    Nothing leaves the bottom (every lowering law vanishes at |3>); the
-    probability a raising carries off the top level is added to the
-    tail bound.
-    """
-    coeff, shift = word_action((op,), v.levels)
-    moved = v.amps * coeff
-    out = np.roll(moved, shift)
-    if shift:
-        out[0 if shift > 0 else -1] = 0.0  # the level that wrapped round
-    dropped = abs(moved[-1]) ** 2 if shift > 0 else 0.0
-    return FockVector(out, tail_bound=v.tail_bound + dropped)
 
 
 def verify_commutators(n_low: int = BASE_LEVEL, n_high: int = 60) -> dict:

@@ -9,6 +9,11 @@ degenerate grid point, g2 beyond the float range) are surfaced as
 warnings in the JSON metadata, never as failures: sweeps must not
 abort at degenerate cells.
 
+Two tables drive it: ``_COMMANDS`` holds each subcommand's help,
+handler and flags for ``build_parser``'s one loop, and ``_ROUTES``
+holds each ``--case`` route's flags, defaults and sweep bound for
+``_resolve``, which refuses a flag of the other route.
+
 Exit status: 0 success (warnings included), 2 usage error, 3 refused
 input (``ValidationError``, ``InvalidParameter`` including
 ``RadiusViolation``, ``SParameterOutOfRange``).  Any other exception,
@@ -106,23 +111,6 @@ class _Output:
             print(f"warning: {message}", file=sys.stderr)
 
 
-def _params_from_args(args, r_override: float | None = None) -> SqueezeParams:
-    """Resolve the mutually exclusive (r, theta) vs (xi, xi_phase) groups."""
-    if args.case == "i":
-        if getattr(args, "xi", None) is not None:
-            raise ValidationError("--xi belongs to --case iii; use --r/--theta with --case i")
-        r = args.r if r_override is None else r_override
-        if r is None:
-            raise ValidationError("--case i requires --r")
-        return SqueezeParams(kind=CASE_NONLINEAR, r=r, theta=args.theta, n_max=args.n_max)
-    if getattr(args, "r", None) is not None:
-        raise ValidationError("--r belongs to --case i; use --xi with --case iii")
-    xi = args.xi if r_override is None else r_override
-    if xi is None:
-        raise ValidationError("--case iii requires --xi")
-    return SqueezeParams(kind=CASE_UNITARY, r=xi, theta=args.xi_phase, n_max=args.n_max)
-
-
 def _check_tail(out: _Output, effective, tail_bound, requested: int) -> None:
     """Record the largest effective truncation; warn, in row order, where the tail is fat.
 
@@ -136,17 +124,54 @@ def _check_tail(out: _Output, effective, tail_bound, requested: int) -> None:
         out.warn(f"tail_mass {tail_bound[k]:.3e} exceeds {TAIL_WARN_THRESHOLD:g}; {advice}")
 
 
-def _modulus_grid(args) -> tuple[np.ndarray, float, int]:
-    """Sweep grid over (0, max]: the degenerate 0 endpoint is excluded."""
-    if args.case == "i":
-        top, steps = args.r_max, args.r_steps
-    else:
-        top, steps = args.xi_max, args.xi_steps
-        if top >= 1.0:
-            raise ValidationError(f"--xi-max must be < 1, got {top}")
+# --case value (the ``states`` kind) -> (argparse dests by role: modulus, phase, sweep max,
+# sweep steps; what each role reads when its flag is unset; the bound a sweep max stays below;
+# the flags a refusal of the other route's modulus points to)
+_ROUTES = {
+    CASE_NONLINEAR: (("r", "theta", "r_max", "r_steps"), (None, 0.0, 31.0, 64), math.inf,
+                     "--r/--theta"),
+    CASE_UNITARY: (("xi", "xi_phase", "xi_max", "xi_steps"), (None, 0.0, 0.9, 64), 1.0, "--xi"),
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _resolve(args) -> tuple:
+    """(kind, modulus, phase, sweep max, sweep steps) of the --case route, unset flags at its defaults.
+
+    Refused: a flag of the other route the user gave, and a sweep maximum
+    outside (0, bound); a command without sweep flags reads valid defaults.
+    """
+    kind = getattr(args, "case", CASE_NONLINEAR)  # quad-dist takes no --case: it is case i
+    dests, defaults, max_below, hint = _ROUTES[kind]
+    for other, (foreign, *_) in _ROUTES.items():
+        for own, dest in zip(dests, foreign) if other != kind else ():
+            if getattr(args, dest, None) is not None:
+                raise ValidationError(f"{_flag(dest)} belongs to --case {other}; use "
+                                      f"{hint if own == dests[0] else _flag(own)} with --case {kind}")
+    given = [getattr(args, dest, None) for dest in dests]
+    modulus, phase, top, steps = (d if v is None else v for v, d in zip(given, defaults))
+    if top >= max_below:
+        raise ValidationError(f"{_flag(dests[2])} must be < {max_below:g}, got {top}")
     if top <= 0:
         raise ValidationError("sweep maximum must be positive")
-    return np.linspace(top / steps, top, steps), top, steps
+    return kind, modulus, phase, top, steps
+
+
+def _point(args) -> SqueezeParams:
+    """The one state of ``state``, ``quad-dist`` and ``quasiprob``."""
+    kind, modulus, phase, _, _ = _resolve(args)
+    if modulus is None:
+        raise ValidationError(f"--case {kind} requires {_flag(_ROUTES[kind][0][0])}")
+    return SqueezeParams(kind=kind, r=modulus, theta=phase, n_max=args.n_max)
+
+
+def _modulus_grid(args) -> tuple:
+    """(kind, phase, grid, max, steps) of a sweep over (0, max]; the degenerate 0 is excluded."""
+    kind, _, phase, top, steps = _resolve(args)
+    return kind, phase, np.linspace(top / steps, top, steps), top, steps
 
 
 def _cells(*columns: list) -> list:
@@ -175,10 +200,10 @@ def _grid_rows(axis1, axis2, *columns) -> list:
 
 
 def _cmd_state(args) -> _Output:
-    params = _params_from_args(args)
+    params = _point(args)
     vec = build_state(params)
     out = _Output(
-        command="state",
+        args.command,
         columns=("level", "re", "im", "prob"),
         meta={"case": args.case, "r": params.r, "theta": params.theta, "n_max": params.n_max,
               "n_max_effective": vec.n_max_effective, "tail_bound": vec.tail_bound},
@@ -192,15 +217,14 @@ def _cmd_state(args) -> _Output:
 
 
 def _cmd_stats(args) -> _Output:
-    grid, top, steps = _modulus_grid(args)
-    params = _params_from_args(args, r_override=top)
+    kind, theta, grid, top, steps = _modulus_grid(args)
     out = _Output(
-        command="stats",
+        args.command,
         columns=("r", "meanK0", "Q", "g2", "A3"),
-        meta={"case": args.case, "max": top, "steps": steps, "n_max": args.n_max},
+        meta={"case": kind, "max": top, "steps": steps, "n_max": args.n_max},
     )
     m, effective, tail = np.empty((steps, 4)), np.empty(steps, dtype=int), np.empty(steps)
-    for rung in build_sweep(params.kind, grid, params.theta, params.n_max):
+    for rung in build_sweep(kind, grid, theta, args.n_max):
         # the builders put probability on even offsets only: moments reads those
         m[rung.rows] = stats.moments(np.abs(rung.amps) ** 2, 2 * np.arange(rung.n_max + 1))
         effective[rung.rows], tail[rung.rows] = rung.n_max, rung.tail_bound
@@ -211,7 +235,7 @@ def _cmd_stats(args) -> _Output:
     # only flagged rows are visited, in row order, so the warnings come row by row
     for k in np.flatnonzero((tail > TAIL_WARN_THRESHOLD) | q_nan | g2_inf | a3_nan).tolist():
         r = grid[k]
-        _check_tail(out, effective[k], tail[k], params.n_max)
+        _check_tail(out, effective[k], tail[k], args.n_max)
         if q_nan[k]:
             out.warn(f"Q/g2 undefined at r={r:.6g} (zero mean excitation)")
         elif g2_inf[k]:
@@ -222,15 +246,14 @@ def _cmd_stats(args) -> _Output:
 
 
 def _cmd_squeeze(args) -> _Output:
-    grid, top, steps = _modulus_grid(args)
+    kind, _, grid, top, steps = _modulus_grid(args)
     thetas = np.linspace(0.0, 2.0 * math.pi, args.theta_steps, endpoint=False)
     out = _Output(
-        command="squeeze",
+        args.command,
         columns=("r", "theta", "I1", "I2", "I3", "I4"),
-        meta={"case": args.case, "max": top, "steps": steps,
+        meta={"case": kind, "max": top, "steps": steps,
               "theta_steps": args.theta_steps, "n_max": args.n_max},
     )
-    kind = CASE_NONLINEAR if args.case == "i" else CASE_UNITARY
     witness = squeezing.squeezing_grid(kind, grid, thetas, n_max=args.n_max)
     _check_tail(out, witness.n_max_effective, witness.tail_bound, args.n_max)
     out.cells = _grid_rows(grid, thetas, witness.i1, witness.i2, witness.i3, witness.i4)
@@ -240,19 +263,19 @@ def _cmd_squeeze(args) -> _Output:
 
 
 def _cmd_quad_dist(args) -> _Output:
-    params = SqueezeParams(kind=CASE_NONLINEAR, r=args.r, theta=args.theta, n_max=args.n_max)
+    params = _point(args)
     xs = np.linspace(args.x_min, args.x_max, args.x_steps)
     phis = np.linspace(0.0, 2.0 * math.pi, args.phi_steps, endpoint=False)
     vec = build_state(params)
     grid = dist.quadrature_distribution(vec, xs, phis)
     out = _Output(
-        command="quad-dist",
+        args.command,
         columns=("x", "phi", "P"),
-        meta={"case": "i", "r": args.r, "theta": args.theta, "n_max": args.n_max,
+        meta={"case": params.kind, "r": params.r, "theta": params.theta, "n_max": params.n_max,
               "n_max_effective": vec.n_max_effective,
               "grid": {"x": [args.x_min, args.x_max, args.x_steps], "phi_steps": args.phi_steps}},
     )
-    _check_tail(out, vec.n_max_effective, vec.tail_bound, args.n_max)
+    _check_tail(out, vec.n_max_effective, vec.tail_bound, params.n_max)
     out.cells = _grid_rows(grid.axis1, grid.axis2, grid.values)
     return out
 
@@ -260,7 +283,7 @@ def _cmd_quad_dist(args) -> _Output:
 def _cmd_quasiprob(args) -> _Output:
     if args.s >= 1.0:
         raise ValidationError(f"--s must be < 1, got {args.s}")
-    params = _params_from_args(args)
+    params = _point(args)
     bound = (1.0 - args.s) / (1.0 + args.s) if args.s > -1.0 else math.inf
     if params.kind == CASE_UNITARY and params.r >= bound:
         # the double sum diverges there: the s-ordered function does not exist
@@ -270,7 +293,7 @@ def _cmd_quasiprob(args) -> _Output:
     ps = np.linspace(args.p_min, args.p_max, args.p_steps)
     grid = dist.quasi_probability_grid(vec, xs, ps, args.s)
     out = _Output(
-        command="quasiprob",
+        args.command,
         columns=("x", "p", "F"),
         meta={"case": args.case, "r": params.r, "theta": params.theta,
               "s": args.s, "n_max": params.n_max, "n_max_effective": vec.n_max_effective,
@@ -293,7 +316,7 @@ def _cmd_quasiprob(args) -> _Output:
 def _cmd_verify_algebra(args) -> _Output:
     report = algebra.verify_commutators(args.n_low, args.n_high)
     casimir_peak = max(abs(algebra.casimir_eigenvalue(n)) for n in range(args.n_low, args.n_high + 1))
-    out = _Output(command="verify-algebra", columns=("identity", "max_deviation"))
+    out = _Output(args.command, columns=("identity", "max_deviation"))
     out.meta = {
         "levels": report["levels"],
         "max_deviation": report["max_deviation"],
@@ -306,7 +329,7 @@ def _cmd_verify_algebra(args) -> _Output:
 
 def _cmd_dual_check(args) -> _Output:
     report = dual_series_diagnosis(args.terms)
-    out = _Output(command="dual-check", columns=("n", "x_n"))
+    out = _Output(args.command, columns=("n", "x_n"))
     out.meta = {
         "terms": args.terms,
         "limit_estimate": report.limit_estimate,
@@ -321,21 +344,53 @@ def _cmd_dual_check(args) -> _Output:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, cases: bool = True) -> None:
-    sub.add_argument("-o", "--output", default=None, help="output path (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--n-max", type=int, default=70,
-                     help="half-index truncation; top level is 2 n_max + 3")
-    if cases:
-        sub.add_argument("--case", choices=("i", "iii"), required=True,
-                         help="i: non-unitary route (beta); iii: unitary route (xi)")
+# Flag groups: each flag is (*names, add_argument keywords).  A route-owned
+# flag has no default here: unset, it reads None and _resolve reads _ROUTES.
+_COMMON = [("-o", "--output", dict(help="output path (default: stdout)")),
+           ("--format", dict(choices=("csv", "json"), default="csv")),
+           ("--n-max", dict(type=int, default=70,
+                            help="half-index truncation; top level is 2 n_max + 3"))]
+_CASE = [("--case", dict(choices=tuple(_ROUTES), required=True,
+                         help="i: non-unitary route (beta); iii: unitary route (xi)"))]
+_POINT = [("--r", dict(type=float, help="modulus of beta (case i)")),
+          ("--theta", dict(type=float, help="phase of beta (case i)")),
+          ("--xi", dict(type=float, help="modulus of xi (case iii, < 1)")),
+          ("--xi-phase", dict(type=float, help="phase of xi (case iii)"))]
+_R_SWEEP = [("--r-max", dict(type=float)), ("--r-steps", dict(type=int))]
+_XI_SWEEP = [("--xi-max", dict(type=float)), ("--xi-steps", dict(type=int))]
+_REPORT = [("-o", "--output", {}), ("--format", dict(choices=("csv", "json"), default="json"))]
 
 
-def _add_point_params(sub) -> None:
-    sub.add_argument("--r", type=float, default=None, help="modulus of beta (case i)")
-    sub.add_argument("--theta", type=float, default=0.0, help="phase of beta (case i)")
-    sub.add_argument("--xi", type=float, default=None, help="modulus of xi (case iii, < 1)")
-    sub.add_argument("--xi-phase", type=float, default=0.0, help="phase of xi (case iii)")
+def _axis(name: str, low: float, high: float, steps: int) -> list:
+    """The --NAME-min, --NAME-max and --NAME-steps flags of a grid axis."""
+    return [(f"--{name}-min", dict(type=float, default=low)),
+            (f"--{name}-max", dict(type=float, default=high)),
+            (f"--{name}-steps", dict(type=int, default=steps))]
+
+
+# subcommand -> (help, handler, flags), in --help order
+_COMMANDS = {
+    "state": ("amplitude table of one state", _cmd_state, _COMMON + _CASE + _POINT),
+    "stats": ("sweep meanK0, Q, g2, A3 over the modulus", _cmd_stats,
+              _COMMON + _CASE + _R_SWEEP + [("--theta", dict(type=float))]
+              + _XI_SWEEP + [("--xi-phase", dict(type=float))]),
+    "squeeze": ("I1..I4 witnesses over an (r, theta) grid", _cmd_squeeze,
+                _COMMON + _CASE + _R_SWEEP + _XI_SWEEP
+                + [("--theta-steps", dict(type=int, default=128))]),
+    "quad-dist": ("quadrature distribution P(x, phi), case i", _cmd_quad_dist,
+                  _COMMON + [("--r", dict(type=float, required=True)),
+                             ("--theta", dict(type=float, default=0.0))]
+                  + _axis("x", -5.0, 5.0, 201) + [("--phi-steps", dict(type=int, default=256))]),
+    "quasiprob": ("s-parameterized quasi-probability F(x, p)", _cmd_quasiprob,
+                  _COMMON + _CASE + _POINT
+                  + [("--s", dict(type=float, default=0.0, help="ordering parameter, < 1"))]
+                  + _axis("x", -4.0, 4.0, 161) + _axis("p", -4.0, 4.0, 161)),
+    "verify-algebra": ("commutator and Casimir deviation report", _cmd_verify_algebra,
+                       _REPORT + [("--n-low", dict(type=int, default=3)),
+                                  ("--n-high", dict(type=int, default=60))]),
+    "dual-check": ("divergence diagnostic of the mirror-route series", _cmd_dual_check,
+                   _REPORT + [("--terms", dict(type=int, default=50))]),
+}
 
 
 @functools.cache  # one parser per process: parse_args leaves it unchanged
@@ -347,66 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
         "phase-space distributions as reproducible CSV/JSON.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("state", help="amplitude table of one state")
-    _add_common(sub)
-    _add_point_params(sub)
-    sub.set_defaults(func=_cmd_state)
-
-    sub = subs.add_parser("stats", help="sweep meanK0, Q, g2, A3 over the modulus")
-    _add_common(sub)
-    sub.add_argument("--r-max", type=float, default=31.0)
-    sub.add_argument("--r-steps", type=int, default=64)
-    sub.add_argument("--theta", type=float, default=0.0)
-    sub.add_argument("--xi-max", type=float, default=0.9)
-    sub.add_argument("--xi-steps", type=int, default=64)
-    sub.add_argument("--xi-phase", type=float, default=0.0)
-    sub.set_defaults(func=_cmd_stats)
-
-    sub = subs.add_parser("squeeze", help="I1..I4 witnesses over an (r, theta) grid")
-    _add_common(sub)
-    sub.add_argument("--r-max", type=float, default=31.0)
-    sub.add_argument("--r-steps", type=int, default=64)
-    sub.add_argument("--xi-max", type=float, default=0.9)
-    sub.add_argument("--xi-steps", type=int, default=64)
-    sub.add_argument("--theta-steps", type=int, default=128)
-    sub.set_defaults(func=_cmd_squeeze)
-
-    sub = subs.add_parser("quad-dist", help="quadrature distribution P(x, phi), case i")
-    _add_common(sub, cases=False)
-    sub.add_argument("--r", type=float, required=True)
-    sub.add_argument("--theta", type=float, default=0.0)
-    sub.add_argument("--x-min", type=float, default=-5.0)
-    sub.add_argument("--x-max", type=float, default=5.0)
-    sub.add_argument("--x-steps", type=int, default=201)
-    sub.add_argument("--phi-steps", type=int, default=256)
-    sub.set_defaults(func=_cmd_quad_dist)
-
-    sub = subs.add_parser("quasiprob", help="s-parameterized quasi-probability F(x, p)")
-    _add_common(sub)
-    _add_point_params(sub)
-    sub.add_argument("--s", type=float, default=0.0, help="ordering parameter, < 1")
-    sub.add_argument("--x-min", type=float, default=-4.0)
-    sub.add_argument("--x-max", type=float, default=4.0)
-    sub.add_argument("--x-steps", type=int, default=161)
-    sub.add_argument("--p-min", type=float, default=-4.0)
-    sub.add_argument("--p-max", type=float, default=4.0)
-    sub.add_argument("--p-steps", type=int, default=161)
-    sub.set_defaults(func=_cmd_quasiprob)
-
-    sub = subs.add_parser("verify-algebra", help="commutator and Casimir deviation report")
-    sub.add_argument("-o", "--output", default=None)
-    sub.add_argument("--format", choices=("csv", "json"), default="json")
-    sub.add_argument("--n-low", type=int, default=3)
-    sub.add_argument("--n-high", type=int, default=60)
-    sub.set_defaults(func=_cmd_verify_algebra)
-
-    sub = subs.add_parser("dual-check", help="divergence diagnostic of the mirror-route series")
-    sub.add_argument("-o", "--output", default=None)
-    sub.add_argument("--format", choices=("csv", "json"), default="json")
-    sub.add_argument("--terms", type=int, default=50)
-    sub.set_defaults(func=_cmd_dual_check)
-
+    for name, (help_text, _, flags) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for *names, options in flags:
+            sub.add_argument(*names, **options)
     return parser
 
 
@@ -414,13 +413,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for name, value in vars(args).items():
-            flag = "--" + name.replace("_", "-")
-            if name.endswith("_steps") and value < 1:
-                raise ValidationError(f"{flag} must be at least 1, got {value}")
+        for name, value in vars(args).items():  # an unset route-owned flag reads None
+            if name.endswith("_steps") and value is not None and value < 1:
+                raise ValidationError(f"{_flag(name)} must be at least 1, got {value}")
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValidationError(f"{flag} must be finite, got {value}")
-        out = args.func(args)
+                raise ValidationError(f"{_flag(name)} must be finite, got {value}")
+        out = _COMMANDS[args.command][1](args)
     except (ValidationError, InvalidParameter, dist.SParameterOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -88,15 +88,13 @@ class SParameterOutOfRange(ValueError):
 class DistGrid:
     """Sampled distribution values over a 2-D grid.
 
-    ``values[i, j]`` corresponds to (axis1[i], axis2[j]).  ``s`` is the
-    ordering parameter for quasi-probability grids, which also carry the
-    kernel's levels and error bound, and None for P(x, phi).
+    ``values[i, j]`` corresponds to (axis1[i], axis2[j]).  Quasi-probability
+    grids also carry the kernel's levels and error bound; P(x, phi) has None.
     """
 
     axis1: np.ndarray
     axis2: np.ndarray
     values: np.ndarray
-    s: float | None = None
     kernel_levels: int | None = None
     kernel_error_bound: float | None = None
 
@@ -129,7 +127,7 @@ def quadrature_distribution(v: FockVector, x_axis: np.ndarray, phi_axis: np.ndar
     x_axis = np.asarray(x_axis, dtype=float)
     phi_axis = np.asarray(phi_axis, dtype=float)
     psi = quadrature_wavefunction(v, x_axis, phi_axis)  # (phi, x)
-    return DistGrid(axis1=x_axis, axis2=phi_axis, values=np.abs(psi.T) ** 2, s=None)
+    return DistGrid(axis1=x_axis, axis2=phi_axis, values=np.abs(psi.T) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +338,7 @@ def quasi_probability_grid(
     x_axis = np.asarray(x_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     values, kept, bound = _quasi_core(v, x_axis[:, None] + 1j * p_axis[None, :], s)
-    return DistGrid(x_axis, p_axis, values, s, kernel_levels=kept, kernel_error_bound=bound)
+    return DistGrid(x_axis, p_axis, values, kernel_levels=kept, kernel_error_bound=bound)
 
 
 def _oracle_radius(v: FockVector, s: float) -> float:

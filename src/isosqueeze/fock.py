@@ -42,8 +42,7 @@ class FockVector:
     ``tail_bound`` is a proxy for the probability mass the truncation
     discarded: ``states.build_state`` copies it from the ``build_sweep``
     row of the state (the mass on the top retained levels, not a true
-    bound), and ``algebra.apply`` adds what a raising moves off the top
-    level.
+    bound).
     """
 
     amps: np.ndarray

@@ -5,8 +5,9 @@ explicit rational-arithmetic polynomial sums, direct term-by-term
 series summation with lgamma, power moments summed from nu^j P(nu)
 (the library reads falling-factorial moments), dense-matrix operator
 algebra (ladder words and the I1..I4 witnesses as dense-operator
-variances), the per-element Cahill-Glauber displacement closed form
-summed pair by pair, the paper's cosine double sum for the
+variances), one operator applied to a truncated vector (``apply``),
+the per-element Cahill-Glauber displacement closed form summed pair by
+pair, the paper's cosine double sum for the
 quadrature distribution, and both amplitude laws in 50-digit mpmath.
 The full-support phase-space route (``quasi_probability_full``,
 ``characteristic_function_full``) runs a copy of the library kernel on
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 import isosqueeze as iq
-from isosqueeze import stats
+from isosqueeze import algebra, stats
 from isosqueeze.specfun import assoc_laguerre_sequence, log_factorial, weighted_hermite_table
 
 
@@ -135,6 +136,22 @@ def g2_zero_power(v) -> float:
     """g2(0) = (<nu^2> - <nu>) / <nu>^2 from the power moments."""
     mean, mean_sq = power_moments(v)
     return (mean_sq - mean) / mean**2
+
+
+def apply(op: str, v):
+    """op|v> on the window of ``v``, one ``algebra`` table entry at a time.
+
+    Nothing leaves the bottom (every lowering law vanishes at |3>); the
+    probability a raising carries off the top level is added to the
+    tail bound.
+    """
+    coeff, shift = algebra.word_action((op,), v.levels)
+    moved = v.amps * coeff
+    out = np.roll(moved, shift)
+    if shift:
+        out[0 if shift > 0 else -1] = 0.0  # the level that wrapped round
+    dropped = abs(moved[-1]) ** 2 if shift > 0 else 0.0
+    return iq.FockVector(out, tail_bound=v.tail_bound + dropped)
 
 
 def heisenberg_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -5,11 +5,11 @@ import pytest
 
 import isosqueeze as iq
 from isosqueeze import algebra, fock
-from conftest import heisenberg_matrices
+from conftest import apply, heisenberg_matrices
 
 
 def _amps(level, size, op):
-    return algebra.apply(op, iq.basis_vector(level, size)).amps
+    return apply(op, iq.basis_vector(level, size)).amps
 
 
 class TestBasisActions:
@@ -36,7 +36,7 @@ class TestBasisActions:
 
     def test_raising_drop_feeds_tail_bound(self):
         top = iq.basis_vector(5, 3)  # |5> at the window edge
-        out = algebra.apply("K+", top)
+        out = apply("K+", top)
         assert np.all(out.amps == 0.0)
         assert out.tail_bound == pytest.approx(3.0)  # |sqrt(5-2)|^2
 
@@ -77,8 +77,8 @@ class TestCommutators:
     def test_deformed_commutator_on_five(self):
         v = iq.basis_vector(5, 12)
         lhs = (
-            algebra.apply("N+", algebra.apply("N-", v)).amps
-            - algebra.apply("N-", algebra.apply("N+", v)).amps
+            apply("N+", apply("N-", v)).amps
+            - apply("N-", apply("N+", v)).amps
         )
         assert lhs[2] == pytest.approx(-50.0, abs=1e-12)
 
@@ -88,8 +88,8 @@ class TestCommutators:
         for n in range(3, 40):
             v = iq.basis_vector(n, 45)
             lhs = (
-                algebra.apply("K-", algebra.apply("K+", v)).amps
-                - algebra.apply("K+", algebra.apply("K-", v)).amps
+                apply("K-", apply("K+", v)).amps
+                - apply("K+", apply("K-", v)).amps
             )
             assert np.max(np.abs(lhs - v.amps)) < 1e-12
 
@@ -101,8 +101,8 @@ class TestCommutators:
         u_amps[:30] = rng.normal(size=30) + 1j * rng.normal(size=30)
         v_amps[:30] = rng.normal(size=30) + 1j * rng.normal(size=30)
         u, v = fock.FockVector(u_amps), fock.FockVector(v_amps)
-        lhs = np.vdot(u.amps, algebra.apply("K+", v).amps)
-        rhs = np.vdot(algebra.apply("K-", u).amps, v.amps)
+        lhs = np.vdot(u.amps, apply("K+", v).amps)
+        rhs = np.vdot(apply("K-", u).amps, v.amps)
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -114,8 +114,8 @@ class TestDenseMatrixOracle:
         amps[-1] = 0.0  # keep raising inside the window
         v = fock.FockVector(amps)
         lower, upper = heisenberg_matrices(dim)
-        assert np.allclose(algebra.apply("K-", v).amps, lower @ amps, atol=1e-12)
-        assert np.allclose(algebra.apply("K+", v).amps, upper @ amps, atol=1e-12)
+        assert np.allclose(apply("K-", v).amps, lower @ amps, atol=1e-12)
+        assert np.allclose(apply("K+", v).amps, upper @ amps, atol=1e-12)
 
 
 class TestCasimir:

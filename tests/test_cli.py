@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -557,3 +558,182 @@ class TestParserReuse:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "r,meanK0,Q,g2,A3" and len(lines) == 3
         assert lines[2].startswith("31,")
+
+
+# (option strings, type, choices, required, help, default) of every action but -h.
+# ROUTED marks a default that comes from the --case route: TestRouteDefaults pins those.
+ROUTED = object()
+_OUT = [(("-o", "--output"), None, None, False, "output path (default: stdout)", None),
+        (("--format",), None, ("csv", "json"), False, None, "csv"),
+        (("--n-max",), int, None, False, "half-index truncation; top level is 2 n_max + 3", 70)]
+_CASE = [(("--case",), None, ("i", "iii"), True,
+          "i: non-unitary route (beta); iii: unitary route (xi)", None)]
+_POINT = [(("--r",), float, None, False, "modulus of beta (case i)", None),
+          (("--theta",), float, None, False, "phase of beta (case i)", ROUTED),
+          (("--xi",), float, None, False, "modulus of xi (case iii, < 1)", None),
+          (("--xi-phase",), float, None, False, "phase of xi (case iii)", ROUTED)]
+_R_SWEEP = [(("--r-max",), float, None, False, None, ROUTED),
+            (("--r-steps",), int, None, False, None, ROUTED)]
+_XI_SWEEP = [(("--xi-max",), float, None, False, None, ROUTED),
+             (("--xi-steps",), int, None, False, None, ROUTED)]
+_REPORT_OUT = [(("-o", "--output"), None, None, False, None, None),
+               (("--format",), None, ("csv", "json"), False, None, "json")]
+
+
+def _axis(name, low, high, steps):
+    return [((f"--{name}-min",), float, None, False, None, low),
+            ((f"--{name}-max",), float, None, False, None, high),
+            ((f"--{name}-steps",), int, None, False, None, steps)]
+
+
+PARSER_INVENTORY = {
+    "state": ("amplitude table of one state", _OUT + _CASE + _POINT),
+    "stats": ("sweep meanK0, Q, g2, A3 over the modulus",
+              _OUT + _CASE + _R_SWEEP + [(("--theta",), float, None, False, None, ROUTED)]
+              + _XI_SWEEP + [(("--xi-phase",), float, None, False, None, ROUTED)]),
+    "squeeze": ("I1..I4 witnesses over an (r, theta) grid",
+                _OUT + _CASE + _R_SWEEP + _XI_SWEEP
+                + [(("--theta-steps",), int, None, False, None, 128)]),
+    "quad-dist": ("quadrature distribution P(x, phi), case i",
+                  _OUT + [(("--r",), float, None, True, None, None),
+                          (("--theta",), float, None, False, None, 0.0)]
+                  + _axis("x", -5.0, 5.0, 201) + [(("--phi-steps",), int, None, False, None, 256)]),
+    "quasiprob": ("s-parameterized quasi-probability F(x, p)",
+                  _OUT + _CASE + _POINT
+                  + [(("--s",), float, None, False, "ordering parameter, < 1", 0.0)]
+                  + _axis("x", -4.0, 4.0, 161) + _axis("p", -4.0, 4.0, 161)),
+    "verify-algebra": ("commutator and Casimir deviation report",
+                       _REPORT_OUT + [(("--n-low",), int, None, False, None, 3),
+                                      (("--n-high",), int, None, False, None, 60)]),
+    "dual-check": ("divergence diagnostic of the mirror-route series",
+                   _REPORT_OUT + [(("--terms",), int, None, False, None, 50)]),
+}
+
+
+class TestParserInventory:
+    """Every subcommand's flags, read from the parser: the CLI surface, independent of help layout."""
+
+    @staticmethod
+    def _subcommands():
+        parser = build_parser()
+        (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return parser, subs
+
+    def test_subcommands_in_help_order(self):
+        parser, subs = self._subcommands()
+        assert parser.prog == "isosqueeze"
+        assert subs.dest == "command" and subs.required
+        assert [(a.dest, a.help) for a in subs._choices_actions] == [
+            (name, help_text) for name, (help_text, _) in PARSER_INVENTORY.items()]
+
+    @pytest.mark.parametrize("name", list(PARSER_INVENTORY))
+    def test_flags(self, name):
+        _, subs = self._subcommands()
+        actions = [a for a in subs.choices[name]._actions if not isinstance(a, argparse._HelpAction)]
+        got = [(tuple(a.option_strings), a.type, a.choices and tuple(a.choices), a.required, a.help,
+                a.default) for a in actions]
+        want = PARSER_INVENTORY[name][1]
+        assert [row[:5] for row in got] == [row[:5] for row in want]
+        for row, expected in zip(got, want):
+            if expected[5] is not ROUTED:
+                assert (row[0], row[5], type(row[5])) == (expected[0], expected[5], type(expected[5]))
+
+
+class TestRouteDefaults:
+    """The defaults of the route-owned flags, as each route's minimal command records them."""
+
+    CASES = [
+        (["stats", "--case", "i"], {"max": 31.0, "steps": 64}),
+        (["stats", "--case", "iii"], {"max": 0.9, "steps": 64}),
+        (["squeeze", "--case", "i", "--theta-steps", "1"], {"max": 31.0, "steps": 64}),
+        (["squeeze", "--case", "iii", "--theta-steps", "1"], {"max": 0.9, "steps": 64}),
+        (["state", "--case", "i", "--r", "2"], {"r": 2.0, "theta": 0.0}),
+        (["state", "--case", "iii", "--xi", "0.4"], {"r": 0.4, "theta": 0.0}),
+        (["quasiprob", "--case", "i", "--r", "2", "--x-steps", "1", "--p-steps", "1"],
+         {"r": 2.0, "theta": 0.0}),
+        (["quasiprob", "--case", "iii", "--xi", "0.4", "--x-steps", "1", "--p-steps", "1"],
+         {"r": 0.4, "theta": 0.0}),
+    ]
+
+    @pytest.mark.parametrize("argv, pinned", CASES, ids=[" ".join(argv[:3]) for argv, _ in CASES])
+    def test_meta_records_route_default(self, tmp_path, capsys, argv, pinned):
+        target = tmp_path / "d.csv"
+        assert main([*argv, "-o", str(target)]) == 0
+        capsys.readouterr()
+        meta = json.loads(Path(f"{target}.meta.json").read_text())
+        assert meta["case"] == argv[2]
+        for key, value in pinned.items():
+            assert (meta[key], type(meta[key])) == (value, type(value))
+
+
+class TestExitCodes:
+    """Usage errors exit 2 from argparse; refusals exit 3 with their exact message."""
+
+    USAGE = [
+        ["no-such-command"],
+        ["state", "--case", "i", "--r", "1", "--no-such-flag"],
+        ["state", "--case", "ii", "--r", "1"],
+        ["state", "--case", "i", "--r", "abc"],
+        ["state", "--r", "1"],
+        ["quad-dist", "--theta", "0.5"],
+    ]
+
+    @pytest.mark.parametrize("argv", USAGE, ids=["unknown_command", "unknown_flag", "case_ii",
+                                                 "r_not_a_number", "missing_case", "quad_dist_no_r"])
+    def test_usage_error_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    REFUSED = [
+        (["state", "--case", "i", "--xi", "0.4"],
+         "--xi belongs to --case iii; use --r/--theta with --case i"),
+        (["state", "--case", "iii", "--r", "2"],
+         "--r belongs to --case i; use --xi with --case iii"),
+        (["state", "--case", "i"], "--case i requires --r"),
+        (["state", "--case", "iii"], "--case iii requires --xi"),
+        (["stats", "--case", "iii", "--xi-max", "1"], "--xi-max must be < 1, got 1.0"),
+        (["stats", "--case", "i", "--r-max", "0"], "sweep maximum must be positive"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", REFUSED,
+                             ids=["xi_in_case_i", "r_in_case_iii", "case_i_no_r", "case_iii_no_xi",
+                                  "xi_max_1", "r_max_0"])
+    def test_refusal_exits_3_with_message(self, capsys, argv, message):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+class TestCrossRouteRefusal:
+    """A flag of the other route, when given, is refused by name instead of being dropped."""
+
+    CASES = [
+        (["state", "--case", "iii", "--xi", "0.4", "--theta", "1.0"], "--theta", "--xi-phase"),
+        (["state", "--case", "iii", "--xi", "0.4", "--theta", "0"], "--theta", "--xi-phase"),
+        (["state", "--case", "i", "--r", "2", "--xi-phase", "1.0"], "--xi-phase", "--theta"),
+        (["stats", "--case", "iii", "--r-max", "5", "--r-steps", "2"], "--r-max", "--xi-max"),
+        (["stats", "--case", "iii", "--r-steps", "2"], "--r-steps", "--xi-steps"),
+        (["stats", "--case", "iii", "--theta", "0.3"], "--theta", "--xi-phase"),
+        (["stats", "--case", "i", "--xi-max", "0.5"], "--xi-max", "--r-max"),
+        (["stats", "--case", "i", "--xi-steps", "2"], "--xi-steps", "--r-steps"),
+        (["stats", "--case", "i", "--xi-phase", "0.3"], "--xi-phase", "--theta"),
+        (["squeeze", "--case", "iii", "--r-max", "5", "--theta-steps", "2"], "--r-max", "--xi-max"),
+        (["squeeze", "--case", "iii", "--r-steps", "2", "--theta-steps", "2"],
+         "--r-steps", "--xi-steps"),
+        (["squeeze", "--case", "i", "--xi-max", "0.5", "--theta-steps", "2"], "--xi-max", "--r-max"),
+        (["squeeze", "--case", "i", "--xi-steps", "2", "--theta-steps", "2"],
+         "--xi-steps", "--r-steps"),
+        (["quasiprob", "--case", "iii", "--xi", "0.3", "--theta", "0.5"], "--theta", "--xi-phase"),
+        (["quasiprob", "--case", "i", "--r", "2", "--xi-phase", "0.5"], "--xi-phase", "--theta"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag, instead", CASES,
+                             ids=[f"{argv[0]}_{argv[2]}_{flag[2:]}_{k}" for k, (argv, flag, _)
+                                  in enumerate(CASES)])
+    def test_other_route_flag_exits_3(self, capsys, argv, flag, instead):
+        case = argv[2]
+        other = "i" if case == "iii" else "iii"
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: {flag} belongs to --case {other}; use {instead} with --case {case}\n"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import isosqueeze as iq
-from isosqueeze import algebra, fock, squeezing
-from conftest import ladder_word, unitary_probability, witness_oracle
+from isosqueeze import fock, squeezing
+from conftest import apply, ladder_word, unitary_probability, witness_oracle
 
 
 def _unitary_state(xi, n_max=200):
@@ -22,7 +22,7 @@ def _operator_route(v, word):
     bra = fock.FockVector(np.concatenate([v.amps, np.zeros(len(word), dtype=complex)]))
     ket = bra
     for tok in reversed(word):
-        ket = algebra.apply(ops[tok], ket)
+        ket = apply(ops[tok], ket)
     return np.vdot(bra.amps, ket.amps)
 
 
@@ -104,15 +104,15 @@ class TestQuadratureIdentities:
         # I1 + 1 = 2 (dx)^2 and I2 + 1 = 2 (dp)^2 with the quadratures
         # applied as operators, independently of the identity expansion
         def apply_x(v):
-            raised = algebra.apply("K+", v)
-            lowered = algebra.apply("K-", v)
+            raised = apply("K+", v)
+            lowered = apply("K-", v)
             return fock.FockVector(
                 (raised.amps + lowered.amps) / math.sqrt(2.0), tail_bound=raised.tail_bound
             )
 
         def apply_p(v):
-            raised = algebra.apply("K+", v)
-            lowered = algebra.apply("K-", v)
+            raised = apply("K+", v)
+            lowered = apply("K-", v)
             return fock.FockVector(
                 1j * (raised.amps - lowered.amps) / math.sqrt(2.0), tail_bound=raised.tail_bound
             )
