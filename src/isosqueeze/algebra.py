@@ -77,7 +77,7 @@ def deform_f(n: int) -> float:
     prod = (n - 1.0) * (n - 3.0)
     if prod < 0.0:
         raise ValueError(f"f(n) is not real at n={n}; levels 1 < n < 3 are unphysical here")
-    return math.sqrt(prod)
+    return math.sqrt(abs(prod))  # abs: (1 - 1)(1 - 3) is -0.0, whose root is -0.0
 
 
 def word_action(ops: Sequence[str], n) -> tuple[np.ndarray, int]:

@@ -168,6 +168,12 @@ def _point(args) -> SqueezeParams:
     return SqueezeParams(kind=kind, r=modulus, theta=phase, n_max=args.n_max)
 
 
+def _point_meta(params: SqueezeParams) -> dict:
+    """Metadata of a point: its case, then modulus and phase under the route's flag names."""
+    modulus, phase = _ROUTES[params.kind][0][:2]
+    return {"case": params.kind, modulus: params.r, phase: params.theta}
+
+
 def _modulus_grid(args) -> tuple:
     """(kind, phase, grid, max, steps) of a sweep over (0, max]; the degenerate 0 is excluded."""
     kind, _, phase, top, steps = _resolve(args)
@@ -205,7 +211,7 @@ def _cmd_state(args) -> _Output:
     out = _Output(
         args.command,
         columns=("level", "re", "im", "prob"),
-        meta={"case": args.case, "r": params.r, "theta": params.theta, "n_max": params.n_max,
+        meta={**_point_meta(params), "n_max": params.n_max,
               "n_max_effective": vec.n_max_effective, "tail_bound": vec.tail_bound},
     )
     _check_tail(out, vec.n_max_effective, vec.tail_bound, params.n_max)
@@ -271,7 +277,7 @@ def _cmd_quad_dist(args) -> _Output:
     out = _Output(
         args.command,
         columns=("x", "phi", "P"),
-        meta={"case": params.kind, "r": params.r, "theta": params.theta, "n_max": params.n_max,
+        meta={**_point_meta(params), "n_max": params.n_max,
               "n_max_effective": vec.n_max_effective,
               "grid": {"x": [args.x_min, args.x_max, args.x_steps], "phi_steps": args.phi_steps}},
     )
@@ -295,8 +301,8 @@ def _cmd_quasiprob(args) -> _Output:
     out = _Output(
         args.command,
         columns=("x", "p", "F"),
-        meta={"case": args.case, "r": params.r, "theta": params.theta,
-              "s": args.s, "n_max": params.n_max, "n_max_effective": vec.n_max_effective,
+        meta={**_point_meta(params), "s": args.s, "n_max": params.n_max,
+              "n_max_effective": vec.n_max_effective,
               "grid": {"x": [args.x_min, args.x_max, args.x_steps],
                        "p": [args.p_min, args.p_max, args.p_steps]},
               "kernel_levels": grid.kernel_levels, "kernel_error_bound": grid.kernel_error_bound},

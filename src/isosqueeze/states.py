@@ -24,8 +24,12 @@ expansion is exact.  As ln|c_n|(r) = n ln r + g(n), each truncation
 rung of a sweep is one (moduli x levels) outer sum.  Factorial ratios
 go through log space and each row's largest log-term is subtracted
 before exponentiation, so construction stays finite at any amplitude
-(checked against 50 digits to r = 1e3).  This module alone holds the
-truncation policy (see ``build_sweep``).
+(checked against 50 digits to r = 1e3).  Each row's norm is summed
+exactly and rounded once, in array passes: the terms are split into
+pieces whose row sums are exact up to 2^27 levels, and a row whose
+leftover error could change the rounding is summed with ``math.fsum``
+(see ``_row_sums``).  This module alone holds the truncation policy
+(see ``build_sweep``).
 """
 
 from __future__ import annotations
@@ -118,16 +122,52 @@ def _log_terms(kind: str, r: np.ndarray, n_idx: np.ndarray) -> np.ndarray:
     return power - n_idx * math.log(2.0) - log_factorial(n_idx) + _KIND_LOG_TERM[kind](n_idx)
 
 
+# (t + c) - c keeps the multiple of 2^-26, 2^-52, 2^-78 nearest t (for |t| <= 1, 2^-27,
+# 2^-53 in turn): c = 1.5 * 2^k holds t + c in one binade, so the subtraction is exact
+_SPLITS = (2.0 ** 26, 1.5, 1.5 * 2.0 ** -26)
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Row sums of ``terms`` in [0, 1], a 1 in every row, rounded once: bit for bit ``math.fsum``.
+
+    Error-free splitting (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
+    2008): the three ``_SPLITS`` pieces of each term are multiples of
+    2^-26, 2^-52 and 2^-78, so their row sums are exact for rows of up to
+    2^27 levels, and a remainder of at most 2^-79 per term is left.  A
+    two-sum keeps the rounding error of adding the first two sums; the
+    remainder's sum and the last additions carry an error bound.  A row
+    whose sum rounds differently at the two ends of that enclosure (a
+    near tie, or a row longer than 2^27) is summed with ``math.fsum``.
+    """
+    rest, exact = terms, []
+    for c in _SPLITS:
+        piece = (rest + c) - c
+        exact.append(piece.sum(axis=1))
+        rest = rest - piece
+    first, second, third = exact
+    head = first + second  # first >= 1 > |second|: head + low is first + second exactly
+    low = (first - head) + second
+    tail = (low + third) + rest.sum(axis=1)
+    # at least twice the error of tail: the rounding of its two additions, and gamma_{n-1} n 2^-79
+    # for the remainder's sum; the margin also covers rounding the bound and the two ends
+    n = terms.shape[1]
+    bound = 2.0 ** -50 * (np.abs(low) + np.abs(third) + np.abs(tail)) + n * n * 2.0 ** -130
+    sums, upper = head + (tail - bound), head + (tail + bound)
+    for k in np.flatnonzero((sums != upper) | (n > 2 ** 27)).tolist():
+        sums[k] = math.fsum(terms[k].tolist())
+    return sums
+
+
 def _log_norm(log_mag: np.ndarray) -> np.ndarray:
     """ln N = -1/2 ln sum_n e^{2 ln|c_n|} per row of unnormalized log-magnitudes.
 
-    Largest term first, then a compensated sum: N stays finite where
-    the raw terms would overflow.
+    The largest term is factored out, so N stays finite where the raw
+    terms would overflow; the rest are summed with one rounding (``_row_sums``).
     """
     log_sq = 2.0 * log_mag
     peak = log_sq.max(axis=1)
-    sums = np.exp(log_sq - peak[:, None]).tolist()
-    return -0.5 * (peak + np.array([math.log(math.fsum(row)) for row in sums]))
+    sums = _row_sums(np.exp(log_sq - peak[:, None]))
+    return -0.5 * (peak + np.array([math.log(s) for s in sums.tolist()]))
 
 
 def _assemble(kind: str, r: np.ndarray, theta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:

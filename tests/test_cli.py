@@ -648,11 +648,11 @@ class TestRouteDefaults:
         (["squeeze", "--case", "i", "--theta-steps", "1"], {"max": 31.0, "steps": 64}),
         (["squeeze", "--case", "iii", "--theta-steps", "1"], {"max": 0.9, "steps": 64}),
         (["state", "--case", "i", "--r", "2"], {"r": 2.0, "theta": 0.0}),
-        (["state", "--case", "iii", "--xi", "0.4"], {"r": 0.4, "theta": 0.0}),
+        (["state", "--case", "iii", "--xi", "0.4"], {"xi": 0.4, "xi_phase": 0.0}),
         (["quasiprob", "--case", "i", "--r", "2", "--x-steps", "1", "--p-steps", "1"],
          {"r": 2.0, "theta": 0.0}),
         (["quasiprob", "--case", "iii", "--xi", "0.4", "--x-steps", "1", "--p-steps", "1"],
-         {"r": 0.4, "theta": 0.0}),
+         {"xi": 0.4, "xi_phase": 0.0}),
     ]
 
     @pytest.mark.parametrize("argv, pinned", CASES, ids=[" ".join(argv[:3]) for argv, _ in CASES])
@@ -664,6 +664,8 @@ class TestRouteDefaults:
         assert meta["case"] == argv[2]
         for key, value in pinned.items():
             assert (meta[key], type(meta[key])) == (value, type(value))
+        if "xi" in pinned:  # a case-iii point is named by its own flags only
+            assert "r" not in meta and "theta" not in meta
 
 
 class TestExitCodes:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import isosqueeze as iq
 from isosqueeze import states
@@ -163,6 +164,62 @@ class TestSweepValidation:
 
     def test_empty_sweep_is_not_validated(self):
         assert states.build_sweep("iii", [], math.nan, 0) == []
+
+
+def _fsum_log_norm(log_mag):
+    """The per-row ``math.fsum`` form of ``states._log_norm``: the reference it must equal bit for bit."""
+    log_sq = 2.0 * log_mag
+    peak = log_sq.max(axis=1)
+    sums = np.exp(log_sq - peak[:, None]).tolist()
+    return -0.5 * (peak + np.array([math.log(math.fsum(row)) for row in sums]))
+
+
+class TestExactRowSums:
+    """The array-pass norm sums against ``math.fsum``, bit for bit."""
+
+    @pytest.mark.parametrize("kind, moduli, longest", [
+        ("i", np.linspace(31.0 / 64, 31.0, 64), 71),          # stats --case i --r-max 31
+        ("i", np.linspace(1e-84 / 64, 1e-84, 64), 71),        # stats --case i --r-max 1e-84
+        ("iii", np.linspace(0.9 / 64, 0.9, 64), 141),         # stats --case iii --xi-max 0.9
+        ("iii", np.linspace(0.999 / 64, 0.999, 64), 8961),    # stats --case iii --xi-max 0.999
+        ("iii", [0.9999], 20001),                             # state --case iii --xi 0.9999: the ceiling
+        ("i", [0.0, 5.0], 71),                                # r = 0: zeros after the peak
+        ("iii", [0.0, 0.5], 71),
+    ], ids=["r31", "r1e-84", "xi0.9", "xi0.999", "xi0.9999", "i_zero", "iii_zero"])
+    def test_every_sweep_rung_matches_fsum(self, monkeypatch, kind, moduli, longest):
+        real, levels = states._log_norm, []
+
+        def checked(log_mag):
+            got = real(log_mag)
+            assert got.tobytes() == _fsum_log_norm(log_mag).tobytes()
+            levels.append(log_mag.shape[1])
+            return got
+
+        monkeypatch.setattr(states, "_log_norm", checked)
+        states.build_sweep(kind, moduli)
+        assert max(levels) == longest
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(rows=st.integers(1, 3), n=st.integers(1, 2 ** 15), seed=st.integers(0, 2 ** 32 - 1),
+           spread=st.floats(0.0, 760.0),  # e^-760 is below the smallest subnormal
+           ties=st.lists(st.sampled_from([2.0 ** -53, 3 * 2.0 ** -53, 2.0 ** -54, 2.0 ** -105,
+                                          2.0 ** -1074, 0.5, 0.0]), max_size=6))
+    def test_random_rows_match_fsum(self, rows, n, seed, spread, ties):
+        rng = np.random.default_rng(seed)
+        terms = np.exp(-spread * rng.random((rows, n)))
+        for row in terms:
+            row[rng.integers(0, n, size=len(ties))] = ties
+            row[rng.integers(0, n)] = 1.0  # the factored-out peak
+        want = [math.fsum(row) for row in terms.tolist()]
+        assert states._row_sums(terms).tobytes() == np.array(want).tobytes()
+
+    def test_exact_tie_takes_the_fsum_fallback(self, monkeypatch):
+        # 1 + 2^-53 is halfway between two floats: no error enclosure rounds to one value
+        real, summed = math.fsum, []
+        monkeypatch.setattr(math, "fsum", lambda row: summed.append(row) or real(row))
+        got = states._row_sums(np.array([[1.0, 2.0 ** -53], [1.0, 0.5]]))
+        assert summed == [[1.0, 2.0 ** -53]]
+        assert got.tolist() == [1.0, 1.5]
 
 
 class TestAmplitudeOracle:
