@@ -61,6 +61,7 @@ class _Output:
     """Collects one command's table + metadata, then writes it once.
 
     ``cells`` holds the table row-major: floats print as %.12g, any other cell as its text.
+    A CSV text column with a comma, quote or line break in any cell is quoted whole (RFC 4180).
     """
 
     command: str
@@ -82,7 +83,13 @@ class _Output:
     def csv_text(self) -> str:
         # one % over the whole table; cell text is an argument, never part of the template
         formats, n_rows = self._formats()
-        return ",".join(self.columns) + "\n" + ((",".join(formats) + "\n") * n_rows) % tuple(self.cells)
+        cells, width = self.cells, len(self.columns)
+        for k in range(len(formats)):
+            joined = "".join(cells[k::width]) if isinstance(cells[k], str) else ""
+            if any(c in joined for c in ',"\r\n'):  # RFC 4180: quote the column, doubling its quotes
+                cells = cells.copy()
+                cells[k::width] = ['"%s"' % t.replace('"', '""') for t in cells[k::width]]
+        return ",".join(self.columns) + "\n" + ((",".join(formats) + "\n") * n_rows) % tuple(cells)
 
     def json_payload(self) -> dict:
         formats, n_rows = self._formats()

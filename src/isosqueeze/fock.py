@@ -72,9 +72,6 @@ class FockVector:
         """Excitation count above the effective vacuum |3>."""
         return np.arange(self.amps.size)
 
-    def __len__(self) -> int:
-        return self.amps.size
-
 
 def basis_vector(level: int, size: int | None = None) -> FockVector:
     """The basis state |level> on a window of ``size`` levels."""

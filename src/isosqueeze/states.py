@@ -97,11 +97,6 @@ class SqueezeParams:
                 f"unitary-route squeezing requires |xi| < 1, got {self.r}"
             )
 
-    @property
-    def amplitude(self) -> complex:
-        """The complex squeeze amplitude r e^{i theta}."""
-        return self.r * complex(math.cos(self.theta), math.sin(self.theta))
-
 
 # h(n), the part of ln|c_n| that depends on the kind (see ``build_sweep``)
 _KIND_LOG_TERM = {

@@ -1,0 +1,127 @@
+"""The one table of CLI commands that the goldens, criterion 7, the CLI tests and CI run.
+
+Each entry is a named argv (space-separated, without ``-o``), its exit status, the stderr it
+must print (None: not pinned, as argparse's usage wording varies across Python versions) and
+whether ``tests/golden/`` holds its CSV.  ``python tests/inventory.py OUT`` runs every entry in
+process with ``-o OUT/<name>.csv`` and ``RuntimeWarning`` an error, writes ``OUT/<name>.status``
+and ``OUT/<name>.stderr`` beside its outputs, and exits 1 if a status or a pinned stderr
+differs from the table.  ``diff -r`` of two such directories checks byte identity: two runs of
+one tree, or one run per tree with ``PYTHONPATH=<tree>/src``.
+"""
+
+import contextlib
+import io
+import sys
+import warnings
+from pathlib import Path
+from typing import NamedTuple
+
+from isosqueeze.cli import main
+
+
+class Entry(NamedTuple):
+    name: str
+    command: str
+    status: int = 0
+    stderr: str | None = ""
+    golden: bool = False
+
+
+_FIG8 = "quasiprob --case i --r 2.8284271247461903 --theta 0.7853981633974483"
+_G2 = "warning: g2 overflows at r={} (1/mean excitation exceeds the float range)\n"
+_A3 = "warning: A3 undefined at r={} (degenerate moments)\n"
+_TAIL = "warning: tail_mass {} exceeds 1e-06; {}\n"
+_RAISED = "n_max was already raised from {} to 20000"
+
+ENTRIES = [
+    # figures.md at its figure parameters, and on reduced grids for the goldens
+    Entry("state_i", "state --case i --r 20", golden=True),
+    Entry("state_iii", "state --case iii --xi 0.4", golden=True),
+    Entry("stats_i", "stats --case i --r-max 31 --r-steps 64", golden=True),
+    Entry("stats_iii", "stats --case iii --xi-max 0.9 --xi-steps 64", golden=True),
+    Entry("squeeze_i", "squeeze --case i --r-max 31 --r-steps 8 --theta-steps 16", golden=True),
+    Entry("squeeze_iii", "squeeze --case iii --xi-max 0.9 --xi-steps 8 --theta-steps 16", golden=True),
+    Entry("quad_dist", "quad-dist --r 10 --theta 0.5 --x-steps 41 --phi-steps 32", golden=True),
+    Entry("quasi_s05", f"{_FIG8} --x-steps 41 --p-steps 41 --s 0.5", golden=True),
+    Entry("quasi_wigner", f"{_FIG8} --x-steps 41 --p-steps 41 --s 0", golden=True),
+    Entry("quasi_husimi", f"{_FIG8} --x-steps 41 --p-steps 41 --s -1", golden=True),
+    Entry("quasi_iii", "quasiprob --case iii --xi 0.4 --xi-phase 0.7 --s -0.5 --x-steps 41 --p-steps 41",
+          golden=True),
+    Entry("fig5_squeeze_i", "squeeze --case i --r-max 31 --r-steps 64 --theta-steps 128"),
+    Entry("fig6_squeeze_iii", "squeeze --case iii --xi-max 0.9 --xi-steps 64 --theta-steps 128"),
+    Entry("fig7_quad_dist", "quad-dist --r 10 --theta 0.5"),
+    Entry("fig8_quasi_s05", f"{_FIG8} --s 0.5"),
+    Entry("fig8_quasi_wigner", f"{_FIG8} --s 0"),
+    Entry("fig8_quasi_husimi", f"{_FIG8} --s -1"),
+    # sweeps through every truncation rung (70 to 8960), states of up to ~18k levels
+    Entry("stats_iii_rungs_16", "stats --case iii --xi-max 0.999 --xi-steps 16"),
+    Entry("stats_iii_rungs_64", "stats --case iii --xi-max 0.999 --xi-steps 64"),
+    # grown to the 20000 ceiling, the longest normalized row
+    Entry("state_iii_ceiling", "state --case iii --xi 0.9999",
+          stderr=_TAIL.format("3.115e-06", _RAISED.format(70))),
+    # case iii keeping all 141 levels: the many-argument kernel path
+    Entry("quasi_iii_141", "quasiprob --case iii --xi 0.25 --s 0.5"),
+    # rows that raise several warnings, in row order; repeated texts are kept once
+    Entry("stats_g2_a3", "stats --case iii --xi-max 1e-160 --xi-steps 3", stderr="".join(
+        w.format(r) for r in ("3.33333e-161", "6.66667e-161", "1e-160") for w in (_G2, _A3))),
+    Entry("stats_tail", "stats --case iii --xi-max 0.9999 --xi-steps 8 --n-max 10",
+          stderr=_TAIL.format("3.348e-06", "raise --n-max") + _TAIL.format("1.249e-04", "raise --n-max")
+          + _TAIL.format("3.115e-06", _RAISED.format(10))),
+    Entry("stats_tiny_r", "stats --case i --r-max 1e-84 --r-steps 2",
+          stderr=_A3.format("5e-85") + _A3.format("1e-84")),
+    Entry("squeeze_tail", "squeeze --case iii --xi-max 0.9999 --xi-steps 4 --theta-steps 2 --n-max 10",
+          stderr=_TAIL.format("3.348e-06", "raise --n-max") + _TAIL.format("3.115e-06", _RAISED.format(10))),
+    # refusals
+    Entry("xi_in_case_i", "state --case i --xi 0.4", 3,
+          "error: --xi belongs to --case iii; use --r/--theta with --case i\n"),
+    Entry("r_in_case_iii", "state --case iii --r 2", 3,
+          "error: --r belongs to --case i; use --xi with --case iii\n"),
+    Entry("case_i_no_r", "state --case i", 3, "error: --case i requires --r\n"),
+    Entry("case_iii_no_xi", "state --case iii", 3, "error: --case iii requires --xi\n"),
+    Entry("xi_max_1", "stats --case iii --xi-max 1", 3, "error: --xi-max must be < 1, got 1.0\n"),
+    Entry("r_max_0", "stats --case i --r-max 0", 3, "error: sweep maximum must be positive\n"),
+    Entry("r_max_in_case_iii", "stats --case iii --r-max 5", 3,
+          "error: --r-max belongs to --case i; use --xi-max with --case iii\n"),
+    # usage errors
+    Entry("unknown_command", "no-such-command", 2, None),
+    Entry("unknown_flag", "state --case i --r 1 --no-such-flag", 2, None),
+    Entry("case_ii", "state --case ii --r 1", 2, None),
+    Entry("r_not_a_number", "state --case i --r abc", 2, None),
+    Entry("missing_case", "state --r 1", 2, None),
+    Entry("quad_dist_no_r", "quad-dist --theta 0.5", 2, None),
+    # identity labels hold commas: the CSV quotes them
+    Entry("verify_algebra_csv", "verify-algebra --format csv"),
+]
+ENTRY = {entry.name: entry for entry in ENTRIES}
+
+
+def run(entry: Entry, out: Path) -> list[str]:
+    """Run one entry into ``out``; return how its status and stderr differ from the table."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            status = main([*entry.command.split(), "-o", str(out / f"{entry.name}.csv")])
+        except SystemExit as exc:  # argparse's usage errors
+            status = exc.code
+    (out / f"{entry.name}.status").write_text(f"{status}\n")
+    (out / f"{entry.name}.stderr").write_text(stderr.getvalue())
+    problems = [] if status == entry.status else [f"{entry.name}: exit {status}, want {entry.status}"]
+    if entry.stderr not in (None, stderr.getvalue()):
+        problems.append(f"{entry.name}: stderr {stderr.getvalue()!r}, want {entry.stderr!r}")
+    return problems
+
+
+def run_all(out: Path) -> list[str]:
+    """Run every entry into ``out``, made if missing; return every difference from the table."""
+    out.mkdir(parents=True, exist_ok=True)
+    return [problem for entry in ENTRIES for problem in run(entry, out)]
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tests/inventory.py OUT_DIR")
+    problems = run_all(Path(sys.argv[1]))
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    sys.exit(1 if problems else 0)

@@ -10,16 +10,14 @@ documents the measured value instead of loosening the bound.
 """
 
 import math
-import re
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import isosqueeze as iq
 from isosqueeze import algebra, dist, squeezing, stats
-from isosqueeze.cli import main as cli_main
+import inventory
 from conftest import quadrature_distribution_cosine, state_moments
 
 
@@ -187,33 +185,16 @@ def test_criterion_6_quasi_probability():
                "Husimi non-negative, s = 0.5 negativity present", elapsed)
 
 
-def _figure_commands() -> list[list[str]]:
-    text = (Path(__file__).resolve().parent.parent / "figures.md").read_text()
-    commands = re.findall(r"`isosqueeze ([^`]+)`", text)
-    seen: dict[str, list[str]] = {}
-    for command in commands:
-        if command not in seen:
-            seen[command] = command.split()
-    return list(seen.values())
-
-
-def test_criterion_7_golden_figures_bit_identical(tmp_path, capsys):
+def test_criterion_7_golden_figures_bit_identical(tmp_path):
+    # every inventory command, figures.md's included (test_inventory checks that), run twice
     start = time.perf_counter()
-    commands = _figure_commands()
-    assert len(commands) >= 8  # every figure is covered
-    for argv in commands:
-        out_index = argv.index("-o")
-        name = argv[out_index + 1]
-        first = tmp_path / "run1" / name
-        second = tmp_path / "run2" / name
-        first.parent.mkdir(exist_ok=True)
-        second.parent.mkdir(exist_ok=True)
-        for target in (first, second):
-            patched = argv.copy()
-            patched[out_index + 1] = str(target)
-            assert cli_main(patched) == 0
-        assert first.read_bytes() == second.read_bytes()
-        assert first.stat().st_size > 0
-    capsys.readouterr()
-    _report(7, f"{len(commands)} figure invocations regenerate bit-identically",
+    first, second = tmp_path / "run1", tmp_path / "run2"
+    assert inventory.run_all(first) == [] and inventory.run_all(second) == []
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    assert all((first / f"{entry.name}.csv").stat().st_size > 0
+               for entry in inventory.ENTRIES if entry.status == 0)
+    _report(7, f"{len(inventory.ENTRIES)} inventory commands regenerate bit-identically",
             time.perf_counter() - start)

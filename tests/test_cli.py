@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -15,6 +17,7 @@ import isosqueeze
 from isosqueeze import cli, squeezing, states, stats
 from isosqueeze.cli import _Output, build_parser, main
 from conftest import amplitudes_mp
+from inventory import ENTRIES, ENTRY
 
 
 def _run(capsys, *argv):
@@ -219,38 +222,16 @@ class TestSqueezeCommand:
 class TestWarningOrder:
     """The exact warnings and truncation of commands whose rows raise several flags."""
 
-    G2 = "g2 overflows at r={} (1/mean excitation exceeds the float range)"
-    A3 = "A3 undefined at r={} (degenerate moments)"
-    TAIL = "tail_mass {} exceeds 1e-06; "
+    EFFECTIVE = {"stats_g2_a3": 70, "stats_tail": 20000, "stats_tiny_r": 70, "squeeze_tail": 20000}
 
-    CASES = [
-        # g2 and A3 warnings interleaved row by row
-        (["stats", "--case", "iii", "--xi-max", "1e-160", "--xi-steps", "3"], 70,
-         [G2.format("3.33333e-161"), A3.format("3.33333e-161"),
-          G2.format("6.66667e-161"), A3.format("6.66667e-161"),
-          G2.format("1e-160"), A3.format("1e-160")]),
-        # both advice texts; repeated texts are kept once, in first-seen order
-        (["stats", "--case", "iii", "--xi-max", "0.9999", "--xi-steps", "8", "--n-max", "10"], 20000,
-         [TAIL.format("3.348e-06") + "raise --n-max", TAIL.format("1.249e-04") + "raise --n-max",
-          TAIL.format("3.115e-06") + "n_max was already raised from 10 to 20000"]),
-        (["stats", "--case", "i", "--r-max", "1e-84", "--r-steps", "2"], 70,
-         [A3.format("5e-85"), A3.format("1e-84")]),
-        (["squeeze", "--case", "iii", "--xi-max", "0.9999", "--xi-steps", "4", "--theta-steps", "2",
-          "--n-max", "10"], 20000,
-         [TAIL.format("3.348e-06") + "raise --n-max",
-          TAIL.format("3.115e-06") + "n_max was already raised from 10 to 20000"]),
-    ]
-
-    @pytest.mark.parametrize("argv, effective, warnings", CASES,
-                             ids=["stats_g2_a3", "stats_tail", "stats_tiny_r", "squeeze_tail"])
-    def test_pinned_warnings(self, tmp_path, capsys, argv, effective, warnings):
+    @pytest.mark.parametrize("name", EFFECTIVE)
+    def test_pinned_warnings(self, tmp_path, capsys, name):
         target = tmp_path / "w.csv"
-        code, _, err = _run(capsys, *argv, "-o", str(target))
-        assert code == 0
+        code, _, err = _run(capsys, *ENTRY[name].command.split(), "-o", str(target))
+        assert (code, err) == (0, ENTRY[name].stderr)
         meta = json.loads(Path(f"{target}.meta.json").read_text())
-        assert meta["warnings"] == warnings
-        assert meta["n_max_effective"] == effective
-        assert err == "".join(f"warning: {w}\n" for w in warnings)
+        assert err == "".join(f"warning: {w}\n" for w in meta["warnings"])
+        assert meta["n_max_effective"] == self.EFFECTIVE[name]
 
 
 class TestQuadDistCommand:
@@ -389,16 +370,6 @@ class TestValidation:
         assert code == 3
         assert "error" in err
 
-    def test_mixed_parameter_groups_exit_3(self, capsys):
-        code, _, err = _run(capsys, "state", "--case", "i", "--xi", "0.4")
-        assert code == 3
-        code, _, err = _run(capsys, "state", "--case", "iii", "--r", "2.0")
-        assert code == 3
-
-    def test_missing_required_parameter(self, capsys):
-        code, _, _ = _run(capsys, "state", "--case", "i")
-        assert code == 3
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -446,11 +417,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="internal failure"):
             main(["stats", "--case", "i", "--r-max", "5", "--r-steps", "2"])
 
-    def test_usage_error_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["no-such-command"])
-        assert exc.value.code == 2
-
 
 class TestReproducibility:
     def test_byte_identical_reruns(self, tmp_path, capsys):
@@ -470,11 +436,14 @@ class TestReproducibility:
         # the per-value formatting the row template replaced
         values = [0.0, -0.0, 5e-324, -2.2e-308, math.inf, -math.inf, math.nan, 1.0 / 3.0,
                   123456789012.5, np.float64(2.0) / 3.0, -1e300]
-        # cell text with % and , must print as itself, never act as a format
-        rows = [(k, "label,with comma %s %d %%", v, -v) for k, v in enumerate(values)]
+        # cell text with % must print as itself, never act as a format; with , or " the CSV
+        # column is quoted and its quotes doubled (RFC 4180), the JSON text left as it is
+        rows = [(k, 'label,with "comma" %s %d %%', v, -v) for k, v in enumerate(values)]
         out = _Output(command="t", columns=("n", "s", "a", "b"), cells=[c for row in rows for c in row])
         text = [[f"{v:.12g}" if isinstance(v, float) else str(v) for v in row] for row in rows]
-        assert out.csv_text() == "\n".join(["n,s,a,b"] + [",".join(row) for row in text]) + "\n"
+        assert out.csv_text() == "\n".join(["n,s,a,b"] + [
+            ",".join([n, '"label,with ""comma"" %s %d %%"', *rest]) for n, _, *rest in text]) + "\n"
+        assert list(csv.reader(io.StringIO(out.csv_text())))[1:] == text
         assert out.json_payload()["rows"] == text
 
     def test_grid_rows_match_per_value_format(self):
@@ -495,7 +464,7 @@ class TestReproducibility:
                         cells=cli._cells(cells[0::4], cells[1::4], cells[2::4], cells[3::4],
                                          ["100% sure, %s"] * 9))
         assert label.csv_text() == "\n".join(
-            [f"{expected[0]},s"] + [f"{line},100% sure, %s" for line in expected[1:]]) + "\n"
+            [f"{expected[0]},s"] + [f'{line},"100% sure, %s"' for line in expected[1:]]) + "\n"
 
     def test_n_max_flag_bounds_levels(self, capsys):
         code, out, _ = _run(capsys, "state", "--case", "i", "--r", "3", "--n-max", "5")
@@ -669,42 +638,19 @@ class TestRouteDefaults:
 
 
 class TestExitCodes:
-    """Usage errors exit 2 from argparse; refusals exit 3 with their exact message."""
+    """Usage errors exit 2 from argparse; refusals exit 3 with the inventory's exact message."""
 
-    USAGE = [
-        ["no-such-command"],
-        ["state", "--case", "i", "--r", "1", "--no-such-flag"],
-        ["state", "--case", "ii", "--r", "1"],
-        ["state", "--case", "i", "--r", "abc"],
-        ["state", "--r", "1"],
-        ["quad-dist", "--theta", "0.5"],
-    ]
-
-    @pytest.mark.parametrize("argv", USAGE, ids=["unknown_command", "unknown_flag", "case_ii",
-                                                 "r_not_a_number", "missing_case", "quad_dist_no_r"])
-    def test_usage_error_exits_2(self, capsys, argv):
+    @pytest.mark.parametrize("name", [entry.name for entry in ENTRIES if entry.status == 2])
+    def test_usage_error_exits_2(self, capsys, name):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main(ENTRY[name].command.split())
         assert exc.value.code == 2
         capsys.readouterr()
 
-    REFUSED = [
-        (["state", "--case", "i", "--xi", "0.4"],
-         "--xi belongs to --case iii; use --r/--theta with --case i"),
-        (["state", "--case", "iii", "--r", "2"],
-         "--r belongs to --case i; use --xi with --case iii"),
-        (["state", "--case", "i"], "--case i requires --r"),
-        (["state", "--case", "iii"], "--case iii requires --xi"),
-        (["stats", "--case", "iii", "--xi-max", "1"], "--xi-max must be < 1, got 1.0"),
-        (["stats", "--case", "i", "--r-max", "0"], "sweep maximum must be positive"),
-    ]
-
-    @pytest.mark.parametrize("argv, message", REFUSED,
-                             ids=["xi_in_case_i", "r_in_case_iii", "case_i_no_r", "case_iii_no_xi",
-                                  "xi_max_1", "r_max_0"])
-    def test_refusal_exits_3_with_message(self, capsys, argv, message):
-        code, out, err = _run(capsys, *argv)
-        assert (code, out, err) == (3, "", f"error: {message}\n")
+    @pytest.mark.parametrize("name", [entry.name for entry in ENTRIES if entry.status == 3])
+    def test_refusal_exits_3_with_message(self, capsys, name):
+        code, out, err = _run(capsys, *ENTRY[name].command.split())
+        assert (code, out, err) == (3, "", ENTRY[name].stderr)
 
 
 class TestCrossRouteRefusal:

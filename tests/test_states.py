@@ -272,10 +272,6 @@ class TestDualSeries:
 
 
 class TestParams:
-    def test_amplitude_property(self):
-        p = iq.SqueezeParams(kind="i", r=2.0, theta=math.pi / 2)
-        assert p.amplitude == pytest.approx(2.0j, abs=1e-15)
-
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             iq.SqueezeParams(kind="ii", r=0.1)
