@@ -370,6 +370,16 @@ class TestValidation:
         assert code == 3
         assert "error" in err
 
+    def test_mixed_parameter_groups_exit_3(self, capsys):
+        code, _, err = _run(capsys, "state", "--case", "i", "--xi", "0.4")
+        assert code == 3
+        code, _, err = _run(capsys, "state", "--case", "iii", "--r", "2.0")
+        assert code == 3
+
+    def test_missing_required_parameter(self, capsys):
+        code, _, _ = _run(capsys, "state", "--case", "i")
+        assert code == 3
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -416,6 +426,11 @@ class TestValidation:
         monkeypatch.setattr(stats, "moments", broken)
         with pytest.raises(ValueError, match="internal failure"):
             main(["stats", "--case", "i", "--r-max", "5", "--r-steps", "2"])
+
+    def test_usage_error_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command"])
+        assert exc.value.code == 2
 
 
 class TestReproducibility:
