@@ -16,11 +16,11 @@ import math
 
 import numpy as np
 
-from isosqueeze import SqueezeParams, basis_vector, build_state
+from isosqueeze import FockVector, SqueezeParams, build_state
 from isosqueeze import dist
 
 # --- reference values on the effective vacuum -------------------------------
-vacuum = basis_vector(3, 3)
+vacuum = FockVector([1, 0, 0])  # |3> on levels 3, 4, 5
 print("effective vacuum at the origin:")
 print("  Wigner  F(0, s=0)  =", dist.quasi_probability(vacuum, 0j, 0.0), "( 2/pi =", 2 / math.pi, ")")
 print("  Husimi  F(0, s=-1) =", dist.quasi_probability(vacuum, 0j, -1.0), "( 1/pi =", 1 / math.pi, ")")

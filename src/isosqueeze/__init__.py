@@ -23,7 +23,7 @@ dist       quadrature distribution and quasi-probability functions
 cli        reproducible CSV/JSON emission for every figure grid
 """
 
-from .fock import FockVector, InvalidParameter, basis_vector
+from .fock import FockVector, InvalidParameter
 from .states import (
     CASE_NONLINEAR,
     CASE_UNITARY,
@@ -36,7 +36,6 @@ from .states import (
 __all__ = [
     "FockVector",
     "InvalidParameter",
-    "basis_vector",
     "CASE_NONLINEAR",
     "CASE_UNITARY",
     "RadiusViolation",

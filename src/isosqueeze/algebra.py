@@ -21,7 +21,6 @@ matrices.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -29,12 +28,9 @@ import numpy as np
 from .fock import BASE_LEVEL, InvalidParameter
 
 __all__ = [
-    "deform_f",
     "word_action",
     "verify_commutators",
     "casimir_eigenvalue",
-    "deformed_energy",
-    "vibration_frequency",
 ]
 
 # name -> (index shift, coefficient law c(n) on float levels n >= 3).
@@ -70,14 +66,6 @@ _IDENTITIES = {
     "[K0,K-] = -K-": (("K0",), ("K-",), ((-1.0, ("K-",)),)),
     "[K0,K+] = +K+": (("K0",), ("K+",), ((1.0, ("K+",)),)),
 }
-
-
-def deform_f(n: int) -> float:
-    """Deformation weight f(n) = sqrt((n-1)(n-3)); zero at n = 1 and 3."""
-    prod = (n - 1.0) * (n - 3.0)
-    if prod < 0.0:
-        raise ValueError(f"f(n) is not real at n={n}; levels 1 < n < 3 are unphysical here")
-    return math.sqrt(abs(prod))  # abs: (1 - 1)(1 - 3) is -0.0, whose root is -0.0
 
 
 def word_action(ops: Sequence[str], n) -> tuple[np.ndarray, int]:
@@ -145,21 +133,3 @@ def casimir_eigenvalue(n: int) -> float:
     if first != second:
         raise ArithmeticError(f"Casimir orderings disagree at n={n}: {first} vs {second}")
     return float(first)
-
-
-def deformed_energy(n: int) -> float:
-    """Spectrum of the symmetrized deformed Hamiltonian: n(1 - 5n + 2n^2)/2."""
-    return 0.5 * n * (1.0 - 5.0 * n + 2.0 * n * n)
-
-
-def vibration_frequency(n: int, branch: str = "plus") -> float:
-    """Level-dependent oscillation frequency of the deformed ladder.
-
-    The ``plus`` branch equals the upward energy gap,
-    deformed_energy(n+1) - deformed_energy(n) = 3n^2 - 2n - 1.
-    """
-    if branch == "plus":
-        return 3.0 * n * n - 2.0 * n - 1.0
-    if branch == "minus":
-        return 3.0 * n * n - 4.0 * n + 2.0
-    raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")

@@ -15,9 +15,10 @@ holds each ``--case`` route's flags, defaults and sweep bound for
 ``_resolve``, which refuses a flag of the other route.
 
 Exit status: 0 success (warnings included), 2 usage error, 3 refused
-input (``ValidationError``, ``InvalidParameter`` including
-``RadiusViolation``, ``SParameterOutOfRange``).  Any other exception,
-a ``ValueError`` raised inside a computation included, is a bug and
+input: an ``InvalidParameter``, whether the CLI's own checks raise it
+or the library's (its subclasses ``RadiusViolation`` and
+``SParameterOutOfRange`` included).  Any other exception, a
+``ValueError`` raised inside a computation included, is a bug and
 propagates.
 """
 
@@ -50,10 +51,6 @@ __all__ = ["main"]
 TAIL_WARN_THRESHOLD = 1e-6
 # A quasi-probability grid whose sum F dx dp is further than this from 1 is flagged.
 MASS_WARN_THRESHOLD = 1e-2
-
-
-class ValidationError(ValueError):
-    """Bad parameter combination; maps to exit status 3."""
 
 
 @dataclass
@@ -156,14 +153,14 @@ def _resolve(args) -> tuple:
     for other, (foreign, *_) in _ROUTES.items():
         for own, dest in zip(dests, foreign) if other != kind else ():
             if getattr(args, dest, None) is not None:
-                raise ValidationError(f"{_flag(dest)} belongs to --case {other}; use "
-                                      f"{hint if own == dests[0] else _flag(own)} with --case {kind}")
+                raise InvalidParameter(f"{_flag(dest)} belongs to --case {other}; use "
+                                       f"{hint if own == dests[0] else _flag(own)} with --case {kind}")
     given = [getattr(args, dest, None) for dest in dests]
     modulus, phase, top, steps = (d if v is None else v for v, d in zip(given, defaults))
     if top >= max_below:
-        raise ValidationError(f"{_flag(dests[2])} must be < {max_below:g}, got {top}")
+        raise InvalidParameter(f"{_flag(dests[2])} must be < {max_below:g}, got {top}")
     if top <= 0:
-        raise ValidationError("sweep maximum must be positive")
+        raise InvalidParameter("sweep maximum must be positive")
     return kind, modulus, phase, top, steps
 
 
@@ -171,7 +168,7 @@ def _point(args) -> SqueezeParams:
     """The one state of ``state``, ``quad-dist`` and ``quasiprob``."""
     kind, modulus, phase, _, _ = _resolve(args)
     if modulus is None:
-        raise ValidationError(f"--case {kind} requires {_flag(_ROUTES[kind][0][0])}")
+        raise InvalidParameter(f"--case {kind} requires {_flag(_ROUTES[kind][0][0])}")
     return SqueezeParams(kind=kind, r=modulus, theta=phase, n_max=args.n_max)
 
 
@@ -289,18 +286,18 @@ def _cmd_quad_dist(args) -> _Output:
               "grid": {"x": [args.x_min, args.x_max, args.x_steps], "phi_steps": args.phi_steps}},
     )
     _check_tail(out, vec.n_max_effective, vec.tail_bound, params.n_max)
-    out.cells = _grid_rows(grid.axis1, grid.axis2, grid.values)
+    out.cells = _grid_rows(xs, phis, grid.values)
     return out
 
 
 def _cmd_quasiprob(args) -> _Output:
     if args.s >= 1.0:
-        raise ValidationError(f"--s must be < 1, got {args.s}")
+        raise InvalidParameter(f"--s must be < 1, got {args.s}")
     params = _point(args)
     bound = (1.0 - args.s) / (1.0 + args.s) if args.s > -1.0 else math.inf
     if params.kind == CASE_UNITARY and params.r >= bound:
         # the double sum diverges there: the s-ordered function does not exist
-        raise ValidationError(f"case iii needs |xi| < (1 - s)/(1 + s) = {bound:.6g}, got {params.r}")
+        raise InvalidParameter(f"case iii needs |xi| < (1 - s)/(1 + s) = {bound:.6g}, got {params.r}")
     vec = build_state(params)
     xs = np.linspace(args.x_min, args.x_max, args.x_steps)
     ps = np.linspace(args.p_min, args.p_max, args.p_steps)
@@ -322,7 +319,7 @@ def _cmd_quasiprob(args) -> _Output:
             out.warn(f"grid_mass {mass:.6g} differs from 1 by more than {MASS_WARN_THRESHOLD:g}; "
                      "the grid misses part of the support or the sums lost precision")
     out.meta["grid_mass"] = mass
-    out.cells = _grid_rows(grid.axis1, grid.axis2, grid.values)
+    out.cells = _grid_rows(xs, ps, grid.values)
     return out
 
 
@@ -428,11 +425,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         for name, value in vars(args).items():  # an unset route-owned flag reads None
             if name.endswith("_steps") and value is not None and value < 1:
-                raise ValidationError(f"{_flag(name)} must be at least 1, got {value}")
+                raise InvalidParameter(f"{_flag(name)} must be at least 1, got {value}")
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValidationError(f"{_flag(name)} must be finite, got {value}")
+                raise InvalidParameter(f"{_flag(name)} must be finite, got {value}")
         out = _COMMANDS[args.command][1](args)
-    except (ValidationError, InvalidParameter, dist.SParameterOutOfRange) as exc:
+    except InvalidParameter as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     out.write(args.output, args.format)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector
+from .fock import FockVector, InvalidParameter
 from .specfun import assoc_laguerre_sequence, log_factorial, weighted_hermite_table
 
 __all__ = [
@@ -80,20 +80,19 @@ _BLOCK_POINTS = 4096
 _TABLE_FLOATS = 1 << 15
 
 
-class SParameterOutOfRange(ValueError):
+class SParameterOutOfRange(InvalidParameter):
     """s >= 1 requested, or s so close to 1 that F(z, s) overflows float64."""
 
 
 @dataclass(frozen=True)
 class DistGrid:
-    """Sampled distribution values over a 2-D grid.
+    """Sampled distribution values over the caller's 2-D grid.
 
-    ``values[i, j]`` corresponds to (axis1[i], axis2[j]).  Quasi-probability
-    grids also carry the kernel's levels and error bound; P(x, phi) has None.
+    ``values[i, j]`` belongs to the i-th point of the first axis and the
+    j-th of the second.  Quasi-probability grids also carry the kernel's
+    levels and error bound; P(x, phi) has None.
     """
 
-    axis1: np.ndarray
-    axis2: np.ndarray
     values: np.ndarray
     kernel_levels: int | None = None
     kernel_error_bound: float | None = None
@@ -124,10 +123,8 @@ def quadrature_wavefunction(v: FockVector, x, phi):
 
 def quadrature_distribution(v: FockVector, x_axis: np.ndarray, phi_axis: np.ndarray) -> DistGrid:
     """P(x, phi) = |<x, phi|v>|^2 on the grid; values[i, j] at (x_i, phi_j)."""
-    x_axis = np.asarray(x_axis, dtype=float)
-    phi_axis = np.asarray(phi_axis, dtype=float)
     psi = quadrature_wavefunction(v, x_axis, phi_axis)  # (phi, x)
-    return DistGrid(axis1=x_axis, axis2=phi_axis, values=np.abs(psi.T) ** 2)
+    return DistGrid(np.abs(psi.T) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +289,9 @@ def _quasi_core(v: FockVector, z: np.ndarray, s: float) -> tuple[np.ndarray, int
     """
     if s >= 1.0:
         raise SParameterOutOfRange(f"s must be < 1, got {s}")
-    kept, bound = _kept_levels(v.amps, s, np.abs(z).max(initial=0.0) ** 2)
     try:
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):  # |z|^2 or the sums may overflow: refused below
+            kept, bound = _kept_levels(v.amps, s, np.abs(z).max(initial=0.0) ** 2)
             values = _quasi_values(v.amps[:kept], z, s)
     except OverflowError:  # math.exp of a kernel peak weight
         values = np.array(math.inf)
@@ -338,7 +335,7 @@ def quasi_probability_grid(
     x_axis = np.asarray(x_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     values, kept, bound = _quasi_core(v, x_axis[:, None] + 1j * p_axis[None, :], s)
-    return DistGrid(x_axis, p_axis, values, kernel_levels=kept, kernel_error_bound=bound)
+    return DistGrid(values, kernel_levels=kept, kernel_error_bound=bound)
 
 
 def _oracle_radius(v: FockVector, s: float) -> float:
@@ -381,8 +378,6 @@ def quasi_probability_fourier(
     24.  Intended for small-truncation states; cost grows with the
     support squared.
     """
-    if s >= 1.0:
-        raise SParameterOutOfRange(f"s must be < 1, got {s}")
     radius = _oracle_radius(v, s)
     nodes, weights = _gauss_legendre(radial_nodes)
     u = 0.5 * radius * (nodes + 1.0)

@@ -20,7 +20,6 @@ __all__ = [
     "BASE_LEVEL",
     "FockVector",
     "InvalidParameter",
-    "basis_vector",
 ]
 
 BASE_LEVEL = 3
@@ -66,21 +65,3 @@ class FockVector:
     def n_max_effective(self) -> int:
         """Half-index truncation (len - 1) // 2: the n_max a builder ended with."""
         return (self.amps.size - 1) // 2
-
-    @property
-    def offsets(self) -> np.ndarray:
-        """Excitation count above the effective vacuum |3>."""
-        return np.arange(self.amps.size)
-
-
-def basis_vector(level: int, size: int | None = None) -> FockVector:
-    """The basis state |level> on a window of ``size`` levels."""
-    if level < BASE_LEVEL:
-        raise ValueError(f"level must be >= {BASE_LEVEL}")
-    if size is None:
-        size = level - BASE_LEVEL + 1
-    if size < level - BASE_LEVEL + 1:
-        raise ValueError("window too small to hold the requested level")
-    amps = np.zeros(size, dtype=complex)
-    amps[level - BASE_LEVEL] = 1.0
-    return FockVector(amps)

@@ -101,7 +101,8 @@ def weighted_hermite_table(n_max: int, x: np.ndarray) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     table = np.empty((n_max + 1, x.size), dtype=float)
-    table[0] = np.exp(-0.5 * x * x) / math.pi ** 0.25
+    with np.errstate(over="ignore"):  # x * x is inf past |x| ~ 1e154, where the weight is 0 anyway
+        table[0] = np.exp(-0.5 * x * x) / math.pi ** 0.25
     if n_max >= 1:
         table[1] = math.sqrt(2.0) * x * table[0]
     for n in range(1, n_max):

@@ -67,8 +67,9 @@ def _word_values(amps: np.ndarray) -> np.ndarray:
     on levels 3 .. 2 n_max + 3 with zeros on odd offsets, so each word
     value is the same dot product, summed in the same order, as on the
     state alone, whichever rows share the rung.  A word of net shift k
-    pairs each amplitude with the one k levels away; raisings are never
-    cut at the truncation edge.
+    pairs each amplitude with the one k levels away, and reads 0 when k
+    reaches past the window; raisings are never cut at the truncation
+    edge.
     """
     rows, size = amps.shape[0], 2 * amps.shape[1] - 1
     vectors = np.zeros((rows, size), dtype=complex)
@@ -77,7 +78,8 @@ def _word_values(amps: np.ndarray) -> np.ndarray:
     for j, ops in enumerate(_WORDS):
         coeff, shift = word_action(ops, np.arange(3, size + 3))
         # every word here lowers or keeps the level (shift <= 0); one dot product per row
-        bra, ket = vectors[:, None, : size + shift], coeff[-shift:] * vectors[:, -shift:]
+        cut = min(-shift, size)
+        bra, ket = vectors[:, None, : size - cut], coeff[cut:] * vectors[:, cut:]
         values[j] = (bra @ ket[:, :, None])[:, 0, 0].real
     return values
 

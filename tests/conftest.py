@@ -12,7 +12,10 @@ quadrature distribution, and both amplitude laws in 50-digit mpmath.
 The full-support phase-space route (``quasi_probability_full``,
 ``characteristic_function_full``) runs a copy of the library kernel on
 the uncut state, in the same arithmetic, so the levels the library
-drops can be checked against its 1e-16 contract.
+drops can be checked against its 1e-16 contract.  Basis vectors
+(``basis_vector``) and the deformed spectrum (``deform_f``,
+``deformed_energy``, ``vibration_frequency``) live here too: no
+library route needs them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,47 @@ import pytest
 
 import isosqueeze as iq
 from isosqueeze import algebra, stats
+from isosqueeze.fock import BASE_LEVEL
 from isosqueeze.specfun import assoc_laguerre_sequence, log_factorial, weighted_hermite_table
+
+
+def basis_vector(level: int, size: int | None = None) -> iq.FockVector:
+    """The basis state |level> on a window of ``size`` levels."""
+    if level < BASE_LEVEL:
+        raise ValueError(f"level must be >= {BASE_LEVEL}")
+    if size is None:
+        size = level - BASE_LEVEL + 1
+    if size < level - BASE_LEVEL + 1:
+        raise ValueError("window too small to hold the requested level")
+    amps = np.zeros(size, dtype=complex)
+    amps[level - BASE_LEVEL] = 1.0
+    return iq.FockVector(amps)
+
+
+def deform_f(n: int) -> float:
+    """Deformation weight f(n) = sqrt((n-1)(n-3)); zero at n = 1 and 3."""
+    prod = (n - 1.0) * (n - 3.0)
+    if prod < 0.0:
+        raise ValueError(f"f(n) is not real at n={n}; levels 1 < n < 3 are unphysical here")
+    return sqrt(abs(prod))  # abs: (1 - 1)(1 - 3) is -0.0, whose root is -0.0
+
+
+def deformed_energy(n: int) -> float:
+    """Spectrum of the symmetrized deformed Hamiltonian: n(1 - 5n + 2n^2)/2."""
+    return 0.5 * n * (1.0 - 5.0 * n + 2.0 * n * n)
+
+
+def vibration_frequency(n: int, branch: str = "plus") -> float:
+    """Level-dependent oscillation frequency of the deformed ladder.
+
+    The ``plus`` branch equals the upward energy gap,
+    deformed_energy(n+1) - deformed_energy(n) = 3n^2 - 2n - 1.
+    """
+    if branch == "plus":
+        return 3.0 * n * n - 2.0 * n - 1.0
+    if branch == "minus":
+        return 3.0 * n * n - 4.0 * n + 2.0
+    raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
 
 
 def hermite_series(n: int, x: float) -> float:
@@ -116,14 +159,14 @@ def amplitudes_mp(kind: str, r: float, theta: float, n_max: int) -> np.ndarray:
 
 def power_moments(v) -> tuple[float, float]:
     """<nu> and <nu^2> of the excitation number above |3>, summed from nu^j P(nu)."""
-    nu = v.offsets.astype(float)
+    nu = np.arange(v.amps.size, dtype=float)
     p = np.abs(v.amps) ** 2
     return float(np.sum(nu * p)), float(np.sum(nu * nu * p))
 
 
 def state_moments(v) -> np.ndarray:
     """The ``stats.moments`` row of one state, read over all of its offsets."""
-    return stats.moments(np.abs(v.amps[None]) ** 2, v.offsets)[0]
+    return stats.moments(np.abs(v.amps[None]) ** 2, np.arange(v.amps.size))[0]
 
 
 def mandel_q_power(v) -> float:

@@ -71,7 +71,14 @@ ENTRIES = [
           stderr=_A3.format("5e-85") + _A3.format("1e-84")),
     Entry("squeeze_tail", "squeeze --case iii --xi-max 0.9999 --xi-steps 4 --theta-steps 2 --n-max 10",
           stderr=_TAIL.format("3.348e-06", "raise --n-max") + _TAIL.format("3.115e-06", _RAISED.format(10))),
+    # the quartic word lowers past a 3-level window: it reads 0
+    Entry("squeeze_n_max_1", "squeeze --case i --r-max 2 --r-steps 2 --theta-steps 2 --n-max 1",
+          stderr=_TAIL.format("2.079e-03", "raise --n-max") + _TAIL.format("8.264e-03", "raise --n-max")),
+    # |x|^2 overflows where the Gaussian weight is 0: P = 0 with no RuntimeWarning
+    Entry("quad_dist_far", "quad-dist --r 2 --x-min 1e300 --x-max 1e300 --x-steps 2 --phi-steps 2"),
     # refusals
+    Entry("quasi_far", "quasiprob --case i --r 2 --s 0 --x-min 1e200 --x-max 1e200 --x-steps 2 --p-steps 2",
+          3, "error: F(z, s) is not finite on this grid at s = 0.0\n"),
     Entry("xi_in_case_i", "state --case i --xi 0.4", 3,
           "error: --xi belongs to --case iii; use --r/--theta with --case i\n"),
     Entry("r_in_case_iii", "state --case iii --r 2", 3,

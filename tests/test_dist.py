@@ -6,6 +6,7 @@ import pytest
 import isosqueeze as iq
 from isosqueeze import dist
 from conftest import (
+    basis_vector,
     characteristic_function_pairs,
     displacement_expm,
     full_support_overlap,
@@ -24,7 +25,7 @@ def _unitary(xi, phase=0.0, n_max=120):
 
 class TestQuadratureWavefunction:
     def test_effective_vacuum_profile(self):
-        vac = iq.basis_vector(3, 4)
+        vac = basis_vector(3, 4)
         xs = np.linspace(-3.0, 3.0, 13)
         for phi in (0.0, 1.1, 4.0):
             got = np.abs(dist.quadrature_wavefunction(vac, xs, phi)) ** 2
@@ -38,7 +39,7 @@ class TestQuadratureWavefunction:
                 assert abs(np.trapezoid(p, xs) - 1.0) < 1e-6
 
     def test_scalar_input(self):
-        vac = iq.basis_vector(3, 4)
+        vac = basis_vector(3, 4)
         val = dist.quadrature_wavefunction(vac, 0.5, 0.3)
         assert isinstance(val, complex)
         assert abs(val) ** 2 == pytest.approx(math.exp(-0.25) / math.sqrt(math.pi), rel=1e-12)
@@ -170,7 +171,7 @@ class TestCharacteristicFunction:
 
     def test_rejects_s_at_one(self):
         with pytest.raises(dist.SParameterOutOfRange):
-            dist.characteristic_function(iq.basis_vector(3, 3), 0.1 + 0.0j, 1.0)
+            dist.characteristic_function(basis_vector(3, 3), 0.1 + 0.0j, 1.0)
 
     def test_subnormal_lambda_is_the_origin(self, unitary_xi04):
         # lam / |lam| overflows at a subnormal |lam|; the kernel reads such lam as 0
@@ -298,15 +299,15 @@ class TestGroupedSweeps:
 
 class TestQuasiProbability:
     def test_vacuum_wigner_origin(self):
-        got = dist.quasi_probability(iq.basis_vector(3, 3), 0.0 + 0.0j, 0.0)
+        got = dist.quasi_probability(basis_vector(3, 3), 0.0 + 0.0j, 0.0)
         assert got == pytest.approx(2.0 / math.pi, abs=1e-10)
 
     def test_vacuum_husimi_origin(self):
-        got = dist.quasi_probability(iq.basis_vector(3, 3), 0.0 + 0.0j, -1.0)
+        got = dist.quasi_probability(basis_vector(3, 3), 0.0 + 0.0j, -1.0)
         assert got == pytest.approx(1.0 / math.pi, abs=1e-10)
 
     def test_vacuum_wigner_profile(self):
-        vac = iq.basis_vector(3, 3)
+        vac = basis_vector(3, 3)
         for z in (0.5 + 0.0j, 0.3 - 0.7j, 1.0 + 1.0j):
             assert dist.quasi_probability(vac, z, 0.0) == pytest.approx(
                 2.0 / math.pi * math.exp(-2.0 * abs(z) ** 2), rel=1e-12
@@ -314,7 +315,7 @@ class TestQuasiProbability:
 
     def test_number_state_wigner(self):
         # |5>: effective two-quantum state, W = 2/pi e^{-2|z|^2} L_2(4|z|^2)
-        two = iq.basis_vector(5, 8)
+        two = basis_vector(5, 8)
         for z in (0.0 + 0.0j, 0.4 + 0.2j, 1.1 - 0.6j):
             arg = 4.0 * abs(z) ** 2
             expected = 2.0 / math.pi * math.exp(-2.0 * abs(z) ** 2) * (
@@ -380,7 +381,7 @@ class TestQuasiProbability:
 
     def test_rejects_s_at_one(self):
         with pytest.raises(dist.SParameterOutOfRange):
-            dist.quasi_probability(iq.basis_vector(3, 3), 0.0 + 0.0j, 1.0)
+            dist.quasi_probability(basis_vector(3, 3), 0.0 + 0.0j, 1.0)
 
     def test_case_iii_cut_meets_the_contract_where_a_fixed_cut_does_not(self, unitary_xi04):
         # dropping the kernel amplitudes c_n t^n at or below 1e-20 moves F by 1.7e-14 on this grid

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 import isosqueeze as iq
-from conftest import nonlinear_log_norm_sq, nonlinear_probability, unitary_probability
+from conftest import basis_vector, nonlinear_log_norm_sq, nonlinear_probability, unitary_probability
 
 
 class TestFockVector:
     def test_immutable(self):
-        v = iq.basis_vector(3, 4)
+        v = basis_vector(3, 4)
         with pytest.raises(ValueError):
             v.amps[0] = 2.0
 
     def test_levels(self):
-        v = iq.basis_vector(5, 6)
+        v = basis_vector(5, 6)
         assert list(v.levels) == [3, 4, 5, 6, 7, 8]
         assert v.amps[2] == 1.0
 

@@ -5,7 +5,7 @@ import pytest
 
 import isosqueeze as iq
 from isosqueeze import fock, squeezing
-from conftest import apply, ladder_word, unitary_probability, witness_oracle
+from conftest import apply, basis_vector, ladder_word, unitary_probability, witness_oracle
 
 
 def _unitary_state(xi, n_max=200):
@@ -35,7 +35,7 @@ class TestLadderWords:
     """The dense-matrix ladder words behind ``witness_oracle``, on built and other states."""
 
     def test_cross_word_on_eigenstate(self):
-        got = ladder_word(iq.basis_vector(5, 8), "+-")
+        got = ladder_word(basis_vector(5, 8), "+-")
         assert got == pytest.approx(2.0, rel=1e-14)
 
     def test_single_words_vanish_on_even_support(self, nonlinear_r20, unitary_xi04):
@@ -84,7 +84,7 @@ class TestLadderWords:
 
     def test_padding_protects_quartics(self):
         # support touching the window edge must not lose raising mass
-        v = iq.basis_vector(9, 7)  # top level of its own window
+        v = basis_vector(9, 7)  # top level of its own window
         got = ladder_word(v, "--++")
         assert got == pytest.approx((9 - 3 + 1) * (9 - 3 + 2), rel=1e-12)  # (nu+1)(nu+2)
 
@@ -141,7 +141,7 @@ class TestQuadratureIdentities:
 class TestAmplitudeSquaredIdentities:
     def test_effective_vacuum(self):
         # <L^2 R^2> = 2 on the effective vacuum, so both witnesses vanish
-        vac = iq.basis_vector(3, 8)
+        vac = basis_vector(3, 8)
         assert ladder_word(vac, "--++") == pytest.approx(2.0, rel=1e-14)
         _, _, i3, i4 = _cell(squeezing.squeezing_grid("iii", [0.0], [0.0]))
         assert i3 == pytest.approx(0.0, abs=1e-14)
@@ -174,19 +174,21 @@ class TestGrid:
         assert np.all((grid.i1 + 1.0) * (grid.i2 + 1.0) >= 1.0 - 1e-9)
 
     @pytest.mark.parametrize(
-        "kind, moduli",
-        [("i", [1e-3, 5.0, 31.0]), ("iii", [1e-3, 0.4, 0.88, 0.95])],
-        ids=["nonlinear", "unitary"],
+        "kind, moduli, n_max",
+        [("i", [1e-3, 5.0, 31.0], 70), ("iii", [1e-3, 0.4, 0.88, 0.95], 70),
+         ("i", [1e-3, 5.0, 31.0], 1), ("iii", [1e-3, 0.4, 0.88, 0.95], 1)],
+        ids=["nonlinear", "unitary", "nonlinear_n_max_1", "unitary_n_max_1"],
     )
-    def test_matches_per_cell_oracle(self, kind, moduli):
+    def test_matches_per_cell_oracle(self, kind, moduli, n_max):
         # one state per cell at the cell's own phase; xi 0.88 and 0.95
-        # grow the truncation
+        # grow the truncation; at n_max = 1 the quartic word <L^4> lowers
+        # past the 3-level window
         thetas = [0.0, 0.3, -1.1, math.pi, 2.0 * math.pi + 0.4, 9.7]
-        grid = squeezing.squeezing_grid(kind, moduli, thetas, n_max=70)
+        grid = squeezing.squeezing_grid(kind, moduli, thetas, n_max=n_max)
         assert grid.i1.shape == grid.uncertainty_ok.shape == (len(moduli), len(thetas))
         for row, r in enumerate(moduli):
             for col, theta in enumerate(thetas):
-                state = iq.build_state(iq.SqueezeParams(kind=kind, r=r, theta=theta, n_max=70))
+                state = iq.build_state(iq.SqueezeParams(kind=kind, r=r, theta=theta, n_max=n_max))
                 oracle = witness_oracle(state)
                 ok = (oracle[0] + 1.0) * (oracle[1] + 1.0) >= 1.0 - 1e-9
                 assert grid.uncertainty_ok[row, col] == ok

@@ -6,7 +6,7 @@ import pytest
 
 import isosqueeze as iq
 from isosqueeze import stats
-from conftest import power_moments, state_moments, unitary_probability
+from conftest import basis_vector, power_moments, state_moments, unitary_probability
 
 
 def _unitary_state(xi, n_max=400):
@@ -25,7 +25,7 @@ def _photon_distribution(v):
 
 class TestPhotonDistribution:
     def test_effective_vacuum(self):
-        dist = _photon_distribution(iq.basis_vector(3, 4))
+        dist = _photon_distribution(basis_vector(3, 4))
         assert dist[0] == (3, 1.0)
         assert all(p == 0.0 for _, p in dist[1:])
 
@@ -46,10 +46,10 @@ class TestPhotonDistribution:
 
 class TestExcitationMoments:
     def test_effective_vacuum(self):
-        assert _mean_and_square(iq.basis_vector(3, 4)) == (0.0, 0.0)
+        assert _mean_and_square(basis_vector(3, 4)) == (0.0, 0.0)
 
     def test_eigenstate(self):
-        assert _mean_and_square(iq.basis_vector(7, 8)) == (4.0, 16.0)
+        assert _mean_and_square(basis_vector(7, 8)) == (4.0, 16.0)
 
     def test_unitary_closed_form(self):
         for xi in (0.2, 0.4, 0.7):
@@ -82,7 +82,7 @@ class TestMandelAndG2:
 
     def test_undefined_on_vacuum(self):
         # NaN marks the vacuum row; the number state |5> beside it keeps its values
-        table = np.array([state_moments(iq.basis_vector(3, 4)), state_moments(iq.basis_vector(5, 6))])
+        table = np.array([state_moments(basis_vector(3, 4)), state_moments(basis_vector(5, 6))])
         q, g2 = stats.mandel_q(table), stats.g2_zero(table)
         assert math.isnan(q[0]) and math.isnan(g2[0])
         assert (q[1], g2[1]) == (-1.0, 0.5)
@@ -102,14 +102,14 @@ class TestMandelAndG2:
 
 class TestFactorialMoments:
     def test_eigenstate_falling_factorials(self):
-        m = state_moments(iq.basis_vector(5, 8))
+        m = state_moments(basis_vector(5, 8))
         assert m[0] == 2.0
         assert m[1] == 2.0
         assert m[2] == 0.0
         assert m[3] == 0.0
 
     def test_vacuum_all_zero(self):
-        vac = iq.basis_vector(3, 6)
+        vac = basis_vector(3, 6)
         assert all(m == 0.0 for m in state_moments(vac))
 
     def test_second_moment_operator_identity(self, unitary_xi04):
@@ -133,7 +133,7 @@ class TestMomentTable:
 
     @pytest.mark.parametrize("level", [3, 4, 5, 6, 7, 12, 40])
     def test_number_states_exact(self, level):
-        v = iq.basis_vector(level, level + 5)
+        v = basis_vector(level, level + 5)
         assert state_moments(v).tolist() == _exact_factorial_moments((np.abs(v.amps) ** 2).tolist())
 
     def test_random_rational_distribution(self):
@@ -148,10 +148,10 @@ class TestMomentTable:
 class TestA3:
     def test_number_state_hits_minus_one(self):
         # det m3 of |5>: [[1,2,2],[2,2,0],[2,0,0]] = -8; det mu3 = 0
-        assert stats.a3_parameter(state_moments(iq.basis_vector(5, 12))) == pytest.approx(-1.0, abs=1e-12)
+        assert stats.a3_parameter(state_moments(basis_vector(5, 12))) == pytest.approx(-1.0, abs=1e-12)
 
     def test_vacuum_undefined(self):
-        table = np.array([state_moments(iq.basis_vector(3, 6)), state_moments(iq.basis_vector(5, 12))])
+        table = np.array([state_moments(basis_vector(3, 6)), state_moments(basis_vector(5, 12))])
         a3 = stats.a3_parameter(table)
         assert math.isnan(a3[0])
         assert a3[1] == pytest.approx(-1.0, abs=1e-12)
