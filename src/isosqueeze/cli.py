@@ -184,6 +184,26 @@ def _modulus_grid(args) -> tuple:
     return kind, phase, np.linspace(top / steps, top, steps), top, steps
 
 
+def _symmetric_axis(low: float, high: float, steps: int) -> np.ndarray:
+    """The axis of np.linspace(low, high, steps), exactly symmetric about its midpoint m.
+
+    x_k = m + o_k with o_k = h (2k - steps + 1)/(steps - 1), h the half-width, rounded to
+    the float spacing u of max(|low|, |high|): o is odd in k bit for bit, and when m is a
+    multiple of u (always for low = -high, and for integer endpoints below 2^51) m + o_k
+    and x_k - m are exact.  The endpoints are low and high; one step gives [low].  Mirror
+    points of a +-a grid then share |z|^2, and so one Laguerre sweep of the phase-space
+    kernel.  Within 3 u of np.linspace, and finite where its high - low overflows.
+    """
+    if steps == 1:
+        return np.array([low])
+    mid, half = 0.5 * low + 0.5 * high, 0.5 * high - 0.5 * low
+    offsets = half * ((2.0 * np.arange(steps) - (steps - 1)) / (steps - 1))
+    unit = math.ulp(max(abs(low), abs(high)))  # np.spacing overflows at the largest float
+    axis = mid + np.round(offsets / unit) * unit
+    axis[0], axis[-1] = low, high
+    return axis
+
+
 def _cells(*columns: list) -> list:
     """The row-major cells of equal-length columns."""
     cells = [None] * (len(columns) * len(columns[0]))
@@ -299,8 +319,8 @@ def _cmd_quasiprob(args) -> _Output:
         # the double sum diverges there: the s-ordered function does not exist
         raise InvalidParameter(f"case iii needs |xi| < (1 - s)/(1 + s) = {bound:.6g}, got {params.r}")
     vec = build_state(params)
-    xs = np.linspace(args.x_min, args.x_max, args.x_steps)
-    ps = np.linspace(args.p_min, args.p_max, args.p_steps)
+    xs = _symmetric_axis(args.x_min, args.x_max, args.x_steps)
+    ps = _symmetric_axis(args.p_min, args.p_max, args.p_steps)
     grid = dist.quasi_probability_grid(vec, xs, ps, args.s)
     out = _Output(
         args.command,
@@ -317,7 +337,8 @@ def _cmd_quasiprob(args) -> _Output:
         mass = float(grid.values.sum() * abs((xs[1] - xs[0]) * (ps[1] - ps[0])))
         if abs(mass - 1.0) > MASS_WARN_THRESHOLD:
             out.warn(f"grid_mass {mass:.6g} differs from 1 by more than {MASS_WARN_THRESHOLD:g}; "
-                     "the grid misses part of the support or the sums lost precision")
+                     "the grid misses part of the support or samples it too coarsely, "
+                     "or the sums lost precision")
     out.meta["grid_mass"] = mass
     out.cells = _grid_rows(xs, ps, grid.values)
     return out

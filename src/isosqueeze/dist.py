@@ -15,7 +15,12 @@ weights in log space.  Its form makes the Laguerre argument
 -sign |mu|^2 real, so each order is radial coefficients, functions of
 that argument alone, times the phases e^{+-ik arg mu}: the Laguerre
 sweeps run over the distinct arguments only, a run of orders per sweep
-while their table fits a fixed float budget.  With sign = -1 it is
+while their table fits a fixed float budget.  Mirror points of a grid
+share an argument only when its axes are exactly symmetric, as the CLI
+builds them; np.linspace axes are not (np.linspace(-4, 4, 41) holds -3.8
+and 3.8000000000000007).  Over +-4, a 41 x 41 grid has 590 distinct
+arguments on np.linspace axes and 250 on the CLI's, a 161 x 161 grid
+7811 and 3578 (numpy 2.4.6, x86-64).  With sign = -1 it is
 G(x, y; mu) = e^{|mu|^2/2} <x|D(mu)|y>.  Each phase-space quantity is
 one call:
 
@@ -90,7 +95,10 @@ class DistGrid:
 
     ``values[i, j]`` belongs to the i-th point of the first axis and the
     j-th of the second.  Quasi-probability grids also carry the kernel's
-    levels and error bound; P(x, phi) has None.
+    levels and error bound; P(x, phi) has None.  The bound covers only
+    cutting the vector to those levels: not the state's own truncation,
+    nor rounding (a one-ulp move of the axes moves F by up to 3.3e-16 on
+    the case-iii xi = 0.4, s = 0 grid of 161 x 161, whose bound is 4.8e-17).
     """
 
     values: np.ndarray
@@ -331,7 +339,14 @@ def quasi_probability(v: FockVector, z: complex, s: float) -> float:
 def quasi_probability_grid(
     v: FockVector, x_axis: np.ndarray, p_axis: np.ndarray, s: float
 ) -> DistGrid:
-    """F(x + i p, s) sampled on the grid; values[i, j] at (x_i, p_j)."""
+    """F(x + i p, s) sampled on the grid; values[i, j] at (x_i, p_j).
+
+    ``kernel_error_bound`` bounds the move of F from cutting ``v`` to
+    ``kernel_levels`` levels, nothing else: a state truncated too early
+    or, on the unitary route, beyond |xi| < (1 - s)/(1 + s) reports 0.0
+    all the same (case iii at xi = 0.5, s = 0.5 gives max |F| 6.0e23; at
+    xi = 0.3 its F is 5.3e-7 from that of the n_max = 400 state).
+    """
     x_axis = np.asarray(x_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     values, kept, bound = _quasi_core(v, x_axis[:, None] + 1j * p_axis[None, :], s)

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 import isosqueeze as iq
-from isosqueeze import algebra, stats
+from isosqueeze import algebra, dist, stats
 from isosqueeze.fock import BASE_LEVEL
 from isosqueeze.specfun import assoc_laguerre_sequence, log_factorial, weighted_hermite_table
 
@@ -260,6 +260,20 @@ def nonlinear_r20():
 @pytest.fixture(scope="session")
 def unitary_xi04():
     return iq.build_state(iq.SqueezeParams(kind="iii", r=0.4, n_max=70))
+
+
+@pytest.fixture
+def sweep_widths(monkeypatch):
+    """The number of arguments of every Laguerre sweep the phase-space kernel runs."""
+    widths = []
+    sweep = dist.assoc_laguerre_sequence
+
+    def counted(n_max, k, x):
+        widths.append(x.size)
+        return sweep(n_max, k, x)
+
+    monkeypatch.setattr(dist, "assoc_laguerre_sequence", counted)
+    return widths
 
 
 def laguerre_rows(n_max: int, k: int, x: np.ndarray) -> list[np.ndarray]:

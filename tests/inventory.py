@@ -61,6 +61,14 @@ ENTRIES = [
           stderr=_TAIL.format("3.115e-06", _RAISED.format(70))),
     # case iii keeping all 141 levels: the many-argument kernel path
     Entry("quasi_iii_141", "quasiprob --case iii --xi 0.25 --s 0.5"),
+    # the phase-space benchmark's case-iii command at seed 0
+    Entry("quasi_iii_bench", "quasiprob --case iii --xi 0.4 --xi-phase 0.0 --s 0.0 --x-steps 41 --p-steps 41"),
+    # quasiprob axes off centre, and of one point; one-unit cells sample the state too coarsely
+    # (81 x 61 points over the same ranges sum to 0.99999)
+    Entry("quasi_offcenter", f"{_FIG8} --s 0 --x-min -3 --x-max 5 --p-min -2 --p-max 4 --x-steps 9 --p-steps 7",
+          stderr="warning: grid_mass 1.04318 differs from 1 by more than 0.01; the grid misses part of the "
+          "support or samples it too coarsely, or the sums lost precision\n"),
+    Entry("quasi_one_point", f"{_FIG8} --s 0 --x-steps 1 --p-steps 3"),
     # rows that raise several warnings, in row order; repeated texts are kept once
     Entry("stats_g2_a3", "stats --case iii --xi-max 1e-160 --xi-steps 3", stderr="".join(
         w.format(r) for r in ("3.33333e-161", "6.66667e-161", "1e-160") for w in (_G2, _A3))),

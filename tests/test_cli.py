@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 import mpmath
+from hypothesis import given, settings, strategies as st
 
 import isosqueeze
 from isosqueeze import cli, squeezing, states, stats
 from isosqueeze.cli import _Output, build_parser, main
 from conftest import amplitudes_mp
-from inventory import ENTRIES, ENTRY
+from inventory import ENTRIES, ENTRY, run
 
 
 def _run(capsys, *argv):
@@ -316,6 +317,79 @@ class TestQuasiprobCommand:
         assert (abs(meta["grid_mass"] - 1.0) > 1e-2) is flagged
         assert ("warning: grid_mass" in err) is flagged
         assert any(w.startswith("grid_mass") for w in meta["warnings"]) is flagged
+
+    @staticmethod
+    def _distinct_arguments(xs, ps):
+        # the kernel's Laguerre arguments are |mu|^2 = |2z|^2 at s = 0: scaling by 2 is exact
+        z = np.asarray(xs)[:, None] + 1j * np.asarray(ps)[None, :]
+        return np.unique((z * z.conj()).real).size
+
+    def test_mirror_points_share_one_sweep(self, tmp_path, sweep_widths):
+        # the phase-space benchmark's case-iii command: one block of 41 x 41 points, whose
+        # every sweep runs over the distinct |z|^2 of the grid.  On exactly symmetric axes the
+        # mirror images of the quadrant x, p >= 0 add none (250 with numpy 2.4.6 on x86-64);
+        # np.linspace's -3.8 and 3.8000000000000007 leave them apart (590)
+        argv = ENTRY["quasi_iii_bench"].command.split()
+        assert main([*argv, "-o", str(tmp_path / "q.csv")]) == 0
+        axis = cli._symmetric_axis(-4.0, 4.0, 41)
+        distinct = self._distinct_arguments(axis, axis)
+        assert set(sweep_widths) == {distinct}
+        assert distinct == self._distinct_arguments(axis[20:], axis[20:]) <= 21 * 21
+        linspace = np.linspace(-4.0, 4.0, 41)
+        assert self._distinct_arguments(linspace, linspace) > 21 * 21
+
+    @pytest.mark.parametrize("name", [e.name for e in ENTRIES if e.command.startswith("quasiprob") and not e.status])
+    def test_axis_text_is_linspace_text(self, tmp_path, name):
+        # the symmetric axes print as np.linspace of the same flags, cell for cell
+        entry = ENTRY[name]
+        assert run(entry, tmp_path) == []
+        args = build_parser().parse_args(entry.command.split())
+        xs, ps = (["%.12g" % v for v in np.linspace(low, high, steps)]
+                  for low, high, steps in ((args.x_min, args.x_max, args.x_steps),
+                                           (args.p_min, args.p_max, args.p_steps)))
+        with (tmp_path / f"{name}.csv").open(newline="") as handle:
+            rows = [row[:2] for row in csv.reader(handle)][1:]
+        assert rows == [[x, p] for x in xs for p in ps]
+
+
+class TestSymmetricAxis:
+    @pytest.mark.parametrize("low, high, steps", [
+        (-4.0, 4.0, 41), (-4.0, 4.0, 161), (-4.0, 4.0, 40), (4.0, -4.0, 9), (-7.3, 7.3, 100),
+        (-1e-300, 1e-300, 7), (-3.0, 5.0, 9), (-3.0, 5.0, 8), (-2.0, 4.0, 7), (-1e15, 3.0, 13),
+        (2.5, 2.5, 4), (-1.7976931348623157e308, 1.7976931348623157e308, 6),
+    ])
+    def test_exactly_symmetric_with_exact_endpoints(self, low, high, steps):
+        axis = cli._symmetric_axis(low, high, steps)
+        mid = 0.5 * low + 0.5 * high
+        assert axis.size == steps and axis[0] == low and axis[-1] == high
+        assert np.array_equal(axis - mid, -(axis - mid)[::-1])  # bit for bit
+        assert np.all(np.isfinite(axis))  # np.linspace's high - low overflows at the largest float
+
+    @given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.integers(2, 400))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_exact_endpoints_near_linspace(self, low, high, steps):
+        axis = cli._symmetric_axis(low, high, steps)
+        assert axis[0] == low and axis[-1] == high
+        reference = np.linspace(low, high, steps)
+        assert np.max(np.abs(axis - reference)) <= 3 * math.ulp(max(abs(low), abs(high)))
+
+    @given(st.floats(1e-300, 1e300), st.integers(2, 400))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_plus_minus_axes_are_odd(self, half, steps):
+        axis = cli._symmetric_axis(-half, half, steps)
+        assert np.array_equal(axis, -axis[::-1])
+
+    @given(st.integers(-2**51, 2**51), st.integers(-2**51, 2**51), st.integers(2, 400))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_integer_endpoints_symmetric_about_midpoint(self, low, high, steps):
+        axis = cli._symmetric_axis(float(low), float(high), steps)
+        mid = 0.5 * low + 0.5 * high
+        assert np.array_equal(axis - mid, -(axis - mid)[::-1])
+
+    @pytest.mark.parametrize("low, high", [(-4.0, 4.0), (2.0, -7.0), (3.0, 3.0)])
+    def test_one_point_is_low(self, low, high):
+        assert np.array_equal(cli._symmetric_axis(low, high, 1), [low])
+
 
 class TestJsonMatchesCsv:
     @pytest.mark.parametrize("argv", [

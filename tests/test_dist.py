@@ -207,19 +207,6 @@ class TestOverlapKernel:
         single = [[dist.quasi_probability(v, complex(x, p), s) for p in ps] for x in xs]
         np.testing.assert_allclose(grid.values, single, rtol=1e-12, atol=0.0)
 
-    @pytest.fixture
-    def sweep_widths(self, monkeypatch):
-        """The number of arguments of every Laguerre sweep the kernel runs."""
-        widths = []
-        sweep = dist.assoc_laguerre_sequence
-
-        def counted(n_max, k, x):
-            widths.append(x.size)
-            return sweep(n_max, k, x)
-
-        monkeypatch.setattr(dist, "assoc_laguerre_sequence", counted)
-        return widths
-
     def test_sweeps_run_over_distinct_arguments(self, sweep_widths):
         xs = np.linspace(-2.0, 2.0, 9)
         dist.quasi_probability_grid(_nonlinear(2.0 * math.sqrt(2.0), math.pi / 4.0), xs, xs, 0.0)
