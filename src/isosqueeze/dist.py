@@ -15,12 +15,16 @@ weights in log space.  Its form makes the Laguerre argument
 -sign |mu|^2 real, so each order is radial coefficients, functions of
 that argument alone, times the phases e^{+-ik arg mu}: the Laguerre
 sweeps run over the distinct arguments only, a run of orders per sweep
-while their table fits a fixed float budget.  Mirror points of a grid
-share an argument only when its axes are exactly symmetric, as the CLI
-builds them; np.linspace axes are not (np.linspace(-4, 4, 41) holds -3.8
-and 3.8000000000000007).  Over +-4, a 41 x 41 grid has 590 distinct
-arguments on np.linspace axes and 250 on the CLI's, a 161 x 161 grid
-7811 and 3578 (numpy 2.4.6, x86-64).  With sign = -1 it is
+while their table fits a fixed float budget.  |mu|^2 is the sum of the
+two squares, so transposed points share an argument; mirror points
+share one only when the axes are exactly symmetric, as the CLI builds
+them; np.linspace axes are not (np.linspace(-4, 4, 41) holds -3.8 and
+3.8000000000000007).  Over +-4, a 41 x 41 grid has 527 distinct
+arguments on np.linspace axes and 222 on the CLI's, a 161 x 161 grid
+6819 and 3113 (numpy 2.4.6, x86-64).  The setup around the sweeps
+(pair weights, each block's distinct arguments, the radial
+coefficients of a sweep's orders) is array passes over runs of orders,
+not Python loops over single orders.  With sign = -1 it is
 G(x, y; mu) = e^{|mu|^2/2} <x|D(mu)|y>.  Each phase-space quantity is
 one call:
 
@@ -184,16 +188,24 @@ def _ordered_overlap(x: np.ndarray, y: np.ndarray, mu, sign) -> np.ndarray:
     -sign |mu|^2 (|mu|^k read at its first point) times the phases
     e^{+-ik arg mu}.  The pair weights of each order with a live pair
     are built once per call, in log space with the largest weight of
-    the order factored out.  Points are sorted by argument and taken in
-    blocks of ``_BLOCK_POINTS``.  In a block, one Laguerre sweep over
-    the distinct arguments serves a run of consecutive live orders
-    whose table, (degree + 1) x orders x arguments, fits
+    the order factored out, by array passes over runs of orders whose
+    arrays fit ``_TABLE_FLOATS`` (``_pair_weights``).  Points are sorted
+    by the argument, formed as -sign ((Re mu)^2 + (Im mu)^2) so that
+    (x, p) and (p, x) share it, and taken in blocks of
+    ``_BLOCK_POINTS``; a block's distinct arguments are read from its
+    sorted values (``_sorted_distinct``).  In a block, one Laguerre
+    sweep over the distinct arguments serves a run of consecutive live
+    orders whose table, (degree + 1) x orders x arguments, fits
     ``_TABLE_FLOATS``; an order whose table alone does not fit is swept
     by itself.  Each order's slice of the table gives both radial
     coefficients in one real matrix product with its pair weights, the
-    same product on the same shapes as a sweep of that order alone, and
-    the table is released before the phases are applied point by
-    point.  Every amplitude of x and y is summed
+    same product on the same shapes as a sweep of that order alone; the
+    table is released, the run's coefficients are formed in one pass
+    (``_radial_coefficients``), and the phases are applied point by
+    point, order by order.  Each elementwise operation is the one a
+    single order's arrays get, on operands of the full shape, so the
+    output is bit for bit that of building and sweeping each order
+    alone.  Every amplitude of x and y is summed
     (subnormals count as zeros): the callers cut the vectors to the
     levels ``_kept_levels`` allows.  With sign = -1 the result is
     e^{|mu|^2 / 2} <x|D(mu)|y> (Cahill and Glauber).
@@ -204,29 +216,14 @@ def _ordered_overlap(x: np.ndarray, y: np.ndarray, mu, sign) -> np.ndarray:
     if not all(idx.size for idx in supports):
         return total.reshape(mu.shape)
     size = 1 + max(idx[-1] for idx in supports)
-    (log_x, unit_x), (log_y, unit_y) = (_log_polar(np.pad(v[:size], (0, size - v[:size].size))) for v in (x, y))
-    log_fact = log_factorial(np.arange(size))
-    orders = []  # (k, weight rows, ln of the factored-out peak) of each order with a live pair
-    for k in range(size):
-        n = size - k
-        # row 0: the alpha^k branch, pairs (a + k, a); row 1: the beta^k branch, pairs (a, a + k)
-        log_w = np.array([log_x[k:] + log_y[:n], log_x[:n] + log_y[k:] if k else np.full(n, -np.inf)])
-        live = np.nonzero(np.isfinite(log_w).any(axis=0))[0]
-        if not live.size:
-            continue
-        top = live[-1] + 1
-        log_w = log_w[:, :top] + 0.5 * (log_fact[:top] - log_fact[k : k + top])
-        peak = log_w.max()
-        pair_phase = np.array([np.conj(unit_x[k : k + top]) * unit_y[:top],
-                               np.conj(unit_x[:top]) * unit_y[k : k + top]])
-        weights = np.exp(log_w - peak) * pair_phase
-        orders.append((k, np.concatenate([weights.real, weights.imag]), peak))
+    # levels 0 .. size, the last a pad that no pair reaches
+    orders = _pair_weights(*(_log_polar(np.pad(v[:size], (0, size + 1 - v[:size].size))) for v in (x, y)))
     flat = mu.ravel()
-    arg = -sign * (flat * flat.conj()).real  # -alpha beta, real by construction
+    arg = -sign * (flat.real**2 + flat.imag**2)  # -alpha beta, the same for (x, p) and (p, x)
     by_arg = np.argsort(arg, kind="stable")  # points that share an argument become neighbours
     for start in range(0, flat.size, _BLOCK_POINTS):
         pts = by_arg[start : start + _BLOCK_POINTS]
-        key, first, inverse = np.unique(arg[pts], return_index=True, return_inverse=True)
+        key, first, inverse = _sorted_distinct(arg[pts])
         log_mu, unit_mu = _log_polar(flat[pts])
         log_mu = log_mu[first]  # ln|mu| per distinct argument
         block = np.zeros(pts.size, dtype=complex)
@@ -239,19 +236,92 @@ def _ordered_overlap(x: np.ndarray, y: np.ndarray, mu, sign) -> np.ndarray:
             table = table.reshape(top, ks.size, key.size)
             # one real product of each order's Laguerre rows with its real and imaginary weight
             # rows; the table is released before the coefficients and phases are formed
-            sums = [rows @ table[: rows.shape[1], i] for i, (_, rows, _) in enumerate(group)]
+            sums = np.stack([rows @ table[: rows.shape[1], i] for i, (_, rows, _) in enumerate(group)])
             del table
-            for (k, _, peak), order_sums in zip(group, sums):
+            coefs = _radial_coefficients(sums, ks, np.array([peak for _, _, peak in group]), log_mu, sign)
+            for k, coef in zip(ks.tolist(), coefs):
                 for _ in range(k - at):
                     phase *= unit_mu
                 at = k
-                # the radial coefficients of both branches on the distinct arguments
-                coef = (order_sums[:2] + 1j * order_sums[2:]) * (np.exp(peak + k * log_mu) if k else math.exp(peak))
-                coef[1] *= sign**k  # e^{ik arg beta} = sign^k e^{-ik arg mu}
                 block += coef[0, inverse] * phase
                 block += coef[1, inverse] * np.conj(phase)
         total[pts] = block
     return total.reshape(mu.shape)
+
+
+def _pair_weights(polar_x: tuple, polar_y: tuple) -> list:
+    """(k, weight rows, ln of the factored-out peak) of each order k with a live pair, k ascending.
+
+    From (ln|v|, v/|v|) of x and y on levels 0 .. size, level size a zero pad.  Order k's
+    rows are the real and imaginary parts of e^{ln w - peak} times the pair phases, branch
+    by branch (alpha^k: pairs (a + k, a); beta^k: pairs (a, a + k)), over a = 0 .. top - 1
+    with top - 1 the last a of a live pair.  Built for a run of orders at once, as
+    (orders x 2 x degrees) arrays whose floats, about 16 per entry, fit ``_TABLE_FLOATS``.
+    """
+    (log_x, unit_x), (log_y, unit_y) = polar_x, polar_y
+    size = log_x.size - 1
+    live_x, live_y = (np.flatnonzero(np.isfinite(v)) for v in (log_x, log_y))
+    if not (live_x.size and live_y.size):
+        return []
+    reach = 1 + min(live_x[-1], live_y[-1])  # no pair's lower level lies above both supports' ends
+    log_fact = log_factorial(np.arange(size + 1))
+    orders, k0 = [], 0
+    while k0 < size:
+        width = min(size - k0, reach)
+        ks = np.arange(k0, min(size, k0 + max(1, _TABLE_FLOATS // (16 * width))))
+        k0 += ks.size
+        a = np.arange(width)
+        upper = np.minimum(a + ks[:, None], size)  # level a + k of each (order, degree)
+        # row 0: the alpha^k branch, pairs (a + k, a); row 1: the beta^k branch, pairs (a, a + k)
+        log_w = np.stack([log_x[upper] + log_y[a], log_x[a] + log_y[upper]], axis=1)
+        if ks[0] == 0:
+            log_w[0, 1] = -np.inf  # order 0 has one branch
+        live = np.isfinite(log_w).any(axis=1)
+        alive = np.flatnonzero(live.any(axis=1))
+        if not alive.size:
+            continue
+        ks, upper = ks[alive], upper[alive]
+        tops = width - np.argmax(live[alive, ::-1], axis=1)
+        log_w = log_w[alive] + (0.5 * (log_fact[a] - log_fact[upper]))[:, None]
+        peaks = log_w.max(axis=(1, 2))
+        # full-shape factors: numpy may multiply a broadcast one without fused multiply-add
+        lower = np.broadcast_to(a, upper.shape)
+        pair_phase = np.stack([np.conj(unit_x[upper]) * unit_y[lower],
+                               np.conj(unit_x[lower]) * unit_y[upper]], axis=1)
+        weights = np.exp(log_w - peaks[:, None, None]) * pair_phase
+        rows = np.concatenate([weights.real, weights.imag], axis=1)
+        # each order's (4, top) rows, contiguous and back to back
+        flat = rows[np.broadcast_to((a < tops[:, None])[:, None], rows.shape)]
+        ends = np.cumsum(4 * tops)
+        for k, top, peak, end in zip(ks.tolist(), tops.tolist(), peaks.tolist(), ends.tolist()):
+            orders.append((k, flat[end - 4 * top : end].reshape(4, top), peak))
+    return orders
+
+
+def _sorted_distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.unique(values, return_index=True, return_inverse=True) of an ascending 1-D array,
+    read from its adjacent differences without sorting again."""
+    new = np.empty(values.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    return values[first], first, np.cumsum(new) - 1
+
+
+def _radial_coefficients(sums: np.ndarray, ks: np.ndarray, peaks: np.ndarray,
+                         log_mu: np.ndarray, sign) -> np.ndarray:
+    """(orders, 2, arguments) radial coefficients of both branches from the (orders, 4,
+    arguments) weight-row sums: (re + i im) e^{peak + k ln|mu|}, the beta^k branch times
+    sign^k (e^{ik arg beta} = sign^k e^{-ik arg mu})."""
+    coef = sums[:, :2] + 1j * sums[:, 2:]
+    scale = np.empty((ks.size, log_mu.size))
+    zeroth = int(ks[0] == 0)
+    if zeroth:
+        scale[0] = math.exp(peaks[0])  # 0 ln|mu| would be nan at mu = 0
+    np.exp(peaks[zeroth:, None] + ks[zeroth:, None] * log_mu, out=scale[zeroth:])
+    coef *= scale[:, None]
+    coef[:, 1] *= (sign ** ks)[:, None]
+    return coef
 
 
 def _order_groups(orders: list, width: int) -> list:

@@ -340,7 +340,7 @@ def full_support_overlap(x, y, mu, sign, block_points: int = 4096) -> np.ndarray
     )
     log_fact = log_factorial(np.arange(size))
     flat = mu.ravel()
-    arg = -sign * (flat * flat.conj()).real
+    arg = -sign * (flat.real**2 + flat.imag**2)
     by_arg = np.argsort(arg, kind="stable")
     for start in range(0, flat.size, block_points):
         pts = by_arg[start : start + block_points]

@@ -320,23 +320,26 @@ class TestQuasiprobCommand:
 
     @staticmethod
     def _distinct_arguments(xs, ps):
-        # the kernel's Laguerre arguments are |mu|^2 = |2z|^2 at s = 0: scaling by 2 is exact
-        z = np.asarray(xs)[:, None] + 1j * np.asarray(ps)[None, :]
-        return np.unique((z * z.conj()).real).size
+        # the kernel's Laguerre arguments are |mu|^2 = |2z|^2 at s = 0, formed as the sum
+        # of the two squares: scaling by 2 is exact, and the sum is the same both ways round
+        xs, ps = np.asarray(xs), np.asarray(ps)
+        return np.unique(xs[:, None] ** 2 + ps[None, :] ** 2).size
 
     def test_mirror_points_share_one_sweep(self, tmp_path, sweep_widths):
         # the phase-space benchmark's case-iii command: one block of 41 x 41 points, whose
         # every sweep runs over the distinct |z|^2 of the grid.  On exactly symmetric axes the
-        # mirror images of the quadrant x, p >= 0 add none (250 with numpy 2.4.6 on x86-64);
-        # np.linspace's -3.8 and 3.8000000000000007 leave them apart (590)
+        # mirror images of the quadrant x, p >= 0 add none, and transposed points share their
+        # x^2 + p^2, so the width is the quadrant's count over unordered pairs (222 with numpy
+        # 2.4.6 on x86-64); np.linspace's -3.8 and 3.8000000000000007 leave mirrors apart
         argv = ENTRY["quasi_iii_bench"].command.split()
         assert main([*argv, "-o", str(tmp_path / "q.csv")]) == 0
         axis = cli._symmetric_axis(-4.0, 4.0, 41)
-        distinct = self._distinct_arguments(axis, axis)
-        assert set(sweep_widths) == {distinct}
-        assert distinct == self._distinct_arguments(axis[20:], axis[20:]) <= 21 * 21
+        i, j = np.triu_indices(21)
+        unordered = np.unique(axis[20:][i] ** 2 + axis[20:][j] ** 2).size
+        assert set(sweep_widths) == {unordered}
+        assert unordered == self._distinct_arguments(axis, axis) < 21 * 22 // 2
         linspace = np.linspace(-4.0, 4.0, 41)
-        assert self._distinct_arguments(linspace, linspace) > 21 * 21
+        assert self._distinct_arguments(linspace, linspace) > 21 * 22 // 2
 
     @pytest.mark.parametrize("name", [e.name for e in ENTRIES if e.command.startswith("quasiprob") and not e.status])
     def test_axis_text_is_linspace_text(self, tmp_path, name):

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import isosqueeze as iq
 from isosqueeze import dist
@@ -233,7 +235,7 @@ def _benchmark_kernel_call(name):
         k = np.arange(32)
         lam = 2.5 * np.sqrt((k + 0.5) / 32) * np.exp(2.399963229728653j * k)
         return lambda: dist.characteristic_function(v, np.concatenate([lam, -lam]), 0.0)
-    if name == "case_iii_wigner":  # 79 levels, 590 distinct arguments
+    if name == "case_iii_wigner":  # 79 levels, 527 distinct arguments (np.linspace axes)
         axis = np.linspace(-4.0, 4.0, 41)
         return lambda: dist.quasi_probability_grid(_unitary(0.4, n_max=70), axis, axis, 0.0)
     # the Fourier oracle's 128 x 128 polar grid, on the fig-8 state at n_max 6
@@ -282,6 +284,87 @@ class TestGroupedSweeps:
         # 25 live orders (every even k below 49 levels) over 32 distinct arguments
         _benchmark_kernel_call("fig1a_iii")()
         assert len(sweep_tables) <= 2 and sum(orders for orders, _ in sweep_tables) == 25
+
+
+@st.composite
+def _gapped_vectors(draw):
+    """Complex vectors on drawn, gapped supports: magnitudes over ten decades, any phase."""
+    size = draw(st.integers(1, 24))
+    support = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True))
+    v = np.zeros(size, dtype=complex)
+    for n in support:
+        v[n] = 10.0 ** draw(st.floats(-6.0, 4.0)) * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    return v
+
+
+def _vector(levels: dict) -> np.ndarray:
+    v = np.zeros(1 + max(levels), dtype=complex)
+    v[list(levels)] = list(levels.values())
+    return v
+
+
+_POINTS = st.lists(st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+                   min_size=1, max_size=12)
+
+
+class TestKernelSetup:
+    """The kernel's array-pass setup against the per-order reference (``full_support_overlap``)."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(_gapped_vectors(), _gapped_vectors(), _POINTS, st.sampled_from([-1, 1, -1.0, 1.0]))
+    # order tops that are not monotone in k: x on {0, 10}, y on {0, 3}
+    @example(_vector({0: 0.6, 10: 0.8j}), _vector({0: -0.3 + 0.1j, 3: 0.9}), [0.7 - 0.2j, 0.2 + 0.7j, 0j], -1)
+    @example(np.ones(1), _vector({0: 0.5, 2: 0.7j, 9: -0.5}), [1.5 + 0.5j, -1.5 - 0.5j, 0.5 - 1.5j], -1)  # x = e_0
+    @example(_vector({5: 0.6 - 0.8j}), _vector({5: 0.6 - 0.8j}), [0.4 + 0.3j, 2.0, -1j], -1.0)  # one level
+    @example(_vector({0: 1.0, 4: 5e-324}), _vector({0: 0.5, 1: 1e-310j, 4: 0.5}), [1.0 + 1.0j, 0.5j], 1.0)  # subnormals
+    def test_matches_the_per_order_kernel(self, x, y, points, sign):
+        # within 4 ulp, not bit for bit: the reference scales order 0 by np.exp(peak) where the
+        # kernel takes math.exp(peak), one bit apart for some peaks, and numpy's SIMD dispatch
+        # rounds a complex product with or without fused multiply-add by operand shape and host
+        # (an 8e-18 imaginary residue for one level)
+        mu = np.array(points, dtype=complex)
+        got, want = dist._ordered_overlap(x, y, mu, sign), full_support_overlap(x, y, mu, sign)
+        assert np.all(np.abs(got - want) <= 4.0 * math.ulp(np.abs(want).max()))
+
+    @pytest.mark.parametrize("values", [
+        [2.5],
+        [-0.0, 0.0, 0.0, 1.0],
+        [0.0, -0.0, 3.0, 3.0],
+        [-np.inf, -np.inf, -1.0, -0.0, 0.0, 2.0, 2.0, 2.0, np.inf, np.inf],
+        np.round(np.random.default_rng(7).normal(size=500), 1),
+    ])
+    def test_block_arguments_are_np_unique(self, values):
+        values = np.sort(np.asarray(values, dtype=float), kind="stable")
+        got = dist._sorted_distinct(values)
+        want = np.unique(values, return_index=True, return_inverse=True)
+        for part, expected in zip(got, want):
+            assert part.dtype == expected.dtype and part.shape == expected.shape
+            assert np.array_equal(part, expected)
+        assert np.array_equal(np.signbit(got[0]), np.signbit(want[0]))  # the first of a +-0 run
+
+    def test_nan_lambda_gives_nan(self):
+        lam = np.array([0.5, complex(math.nan, 0.0), complex(0.3, math.nan), 1j, 0.0, math.nan])
+        values = dist.characteristic_function(_unitary(0.4, n_max=24), lam, 0.0)
+        assert np.array_equal(np.isnan(values), np.isnan(lam))
+
+    def test_weight_chunks_fit_the_table_budget(self, monkeypatch):
+        # the 561-level Wigner kernel: its traced peak was 3.0 MiB when each order's weights
+        # were built alone; building runs of orders may add at most one Laguerre table
+        calls = []
+        kernel = dist._ordered_overlap
+        monkeypatch.setattr(dist, "_ordered_overlap", lambda *args: calls.append(args) or kernel(*args))
+        axis = np.linspace(-4.0, 4.0, 5)
+        state = iq.build_state(iq.SqueezeParams(kind="iii", r=0.95))
+        dist.quasi_probability_grid(state, axis, axis, 0.0)
+        (args,) = calls
+        assert args[0].size == 561
+        tracemalloc.start()
+        try:
+            kernel(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * 2**20 + dist._TABLE_FLOATS * 8
 
 
 class TestQuasiProbability:
