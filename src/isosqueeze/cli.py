@@ -191,7 +191,7 @@ def _symmetric_axis(low: float, high: float, steps: int) -> np.ndarray:
     the float spacing u of max(|low|, |high|): o is odd in k bit for bit, and when m is a
     multiple of u (always for low = -high, and for integer endpoints below 2^51) m + o_k
     and x_k - m are exact.  The endpoints are low and high; one step gives [low].  Mirror
-    points of a +-a grid then share |z|^2, and so one Laguerre sweep of the phase-space
+    points of a +-a grid then share |z|^2, and so one Laguerre argument of the phase-space
     kernel.  Within 3 u of np.linspace, and finite where its high - low overflows.
     """
     if steps == 1:

@@ -8,33 +8,33 @@ route; it is non-negative by construction.  The paper's cosine double
 sum over half-indices is its case-i expansion and serves as the test
 oracle (``tests/conftest.py``).
 
-Phase space goes through one kernel, ``_ordered_overlap(x, y, mu,
-sign)`` = <x| e^{mu K+} e^{sign conj(mu) K-} |y> with sign = +-1: the
-Cahill-Glauber element sum grouped by the order k = |m - n|, pair
-weights in log space.  Its form makes the Laguerre argument
--sign |mu|^2 real, so each order is radial coefficients, functions of
-that argument alone, times the phases e^{+-ik arg mu}: the Laguerre
-sweeps run over the distinct arguments only, a run of orders per sweep
-while their table fits a fixed float budget.  |mu|^2 is the sum of the
-two squares, so transposed points share an argument; mirror points
-share one only when the axes are exactly symmetric, as the CLI builds
-them; np.linspace axes are not (np.linspace(-4, 4, 41) holds -3.8 and
-3.8000000000000007).  Over +-4, a 41 x 41 grid has 527 distinct
-arguments on np.linspace axes and 222 on the CLI's, a 161 x 161 grid
-6819 and 3113 (numpy 2.4.6, x86-64).  The setup around the sweeps
-(pair weights, each block's distinct arguments, the radial
-coefficients of a sweep's orders) is array passes over runs of orders,
-not Python loops over single orders.  With sign = -1 it is
-G(x, y; mu) = e^{|mu|^2/2} <x|D(mu)|y>.  Each phase-space quantity is
-one call:
+Phase space goes through one kernel, ``_ordered_overlap(d, mu, sign,
+parity)`` = <P d| e^{mu K+} e^{sign conj(mu) K-} |d> with sign = +-1 and
+P = parity^N: the Cahill-Glauber element sum grouped by the order
+k = |m - n|.  Its form makes the Laguerre argument -sign |mu|^2 real and
+pairs each term with its mirror image, so each order is one complex
+weight row summed against L_a^k of that argument by Clenshaw's
+recurrence (``specfun.laguerre_series``), times mu^k; no Laguerre value
+is formed, so the sums stay finite where the polynomials overflow and
+the weights cancel them.  The arguments are deduplicated once per call.
+|mu|^2 is the sum of the two squares, so transposed points share an
+argument; mirror points share one only when the axes are exactly
+symmetric, as the CLI builds them; np.linspace axes are not
+(np.linspace(-4, 4, 41) holds -3.8 and 3.8000000000000007).  Over +-4, a
+41 x 41 grid has 527 distinct arguments on np.linspace axes and 222 on
+the CLI's, a 161 x 161 grid 6819 and 3113 (numpy 2.4.6, x86-64).  With
+sign = -1 and parity = 1 it is G(d; mu) = e^{|mu|^2/2} <d|D(mu)|d>.
+Each phase-space quantity is one call:
 
-* characteristic function: C(lam, s) = e^{(s-1)|lam|^2/2} G(c, c; lam);
+* characteristic function: C(lam, s) = e^{(s-1)|lam|^2/2} G(c; lam);
 * quasi-probability, s != -1: F(z, s) = 2/(pi (1-s)) e^{-2|z|^2/(1-s)}
-  Re <x|e^{mu K+} e^{sign conj(mu) K-}|y> with x_n = c_n (sign t)^n,
-  y_n = c_n t^n, t^2 = |(1+s)/(1-s)|, sign that of (1+s)/(s-1),
-  mu = w/(sign t), w = 2z/(1-s); for -1 < s < 1 this is
-  Re G(x, y; -2z/sqrt(1-s^2));
-* Husimi function, s = -1: F(z, -1) = e^{-|z|^2} |G(e_0, c; -z)|^2 / pi.
+  Re <P d|e^{mu K+} e^{sign conj(mu) K-}|d> with d_n = c_n t^n,
+  parity = sign, t^2 = |(1+s)/(1-s)|, sign that of (1+s)/(s-1),
+  mu = w/(sign t), w = 2z/(1-s); for -1 < s < 1, sign = -1 and this is
+  Re e^{|mu|^2/2} <P d|D(mu)|d> with mu = -2z/sqrt(1-s^2);
+* Husimi function, s = -1: F(z, -1) = |<z|c>|^2 / pi with
+  <z|c> = sum_n c_n e^{-|z|^2/2} conj(z)^n / sqrt(n!), each term formed
+  in log space (its left vector e_0 does not fit the kernel's form).
 
 Each call hands the kernel the shortest leading run of levels whose
 cut provably moves F by at most 1e-16 * 2/(pi (1-s)) and C by at most
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockVector, InvalidParameter
-from .specfun import assoc_laguerre_sequence, log_factorial, weighted_hermite_table
+from .specfun import laguerre_series, log_factorial, weighted_hermite_table
 
 __all__ = [
     "DistGrid",
@@ -77,16 +77,9 @@ _KERNEL_TOL = 1e-16
 
 _IMAG_TOL = 1e-8
 
-# Phase-space points per kernel block: bounds the distinct Laguerre
-# arguments of a block's sweeps to _BLOCK_POINTS however large the grid is.
-_BLOCK_POINTS = 4096
-
-# Floats of one grouped Laguerre sweep, (degree + 1) x orders x distinct
-# arguments.  Orders are swept together while their table fits; an order
-# whose table alone is larger is swept by itself.  2^16 was no faster and
-# raised the phase-space benchmark's peak RSS by ~0.35 MiB (glibc: each
-# larger freed table lifts the mmap threshold, keeping arrays on the heap).
-_TABLE_FLOATS = 1 << 15
+# Floats of one run of orders in the phase-space kernel: its weights and its
+# Clenshaw sweep over the distinct arguments, about 8 per (order, degree or argument).
+_RUN_FLOATS = 1 << 18
 
 
 class SParameterOutOfRange(InvalidParameter):
@@ -102,7 +95,8 @@ class DistGrid:
     levels and error bound; P(x, phi) has None.  The bound covers only
     cutting the vector to those levels: not the state's own truncation,
     nor rounding (a one-ulp move of the axes moves F by up to 3.3e-16 on
-    the case-iii xi = 0.4, s = 0 grid of 161 x 161, whose bound is 4.8e-17).
+    the case-iii xi = 0.4, s = 0 np.linspace grid of 161 x 161 over +-4,
+    and by 2.8e-16 on the CLI's axes, whose bound is 4.8e-17).
     """
 
     values: np.ndarray
@@ -173,169 +167,74 @@ def _kept_levels(c: np.ndarray, s: float = 0.0, z_sq_max: float = 0.0,
     return kept, math.exp(log_drop[kept])
 
 
-def _ordered_overlap(x: np.ndarray, y: np.ndarray, mu, sign) -> np.ndarray:
-    """<x| e^{mu K+} e^{sign conj(mu) K-} |y> for a complex array mu and sign = +-1.
+def _ordered_overlap(d: np.ndarray, mu, sign, parity) -> np.ndarray:
+    """<P d| e^{mu K+} e^{sign conj(mu) K-} |d> for a complex array mu, sign = +-1 and P = parity^N.
 
     With alpha = mu and beta = sign conj(mu) the elements are
     <m|e^{alpha K+} e^{beta K-}|n> = sqrt(n!/m!) alpha^(m-n)
     L_n^(m-n)(-alpha beta) for m >= n and the mirror image with
-    beta^(n-m) for m < n.  Grouped by the order k = |m - n|:
+    beta^(n-m) for m < n.  The Laguerre argument -sign |mu|^2 is real, so
+    grouped by the order k = |m - n| the pairs (a + k, a) give
 
-        sum_k sum_a sqrt(a!/(a+k)!) L_a^k(-sign |mu|^2) |mu|^k
-              [e^{ik arg mu} conj(x_{a+k}) y_a + (k > 0) sign^k e^{-ik arg mu} conj(x_a) y_{a+k}]
+        A_k = mu^k sum_a w_ka L_a^k(-sign |mu|^2),
+        w_ka = parity^(a+k) conj(d_{a+k}) d_a sqrt(a!/(a+k)!),
 
-    so order k is radial coefficients of the Laguerre argument
-    -sign |mu|^2 (|mu|^k read at its first point) times the phases
-    e^{+-ik arg mu}.  The pair weights of each order with a live pair
-    are built once per call, in log space with the largest weight of
-    the order factored out, by array passes over runs of orders whose
-    arrays fit ``_TABLE_FLOATS`` (``_pair_weights``).  Points are sorted
-    by the argument, formed as -sign ((Re mu)^2 + (Im mu)^2) so that
-    (x, p) and (p, x) share it, and taken in blocks of
-    ``_BLOCK_POINTS``; a block's distinct arguments are read from its
-    sorted values (``_sorted_distinct``).  In a block, one Laguerre
-    sweep over the distinct arguments serves a run of consecutive live
-    orders whose table, (degree + 1) x orders x arguments, fits
-    ``_TABLE_FLOATS``; an order whose table alone does not fit is swept
-    by itself.  Each order's slice of the table gives both radial
-    coefficients in one real matrix product with its pair weights, the
-    same product on the same shapes as a sweep of that order alone; the
-    table is released, the run's coefficients are formed in one pass
-    (``_radial_coefficients``), and the phases are applied point by
-    point, order by order.  Each elementwise operation is the one a
-    single order's arrays get, on operands of the full shape, so the
-    output is bit for bit that of building and sweeping each order
-    alone.  Every amplitude of x and y is summed
-    (subnormals count as zeros): the callers cut the vectors to the
-    levels ``_kept_levels`` allows.  With sign = -1 the result is
-    e^{|mu|^2 / 2} <x|D(mu)|y> (Cahill and Glauber).
+    their mirror pairs (a, a + k) give (sign parity)^k conj(A_k), and the
+    result is A_0 + sum_{k>0} [A_k + (sign parity)^k conj(A_k)], kept as
+    one sum over even and one over odd k (A_0 is real: half of it in
+    each of the even sum and its conjugate).  The arguments are
+    deduplicated once, formed as -sign ((Re mu)^2 + (Im mu)^2) so that
+    (x, p) and (p, x) share one.  A run of consecutive orders at a time,
+    whose weights and sweep fit ``_RUN_FLOATS``, has its weights built
+    in log space, the largest of each order factored out, and summed
+    over the distinct arguments by ``laguerre_series``; the factor goes
+    back with |mu|^k as e^{peak + k ln|mu|}, so that neither overflows
+    alone, and the phases e^{ik arg mu} are applied point by point.
+    Every amplitude of d is summed (subnormals count as zeros): the
+    callers cut d to the levels ``_kept_levels`` allows.  With sign = -1
+    and parity = 1 the result is e^{|mu|^2 / 2} <d|D(mu)|d> (Cahill and
+    Glauber).
     """
     mu = np.asarray(mu, dtype=complex)
-    total = np.zeros(mu.size, dtype=complex)
-    supports = [np.flatnonzero(v) for v in (x, y)]
-    if not all(idx.size for idx in supports):
-        return total.reshape(mu.shape)
-    size = 1 + max(idx[-1] for idx in supports)
-    # levels 0 .. size, the last a pad that no pair reaches
-    orders = _pair_weights(*(_log_polar(np.pad(v[:size], (0, size + 1 - v[:size].size))) for v in (x, y)))
     flat = mu.ravel()
-    arg = -sign * (flat.real**2 + flat.imag**2)  # -alpha beta, the same for (x, p) and (p, x)
-    by_arg = np.argsort(arg, kind="stable")  # points that share an argument become neighbours
-    for start in range(0, flat.size, _BLOCK_POINTS):
-        pts = by_arg[start : start + _BLOCK_POINTS]
-        key, first, inverse = _sorted_distinct(arg[pts])
-        log_mu, unit_mu = _log_polar(flat[pts])
+    log_d, unit_d = _log_polar(d)
+    live = np.flatnonzero(np.isfinite(log_d))
+    sums = np.zeros((2, flat.size), dtype=complex)  # the even and the odd orders
+    if live.size:
+        size = live[-1] + 1
+        key, first, inverse = np.unique(-sign * (flat.real**2 + flat.imag**2),
+                                        return_index=True, return_inverse=True)
+        log_mu, unit_mu = _log_polar(flat)
         log_mu = log_mu[first]  # ln|mu| per distinct argument
-        block = np.zeros(pts.size, dtype=complex)
+        # levels 0 .. size, the last a pad that no pair reaches
+        log_d = np.append(log_d[:size], -np.inf)
+        unit_x = np.append(unit_d[:size] * parity ** np.arange(size), 0.0)
+        log_fact = log_factorial(np.arange(size + 1))
         phase, at = np.ones_like(unit_mu), 0  # e^{i at arg mu}, carried along
-        for group in _order_groups(orders, key.size):
-            top = max(rows.shape[1] for _, rows, _ in group)
-            ks = np.array([k for k, _, _ in group])
-            # a lone order is swept as a scalar, which numpy broadcasts faster than a (1, 1) array
-            table = assoc_laguerre_sequence(top - 1, ks[:, None] if ks.size > 1 else ks[0], key)
-            table = table.reshape(top, ks.size, key.size)
-            # one real product of each order's Laguerre rows with its real and imaginary weight
-            # rows; the table is released before the coefficients and phases are formed
-            sums = np.stack([rows @ table[: rows.shape[1], i] for i, (_, rows, _) in enumerate(group)])
-            del table
-            coefs = _radial_coefficients(sums, ks, np.array([peak for _, _, peak in group]), log_mu, sign)
+        k0 = 0
+        while k0 < size:
+            width = size - k0
+            ks = np.arange(k0, min(size, k0 + max(1, _RUN_FLOATS // (8 * (width + key.size)))))
+            k0 += ks.size
+            a = np.arange(width)
+            upper = np.minimum(a + ks[:, None], size)  # level a + k of each (order, degree)
+            log_w = log_d[upper] + log_d[a] + 0.5 * (log_fact[a] - log_fact[upper])
+            alive = np.isfinite(log_w).any(axis=1)
+            ks, upper, log_w = ks[alive], upper[alive], log_w[alive]
+            peaks = log_w.max(axis=1)
+            weights = np.exp(log_w - peaks[:, None]) * np.conj(unit_x[upper]) * unit_d[a]
+            scale = np.zeros((ks.size, key.size))  # k ln|mu|, 0 for k = 0 whatever mu
+            np.multiply(ks[:, None], log_mu, out=scale, where=ks[:, None] > 0)
+            coefs = laguerre_series(weights, ks, key) * np.exp(scale + peaks[:, None])
+            coefs[ks == 0] *= 0.5
             for k, coef in zip(ks.tolist(), coefs):
                 for _ in range(k - at):
                     phase *= unit_mu
                 at = k
-                block += coef[0, inverse] * phase
-                block += coef[1, inverse] * np.conj(phase)
-        total[pts] = block
+                sums[k % 2] += coef[inverse] * phase
+    even, odd = sums
+    total = even + np.conj(even) + odd + sign * parity * np.conj(odd)
     return total.reshape(mu.shape)
-
-
-def _pair_weights(polar_x: tuple, polar_y: tuple) -> list:
-    """(k, weight rows, ln of the factored-out peak) of each order k with a live pair, k ascending.
-
-    From (ln|v|, v/|v|) of x and y on levels 0 .. size, level size a zero pad.  Order k's
-    rows are the real and imaginary parts of e^{ln w - peak} times the pair phases, branch
-    by branch (alpha^k: pairs (a + k, a); beta^k: pairs (a, a + k)), over a = 0 .. top - 1
-    with top - 1 the last a of a live pair.  Built for a run of orders at once, as
-    (orders x 2 x degrees) arrays whose floats, about 16 per entry, fit ``_TABLE_FLOATS``.
-    """
-    (log_x, unit_x), (log_y, unit_y) = polar_x, polar_y
-    size = log_x.size - 1
-    live_x, live_y = (np.flatnonzero(np.isfinite(v)) for v in (log_x, log_y))
-    if not (live_x.size and live_y.size):
-        return []
-    reach = 1 + min(live_x[-1], live_y[-1])  # no pair's lower level lies above both supports' ends
-    log_fact = log_factorial(np.arange(size + 1))
-    orders, k0 = [], 0
-    while k0 < size:
-        width = min(size - k0, reach)
-        ks = np.arange(k0, min(size, k0 + max(1, _TABLE_FLOATS // (16 * width))))
-        k0 += ks.size
-        a = np.arange(width)
-        upper = np.minimum(a + ks[:, None], size)  # level a + k of each (order, degree)
-        # row 0: the alpha^k branch, pairs (a + k, a); row 1: the beta^k branch, pairs (a, a + k)
-        log_w = np.stack([log_x[upper] + log_y[a], log_x[a] + log_y[upper]], axis=1)
-        if ks[0] == 0:
-            log_w[0, 1] = -np.inf  # order 0 has one branch
-        live = np.isfinite(log_w).any(axis=1)
-        alive = np.flatnonzero(live.any(axis=1))
-        if not alive.size:
-            continue
-        ks, upper = ks[alive], upper[alive]
-        tops = width - np.argmax(live[alive, ::-1], axis=1)
-        log_w = log_w[alive] + (0.5 * (log_fact[a] - log_fact[upper]))[:, None]
-        peaks = log_w.max(axis=(1, 2))
-        # full-shape factors: numpy may multiply a broadcast one without fused multiply-add
-        lower = np.broadcast_to(a, upper.shape)
-        pair_phase = np.stack([np.conj(unit_x[upper]) * unit_y[lower],
-                               np.conj(unit_x[lower]) * unit_y[upper]], axis=1)
-        weights = np.exp(log_w - peaks[:, None, None]) * pair_phase
-        rows = np.concatenate([weights.real, weights.imag], axis=1)
-        # each order's (4, top) rows, contiguous and back to back
-        flat = rows[np.broadcast_to((a < tops[:, None])[:, None], rows.shape)]
-        ends = np.cumsum(4 * tops)
-        for k, top, peak, end in zip(ks.tolist(), tops.tolist(), peaks.tolist(), ends.tolist()):
-            orders.append((k, flat[end - 4 * top : end].reshape(4, top), peak))
-    return orders
-
-
-def _sorted_distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """np.unique(values, return_index=True, return_inverse=True) of an ascending 1-D array,
-    read from its adjacent differences without sorting again."""
-    new = np.empty(values.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(values[1:], values[:-1], out=new[1:])
-    first = np.flatnonzero(new)
-    return values[first], first, np.cumsum(new) - 1
-
-
-def _radial_coefficients(sums: np.ndarray, ks: np.ndarray, peaks: np.ndarray,
-                         log_mu: np.ndarray, sign) -> np.ndarray:
-    """(orders, 2, arguments) radial coefficients of both branches from the (orders, 4,
-    arguments) weight-row sums: (re + i im) e^{peak + k ln|mu|}, the beta^k branch times
-    sign^k (e^{ik arg beta} = sign^k e^{-ik arg mu})."""
-    coef = sums[:, :2] + 1j * sums[:, 2:]
-    scale = np.empty((ks.size, log_mu.size))
-    zeroth = int(ks[0] == 0)
-    if zeroth:
-        scale[0] = math.exp(peaks[0])  # 0 ln|mu| would be nan at mu = 0
-    np.exp(peaks[zeroth:, None] + ks[zeroth:, None] * log_mu, out=scale[zeroth:])
-    coef *= scale[:, None]
-    coef[:, 1] *= (sign ** ks)[:, None]
-    return coef
-
-
-def _order_groups(orders: list, width: int) -> list:
-    """``orders`` cut into runs whose Laguerre table, (largest top) x orders x ``width``
-    floats, fits ``_TABLE_FLOATS``; an order whose table alone does not fit is a run."""
-    groups, top = [], 0
-    for order in orders:
-        top = max(top, order[1].shape[1])
-        if groups and top * (len(groups[-1]) + 1) * width <= _TABLE_FLOATS:
-            groups[-1].append(order)
-        else:
-            groups.append([order])
-            top = order[1].shape[1]
-    return groups
 
 
 def characteristic_function(v: FockVector, lam, s: float):
@@ -350,7 +249,7 @@ def characteristic_function(v: FockVector, lam, s: float):
     kept, _ = _kept_levels(v.amps, log_scale=0.5 * s * np.abs(lam).max(initial=0.0) ** 2 if s > 0.0 else 0.0)
     c = v.amps[:kept]
     # the Gaussian factor after the kernel, so that its array is not held during the kernel
-    total = _ordered_overlap(c, c, lam, -1) * np.exp(0.5 * (s - 1.0) * np.abs(lam) ** 2)
+    total = _ordered_overlap(c, lam, -1, 1) * np.exp(0.5 * (s - 1.0) * np.abs(lam) ** 2)
     return total if total.ndim else complex(total)
 
 
@@ -367,12 +266,9 @@ def _quasi_core(v: FockVector, z: np.ndarray, s: float) -> tuple[np.ndarray, int
     """
     if s >= 1.0:
         raise SParameterOutOfRange(f"s must be < 1, got {s}")
-    try:
-        with np.errstate(all="ignore"):  # |z|^2 or the sums may overflow: refused below
-            kept, bound = _kept_levels(v.amps, s, np.abs(z).max(initial=0.0) ** 2)
-            values = _quasi_values(v.amps[:kept], z, s)
-    except OverflowError:  # math.exp of a kernel peak weight
-        values = np.array(math.inf)
+    with np.errstate(all="ignore"):  # |z|^2 or the sums may overflow: refused below
+        kept, bound = _kept_levels(v.amps, s, np.abs(z).max(initial=0.0) ** 2)
+        values = _quasi_values(v.amps[:kept], z, s)
     if not np.all(np.isfinite(values)):
         raise SParameterOutOfRange(f"F(z, s) is not finite on this grid at s = {s}")
     return values, kept, 2.0 / (math.pi * (1.0 - s)) * bound
@@ -381,16 +277,25 @@ def _quasi_core(v: FockVector, z: np.ndarray, s: float) -> tuple[np.ndarray, int
 def _quasi_values(c: np.ndarray, z: np.ndarray, s: float) -> np.ndarray:
     """F(z, s) of the amplitudes ``c``, s < 1, without the finiteness check."""
     if s == -1.0:
-        # coherent-state projection <z|v> = e^{-|z|^2/2} <0|e^{-z K+} e^{conj(z) K-}|v>
-        proj = _ordered_overlap(np.ones(1), c, -z, -1)
-        return np.exp(-np.abs(z) ** 2) * np.abs(proj) ** 2 / math.pi
-    # the pair weight ratio^a = (sign t)^a t^a is split between the two vectors
+        # |<z|c>|^2 / pi, <z|c> = sum_n c_n e^{-|z|^2/2} conj(z)^n / sqrt(n!), each term formed in
+        # log space, so that |term| <= |c_n|
+        log_c, unit_c = _log_polar(c)
+        log_z, unit_z = _log_polar(np.conj(z))
+        gauss = -0.5 * (z.real**2 + z.imag**2)
+        proj, phase = np.zeros(z.shape, dtype=complex), np.ones(z.shape, dtype=complex)
+        for n in range(c.size):
+            if n:
+                phase *= unit_z
+            if np.isfinite(log_c[n]):
+                log_term = gauss + (log_c[n] - 0.5 * log_factorial(n)) + (n * log_z if n else 0.0)
+                proj += np.exp(log_term) * (unit_c[n] * phase)
+        return np.abs(proj) ** 2 / math.pi
+    # the pair weight ratio^a = (sign t)^a t^a is split as the parity sign^N times (c t^n) twice
     ratio = (s + 1.0) / (s - 1.0)
     t = math.sqrt(abs(ratio))
     sign = math.copysign(1.0, ratio)
-    n = np.arange(c.size)
     w = 2.0 * z / (1.0 - s)
-    total = _ordered_overlap(c * (sign * t) ** n, c * t**n, w / (sign * t), sign).real
+    total = _ordered_overlap(c * t ** np.arange(c.size), w / (sign * t), sign, sign).real
     return 2.0 / (math.pi * (1.0 - s)) * np.exp(-2.0 * np.abs(z) ** 2 / (1.0 - s)) * total
 
 

@@ -5,13 +5,14 @@ grids) funnels its factorial ratios and orthogonal-polynomial needs
 through this module.  Factorials are handled exclusively in log space:
 the amplitude laws involve ratios like (2n)!/((2n+2)!(2n+3)!) whose
 numerator and denominator separately overflow float64 long before the
-ratio does.  Polynomials use upward three-term recurrences: one sweep
-gives every degree of the associated Laguerre polynomials for an array
-of orders at once (the phase-space kernel reads a run of orders from
-one sweep), and the weighted Hermite table gives the oscillator
-eigenfunctions.  The explicit
-alternating sums cancel catastrophically past degree ~20 and are only
-used as cross-check oracles in the test suite.
+ratio does.  Weighted sums of associated Laguerre polynomials are
+summed by Clenshaw's backward recurrence, a run of orders at once,
+without forming the polynomials (the phase-space kernel's radial
+series); the weighted Hermite table gives the oscillator
+eigenfunctions by its upward recurrence.  The explicit alternating
+sums cancel catastrophically past degree ~20 and, like the upward
+Laguerre recurrence, are only used as cross-check oracles in the test
+suite.
 
 All functions are pure and accept scalars or numpy arrays where noted;
 they are safe to call concurrently.
@@ -25,7 +26,7 @@ import numpy as np
 
 __all__ = [
     "log_factorial",
-    "assoc_laguerre_sequence",
+    "laguerre_series",
     "weighted_hermite_table",
 ]
 
@@ -57,35 +58,41 @@ def log_factorial(n):
     return out if isinstance(n, np.ndarray) else float(out)
 
 
-def assoc_laguerre_sequence(n_max: int, k, x: np.ndarray) -> np.ndarray:
-    """All of L_0^k(x) .. L_{n_max}^k(x) in one recurrence sweep.
+def laguerre_series(weights, k, x) -> np.ndarray:
+    """sum_a weights[j, a] L_a^{k_j}(x_i) for each row j and argument x_i, shape (rows, x.size).
 
-    (m+1) L_{m+1}^k = (2m + k + 1 - x) L_m^k - (m + k) L_{m-1}^k.
-    The order ``k`` is an integer or an integer array that broadcasts
-    against ``x``; each entry is swept in the same operation order as
-    a sweep at that order alone, so the values are bit-identical to
-    it.  Returns an array of shape (n_max + 1,) + the broadcast shape.
-    L_n^k(x) alone is the last row of a sweep to degree n.
+    Clenshaw's backward recurrence (Math. Comp. 9, 118, 1955) on the
+    Laguerre recurrence (a+1) L_{a+1}^k = (2a + k + 1 - x) L_a^k - (a + k) L_{a-1}^k:
+    b_a = w_a + (2a + k + 1 - x)/(a + 1) b_{a+1} - (a + k + 1)/(a + 2) b_{a+2},
+    and the sum is b_0.  No L_a^k(x) is formed, so the sum stays finite
+    where the polynomials overflow but the weighted series does not.
+    ``weights`` is (rows, degrees), complex or real, ``k`` the rows'
+    non-negative integer orders and ``x`` 1-D.  The rows are swept
+    together, by descending top (one past the last nonzero weight), so
+    that step a touches only the rows whose top exceeds a.  Returns complex.
     """
+    w = np.asarray(weights, dtype=complex)
     k = np.asarray(k)
-    if n_max < 0 or k.min() < 0:
-        raise ValueError("assoc_laguerre_sequence degree and order must be non-negative")
+    if k.size and k.min() < 0:
+        raise ValueError("laguerre_series orders must be non-negative")
     x = np.asarray(x, dtype=float)
-    first = 1.0 + k - x  # L_1, in the broadcast shape
-    out = np.empty((n_max + 1,) + first.shape, dtype=float)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = first
-    # the recurrence coefficients of every degree m = 1 .. n_max - 1, formed once
-    degree = np.arange(1.0, n_max).reshape((-1,) + (1,) * k.ndim)
-    diagonal, lower = 2.0 * degree + k + 1.0, degree + k
-    for m in range(1, n_max):
-        # in place, in the operation order of the recurrence above
-        row = out[m + 1, ...]
-        np.subtract(diagonal[m - 1], x, out=row)
-        row *= out[m]
-        row -= lower[m - 1] * out[m - 1]
-        row /= m + 1.0
+    nonzero = w != 0
+    tops = np.where(nonzero.any(axis=1), w.shape[1] - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    rows = np.argsort(-tops, kind="stable")
+    k, tops = k[rows], tops[rows]
+    parts = np.stack([w.real, w.imag], axis=2)[rows]  # (rows, degrees, re/im)
+    live = np.searchsorted(-tops, -np.arange(tops.max(initial=0)))  # rows whose top exceeds a
+    ahead, after = np.zeros((2, rows.size, 2, x.size))  # b_{a+1} and b_{a+2}
+    for a in range(live.size - 1, -1, -1):
+        n = live[a]
+        alpha = ((2 * a + 1 + k[:n]) / (a + 1.0))[:, None] - x / (a + 1.0)
+        b = after[:n]  # b_a overwrites b_{a+2}; rows past those alive at a + 1 hold zeros
+        b *= -((a + 1 + k[:n]) / (a + 2.0))[:, None, None]
+        b += alpha[:, None, :] * ahead[:n]
+        b += parts[:n, a, :, None]
+        ahead, after = after, ahead
+    out = np.empty((rows.size, x.size), dtype=complex)
+    out[rows] = ahead[:, 0] + 1j * ahead[:, 1]
     return out
 
 

@@ -8,11 +8,15 @@ algebra (ladder words and the I1..I4 witnesses as dense-operator
 variances), one operator applied to a truncated vector (``apply``),
 the per-element Cahill-Glauber displacement closed form summed pair by
 pair, the paper's cosine double sum for the
-quadrature distribution, and both amplitude laws in 50-digit mpmath.
-The full-support phase-space route (``quasi_probability_full``,
-``characteristic_function_full``) runs a copy of the library kernel on
-the uncut state, in the same arithmetic, so the levels the library
-drops can be checked against its 1e-16 contract.  Basis vectors
+quadrature distribution, both amplitude laws in 50-digit mpmath, and
+the phase-space element sum and the s-ordered form of F in 40-digit
+mpmath.  The full-support phase-space route (``full_support_overlap``)
+sums the element sum of any two vectors against a table of Laguerre
+values by the upward recurrence (``assoc_laguerre_sequence``), the
+route the library's Clenshaw kernel replaced; by bilinearity it gives
+the move of the library's cut from the dropped levels alone
+(``quasi_probability_cut_move``, ``characteristic_function_cut_move``),
+which is checked against the 1e-16 contract.  Basis vectors
 (``basis_vector``) and the deformed spectrum (``deform_f``,
 ``deformed_energy``, ``vibration_frequency``) live here too: no
 library route needs them.
@@ -30,7 +34,7 @@ import pytest
 import isosqueeze as iq
 from isosqueeze import algebra, dist, stats
 from isosqueeze.fock import BASE_LEVEL
-from isosqueeze.specfun import assoc_laguerre_sequence, log_factorial, weighted_hermite_table
+from isosqueeze.specfun import log_factorial, weighted_hermite_table
 
 
 def basis_vector(level: int, size: int | None = None) -> iq.FockVector:
@@ -264,16 +268,48 @@ def unitary_xi04():
 
 @pytest.fixture
 def sweep_widths(monkeypatch):
-    """The number of arguments of every Laguerre sweep the phase-space kernel runs."""
+    """The number of arguments of every Laguerre series sweep the phase-space kernel runs."""
     widths = []
-    sweep = dist.assoc_laguerre_sequence
+    sweep = dist.laguerre_series
 
-    def counted(n_max, k, x):
+    def counted(weights, k, x):
         widths.append(x.size)
-        return sweep(n_max, k, x)
+        return sweep(weights, k, x)
 
-    monkeypatch.setattr(dist, "assoc_laguerre_sequence", counted)
+    monkeypatch.setattr(dist, "laguerre_series", counted)
     return widths
+
+
+def assoc_laguerre_sequence(n_max: int, k, x: np.ndarray) -> np.ndarray:
+    """All of L_0^k(x) .. L_{n_max}^k(x) in one recurrence sweep.
+
+    (m+1) L_{m+1}^k = (2m + k + 1 - x) L_m^k - (m + k) L_{m-1}^k.
+    The order ``k`` is an integer or an integer array that broadcasts
+    against ``x``; each entry is swept in the same operation order as
+    a sweep at that order alone, so the values are bit-identical to
+    it.  Returns an array of shape (n_max + 1,) + the broadcast shape.
+    L_n^k(x) alone is the last row of a sweep to degree n.
+    """
+    k = np.asarray(k)
+    if n_max < 0 or k.min() < 0:
+        raise ValueError("assoc_laguerre_sequence degree and order must be non-negative")
+    x = np.asarray(x, dtype=float)
+    first = 1.0 + k - x  # L_1, in the broadcast shape
+    out = np.empty((n_max + 1,) + first.shape, dtype=float)
+    out[0] = 1.0
+    if n_max >= 1:
+        out[1] = first
+    # the recurrence coefficients of every degree m = 1 .. n_max - 1, formed once
+    degree = np.arange(1.0, n_max).reshape((-1,) + (1,) * k.ndim)
+    diagonal, lower = 2.0 * degree + k + 1.0, degree + k
+    for m in range(1, n_max):
+        # in place, in the operation order of the recurrence above
+        row = out[m + 1, ...]
+        np.subtract(diagonal[m - 1], x, out=row)
+        row *= out[m]
+        row -= lower[m - 1] * out[m - 1]
+        row /= m + 1.0
+    return out
 
 
 def laguerre_rows(n_max: int, k: int, x: np.ndarray) -> list[np.ndarray]:
@@ -308,8 +344,8 @@ def characteristic_function_pairs(v, lam, s: float) -> np.ndarray:
     return total * np.exp(0.5 * (s - 1.0) * mag_sq)
 
 
-# The phase-space kernel dropped amplitudes at or below this before its
-# support came from a bound.
+# The full-support oracle drops amplitudes at or below this, as the phase-space kernel did
+# before its support came from a bound.
 FULL_SUPPORT_CUTOFF = 1e-150
 
 
@@ -324,10 +360,12 @@ def _log_polar(v, cutoff: float):
 def full_support_overlap(x, y, mu, sign, block_points: int = 4096) -> np.ndarray:
     """<x| e^{mu K+} e^{sign conj(mu) K-} |y> over the amplitudes of x and y above 1e-150.
 
-    A copy of the library kernel (``dist._ordered_overlap``) as it was
-    before its callers cut the vectors by a bound: the Cahill-Glauber
-    element sum grouped by the order k = |m - n|, each order one
-    Laguerre sweep over the distinct arguments of a block.
+    The Cahill-Glauber element sum grouped by the order k = |m - n|, for
+    any two vectors: per order, the real and imaginary pair-weight rows
+    of both branches times a table of L_a^k over the distinct arguments
+    of a block, by the upward recurrence (``assoc_laguerre_sequence``).
+    The library sums one vector's series by Clenshaw's recurrence
+    instead (``dist._ordered_overlap``); this is the route it replaced.
     """
     mu = np.asarray(mu, dtype=complex)
     total = np.zeros(mu.size, dtype=complex)
@@ -372,27 +410,126 @@ def full_support_overlap(x, y, mu, sign, block_points: int = 4096) -> np.ndarray
     return total.reshape(mu.shape)
 
 
-def quasi_probability_full(v, z, s: float) -> np.ndarray:
-    """F(z, s) on an array of points by the kernel on every level of ``v``; s < 1, no finiteness check."""
+def _split(c, levels: int):
+    """``c`` as its first ``levels`` levels and the rest, each on the full window."""
+    head, tail = np.zeros_like(c), np.zeros_like(c)
+    head[:levels], tail[levels:] = c[:levels], c[levels:]
+    return head, tail
+
+
+def quasi_probability_cut_move(v, z, s: float, levels: int) -> np.ndarray:
+    """F(z, s) of every level of ``v`` minus F of its first ``levels`` levels; s < 1.
+
+    By the full-support oracle on the dropped levels alone, so the
+    difference holds none of the cut sum's rounding.  With
+    F = 2/(pi (1-s)) e^{-2|z|^2/(1-s)} Re G(x, y) for x_n = c_n (sign t)^n,
+    y_n = c_n t^n (``dist`` module docstring) and c = c_c + c_t split at
+    ``levels``, bilinearity gives G(x, y) - G(x_c, y_c) = G(x_t, y) + G(x_c, y_t).
+    For s = -1, F = |p|^2 / pi with p = <z|c> = e^{-|z|^2/2} G(e_0, c; -z), and
+    |p|^2 - |p_c|^2 = 2 Re(conj(p_c) p_t) + |p_t|^2.
+    """
     z = np.asarray(z, dtype=complex)
     c = v.amps
     with np.errstate(all="ignore"):
         if s == -1.0:
-            proj = full_support_overlap(np.ones(1), c, -z, -1)
-            return np.exp(-np.abs(z) ** 2) * np.abs(proj) ** 2 / np.pi
+            p_c, p_t = (np.exp(-0.5 * np.abs(z) ** 2) * full_support_overlap(np.ones(1), part, -z, -1)
+                        for part in _split(c, levels))
+            return (2.0 * (np.conj(p_c) * p_t).real + np.abs(p_t) ** 2) / np.pi
         ratio = (s + 1.0) / (s - 1.0)
         t = np.sqrt(abs(ratio))
         sign = np.copysign(1.0, ratio)
         n = np.arange(c.size)
-        w = 2.0 * z / (1.0 - s)
-        total = full_support_overlap(c * (sign * t) ** n, c * t**n, w / (sign * t), sign).real
-        return 2.0 / (np.pi * (1.0 - s)) * np.exp(-2.0 * np.abs(z) ** 2 / (1.0 - s)) * total
+        x, y = c * (sign * t) ** n, c * t**n
+        x_c, x_t = _split(x, levels)
+        y_c, y_t = _split(y, levels)
+        mu = 2.0 * z / (1.0 - s) / (sign * t)
+        move = (full_support_overlap(x_t, y, mu, sign) + full_support_overlap(x_c, y_t, mu, sign)).real
+        return 2.0 / (np.pi * (1.0 - s)) * np.exp(-2.0 * np.abs(z) ** 2 / (1.0 - s)) * move
 
 
-def characteristic_function_full(v, lam, s: float) -> np.ndarray:
-    """C(lam, s) on an array of points by the kernel on every level of ``v``."""
+def characteristic_function_cut_move(v, lam, s: float, levels: int) -> np.ndarray:
+    """C(lam, s) of every level of ``v`` minus C of its first ``levels`` levels.
+
+    C = e^{(s-1)|lam|^2/2} G(c, c; lam), so the move is that factor times
+    G(c_t, c) + G(c_c, c_t) with c = c_c + c_t split at ``levels``.
+    """
     lam = np.asarray(lam, dtype=complex)
-    return full_support_overlap(v.amps, v.amps, lam, -1) * np.exp(0.5 * (s - 1.0) * np.abs(lam) ** 2)
+    head, tail = _split(v.amps, levels)
+    move = full_support_overlap(tail, v.amps, lam, -1) + full_support_overlap(head, tail, lam, -1)
+    return move * np.exp(0.5 * (s - 1.0) * np.abs(lam) ** 2)
+
+
+def element_sum_mp(x, y, mu, sign, dps: int = 40) -> tuple[np.ndarray, np.ndarray]:
+    """(<x| e^{mu K+} e^{sign conj(mu) K-} |y>, S) at each point of ``mu``, the sum in ``dps`` digits.
+
+    Element by element: <m|e^{alpha K+} e^{beta K-}|n> = sqrt(n!/m!) alpha^k L_n^k(-alpha beta)
+    for m = n + k >= n and sqrt(m!/n!) beta^k L_m^k(-alpha beta) for n = m + k > m, with
+    alpha = mu, beta = sign conj(mu), each L_a^k by the upward recurrence in ``dps`` digits.
+    S = sum_{m, n} |x_m y_n| sqrt(a!/(a+k)!) |mu|^k L_a^k(-|mu|^2), a = min(m, n), bounds the
+    sum of the moduli of the terms (|L_a^k(t)| <= L_a^k(-|t|)); it is summed in float64.
+    """
+    x, y = (np.asarray(v, dtype=complex) for v in (x, y))
+    size = max(x.size, y.size)
+    x, y = np.pad(x, (0, size - x.size)), np.pad(y, (0, size - y.size))
+    points = np.ravel(np.asarray(mu, dtype=complex))
+    values = []
+    with mpmath.workdps(dps):
+        xm, ym = ([mpmath.mpc(complex(v)) for v in part] for part in (x, y))
+        root = [[mpmath.sqrt(mpmath.factorial(a) / mpmath.factorial(a + k)) for a in range(size - k)]
+                for k in range(size)]
+        lower = [[mpmath.conj(xm[a + k]) * ym[a] * root[k][a] for a in range(size - k)] for k in range(size)]
+        upper = [[mpmath.conj(xm[a]) * ym[a + k] * root[k][a] for a in range(size - k)] for k in range(size)]
+        for point in points:
+            alpha = mpmath.mpc(complex(point))
+            beta = sign * mpmath.conj(alpha)
+            arg = -sign * (alpha.real**2 + alpha.imag**2)
+            total = mpmath.mpc(0)
+            for k in range(size):
+                rows = laguerre_rows_mp(size - 1 - k, k, arg)
+                total += alpha**k * mpmath.fdot(lower[k], rows)
+                if k:
+                    total += beta**k * mpmath.fdot(upper[k], rows)
+            values.append(complex(total))
+    mag = np.abs(points)
+    bound = np.zeros(points.size)
+    log_fact = log_factorial(np.arange(size))
+    for k in range(size):
+        a = np.arange(size - k)
+        weight = np.abs(x[a + k] * y[a]) + (np.abs(x[a] * y[a + k]) if k else 0.0)
+        weight *= np.exp(0.5 * (log_fact[a] - log_fact[a + k]))
+        bound += mag**k * (weight @ assoc_laguerre_sequence(size - 1 - k, k, -mag**2))
+    shape = np.shape(mu)
+    return np.array(values).reshape(shape), bound.reshape(shape)
+
+
+def laguerre_rows_mp(n_max: int, k: int, x) -> list:
+    """L_0^k(x) .. L_{n_max}^k(x) by the upward recurrence, in the current mpmath precision."""
+    rows = [mpmath.mpf(1), 1 + k - x]
+    for m in range(1, n_max):
+        rows.append(((2 * m + k + 1 - x) * rows[m] - (m + k) * rows[m - 1]) / (m + 1))
+    return rows[: n_max + 1]
+
+
+def quasi_probability_mp(c, z: complex, s: float, terms: int = 16, dps: int = 40) -> float:
+    """F(z, s) = 2/(pi (1-s)) sum_j r^j |<j|D(-z)|c>|^2, r = (1+s)/(s-1), for -1 < s <= 0, in ``dps`` digits.
+
+    The first ``terms`` j only: |r| <= 1/3 below s = -1/2, so choose ``terms`` from r.  With
+    a D(alpha) = D(alpha)(a + alpha), <j|D(alpha)|c> = <0|D(alpha) (a + alpha)^j |c> / sqrt(j!),
+    and <0|D(alpha)|n> = e^{-|alpha|^2/2} (-conj(alpha))^n / sqrt(n!).
+    """
+    with mpmath.workdps(dps):
+        alpha = -mpmath.mpc(complex(z))
+        u = [mpmath.mpc(complex(v)) for v in c]
+        gauss = mpmath.exp(-abs(alpha) ** 2 / 2)
+        bra = [gauss * (-mpmath.conj(alpha)) ** n / mpmath.sqrt(mpmath.factorial(n)) for n in range(len(u))]
+        r = mpmath.mpf(s + 1) / mpmath.mpf(s - 1)
+        total = mpmath.mpf(0)
+        for j in range(terms):
+            element = mpmath.fdot(bra, u) / mpmath.sqrt(mpmath.factorial(j))
+            total += r**j * abs(element) ** 2
+            lowered = [mpmath.sqrt(n + 1) * u[n + 1] for n in range(len(u) - 1)] + [0]
+            u = [alpha * value + low for value, low in zip(u, lowered)]
+        return float(2 / (mpmath.pi * (1 - mpmath.mpf(s))) * total)
 
 
 def quadrature_distribution_cosine(v, theta: float, x_axis, phi_axis) -> np.ndarray:

@@ -69,6 +69,10 @@ ENTRIES = [
           stderr="warning: grid_mass 1.04318 differs from 1 by more than 0.01; the grid misses part of the "
           "support or samples it too coarsely, or the sums lost precision\n"),
     Entry("quasi_one_point", f"{_FIG8} --s 0 --x-steps 1 --p-steps 3"),
+    # a fat-tailed state near the Husimi end: L_a^k of 4|z|^2/(1 - s^2) overflows float64 where
+    # the weights t^(2a + k) cancel it, while |F| <= 2/(pi (1 - s)); 237 levels kept
+    Entry("quasi_iii_near_husimi", "quasiprob --case iii --xi 0.9 --s -0.99 --x-min -6 --x-max 6 "
+          "--p-min -6 --p-max 6 --x-steps 41 --p-steps 41"),
     # rows that raise several warnings, in row order; repeated texts are kept once
     Entry("stats_g2_a3", "stats --case iii --xi-max 1e-160 --xi-steps 3", stderr="".join(
         w.format(r) for r in ("3.33333e-161", "6.66667e-161", "1e-160") for w in (_G2, _A3))),

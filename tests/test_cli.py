@@ -15,11 +15,12 @@ import mpmath
 from hypothesis import given, settings, strategies as st
 
 import isosqueeze
-from isosqueeze import cli, squeezing, states, stats
+from isosqueeze import cli, dist, squeezing, states, stats
 from isosqueeze.cli import _Output, build_parser, main
-from conftest import amplitudes_mp
+from conftest import amplitudes_mp, quasi_probability_mp
 from inventory import ENTRIES, ENTRY, run
 
+EPS = np.finfo(float).eps
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -295,6 +296,23 @@ class TestQuasiprobCommand:
         assert np.max(np.abs(near - husimi)) < 1e-6
 
 
+    def test_near_husimi_grid_matches_a_40_digit_sum(self, tmp_path):
+        # the inventory's grid whose Laguerre values overflow float64 (1332 of its 1681 points
+        # read NaN with a table of L_a^k); 4 such points and the peak, against the Cahill-Glauber
+        # form of F.  The cut moves F by at most kernel_error_bound, and rounding by a few ulp
+        # of the bound 2/(pi (1 - s)) on |F|
+        argv = ENTRY["quasi_iii_near_husimi"].command.split()
+        assert main([*argv, "-o", str(tmp_path / "q.csv")]) == 0
+        s = -0.99
+        v = isosqueeze.build_state(isosqueeze.SqueezeParams(kind="iii", r=0.9, theta=0.0))
+        axis = cli._symmetric_axis(-6.0, 6.0, 41)
+        grid = dist.quasi_probability_grid(v, axis, axis, s)
+        assert grid.kernel_levels == 237
+        for i, j in [(20, 20), (0, 0), (10, 30), (5, 20), (33, 14)]:
+            want = quasi_probability_mp(v.amps, complex(axis[i], axis[j]), s)
+            scale = 2.0 / (math.pi * (1.0 - s))
+            assert abs(grid.values[i, j] - want) <= grid.kernel_error_bound + 4.0 * EPS * scale
+
     @pytest.mark.parametrize("s, levels", [("0.5", 25), ("0", 19), ("-1", 19)])
     def test_kernel_levels_and_bound_in_meta(self, tmp_path, capsys, s, levels):
         # the figure-8 command: the levels the phase-space kernel kept and the bound their cut met
@@ -326,8 +344,8 @@ class TestQuasiprobCommand:
         return np.unique(xs[:, None] ** 2 + ps[None, :] ** 2).size
 
     def test_mirror_points_share_one_sweep(self, tmp_path, sweep_widths):
-        # the phase-space benchmark's case-iii command: one block of 41 x 41 points, whose
-        # every sweep runs over the distinct |z|^2 of the grid.  On exactly symmetric axes the
+        # the phase-space benchmark's case-iii command: every Clenshaw sweep of its 41 x 41
+        # points runs over the distinct |z|^2 of the grid.  On exactly symmetric axes the
         # mirror images of the quadrant x, p >= 0 add none, and transposed points share their
         # x^2 + p^2, so the width is the quadrant's count over unordered pairs (222 with numpy
         # 2.4.6 on x86-64); np.linspace's -3.8 and 3.8000000000000007 leave mirrors apart

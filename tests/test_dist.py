@@ -11,9 +11,9 @@ from conftest import (
     basis_vector,
     characteristic_function_pairs,
     displacement_expm,
-    full_support_overlap,
+    element_sum_mp,
     quadrature_distribution_cosine,
-    quasi_probability_full,
+    quasi_probability_cut_move,
 )
 
 
@@ -89,11 +89,16 @@ class TestClosedFormDistribution:
 
 
 def _element(row, col, lam):
-    """<row|D(lam)|col> = e^{-|lam|^2/2} G(e_row, e_col; lam) through the library kernel."""
+    """<row|D(lam)|col> through the library kernel, by polarization.
+
+    G(v) = <v|D(lam)|v> = e^{-|lam|^2/2} _ordered_overlap(v, lam, -1, 1), and
+    <row|D|col> = (1/4) sum over w^4 = 1 of conj(w) G(e_row + w e_col).
+    """
     basis = np.eye(max(row, col) + 1)
     lam = complex(lam)
-    overlap = dist._ordered_overlap(basis[row], basis[col], lam, -1)
-    return math.exp(-0.5 * abs(lam) ** 2) * complex(overlap)
+    total = sum(np.conj(w) * complex(dist._ordered_overlap(basis[row] + w * basis[col], lam, -1, 1))
+                for w in (1, 1j, -1, -1j))
+    return math.exp(-0.5 * abs(lam) ** 2) * total / 4
 
 
 class TestDisplacement:
@@ -187,7 +192,7 @@ class TestCharacteristicFunction:
 
 
 class TestOverlapKernel:
-    """The kernel sweeps Laguerre rows over distinct arguments, in blocks."""
+    """The kernel sums its Laguerre series over the distinct arguments of the whole call."""
 
     @staticmethod
     def _random_odd():
@@ -215,75 +220,31 @@ class TestOverlapKernel:
         distinct = np.unique(np.abs(xs[:, None] + 1j * xs[None, :]) ** 2).size
         assert sweep_widths and set(sweep_widths) == {distinct}
 
-    def test_blocks_match_smaller_calls(self, sweep_widths, nonlinear_r20):
-        # triples lam, -lam, conj(lam) share an argument; more distinct
-        # arguments than one block holds, and groups cut by block edges
+    def test_blocks_match_smaller_calls(self, nonlinear_r20):
+        # triples lam, -lam, conj(lam) share an argument; thousands of distinct arguments in one call
         rng = np.random.default_rng(4096)
-        size = dist._BLOCK_POINTS + 300
+        size = 4396
         lam = 3.0 * np.sqrt(rng.random(size)) * np.exp(2j * math.pi * rng.random(size))
         lam = np.concatenate([lam, -lam, np.conj(lam)])
         pieces = [dist.characteristic_function(nonlinear_r20, part, 0.0) for part in np.array_split(lam, 9)]
         whole = dist.characteristic_function(nonlinear_r20, lam, 0.0)
         np.testing.assert_allclose(whole, np.concatenate(pieces), rtol=1e-12, atol=1e-15)
-        assert max(sweep_widths) <= dist._BLOCK_POINTS < lam.size // 3
-
-
-def _benchmark_kernel_call(name):
-    """A public call whose kernel input is one the benchmark's phase-space and char-fn workloads make."""
-    if name.startswith("fig1a"):  # both fig-1a states at n_max 24 and the 64 golden-spiral lambdas
-        v = _nonlinear(20.0, n_max=24) if name == "fig1a_i" else _unitary(0.4, n_max=24)
-        k = np.arange(32)
-        lam = 2.5 * np.sqrt((k + 0.5) / 32) * np.exp(2.399963229728653j * k)
-        return lambda: dist.characteristic_function(v, np.concatenate([lam, -lam]), 0.0)
-    if name == "case_iii_wigner":  # 79 levels, 527 distinct arguments (np.linspace axes)
-        axis = np.linspace(-4.0, 4.0, 41)
-        return lambda: dist.quasi_probability_grid(_unitary(0.4, n_max=70), axis, axis, 0.0)
-    # the Fourier oracle's 128 x 128 polar grid, on the fig-8 state at n_max 6
-    small = _nonlinear(2.0 * math.sqrt(2.0), math.pi / 4.0, n_max=6)
-    return lambda: dist.quasi_probability_fourier(small, 0.5 - 1.0j, 0.5, 128, 128)
-
-
-_BENCHMARK_KERNEL_CALLS = ["fig1a_i", "fig1a_iii", "case_iii_wigner", "oracle_polar_grid"]
 
 
 class TestGroupedSweeps:
-    """Laguerre orders swept together in a bounded table give the per-order kernel's bits."""
+    """Orders share one Clenshaw sweep while their run fits the budget."""
 
-    @pytest.mark.parametrize("name", _BENCHMARK_KERNEL_CALLS)
-    def test_bit_identical_to_per_order_kernel(self, name, monkeypatch):
-        calls = []
-        kernel = dist._ordered_overlap
-        monkeypatch.setattr(dist, "_ordered_overlap", lambda *args: calls.append(args) or kernel(*args))
-        _benchmark_kernel_call(name)()
-        args = max(calls, key=lambda call: np.size(call[2]))  # the grid, not the oracle's radius circles
-        assert np.array_equal(kernel(*args), full_support_overlap(*args))
-
-    @pytest.fixture
-    def sweep_tables(self, monkeypatch):
-        """(orders, floats) of the table of every Laguerre sweep the kernel runs."""
-        tables = []
-        sweep = dist.assoc_laguerre_sequence
-
-        def recorded(n_max, k, x):
-            table = sweep(n_max, k, x)
-            tables.append((np.size(k), table.size))
-            return table
-
-        monkeypatch.setattr(dist, "assoc_laguerre_sequence", recorded)
-        return tables
-
-    def test_tables_stay_within_the_budget_or_one_order(self, sweep_tables):
-        for name in _BENCHMARK_KERNEL_CALLS:
-            _benchmark_kernel_call(name)()
-        assert all(floats <= dist._TABLE_FLOATS or orders == 1 for orders, floats in sweep_tables)
-        # both paths ran: orders swept together, and a lone order whose table exceeds the budget
-        assert any(orders > 1 for orders, _ in sweep_tables)
-        assert any(orders == 1 and floats > dist._TABLE_FLOATS for orders, floats in sweep_tables)
-
-    def test_few_arguments_sweep_many_orders_at_once(self, sweep_tables):
-        # 25 live orders (every even k below 49 levels) over 32 distinct arguments
-        _benchmark_kernel_call("fig1a_iii")()
-        assert len(sweep_tables) <= 2 and sum(orders for orders, _ in sweep_tables) == 25
+    def test_few_arguments_sweep_many_orders_at_once(self, monkeypatch):
+        # the char-fn benchmark's case-iii call: 25 live orders (every even k below 49 levels)
+        # over 32 distinct arguments (lam and -lam share one) in one run
+        runs = []
+        sweep = dist.laguerre_series
+        monkeypatch.setattr(dist, "laguerre_series",
+                            lambda w, k, x: runs.append((len(k), x.size)) or sweep(w, k, x))
+        k = np.arange(32)
+        lam = 2.5 * np.sqrt((k + 0.5) / 32) * np.exp(2.399963229728653j * k)
+        dist.characteristic_function(_unitary(0.4, n_max=24), np.concatenate([lam, -lam]), 0.0)
+        assert runs == [(25, 32)]
 
 
 @st.composite
@@ -297,6 +258,9 @@ def _gapped_vectors(draw):
     return v
 
 
+EPS = np.finfo(float).eps
+
+
 def _vector(levels: dict) -> np.ndarray:
     v = np.zeros(1 + max(levels), dtype=complex)
     v[list(levels)] = list(levels.values())
@@ -308,48 +272,40 @@ _POINTS = st.lists(st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_
 
 
 class TestKernelSetup:
-    """The kernel's array-pass setup against the per-order reference (``full_support_overlap``)."""
+    """The kernel against a 40-digit element sum (``conftest.element_sum_mp``), and its memory."""
 
     @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(_gapped_vectors(), _gapped_vectors(), _POINTS, st.sampled_from([-1, 1, -1.0, 1.0]))
-    # order tops that are not monotone in k: x on {0, 10}, y on {0, 3}
-    @example(_vector({0: 0.6, 10: 0.8j}), _vector({0: -0.3 + 0.1j, 3: 0.9}), [0.7 - 0.2j, 0.2 + 0.7j, 0j], -1)
-    @example(np.ones(1), _vector({0: 0.5, 2: 0.7j, 9: -0.5}), [1.5 + 0.5j, -1.5 - 0.5j, 0.5 - 1.5j], -1)  # x = e_0
-    @example(_vector({5: 0.6 - 0.8j}), _vector({5: 0.6 - 0.8j}), [0.4 + 0.3j, 2.0, -1j], -1.0)  # one level
-    @example(_vector({0: 1.0, 4: 5e-324}), _vector({0: 0.5, 1: 1e-310j, 4: 0.5}), [1.0 + 1.0j, 0.5j], 1.0)  # subnormals
-    def test_matches_the_per_order_kernel(self, x, y, points, sign):
-        # within 4 ulp, not bit for bit: the reference scales order 0 by np.exp(peak) where the
-        # kernel takes math.exp(peak), one bit apart for some peaks, and numpy's SIMD dispatch
-        # rounds a complex product with or without fused multiply-add by operand shape and host
-        # (an 8e-18 imaginary residue for one level)
-        mu = np.array(points, dtype=complex)
-        got, want = dist._ordered_overlap(x, y, mu, sign), full_support_overlap(x, y, mu, sign)
-        assert np.all(np.abs(got - want) <= 4.0 * math.ulp(np.abs(want).max()))
+    @given(_gapped_vectors(), _POINTS, st.sampled_from([-1, 1, -1.0, 1.0]), st.sampled_from([-1, 1]))
+    # order tops that are not monotone in k: pairs (0, 3), (3, 10) and (0, 10)
+    @example(_vector({0: 0.6, 3: -0.3 + 0.1j, 10: 0.8j}), [0.7 - 0.2j, 0.2 + 0.7j, 0j], -1, 1)
+    @example(_vector({5: 0.6 - 0.8j}), [0.4 + 0.3j, 2.0, -1j], -1.0, -1)  # one level
+    @example(_vector({0: 1.0, 1: 1e-310j, 4: 5e-324}), [1.0 + 1.0j, 0.5j], 1.0, 1)  # subnormals
+    def test_matches_a_40_digit_element_sum(self, d, points, sign, parity):
+        """|kernel - exact| <= c N EPS S, N = d.size, S the sum of the moduli of the terms.
 
-    @pytest.mark.parametrize("values", [
-        [2.5],
-        [-0.0, 0.0, 0.0, 1.0],
-        [0.0, -0.0, 3.0, 3.0],
-        [-np.inf, -np.inf, -1.0, -0.0, 0.0, 2.0, 2.0, 2.0, np.inf, np.inf],
-        np.round(np.random.default_rng(7).normal(size=500), 1),
-    ])
-    def test_block_arguments_are_np_unique(self, values):
-        values = np.sort(np.asarray(values, dtype=float), kind="stable")
-        got = dist._sorted_distinct(values)
-        want = np.unique(values, return_index=True, return_inverse=True)
-        for part, expected in zip(got, want):
-            assert part.dtype == expected.dtype and part.shape == expected.shape
-            assert np.array_equal(part, expected)
-        assert np.array_equal(np.signbit(got[0]), np.signbit(want[0]))  # the first of a +-0 run
+        S = sum_k |mu|^k sum_a |w_ka| L_a^k(-|mu|^2) over both branches bounds every term,
+        since |L_a^k(t)| <= L_a^k(-|t|).  Rounding moves a term by a few EPS of its modulus
+        per operation on it: its weight and scale are exponentials of sums of logarithms and
+        carry the rounding of ln|d_n| twice (half an ulp of a modulus below 16, 4 EPS each),
+        so a lone level is off by up to about 9 EPS S; each of the at most N - 1 phase
+        multiplications, N Clenshaw steps and N - 1 order accumulations adds about one EPS,
+        and ln(a!) grows with the degree.  c = 12 covers the lone level and three EPS per
+        level beyond it.  Measured: at most 8.6, 10.1, 9.4 and 9.7 EPS S at N = 1 .. 4 over
+        3000 random draws, and 18.1 EPS S at N = 23 over these examples.
+        """
+        mu = np.array(points, dtype=complex)
+        want, bound = element_sum_mp(d * parity ** np.arange(d.size), d, mu, sign)
+        got = dist._ordered_overlap(d, mu, sign, parity)
+        assert np.all(np.abs(got - want) <= 12 * d.size * EPS * bound)
 
     def test_nan_lambda_gives_nan(self):
         lam = np.array([0.5, complex(math.nan, 0.0), complex(0.3, math.nan), 1j, 0.0, math.nan])
         values = dist.characteristic_function(_unitary(0.4, n_max=24), lam, 0.0)
         assert np.array_equal(np.isnan(values), np.isnan(lam))
 
-    def test_weight_chunks_fit_the_table_budget(self, monkeypatch):
-        # the 561-level Wigner kernel: its traced peak was 3.0 MiB when each order's weights
-        # were built alone; building runs of orders may add at most one Laguerre table
+    def test_561_level_kernel_peak_stays_under_3_mib(self, monkeypatch):
+        # the 561-level Wigner kernel on a 5 x 5 grid: no Laguerre table is formed, and the
+        # run budget bounds its weights and sweep (traced peak 2.9 MiB with the table)
         calls = []
         kernel = dist._ordered_overlap
         monkeypatch.setattr(dist, "_ordered_overlap", lambda *args: calls.append(args) or kernel(*args))
@@ -364,7 +320,7 @@ class TestKernelSetup:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.0 * 2**20 + dist._TABLE_FLOATS * 8
+        assert peak <= 3.0 * 2**20
 
 
 class TestQuasiProbability:
@@ -457,8 +413,9 @@ class TestQuasiProbability:
         # dropping the kernel amplitudes c_n t^n at or below 1e-20 moves F by 1.7e-14 on this grid
         axis = np.linspace(-4.0, 4.0, 41)
         grid = dist.quasi_probability_grid(unitary_xi04, axis, axis, -0.5)
-        full = quasi_probability_full(unitary_xi04, axis[:, None] + 1j * axis[None, :], -0.5)
+        move = quasi_probability_cut_move(unitary_xi04, axis[:, None] + 1j * axis[None, :], -0.5,
+                                          grid.kernel_levels)
         contract = 1e-16 * 2.0 / (math.pi * 1.5)
         assert grid.kernel_levels == 79 < unitary_xi04.amps.size
         assert 0.0 < grid.kernel_error_bound <= contract
-        assert np.max(np.abs(grid.values - full)) <= contract
+        assert np.max(np.abs(move)) <= contract

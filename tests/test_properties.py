@@ -5,6 +5,7 @@ derandomized, so every run checks the same examples.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -12,12 +13,12 @@ from hypothesis import given, settings, strategies as st
 import isosqueeze as iq
 from isosqueeze import dist, squeezing, states, stats
 from conftest import (
-    characteristic_function_full,
+    characteristic_function_cut_move,
     characteristic_function_pairs,
     g2_zero_power,
     mandel_q_power,
     power_moments,
-    quasi_probability_full,
+    quasi_probability_cut_move,
     state_moments,
 )
 
@@ -164,16 +165,16 @@ def phase_space_cases(draw):
 @PROPERTY
 @given(phase_space_cases())
 def test_quasi_probability_cut_meets_its_contract(case):
-    # the levels the kernel drops move F by at most 1e-16 * 2/(pi (1 - s)); the cut and the
-    # full sums also round differently, by up to 2 ulp of the cell
+    # the levels the kernel drops move F by at most 1e-16 * 2/(pi (1 - s)), plus 2 ulp of the
+    # cell; the move is summed from the dropped levels alone, so it holds no cut-sum rounding
     params, s, axis = case
     v = iq.build_state(params)
     grid = dist.quasi_probability_grid(v, axis, axis, s)
-    full = quasi_probability_full(v, axis[:, None] + 1j * axis[None, :], s)
+    move = quasi_probability_cut_move(v, axis[:, None] + 1j * axis[None, :], s, grid.kernel_levels)
     contract = 1e-16 * 2.0 / (math.pi * (1.0 - s))
     assert 0.0 <= grid.kernel_error_bound <= contract
     assert grid.kernel_levels <= v.amps.size
-    assert np.all(np.abs(grid.values - full) <= contract + 2.0 * EPS * np.abs(full))
+    assert np.all(np.abs(move) <= contract + 2.0 * EPS * np.abs(grid.values + move))
 
 
 @PROPERTY
@@ -190,9 +191,13 @@ def test_characteristic_function_cut_meets_its_contract(kind, fraction, theta, n
     r = (30.0 if kind == "i" else 0.9) * fraction
     v = iq.build_state(iq.SqueezeParams(kind=kind, r=r, theta=theta, n_max=n_max))
     lam = radius * np.exp(1j * np.array(angles))
-    got = dist.characteristic_function(v, lam, s)
-    full = characteristic_function_full(v, lam, s)
-    assert np.all(np.abs(got - full) <= 1e-16 + 2.0 * EPS * np.abs(full))
+    levels = []  # the levels the library hands its kernel
+    kernel = dist._ordered_overlap
+    spy = lambda d, *rest: levels.append(d.size) or kernel(d, *rest)  # noqa: E731
+    with mock.patch.object(dist, "_ordered_overlap", spy):
+        got = dist.characteristic_function(v, lam, s)
+    move = characteristic_function_cut_move(v, lam, s, *levels)
+    assert np.all(np.abs(move) <= 1e-16 + 2.0 * EPS * np.abs(got + move))
     # the element-by-element oracle sums in another order: agreement to rounding of the scale e^{s|lam|^2/2}
     scale = np.exp(0.5 * s * np.abs(lam) ** 2)
     pairs = characteristic_function_pairs(v, lam, 0.0) * scale

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import mpmath
+
 from isosqueeze import specfun
-from isosqueeze.specfun import assoc_laguerre_sequence, log_factorial, weighted_hermite_table
-from conftest import hermite_series, laguerre_series
+from isosqueeze.specfun import log_factorial, weighted_hermite_table
+from conftest import assoc_laguerre_sequence, hermite_series, laguerre_rows_mp, laguerre_series
 
 
 class TestLogFactorial:
@@ -125,6 +127,58 @@ class TestLaguerre:
         for ks in (np.array([[-1], [2]]), np.array([[3], [0], [-4]])):
             with pytest.raises(ValueError, match="non-negative"):
                 assoc_laguerre_sequence(5, ks, np.array([0.5, 1.0]))
+
+
+class TestLaguerreSeries:
+    """``specfun.laguerre_series``, Clenshaw's sum, against the upward recurrence and exact sums."""
+
+    @staticmethod
+    def _gapped_rows():
+        # complex weights whose tops (one past the last nonzero) are not sorted, one row all zero
+        rng = np.random.default_rng(955)
+        weights = rng.normal(size=(5, 18)) + 1j * rng.normal(size=(5, 18))
+        for row, top in enumerate([7, 18, 0, 1, 12]):
+            weights[row, top:] = 0.0
+        weights[1, 3:9] = 0.0
+        return weights, np.array([3, 0, 5, 11, 2])
+
+    def test_matches_the_upward_recurrence(self):
+        weights, ks = self._gapped_rows()
+        x = np.array([-6.0, -0.5, 0.0, 0.3, 2.0, 9.0, 25.0])
+        got = specfun.laguerre_series(weights, ks, x)
+        assert got.shape == (ks.size, x.size)
+        for row, k in enumerate(ks):
+            table = assoc_laguerre_sequence(weights.shape[1] - 1, int(k), x)
+            want = weights[row] @ table
+            scale = np.abs(weights[row]) @ assoc_laguerre_sequence(weights.shape[1] - 1, int(k), -np.abs(x))
+            assert np.all(np.abs(got[row] - want) <= 1e-13 * np.maximum(scale, 1.0))
+        assert np.all(got[2] == 0.0)
+
+    @pytest.mark.parametrize("n,k", [(0, 5), (1, 2), (5, 0), (9, 3), (15, 8)])
+    def test_single_term_is_the_exact_rational_sum(self, n, k):
+        weights = np.zeros((1, n + 1))
+        weights[0, n] = 1.0
+        for x in (0.25, 1.0, 4.5, 17.0):
+            got = specfun.laguerre_series(weights, [k], np.array([x]))[0, 0]
+            assert got.imag == 0.0
+            assert np.isclose(got.real, laguerre_series(n, k, x), rtol=1e-9, atol=1e-9)
+
+    def test_finite_where_the_polynomials_overflow(self):
+        # sum_a q^a L_a^k(-y) with q = 0.01, y = 1e4: L_a^k(-1e4) overflows past a ~ 140 while
+        # q^a stays normal to a = 153, and the sum is below e^{yq/(1-q)} / (1-q)^{k+1}
+        degrees, q, y, k = 154, 0.01, 1e4, 2
+        weights = q ** np.arange(degrees)[None, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(assoc_laguerre_sequence(degrees - 1, k, np.array([-y]))))
+        got = specfun.laguerre_series(weights, [k], np.array([-y]))[0, 0]
+        with mpmath.workdps(40):
+            rows = laguerre_rows_mp(degrees - 1, k, mpmath.mpf(-y))
+            want = float(mpmath.fsum(mpmath.mpf(float(w)) * row for w, row in zip(weights[0], rows)))
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            specfun.laguerre_series(np.ones((2, 3)), [1, -1], np.array([0.5]))
 
 
 class TestWeightedHermite:
