@@ -331,15 +331,17 @@ def quasi_probability_grid(
 def _oracle_radius(v: FockVector, s: float) -> float:
     """Smallest circle radius of 6, 8, .., 24 where |C| has decayed below 1e-13.
 
-    Raises ArithmeticError when |C| has not decayed by radius 24: the
-    transform cut there would be wrong, not merely inaccurate.
+    All ten circles of 32 points go through one ``characteristic_function``
+    call.  Raises ArithmeticError when |C| has not decayed by radius 24:
+    the transform cut there would be wrong, not merely inaccurate.
     """
+    radii = np.arange(6, 25, 2)
     angles = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False))
-    for radius in range(6, 25, 2):
-        peak = np.max(np.abs(characteristic_function(v, radius * angles, s)))
-        if peak < 1e-13:
-            return float(radius)
-    raise ArithmeticError(f"Fourier oracle: |C| is still {peak:.3e} at radius 24")
+    peaks = np.max(np.abs(characteristic_function(v, radii[:, None] * angles, s)), axis=1)
+    decayed = np.flatnonzero(peaks < 1e-13)
+    if not decayed.size:
+        raise ArithmeticError(f"Fourier oracle: |C| is still {peaks[-1]:.3e} at radius 24")
+    return float(radii[decayed[0]])
 
 
 @functools.cache
@@ -365,9 +367,14 @@ def quasi_probability_fourier(
     once per node count) and a periodic rectangle rule in angle
     (spectrally accurate for the periodic integrand), radius cut where
     |C| falls below 1e-13; ArithmeticError when it has not by radius
-    24.  Intended for small-truncation states; cost grows with the
-    support squared.
+    24, searched over all ten candidate circles in one call of C.
+    Node counts that are not positive integers raise InvalidParameter
+    before any kernel call.  Intended for small-truncation states; cost
+    grows with the support squared.
     """
+    for name, count in (("radial_nodes", radial_nodes), ("angular_nodes", angular_nodes)):
+        if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
+            raise InvalidParameter(f"{name} must be a positive integer, got {count!r}")
     radius = _oracle_radius(v, s)
     nodes, weights = _gauss_legendre(radial_nodes)
     u = 0.5 * radius * (nodes + 1.0)

@@ -7,7 +7,8 @@ series summation with lgamma, power moments summed from nu^j P(nu)
 algebra (ladder words and the I1..I4 witnesses as dense-operator
 variances), one operator applied to a truncated vector (``apply``),
 the per-element Cahill-Glauber displacement closed form summed pair by
-pair, the paper's cosine double sum for the
+pair, the Fourier oracle's per-circle cut-radius search
+(``oracle_radius_loop``), the paper's cosine double sum for the
 quadrature distribution, both amplitude laws in 50-digit mpmath, and
 the phase-space element sum and the s-ordered form of F in 40-digit
 mpmath.  The full-support phase-space route (``full_support_overlap``)
@@ -25,6 +26,7 @@ library route needs them.
 from __future__ import annotations
 
 from fractions import Fraction
+import math
 from math import lgamma, exp, factorial, sqrt
 
 import mpmath
@@ -342,6 +344,20 @@ def characteristic_function_pairs(v, lam, s: float) -> np.ndarray:
             element = sqrt(exp(lgamma(low + 1) - lgamma(low + k + 1))) * power * laguerre[k][low]
             total += np.conj(v.amps[i]) * v.amps[j] * element
     return total * np.exp(0.5 * (s - 1.0) * mag_sq)
+
+
+def oracle_radius_loop(v, s: float) -> float:
+    """The Fourier oracle's cut radius, one ``characteristic_function`` call per circle.
+
+    The per-circle search that ``dist._oracle_radius`` replaced with one
+    call over all ten circles, kept as its reference.
+    """
+    angles = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False))
+    for radius in range(6, 25, 2):
+        peak = np.max(np.abs(dist.characteristic_function(v, radius * angles, s)))
+        if peak < 1e-13:
+            return float(radius)
+    raise ArithmeticError(f"Fourier oracle: |C| is still {peak:.3e} at radius 24")
 
 
 # The full-support oracle drops amplitudes at or below this, as the phase-space kernel did

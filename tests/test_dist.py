@@ -1,17 +1,19 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import isosqueeze as iq
-from isosqueeze import dist
+from isosqueeze import cli, dist
 from conftest import (
     basis_vector,
     characteristic_function_pairs,
     displacement_expm,
     element_sum_mp,
+    oracle_radius_loop,
     quadrature_distribution_cosine,
     quasi_probability_cut_move,
 )
@@ -321,6 +323,122 @@ class TestKernelSetup:
         finally:
             tracemalloc.stop()
         assert peak <= 3.0 * 2**20
+
+
+def _fig8_demo():
+    return _nonlinear(2.0 * math.sqrt(2.0), math.pi / 4.0, n_max=6)
+
+
+def _random_seven_levels():
+    # the state of TestQuasiProbability.test_odd_offsets_match_fourier_oracle
+    rng = np.random.default_rng(1202)
+    amps = rng.normal(size=7) + 1j * rng.normal(size=7)
+    return iq.FockVector(amps / np.linalg.norm(amps))
+
+
+def _case_i_r20_24_levels():
+    return _nonlinear(20.0, n_max=24)
+
+
+class TestFourierOracle:
+    """The cut-radius search of ``quasi_probability_fourier`` and its argument checks."""
+
+    @staticmethod
+    def _counted_radius(monkeypatch, v, s):
+        """``_oracle_radius(v, s)`` with every RuntimeWarning an error, and its C calls."""
+        calls = []
+        char = dist.characteristic_function
+        monkeypatch.setattr(dist, "characteristic_function",
+                            lambda *args: calls.append(args) or char(*args))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                return dist._oracle_radius(v, s), calls
+        finally:
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("state, s", [
+        *[(_fig8_demo, s) for s in (-3.0, -1.0, -0.5, 0.0, 0.5)],
+        *[(_random_seven_levels, s) for s in (-3.0, -1.0, -0.5, 0.0, 0.5)],
+        (_case_i_r20_24_levels, 0.5),
+    ])
+    def test_one_call_picks_the_per_circle_radius(self, monkeypatch, state, s):
+        # s = -3 evaluates circles out to 24 where the per-circle search stops at 6
+        v = state()
+        radius, calls = self._counted_radius(monkeypatch, v, s)
+        ((_, lam, _),) = calls
+        assert lam.shape == (10, 32)
+        assert radius == oracle_radius_loop(v, s)
+
+    def test_case_i_r20_keeps_more_levels_in_one_call(self):
+        # at s > 0 the kept levels follow the largest |lam| of the call: 33 on the radius-6
+        # circle alone, 49 over all ten; both searches stop at 16 all the same
+        v = _case_i_r20_24_levels()
+        assert [dist._kept_levels(v.amps, log_scale=0.25 * r * r)[0] for r in (6, 24)] == [33, 49]
+
+    def test_refuses_an_undecayed_cut_as_the_per_circle_search_does(self, monkeypatch):
+        # at s = 0.9 no circle decays; one call keeps the levels radius 24 needs on every
+        # circle, and the message reads the radius-24 peak as the per-circle search does
+        v = _fig8_demo()
+        with pytest.raises(ArithmeticError, match="radius 24") as loop:
+            oracle_radius_loop(v, 0.9)
+        with pytest.raises(ArithmeticError, match="radius 24") as one_call:
+            self._counted_radius(monkeypatch, v, 0.9)
+        assert str(one_call.value) == str(loop.value)
+
+    @pytest.mark.parametrize("name, count", [
+        ("angular_nodes", 0), ("radial_nodes", 0), ("radial_nodes", -3), ("radial_nodes", 2.5),
+        ("angular_nodes", True),
+    ])
+    def test_refuses_a_node_count_before_any_kernel_call(self, monkeypatch, name, count):
+        calls = []
+        monkeypatch.setattr(dist, "_ordered_overlap", lambda *args: calls.append(args))
+        with pytest.raises(iq.InvalidParameter, match=f"{name} must be a positive integer"):
+            dist.quasi_probability_fourier(_fig8_demo(), 0.5 - 1.0j, 0.0, **{name: count})
+        assert calls == []
+
+
+class TestWignerMarginal:
+    @pytest.mark.parametrize("params", [
+        iq.SqueezeParams(kind="i", r=2.8284271247461903, theta=math.pi / 4.0),  # figure 8
+        iq.SqueezeParams(kind="iii", r=0.4, theta=0.7),
+    ])
+    def test_p_marginal_is_the_quadrature_distribution(self, params):
+        """sum_j F(x, p_j, 0) h = sqrt(2) P(sqrt(2) x, 0), p over +-8 at 641 points.
+
+        F(x, p) = 2 W(sqrt(2) x, sqrt(2) p) for the Wigner function W(q, P) of the
+        wavefunction psi(q) whose |psi|^2 is P(q, 0), so the exact p integral is the
+        right side.  The tolerance is what the rule and the arithmetic can miss:
+        * the rectangle rule over every p_j = j h: by Poisson summation it errs by the
+          sum over k != 0 of the p transform of F at 2 pi k / h, which is
+          sqrt(2) conj(psi(q - a_k)) psi(q + a_k) with a_k = pi k / (sqrt(2) h) = 89 k;
+          |psi| there is below e^{-3000}, so this term is 0 in float64;
+        * the dropped |p| > 8 tail, summed from F on the rule's points out to |p| = 16,
+          where |F| is below 1e-100 and falls like e^{-2 p^2};
+        * the axis rounding: the nodes sit within delta of j h, which moves the sum by
+          at most delta times the variation of F along p, read off the sampled grid;
+        * per cell, the cut bound and 4 ulp of the bound 2/pi on |F| (the allowance the
+          40-digit check of the near-Husimi grid uses), over the rule's weight 641 h;
+          4 ulp of the right side; one ulp of the correctly rounded sum.
+        Measured gaps 2.2e-16 (figure 8) and 4.4e-16 against tolerances near 1.2e-14.
+        """
+        v = iq.build_state(params)
+        xs = cli._symmetric_axis(-4.0, 4.0, 41)
+        ps = cli._symmetric_axis(-16.0, 16.0, 1281)
+        h = 1.0 / 40.0
+        grid = dist.quasi_probability_grid(v, xs, ps, 0.0)
+        inner = slice(320, 961)
+        assert ps[inner][0] == -8.0 and ps[inner][-1] == 8.0
+        marginal = np.array([math.fsum(row) for row in grid.values[:, inner]]) * h
+        want = math.sqrt(2.0) * dist.quadrature_distribution(v, math.sqrt(2.0) * xs, np.zeros(1)).values[:, 0]
+        tail = np.abs(np.delete(grid.values, inner, axis=1))
+        assert tail[:, [0, -1]].max() < 1e-100
+        delta = np.abs(ps - np.arange(-640, 641) / 40.0).max()
+        assert delta <= 4e-15
+        shifted = delta * np.abs(np.diff(grid.values, axis=1)).sum(axis=1)
+        cells = 641 * h * (grid.kernel_error_bound + 4.0 * EPS * 2.0 / math.pi)
+        tol = tail.sum(axis=1) * h + shifted + cells + 4.0 * EPS * want + EPS * np.abs(marginal)
+        assert np.all(np.abs(marginal - want) <= tol)
 
 
 class TestQuasiProbability:
