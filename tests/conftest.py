@@ -10,6 +10,7 @@ the per-element Cahill-Glauber displacement closed form summed pair by
 pair, the Fourier oracle's per-circle cut-radius search
 (``oracle_radius_loop``), the paper's cosine double sum for the
 quadrature distribution, both amplitude laws in 50-digit mpmath, and
+the squeezing witnesses I1..I4 of those amplitudes (``witnesses_mp``),
 the phase-space element sum and the s-ordered form of F in 40-digit
 mpmath.  The full-support phase-space route (``full_support_overlap``)
 sums the element sum of any two vectors against a table of Laguerre
@@ -144,6 +145,20 @@ def squeezed_norm_closed_form(xi: float) -> float:
     return (1.0 - xi * xi) ** 0.25
 
 
+def _amplitudes_mpc(kind: str, r: float, theta: float, n_max: int) -> list:
+    """Normalized c_{2n+3}, n = 0..n_max, as mpmath numbers at the working precision."""
+    amp = mpmath.mpc(mpmath.cos(theta), mpmath.sin(theta)) * r
+    f = mpmath.factorial
+    terms = []
+    for n in range(n_max + 1):
+        term = amp**n * mpmath.sqrt(f(2 * n)) / (2**n * f(n))
+        if kind == "i":
+            term /= mpmath.sqrt(f(2 * n + 2) * f(2 * n + 3))
+        terms.append(term)
+    norm = mpmath.sqrt(mpmath.fsum(abs(t) ** 2 for t in terms))
+    return [t / norm for t in terms]
+
+
 def amplitudes_mp(kind: str, r: float, theta: float, n_max: int) -> np.ndarray:
     """Normalized c_{2n+3}, n = 0..n_max, of either law at 50 digits.
 
@@ -151,16 +166,7 @@ def amplitudes_mp(kind: str, r: float, theta: float, n_max: int) -> np.ndarray:
     xi^n sqrt((2n)!) / (2^n n!); both normalized over the retained n.
     """
     with mpmath.workdps(50):
-        amp = mpmath.mpc(mpmath.cos(theta), mpmath.sin(theta)) * r
-        f = mpmath.factorial
-        terms = []
-        for n in range(n_max + 1):
-            term = amp**n * mpmath.sqrt(f(2 * n)) / (2**n * f(n))
-            if kind == "i":
-                term /= mpmath.sqrt(f(2 * n + 2) * f(2 * n + 3))
-            terms.append(term)
-        norm = mpmath.sqrt(mpmath.fsum(abs(t) ** 2 for t in terms))
-        return np.array([complex(t / norm) for t in terms])
+        return np.array([complex(t) for t in _amplitudes_mpc(kind, r, theta, n_max)])
 
 
 def power_moments(v) -> tuple[float, float]:
@@ -546,6 +552,35 @@ def quasi_probability_mp(c, z: complex, s: float, terms: int = 16, dps: int = 40
             lowered = [mpmath.sqrt(n + 1) * u[n + 1] for n in range(len(u) - 1)] + [0]
             u = [alpha * value + low for value, low in zip(u, lowered)]
         return float(2 / (mpmath.pi * (1 - mpmath.mpf(s))) * total)
+
+
+def witnesses_mp(kind: str, r: float, theta: float, n_max: int = 70) -> tuple:
+    """(I1, I2, I3, I4) of the closed-form state (``amplitudes_mp``'s law) in 40 digits.
+
+    Each ladder word is summed term by term over c_n on offset 2n:
+    <L^2> = sum conj(c_n) c_{n+1} sqrt((2n+1)(2n+2)), <L^4> with the factors (2n+1)..(2n+4),
+    <R L> = sum 2n |c_n|^2, <R^2 L^2> = sum 2n(2n-1) |c_n|^2, <L^2 R^2> = sum (2n+1)(2n+2) |c_n|^2.
+    The witnesses are Hillery's variances: I1 = 2 Var(x) - 1 and I2 = 2 Var(p) - 1 with <x> = <p> = 0
+    on the even support, I3 = Var(Y1) - <R L> - 1/2 and I4 = Var(Y2) - <R L> - 1/2 with
+    <Y1^2> = (2 Re <L^4> + <L^2 R^2> + <R^2 L^2>)/4, <Y1> = Re <L^2>, <Y2> = Im <L^2> and
+    <Y2^2> = (<L^2 R^2> + <R^2 L^2> - 2 Re <L^4>)/4.  Nothing here uses m_2 + 4 m_1 + 2 = <L^2 R^2>,
+    so the O(1) reference cancels in 40 digits rather than in algebra.
+    """
+    with mpmath.workdps(40):
+        c = _amplitudes_mpc(kind, r, theta, n_max)
+        p = [abs(v) ** 2 for v in c]
+        nu = range(0, 2 * len(c), 2)
+        low2 = mpmath.fsum(mpmath.conj(c[n]) * c[n + 1] * mpmath.sqrt((2 * n + 1) * (2 * n + 2))
+                           for n in range(len(c) - 1))
+        low4 = mpmath.fsum(mpmath.conj(c[n]) * c[n + 2] * mpmath.sqrt(mpmath.fprod(range(2 * n + 1, 2 * n + 5)))
+                           for n in range(len(c) - 2))
+        cross = mpmath.fsum(k * q for k, q in zip(nu, p))
+        quartic = mpmath.fsum((k * (k - 1) + (k + 1) * (k + 2)) * q for k, q in zip(nu, p))
+        reference = cross + mpmath.mpf(1) / 2  # <R L> + 1/2, also <x^2> and <p^2> less +-Re <L^2>
+        var_y1 = (2 * low4.real + quartic) / 4 - low2.real**2
+        var_y2 = (quartic - 2 * low4.real) / 4 - low2.imag**2
+        return tuple(float(w) for w in (2 * (reference + low2.real) - 1, 2 * (reference - low2.real) - 1,
+                                        var_y1 - reference, var_y2 - reference))
 
 
 def quadrature_distribution_cosine(v, theta: float, x_axis, phi_axis) -> np.ndarray:

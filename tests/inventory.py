@@ -6,11 +6,15 @@ whether ``tests/golden/`` holds its CSV.  ``python tests/inventory.py OUT`` runs
 process with ``-o OUT/<name>.csv`` and ``RuntimeWarning`` an error, writes ``OUT/<name>.status``
 and ``OUT/<name>.stderr`` beside its outputs, and exits 1 if a status or a pinned stderr
 differs from the table.  ``diff -r`` of two such directories checks byte identity: two runs of
-one tree, or one run per tree with ``PYTHONPATH=<tree>/src``.
+one tree, or one run per tree with ``PYTHONPATH=<tree>/src``.  ``python tests/inventory.py
+--compare BASE NEW`` reads two such directories and prints, for each CSV that differs, how many
+cells moved and the largest absolute and relative move per column; it always exits 0.
 """
 
 import contextlib
+import csv
 import io
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -137,9 +141,49 @@ def run_all(out: Path) -> list[str]:
     return [problem for entry in ENTRIES for problem in run(entry, out)]
 
 
+def moved_cells(base: Path, new: Path) -> str:
+    """How the cells of CSV ``new`` differ from those of ``base``, as one line.
+
+    The number of moved cells, then per moved column its count and the largest |new - old| and
+    |new - old| / |old| (inf where old is 0); a column of text gets its count only.
+    """
+    with base.open(newline="") as old_file, new.open(newline="") as new_file:
+        old, now = list(csv.reader(old_file)), list(csv.reader(new_file))
+    if old[:1] != now[:1] or len(old) != len(now):
+        return f"{new.name}: header or row count differs"
+    columns, total = [], 0
+    for j, name in enumerate(now[0]):
+        pairs = [(a[j], b[j]) for a, b in zip(old[1:], now[1:]) if a[j] != b[j]]
+        total += len(pairs)
+        try:
+            moves = [(abs(float(b) - float(a)), float(a)) for a, b in pairs]
+        except ValueError:
+            columns.append(f"{name} {len(pairs)} (text)")
+            continue
+        if moves:
+            rel = max(d / abs(a) if a else (math.inf if d else 0.0) for d, a in moves)
+            columns.append(f"{name} {len(pairs)} max|d| {max(d for d, _ in moves):.3g} rel {rel:.3g}")
+    return f"{new.name}: {total} cells moved" + "".join(f"; {c}" for c in columns)
+
+
+def compare(base: Path, new: Path) -> list[str]:
+    """``moved_cells`` of each CSV whose bytes differ between output directories ``base`` and ``new``."""
+    names = sorted({p.name for p in base.glob("*.csv")} | {p.name for p in new.glob("*.csv")})
+    lines = []
+    for name in names:
+        if not (base / name).exists() or not (new / name).exists():
+            lines.append(f"{name}: only in {new if (new / name).exists() else base}")
+        elif (base / name).read_bytes() != (new / name).read_bytes():
+            lines.append(moved_cells(base / name, new / name))
+    return lines
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        print("\n".join(compare(Path(sys.argv[2]), Path(sys.argv[3]))) or "no CSV differs")
+        sys.exit(0)
     if len(sys.argv) != 2:
-        sys.exit("usage: python tests/inventory.py OUT_DIR")
+        sys.exit("usage: python tests/inventory.py OUT_DIR | --compare BASE_DIR NEW_DIR")
     problems = run_all(Path(sys.argv[1]))
     for problem in problems:
         print(problem, file=sys.stderr)

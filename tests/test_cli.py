@@ -220,6 +220,28 @@ class TestSqueezeCommand:
             assert len(out.strip().splitlines()) == 1 + 8 * 4
             assert calls == [8]
 
+    @pytest.mark.parametrize("grid", ["--case i --r-max 31 --r-steps 8", "--case iii --xi-max 0.9 --xi-steps 8"])
+    def test_quadrature_sum_is_four_stats_means(self, capsys, grid):
+        """Printed I1 + I2 = 4 meanK0 of ``stats`` on the same grid, in every theta column.
+
+        I1 + I2 = 4 <R L> exactly on the builders' even support, and both commands read
+        <R L> as the m_1 of the same ``stats.moments`` rows.  ``%.12g`` rounds each printed
+        value x to within half a unit of its 12th significant digit, at most 5e-12 |x|;
+        8 EPS of the same magnitudes covers the float sums on both sides and this test's
+        own arithmetic.
+        """
+        code, out, _ = _run(capsys, "stats", *grid.split())
+        assert code == 0
+        means = {row["r"]: float(row["meanK0"]) for row in csv.DictReader(io.StringIO(out))}
+        code, out, _ = _run(capsys, "squeeze", *grid.split(), "--theta-steps", "16")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 8 * 16 and {row["r"] for row in rows} == set(means)
+        for row in rows:
+            i1, i2, mean = float(row["I1"]), float(row["I2"]), means[row["r"]]
+            scale = abs(i1) + abs(i2) + 4.0 * abs(mean)
+            assert abs(i1 + i2 - 4.0 * mean) <= (5e-12 + 8.0 * EPS) * scale
+
 
 class TestWarningOrder:
     """The exact warnings and truncation of commands whose rows raise several flags."""

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import isosqueeze as iq
-from isosqueeze import fock, squeezing
-from conftest import apply, basis_vector, ladder_word, unitary_probability, witness_oracle
+from isosqueeze import fock, squeezing, states
+from conftest import (amplitudes_mp, apply, basis_vector, ladder_word, unitary_probability, witness_oracle,
+                      witnesses_mp)
+
+EPS = np.finfo(float).eps
 
 
 def _unitary_state(xi, n_max=200):
@@ -158,6 +161,54 @@ class TestAmplitudeSquaredIdentities:
         assert np.max(np.abs(np.roll(i3, -4) - i4)) < 1e-8
         assert i3.min() < 0.0 < i3.max()
         assert i4.min() < 0.0 < i4.max()
+
+
+class TestSmallModulus:
+    THETAS = (0.0, 0.3, -1.1, 2.0, math.pi / 2.0)
+
+    @pytest.mark.parametrize("kind, modulus", [
+        ("i", 1e-8), ("i", 1e-4), ("i", 1e-2), ("iii", 1e-8), ("iii", 1e-4),
+    ])
+    def test_amplitude_squared_witnesses_match_40_digits(self, kind, modulus):
+        """I3, I4 against ``witnesses_mp`` to a relative bound carried from the amplitudes.
+
+        The grid reads I3 = (m_2 + Re <L^4>)/2 - (Re <L^2>)^2 (I4 alike) from float amplitudes
+        a_n (1 + delta_n), delta = max |delta_n|, read against the 50-digit law (this is the
+        builder's error, the input here).  At theta = 0 the a_n are positive, so every term of
+        m_2, <L^4>_0 and <L^2>_0 is a nonnegative product of two amplitudes and an integer
+        square root, and each word moves by at most e = 2 delta + delta^2 + (n + 20) EPS of
+        itself: two amplitude errors, at most n = 141 rounded additions over the layout, and
+        under 20 roundings in the coefficients, the products, |a|^2, the phase e^{i theta} and
+        the closed form's own operations.  With |Re <L^2>| <= <L^2>_0 the witness moves by at
+        most e S, S = (m_2 + <L^4>_0)/2 + 2 <L^2>_0^2 (the 2 from d(x^2) = 2 x dx), plus one
+        EPS of the 40-digit value rounded to float.  The small moduli leave no O(1) term: S is
+        about 4 |I3| on case iii and 20 |I3| on case i, with delta near 2e-13 from the deep
+        levels, so the bound is 2e-12 to 6e-12 relative.  Subtracting <R L> + 1/2 from O(1)
+        quartic words erred by 1e-16 absolute instead (I3 = 1.11e-16 at r = 1e-8, where the
+        exact value is 6.44e-20), and left 1.11e-16 in the r = 0 cells.
+        """
+        grid = squeezing.squeezing_grid(kind, [modulus], self.THETAS)
+        (rung,) = states.build_sweep(kind, [modulus], 0.0, 70)
+        exact = amplitudes_mp(kind, modulus, 0.0, 70).real
+        assert np.array_equal(rung.amps[0] != 0.0, exact != 0.0)
+        kept = exact != 0.0
+        delta = np.max(np.abs(rung.amps[0][kept].real / exact[kept] - 1.0))
+        nu = 2.0 * np.arange(exact.size)
+        m2 = np.sum(nu * (nu - 1.0) * exact**2)
+        low2 = np.sum(exact[:-1] * exact[1:] * np.sqrt((nu + 1.0) * (nu + 2.0))[:-1])
+        low4 = np.sum(exact[:-2] * exact[2:] * np.sqrt((nu + 1.0) * (nu + 2.0) * (nu + 3.0) * (nu + 4.0))[:-2])
+        spread = (m2 + low4) / 2.0 + 2.0 * low2**2
+        err = 2.0 * delta + delta**2 + (2 * exact.size - 1 + 20) * EPS
+        for col, theta in enumerate(self.THETAS):
+            _, _, i3, i4 = witnesses_mp(kind, modulus, theta)
+            for got, want in ((grid.i3[0, col], i3), (grid.i4[0, col], i4)):
+                assert abs(got - want) <= err * spread + EPS * abs(want)
+
+    @pytest.mark.parametrize("kind", ["i", "iii"])
+    def test_zero_modulus_reads_exact_zero(self, kind):
+        grid = squeezing.squeezing_grid(kind, [0.0], self.THETAS)
+        for values in (grid.i1, grid.i2, grid.i3, grid.i4):
+            assert np.all(values == 0.0) and not np.signbit(values).any()
 
 
 class TestGrid:
