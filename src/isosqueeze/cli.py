@@ -2,9 +2,10 @@
 
 Each subcommand wires parameters into the computation modules and
 writes deterministic CSV (12 significant digits, fixed column order)
-or JSON.  Identical invocations produce byte-identical output, which
-is what the golden-file tests rely on.  Numeric oddities encountered
-during a sweep (truncation tail too fat, moment ratios undefined at a
+or JSON, each table from one row template (``_Output``).  Identical
+invocations produce byte-identical output, which is what the
+golden-file tests rely on.  Numeric oddities encountered during a
+sweep (truncation tail too fat, moment ratios undefined at a
 degenerate grid point, g2 beyond the float range) are surfaced as
 warnings in the JSON metadata, never as failures: sweeps must not
 abort at degenerate cells.
@@ -26,10 +27,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -57,13 +60,14 @@ MASS_WARN_THRESHOLD = 1e-2
 class _Output:
     """Collects one command's table + metadata, then writes it once.
 
-    ``cells`` holds the table row-major: floats print as %.12g, any other cell as its text.
-    A CSV text column with a comma, quote or line break in any cell is quoted whole (RFC 4180).
+    ``template`` holds the rows: text cells in place, every % doubled, a column with a comma,
+    quote or line break quoted whole (RFC 4180); each float cell is a %.12g slot for ``values``.
     """
 
     command: str
     columns: Sequence[str] = ()
-    cells: list = field(default_factory=list)
+    template: str = ""
+    values: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
@@ -71,33 +75,17 @@ class _Output:
         if message not in self.warnings:
             self.warnings.append(message)
 
-    def _formats(self) -> tuple[list[str], int]:
-        """Per-column %-format, from the value types of the first row, and the row count."""
-        width = len(self.columns)
-        return (["%.12g" if isinstance(v, float) else "%s" for v in self.cells[:width]],
-                len(self.cells) // width)
-
     def csv_text(self) -> str:
-        # one % over the whole table; cell text is an argument, never part of the template
-        formats, n_rows = self._formats()
-        cells, width = self.cells, len(self.columns)
-        for k in range(len(formats)):
-            joined = "".join(cells[k::width]) if isinstance(cells[k], str) else ""
-            if any(c in joined for c in ',"\r\n'):  # RFC 4180: quote the column, doubling its quotes
-                cells = cells.copy()
-                cells[k::width] = ['"%s"' % t.replace('"', '""') for t in cells[k::width]]
-        return ",".join(self.columns) + "\n" + ((",".join(formats) + "\n") * n_rows) % tuple(cells)
+        return ",".join(self.columns) + "\n" + self.template % tuple(self.values)
 
     def json_payload(self) -> dict:
-        formats, n_rows = self._formats()
-        text = [f % v for f, v in zip(formats * n_rows, self.cells)]
-        width = len(self.columns)
+        import csv  # only JSON output reads the CSV text back: a CSV-only process never imports it
         return {
             "command": self.command,
             **self.meta,
             "warnings": self.warnings,
             "columns": list(self.columns),
-            "rows": [text[k:k + width] for k in range(0, len(text), width)],
+            "rows": list(csv.reader(io.StringIO(self.template % tuple(self.values)))),
         }
 
     def write(self, path: str | None, fmt: str) -> None:
@@ -204,24 +192,37 @@ def _symmetric_axis(low: float, high: float, steps: int) -> np.ndarray:
     return axis
 
 
-def _cells(*columns: list) -> list:
-    """The row-major cells of equal-length columns."""
-    cells = [None] * (len(columns) * len(columns[0]))
-    for k, column in enumerate(columns):
-        cells[k::len(columns)] = column
-    return cells
+def _cells(*columns) -> tuple[str, list]:
+    """(template, values) of equal-length columns (lists or arrays, one of floats at least) for
+    ``_Output``: float cells are slots, the others text."""
+    slots, texts, floats = [], [], []
+    for column in columns:
+        if isinstance(column[0], str):
+            joined, column = "".join(column), [t.replace("%", "%%") for t in column]
+            if any(c in joined for c in ',"\r\n'):  # RFC 4180: quote the column, doubling its quotes
+                column = ['"%s"' % t.replace('"', '""') for t in column]
+        is_float = isinstance(column[0], float)
+        slots.append("%%.12g" if is_float else "%s")  # a pattern's %% is one % in the template
+        (floats if is_float else texts).append(column)
+    pattern, rows = ",".join(slots) + "\n", len(columns[0])
+    values = np.column_stack(floats).ravel().tolist()  # row-major
+    if not texts:  # no text to place: skip the pass that halves each slot's %%
+        return pattern.replace("%%", "%") * rows, values
+    return (pattern * rows) % tuple(chain.from_iterable(zip(*texts))), values
 
 
-def _grid_rows(axis1, axis2, *columns) -> list:
-    """Cells of the (axis1, axis2, *values) rows, row-major.
+def _grid_rows(axis1, axis2, *columns) -> tuple[str, list]:
+    """(template, values) of the (axis1, axis2, *values) rows for ``_Output``.
 
-    Each axis value is formatted to %.12g text once; the value columns
-    stay floats for the table's one format call.
+    Each axis value is formatted to %.12g text once; the rows of one
+    axis1 value are one join of the axis2 texts, each followed by the
+    value columns' slots.
     """
     fmt = "%.12g".__mod__
     first, second = (list(map(fmt, np.asarray(axis, dtype=float).tolist())) for axis in (axis1, axis2))
-    return _cells([a for a in first for _ in second], second * len(first),
-                  *(np.ravel(values).tolist() for values in columns))
+    tails = [b + ",%.12g" * len(columns) + "\n" for b in second]
+    template = "".join([a + "," + (a + ",").join(tails) for a in first])
+    return template, np.stack([np.ravel(c) for c in columns], axis=1).ravel().tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +242,7 @@ def _cmd_state(args) -> _Output:
     _check_tail(out, vec.n_max_effective, vec.tail_bound, params.n_max)
     keep = np.flatnonzero(vec.amps)  # structural zeros (odd offsets, padding) carry no information
     amps = vec.amps[keep]
-    out.cells = _cells(vec.levels[keep].tolist(), amps.real.tolist(), amps.imag.tolist(),
-                       (np.abs(amps) ** 2).tolist())
+    out.template, out.values = _cells(vec.levels[keep].tolist(), amps.real, amps.imag, np.abs(amps) ** 2)
     return out
 
 
@@ -259,7 +259,7 @@ def _cmd_stats(args) -> _Output:
         m[rung.rows] = stats.moments(np.abs(rung.amps) ** 2, 2 * np.arange(rung.n_max + 1))
         effective[rung.rows], tail[rung.rows] = rung.n_max, rung.tail_bound
     q, g2, a3 = stats.mandel_q(m), stats.g2_zero(m), stats.a3_parameter(m)
-    out.cells = np.column_stack((grid, m[:, 0], q, g2, a3)).ravel().tolist()
+    out.template, out.values = _cells(grid, m[:, 0], q, g2, a3)
     out.meta["n_max_effective"] = int(effective.max())
     q_nan, g2_inf, a3_nan = np.isnan(q), np.isinf(g2), np.isnan(a3)
     # only flagged rows are visited, in row order, so the warnings come row by row
@@ -286,7 +286,7 @@ def _cmd_squeeze(args) -> _Output:
     )
     witness = squeezing.squeezing_grid(kind, grid, thetas, n_max=args.n_max)
     _check_tail(out, witness.n_max_effective, witness.tail_bound, args.n_max)
-    out.cells = _grid_rows(grid, thetas, witness.i1, witness.i2, witness.i3, witness.i4)
+    out.template, out.values = _grid_rows(grid, thetas, witness.i1, witness.i2, witness.i3, witness.i4)
     for row, col in np.argwhere(~witness.uncertainty_ok).tolist():
         out.warn(f"uncertainty product below bound at r={grid[row]:.6g}, theta={thetas[col]:.6g}")
     return out
@@ -306,7 +306,7 @@ def _cmd_quad_dist(args) -> _Output:
               "grid": {"x": [args.x_min, args.x_max, args.x_steps], "phi_steps": args.phi_steps}},
     )
     _check_tail(out, vec.n_max_effective, vec.tail_bound, params.n_max)
-    out.cells = _grid_rows(xs, phis, grid.values)
+    out.template, out.values = _grid_rows(xs, phis, grid.values)
     return out
 
 
@@ -340,7 +340,7 @@ def _cmd_quasiprob(args) -> _Output:
                      "the grid misses part of the support or samples it too coarsely, "
                      "or the sums lost precision")
     out.meta["grid_mass"] = mass
-    out.cells = _grid_rows(xs, ps, grid.values)
+    out.template, out.values = _grid_rows(xs, ps, grid.values)
     return out
 
 
@@ -354,7 +354,7 @@ def _cmd_verify_algebra(args) -> _Output:
         "casimir_peak": casimir_peak,
     }
     identities = report["identities"]
-    out.cells = _cells(list(identities), [float(dev) for dev in identities.values()])
+    out.template, out.values = _cells(list(identities), [float(dev) for dev in identities.values()])
     return out
 
 
@@ -366,7 +366,7 @@ def _cmd_dual_check(args) -> _Output:
         "limit_estimate": report.limit_estimate,
         "verdict": report.verdict,
     }
-    out.cells = _cells(list(range(1, report.x_seq.size + 1)), report.x_seq.tolist())
+    out.template, out.values = _cells(list(range(1, report.x_seq.size + 1)), report.x_seq)
     return out
 
 

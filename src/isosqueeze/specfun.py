@@ -67,32 +67,48 @@ def laguerre_series(weights, k, x) -> np.ndarray:
     and the sum is b_0.  No L_a^k(x) is formed, so the sum stays finite
     where the polynomials overflow but the weighted series does not.
     ``weights`` is (rows, degrees), complex or real, ``k`` the rows'
-    non-negative integer orders and ``x`` 1-D.  The rows are swept
-    together, by descending top (one past the last nonzero weight), so
-    that step a touches only the rows whose top exceeds a.  Returns complex.
+    non-negative integer orders, shape (rows,), and ``x`` 1-D; other
+    shapes are refused.  The rows are swept together, by descending top
+    (one past the last nonzero weight), so that step a touches only the
+    rows whose top exceeds a.  The coefficients (2a + k + 1)/(a + 1) and
+    -(a + k + 1)/(a + 2) of every (degree, row) are formed in one array
+    pass before the sweep, by the same expressions a step would use, and
+    a degree whose weights are all zero (every odd degree of the
+    even-offset states) adds none.  Returns complex.
     """
     w = np.asarray(weights, dtype=complex)
     k = np.asarray(k)
+    x = np.asarray(x, dtype=float)
+    if w.ndim != 2 or k.shape != w.shape[:1] or x.ndim != 1:
+        raise ValueError(f"laguerre_series expects (rows, degrees) weights, (rows,) orders and 1-D "
+                         f"arguments, got {w.shape}, {k.shape} and {x.shape}")
     if k.size and k.min() < 0:
         raise ValueError("laguerre_series orders must be non-negative")
-    x = np.asarray(x, dtype=float)
     nonzero = w != 0
     tops = np.where(nonzero.any(axis=1), w.shape[1] - np.argmax(nonzero[:, ::-1], axis=1), 0)
     rows = np.argsort(-tops, kind="stable")
     k, tops = k[rows], tops[rows]
     parts = np.stack([w.real, w.imag], axis=2)[rows]  # (rows, degrees, re/im)
     live = np.searchsorted(-tops, -np.arange(tops.max(initial=0)))  # rows whose top exceeds a
-    ahead, after = np.zeros((2, rows.size, 2, x.size))  # b_{a+1} and b_{a+2}
+    deg = np.arange(live.size)[:, None]
+    grow, decay = (2 * deg + 1 + k) / (deg + 1.0), -((deg + 1 + k) / (deg + 2.0))  # (degrees, rows)
+    weighted = nonzero.any(axis=0)
+    ahead, after, product = np.zeros((3, rows.size, 2, x.size))  # b_{a+1}, b_{a+2} and a scratch
+    alpha = np.empty((rows.size, x.size))
     for a in range(live.size - 1, -1, -1):
         n = live[a]
-        alpha = ((2 * a + 1 + k[:n]) / (a + 1.0))[:, None] - x / (a + 1.0)
+        np.subtract(grow[a, :n, None], x / (a + 1.0), out=alpha[:n])
         b = after[:n]  # b_a overwrites b_{a+2}; rows past those alive at a + 1 hold zeros
-        b *= -((a + 1 + k[:n]) / (a + 2.0))[:, None, None]
-        b += alpha[:, None, :] * ahead[:n]
-        b += parts[:n, a, :, None]
+        b *= decay[a, :n, None, None]
+        b += np.multiply(alpha[:n, None, :], ahead[:n], out=product[:n])
+        if weighted[a]:
+            b += parts[:n, a, :, None]
         ahead, after = after, ahead
-    out = np.empty((rows.size, x.size), dtype=complex)
-    out[rows] = ahead[:, 0] + 1j * ahead[:, 1]
+    total = product.reshape(rows.size, 2 * x.size).view(complex)  # b_0 as complex, in the spent scratch
+    np.multiply(1j, ahead[:, 1], out=total)
+    total += ahead[:, 0]  # re + 1j im, added the other way round: the same bits
+    out = np.empty_like(total)
+    out[rows] = total
     return out
 
 

@@ -1,14 +1,15 @@
 """The one table of CLI commands that the goldens, criterion 7, the CLI tests and CI run.
 
 Each entry is a named argv (space-separated, without ``-o``), its exit status, the stderr it
-must print (None: not pinned, as argparse's usage wording varies across Python versions) and
-whether ``tests/golden/`` holds its CSV.  ``python tests/inventory.py OUT`` runs every entry in
-process with ``-o OUT/<name>.csv`` and ``RuntimeWarning`` an error, writes ``OUT/<name>.status``
-and ``OUT/<name>.stderr`` beside its outputs, and exits 1 if a status or a pinned stderr
-differs from the table.  ``diff -r`` of two such directories checks byte identity: two runs of
+must print (None: not pinned, as argparse's usage wording varies across Python versions),
+whether ``tests/golden/`` holds its CSV and the format it writes, csv or json.  ``python
+tests/inventory.py OUT`` runs every entry in process with ``-o OUT/<name>.<format>`` and
+``RuntimeWarning`` an error, writes ``OUT/<name>.status`` and ``OUT/<name>.stderr`` beside its
+outputs, and exits 1 if a status or a pinned stderr differs from the table.  ``diff -r`` of two such directories checks byte identity: two runs of
 one tree, or one run per tree with ``PYTHONPATH=<tree>/src``.  ``python tests/inventory.py
 --compare BASE NEW`` reads two such directories and prints, for each CSV that differs, how many
-cells moved and the largest absolute and relative move per column; it always exits 0.
+cells moved and the largest absolute and relative move per column, and names each JSON file
+that differs; it always exits 0.
 """
 
 import contextlib
@@ -29,6 +30,12 @@ class Entry(NamedTuple):
     status: int = 0
     stderr: str | None = ""
     golden: bool = False
+    format: str = "csv"
+
+    @property
+    def output(self) -> str:
+        """The file name of the entry's table: ``<name>.csv`` or ``<name>.json``."""
+        return f"{self.name}.{self.format}"
 
 
 _FIG8 = "quasiprob --case i --r 2.8284271247461903 --theta 0.7853981633974483"
@@ -112,8 +119,13 @@ ENTRIES = [
     Entry("r_not_a_number", "state --case i --r abc", 2, None),
     Entry("missing_case", "state --r 1", 2, None),
     Entry("quad_dist_no_r", "quad-dist --theta 0.5", 2, None),
-    # identity labels hold commas: the CSV quotes them
+    # identity labels hold commas: the CSV quotes them, the JSON does not
     Entry("verify_algebra_csv", "verify-algebra --format csv"),
+    # JSON output: the reports at their default format, and a table of each writer
+    Entry("verify_algebra", "verify-algebra", format="json"),
+    Entry("dual_check", "dual-check", format="json"),
+    Entry("squeeze_json", "squeeze --case i --r-max 2 --r-steps 2 --theta-steps 3 --format json", format="json"),
+    Entry("state_json", "state --case iii --xi 0.4 --format json", format="json"),
 ]
 ENTRY = {entry.name: entry for entry in ENTRIES}
 
@@ -124,7 +136,7 @@ def run(entry: Entry, out: Path) -> list[str]:
     with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
         warnings.simplefilter("error", RuntimeWarning)
         try:
-            status = main([*entry.command.split(), "-o", str(out / f"{entry.name}.csv")])
+            status = main([*entry.command.split(), "-o", str(out / entry.output)])
         except SystemExit as exc:  # argparse's usage errors
             status = exc.code
     (out / f"{entry.name}.status").write_text(f"{status}\n")
@@ -167,20 +179,21 @@ def moved_cells(base: Path, new: Path) -> str:
 
 
 def compare(base: Path, new: Path) -> list[str]:
-    """``moved_cells`` of each CSV whose bytes differ between output directories ``base`` and ``new``."""
-    names = sorted({p.name for p in base.glob("*.csv")} | {p.name for p in new.glob("*.csv")})
+    """``moved_cells`` of each CSV, and the name of each JSON file (``.meta.json`` included), whose
+    bytes differ between output directories ``base`` and ``new``."""
+    names = sorted({p.name for out in (base, new) for glob in ("*.csv", "*.json") for p in out.glob(glob)})
     lines = []
     for name in names:
         if not (base / name).exists() or not (new / name).exists():
             lines.append(f"{name}: only in {new if (new / name).exists() else base}")
         elif (base / name).read_bytes() != (new / name).read_bytes():
-            lines.append(moved_cells(base / name, new / name))
+            lines.append(moved_cells(base / name, new / name) if name.endswith(".csv") else f"{name}: differs")
     return lines
 
 
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "--compare":
-        print("\n".join(compare(Path(sys.argv[2]), Path(sys.argv[3]))) or "no CSV differs")
+        print("\n".join(compare(Path(sys.argv[2]), Path(sys.argv[3]))) or "no CSV or JSON differs")
         sys.exit(0)
     if len(sys.argv) != 2:
         sys.exit("usage: python tests/inventory.py OUT_DIR | --compare BASE_DIR NEW_DIR")

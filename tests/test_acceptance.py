@@ -200,7 +200,7 @@ def test_criterion_7_golden_figures_bit_identical(tmp_path):
     assert names == sorted(path.name for path in second.iterdir())
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
-    assert all((first / f"{entry.name}.csv").stat().st_size > 0
+    assert all((first / entry.output).stat().st_size > 0
                for entry in inventory.ENTRIES if entry.status == 0)
     _report(7, f"{len(inventory.ENTRIES)} inventory commands regenerate bit-identically",
             time.perf_counter() - start)

@@ -571,7 +571,9 @@ class TestReproducibility:
         # cell text with % must print as itself, never act as a format; with , or " the CSV
         # column is quoted and its quotes doubled (RFC 4180), the JSON text left as it is
         rows = [(k, 'label,with "comma" %s %d %%', v, -v) for k, v in enumerate(values)]
-        out = _Output(command="t", columns=("n", "s", "a", "b"), cells=[c for row in rows for c in row])
+        template, slots = cli._cells(*map(list, zip(*rows)))
+        assert template.count("%.12g") == 2 * len(values) and len(slots) == 2 * len(values)
+        out = _Output(command="t", columns=("n", "s", "a", "b"), template=template, values=slots)
         text = [[f"{v:.12g}" if isinstance(v, float) else str(v) for v in row] for row in rows]
         assert out.csv_text() == "\n".join(["n,s,a,b"] + [
             ",".join([n, '"label,with ""comma"" %s %d %%"', *rest]) for n, _, *rest in text]) + "\n"
@@ -583,18 +585,19 @@ class TestReproducibility:
         axis2 = np.array([0.0, -1e300, 2.5])
         special = [math.inf, -math.inf, math.nan, -0.0, 2.2e-310, 5e-324, 1.0 / 3.0, -7.0, 1e-5]
         values = np.array(special).reshape(3, 3)
-        cells = cli._grid_rows(axis1, axis2, values, -values)
-        out = _Output(command="t", columns=("x", "y", "v", "w"), cells=cells)
+        template, slots = cli._grid_rows(axis1, axis2, values, -values)
+        out = _Output(command="t", columns=("x", "y", "v", "w"), template=template, values=slots)
         expected = ["x,y,v,w"] + [
             f"{a:.12g},{b:.12g},{values[i, j]:.12g},{-values[i, j]:.12g}"
             for i, a in enumerate(axis1) for j, b in enumerate(axis2)
         ]
         assert out.csv_text() == "\n".join(expected) + "\n"
         assert out.json_payload()["rows"] == [line.split(",") for line in expected[1:]]
-        # a string cell beside the grid's cells: text with % and , is copied, not interpreted
-        label = _Output(command="t", columns=("x", "y", "v", "w", "s"),
-                        cells=cli._cells(cells[0::4], cells[1::4], cells[2::4], cells[3::4],
-                                         ["100% sure, %s"] * 9))
+        # a string column beside the grid's columns: text with % and , is copied, not interpreted
+        x, y = ([line.split(",")[k] for line in expected[1:]] for k in (0, 1))
+        label = _Output(command="t", columns=("x", "y", "v", "w", "s"))
+        label.template, label.values = cli._cells(x, y, values.ravel().tolist(), (-values).ravel().tolist(),
+                                                  ["100% sure, %s"] * 9)
         assert label.csv_text() == "\n".join(
             [f"{expected[0]},s"] + [f'{line},"100% sure, %s"' for line in expected[1:]]) + "\n"
 

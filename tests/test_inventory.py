@@ -33,8 +33,11 @@ def test_compare_lists_moved_cells_per_column(tmp_path):
         out.mkdir()
         (out / "same.csv").write_text("r,v,s\n1,2,x\n")
         (out / "moved.csv").write_text("\n".join(["r,v,s", *rows]) + "\n")
+        (out / "same.json").write_text('{"rows": [["1"]]}\n')
+        (out / "moved.json").write_text('{"rows": [["%s"]]}\n' % out.name)
     (new / "extra.csv").write_text("r\n1\n")
     assert compare(base, new) == [
         f"extra.csv: only in {new}",
         "moved.csv: 3 cells moved; v 2 max|d| 0.25 rel inf; s 1 (text)",
+        "moved.json: differs",
     ]

@@ -142,17 +142,35 @@ class TestLaguerreSeries:
         weights[1, 3:9] = 0.0
         return weights, np.array([3, 0, 5, 11, 2])
 
+    @staticmethod
+    def _even_offset_rows():
+        # the phase-space kernel's layout: every odd degree zero in every row (some -0.0, as
+        # 0 times a unit phase gives), so the sweep adds no weight there; unequal tops, an
+        # all-zero row between live ones, one real row
+        rng = np.random.default_rng(118)
+        weights = rng.normal(size=(4, 25)) + 1j * rng.normal(size=(4, 25))
+        weights[:, 1::2] = 0.0 * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(4, 12)))
+        for row, top in enumerate([25, 0, 9, 17]):
+            weights[row, top:] = 0.0
+        weights[3] = weights[3].real
+        return weights, np.array([2, 4, 0, 6])
+
     def test_matches_the_upward_recurrence(self):
-        weights, ks = self._gapped_rows()
-        x = np.array([-6.0, -0.5, 0.0, 0.3, 2.0, 9.0, 25.0])
-        got = specfun.laguerre_series(weights, ks, x)
-        assert got.shape == (ks.size, x.size)
-        for row, k in enumerate(ks):
-            table = assoc_laguerre_sequence(weights.shape[1] - 1, int(k), x)
-            want = weights[row] @ table
-            scale = np.abs(weights[row]) @ assoc_laguerre_sequence(weights.shape[1] - 1, int(k), -np.abs(x))
-            assert np.all(np.abs(got[row] - want) <= 1e-13 * np.maximum(scale, 1.0))
-        assert np.all(got[2] == 0.0)
+        gapped, even = self._gapped_rows(), self._even_offset_rows()
+        cases = [(gapped, [-6.0, -0.5, 0.0, 0.3, 2.0, 9.0, 25.0]), (gapped, [2.0]),  # and one point
+                 (even, [-4.0, -0.25, 0.0, 1.5, 7.0, 30.0]), (even, [-3.0])]
+        for (weights, ks), x in cases:
+            x = np.array(x)
+            got = specfun.laguerre_series(weights, ks, x)
+            assert got.shape == (ks.size, x.size)
+            for row, k in enumerate(ks):
+                table = assoc_laguerre_sequence(weights.shape[1] - 1, int(k), x)
+                want = weights[row] @ table
+                scale = np.abs(weights[row]) @ assoc_laguerre_sequence(weights.shape[1] - 1, int(k), -np.abs(x))
+                assert np.all(np.abs(got[row] - want) <= 1e-13 * np.maximum(scale, 1.0))
+                if not weights[row].any():
+                    assert np.all(got[row] == 0.0)
+            assert not weights.any(axis=1).all()  # the all-zero row is there
 
     @pytest.mark.parametrize("n,k", [(0, 5), (1, 2), (5, 0), (9, 3), (15, 8)])
     def test_single_term_is_the_exact_rational_sum(self, n, k):
@@ -179,6 +197,19 @@ class TestLaguerreSeries:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError, match="non-negative"):
             specfun.laguerre_series(np.ones((2, 3)), [1, -1], np.array([0.5]))
+
+    @pytest.mark.parametrize("weights,k,x", [
+        (np.ones((2, 3)), [1, 2, 7], np.array([0.5])),  # an order without a weight row
+        (np.ones((2, 3)), [1], np.array([0.5])),  # a weight row without an order
+        (np.ones((2, 3)), [[1], [2]], np.array([0.5])),
+        (np.ones((2, 3)), [1, 2], np.array([[0.5, 1.0]])),  # arguments not 1-D
+        (np.ones((2, 3)), [1, 2], np.array(0.5)),
+        (np.ones(3), [1], np.array([0.5])),  # weights not 2-D
+        (np.ones((1, 2, 3)), [1], np.array([0.5])),
+    ], ids=["extra-order", "missing-order", "2d-orders", "2d-x", "scalar-x", "1d-weights", "3d-weights"])
+    def test_rejects_mismatched_shapes(self, weights, k, x):
+        with pytest.raises(ValueError, match="expects"):
+            specfun.laguerre_series(weights, k, x)
 
 
 class TestWeightedHermite:
