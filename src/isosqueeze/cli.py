@@ -26,6 +26,7 @@ propagates.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import io
 import json
@@ -79,7 +80,6 @@ class _Output:
         return ",".join(self.columns) + "\n" + self.template % tuple(self.values)
 
     def json_payload(self) -> dict:
-        import csv  # only JSON output reads the CSV text back: a CSV-only process never imports it
         return {
             "command": self.command,
             **self.meta,
@@ -90,16 +90,16 @@ class _Output:
 
     def write(self, path: str | None, fmt: str) -> None:
         """CSV with a ``.meta.json`` beside it and warnings on stderr, or one JSON payload."""
-        csv = fmt != "json"
-        text = self.csv_text() if csv else json.dumps(self.json_payload(), indent=1) + "\n"
+        tabular = fmt != "json"
+        text = self.csv_text() if tabular else json.dumps(self.json_payload(), indent=1) + "\n"
         if path:
             Path(path).write_text(text)
-            if csv:
+            if tabular:
                 header = {"command": self.command, **self.meta, "warnings": self.warnings}
                 Path(path + ".meta.json").write_text(json.dumps(header, indent=1) + "\n")
         else:
             sys.stdout.write(text)
-        for message in self.warnings if csv else ():
+        for message in self.warnings if tabular else ():
             print(f"warning: {message}", file=sys.stderr)
 
 
@@ -206,8 +206,6 @@ def _cells(*columns) -> tuple[str, list]:
         (floats if is_float else texts).append(column)
     pattern, rows = ",".join(slots) + "\n", len(columns[0])
     values = np.column_stack(floats).ravel().tolist()  # row-major
-    if not texts:  # no text to place: skip the pass that halves each slot's %%
-        return pattern.replace("%%", "%") * rows, values
     return (pattern * rows) % tuple(chain.from_iterable(zip(*texts))), values
 
 

@@ -104,11 +104,8 @@ def laguerre_series(weights, k, x) -> np.ndarray:
         if weighted[a]:
             b += parts[:n, a, :, None]
         ahead, after = after, ahead
-    total = product.reshape(rows.size, 2 * x.size).view(complex)  # b_0 as complex, in the spent scratch
-    np.multiply(1j, ahead[:, 1], out=total)
-    total += ahead[:, 0]  # re + 1j im, added the other way round: the same bits
-    out = np.empty_like(total)
-    out[rows] = total
+    out = np.empty((rows.size, x.size), dtype=complex)
+    out[rows] = ahead[:, 0] + 1j * ahead[:, 1]
     return out
 
 
