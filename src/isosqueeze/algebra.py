@@ -14,9 +14,12 @@ entry is an index shift and a coefficient law c(n), so that
 op|n> = c(n) |n + shift>.  Every coefficient is a single square root of
 an exact integer product, which keeps the identity checks at the 1e-11
 level.  ``word_action`` gives the coefficient of an operator word on
-each level, and ``verify_commutators`` evaluates the identity table
-``_IDENTITIES`` as arrays over the levels.  Operators are never dense
-matrices.
+each level.  ``_IDENTITIES`` is the one table of laws the algebra must
+obey: the twelve commutators, and the Casimir row ``CASIMIR``,
+N- N+ = N0^3 - N0^2 - 2 N0, which is C = (lower raise) + h(N0) = 0 with
+h(n) = n (n+1) (2-n).  ``verify_commutators`` evaluates every row in one
+loop, as arrays over the levels, so each residue reads the coefficient
+table and nothing else.  Operators are never dense matrices.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ import numpy as np
 from .fock import BASE_LEVEL, InvalidParameter
 
 __all__ = [
+    "CASIMIR",
     "word_action",
     "verify_commutators",
-    "casimir_eigenvalue",
 ]
 
 # name -> (index shift, coefficient law c(n) on float levels n >= 3).
@@ -46,25 +49,35 @@ _OPERATORS = {
     "R-": (-1, lambda n: np.sqrt((n - 3.0) / (n * (n - 1.0)))),
 }
 
-# label -> (A, B, rhs): [A, B] = sum of scale * word over the (scale, word)
-# terms of rhs.  Words list operators in operator order, leftmost acting last.
+
+def _commutator(a, b, rhs):
+    """The row [A, B] = rhs: left terms +AB and -BA."""
+    return ((1.0, a + b), (-1.0, b + a)), rhs
+
+
+CASIMIR = "N-N+ = N0^3 - N0^2 - 2 N0"  # the label of the Casimir row
+
+# label -> (lhs, rhs): the sum of scale * word over the (scale, word) terms of lhs equals
+# the same sum over rhs.  Words list operators in operator order, leftmost acting last.
 _IDENTITIES = {
     # deformed algebra
-    "[N+,N-] = 5 N0 - 3 N0^2": (("N+",), ("N-",), ((5.0, ("N0",)), (-3.0, ("N0", "N0")))),
-    "[N0,N+] = +N+": (("N0",), ("N+",), ((1.0, ("N+",)),)),
-    "[N0,N-] = -N-": (("N0",), ("N-",), ((-1.0, ("N-",)),)),
+    "[N+,N-] = 5 N0 - 3 N0^2": _commutator(("N+",), ("N-",), ((5.0, ("N0",)), (-3.0, ("N0", "N0")))),
+    "[N0,N+] = +N+": _commutator(("N0",), ("N+",), ((1.0, ("N+",)),)),
+    "[N0,N-] = -N-": _commutator(("N0",), ("N-",), ((-1.0, ("N-",)),)),
     # raising-only rescaling
-    "[N-,R+] = 1": (("N-",), ("R+",), ((1.0, ()),)),
-    "[R+N-,N-] = -N-": (("R+", "N-"), ("N-",), ((-1.0, ("N-",)),)),
-    "[R+N-,R+] = +R+": (("R+", "N-"), ("R+",), ((1.0, ("R+",)),)),
+    "[N-,R+] = 1": _commutator(("N-",), ("R+",), ((1.0, ()),)),
+    "[R+N-,N-] = -N-": _commutator(("R+", "N-"), ("N-",), ((-1.0, ("N-",)),)),
+    "[R+N-,R+] = +R+": _commutator(("R+", "N-"), ("R+",), ((1.0, ("R+",)),)),
     # lowering-only rescaling
-    "[R-,N+] = 1": (("R-",), ("N+",), ((1.0, ()),)),
-    "[N+R-,R-] = -R-": (("N+", "R-"), ("R-",), ((-1.0, ("R-",)),)),
-    "[N+R-,N+] = +N+": (("N+", "R-"), ("N+",), ((1.0, ("N+",)),)),
+    "[R-,N+] = 1": _commutator(("R-",), ("N+",), ((1.0, ()),)),
+    "[N+R-,R-] = -R-": _commutator(("N+", "R-"), ("R-",), ((-1.0, ("R-",)),)),
+    "[N+R-,N+] = +N+": _commutator(("N+", "R-"), ("N+",), ((1.0, ("N+",)),)),
     # symmetric rescaling (Heisenberg pair)
-    "[K-,K+] = 1": (("K-",), ("K+",), ((1.0, ()),)),
-    "[K0,K-] = -K-": (("K0",), ("K-",), ((-1.0, ("K-",)),)),
-    "[K0,K+] = +K+": (("K0",), ("K+",), ((1.0, ("K+",)),)),
+    "[K-,K+] = 1": _commutator(("K-",), ("K+",), ((1.0, ()),)),
+    "[K0,K-] = -K-": _commutator(("K0",), ("K-",), ((-1.0, ("K-",)),)),
+    "[K0,K+] = +K+": _commutator(("K0",), ("K+",), ((1.0, ("K+",)),)),
+    # Casimir: (lower raise) + h(N0) = 0, h(n) = n (n+1) (2-n)
+    CASIMIR: (((1.0, ("N-", "N+")),), ((1.0, ("N0", "N0", "N0")), (-1.0, ("N0", "N0")), (-2.0, ("N0",)))),
 }
 
 
@@ -92,7 +105,7 @@ def verify_commutators(n_low: int = BASE_LEVEL, n_high: int = 60) -> dict:
     """Evaluate every identity of ``_IDENTITIES`` on basis levels n_low..n_high.
 
     Each term of an identity maps |n> onto the same level, so its
-    residue on |n> is one number, (AB - BA - rhs) coefficient, and the
+    residue on |n> is one number, (lhs - rhs) coefficient, and the
     residues of all levels form one array.  Deviations are reported,
     never raised.
     """
@@ -102,34 +115,11 @@ def verify_commutators(n_low: int = BASE_LEVEL, n_high: int = 60) -> dict:
         raise InvalidParameter("need n_high >= n_low + 2 for two-sided neighbours")
     n = np.arange(n_low, n_high + 1)
     deviations = {}
-    for label, (a, b, rhs) in _IDENTITIES.items():
-        commutator = word_action(a + b, n)[0] - word_action(b + a, n)[0]
-        expected = sum(scale * word_action(word, n)[0] for scale, word in rhs)
-        deviations[label] = float(np.max(np.abs(commutator - expected)))
+    for label, sides in _IDENTITIES.items():
+        lhs, rhs = (sum(scale * word_action(word, n)[0] for scale, word in terms) for terms in sides)
+        deviations[label] = float(np.max(np.abs(lhs - rhs)))
     return {
         "levels": [n_low, n_high],
         "identities": deviations,
         "max_deviation": max(deviations.values()),
     }
-
-
-def _casimir_shift(n: int) -> int:
-    """h(n) = (5/2) n (n+1) - n (n+1) (n + 1/2) = n (n+1) (2-n), an integer."""
-    return n * (n + 1) * (2 - n)
-
-
-def casimir_eigenvalue(n: int) -> float:
-    """<n| C |n> with C = (lower raise) + h(N0); vanishes identically.
-
-    Also cross-checks the equivalent ordering (raise lower) + h(N0 - 1)
-    and flags disagreement, which would indicate a broken coefficient
-    table rather than a property of the state.  Both are integers and
-    are evaluated exactly; as floats they disagree from n = 330283 on.
-    """
-    if n < BASE_LEVEL:
-        raise ValueError(f"physical levels start at {BASE_LEVEL}")
-    first = (n + 1) * n * (n - 2) + _casimir_shift(n)  # (n+1) f(n+1)^2 + h(n)
-    second = n * (n - 1) * (n - 3) + _casimir_shift(n - 1)
-    if first != second:
-        raise ArithmeticError(f"Casimir orderings disagree at n={n}: {first} vs {second}")
-    return float(first)

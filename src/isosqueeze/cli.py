@@ -344,14 +344,13 @@ def _cmd_quasiprob(args) -> _Output:
 
 def _cmd_verify_algebra(args) -> _Output:
     report = algebra.verify_commutators(args.n_low, args.n_high)
-    casimir_peak = max(abs(algebra.casimir_eigenvalue(n)) for n in range(args.n_low, args.n_high + 1))
+    identities = report["identities"]
     out = _Output(args.command, columns=("identity", "max_deviation"))
     out.meta = {
         "levels": report["levels"],
         "max_deviation": report["max_deviation"],
-        "casimir_peak": casimir_peak,
+        "casimir_peak": identities[algebra.CASIMIR],
     }
-    identities = report["identities"]
     out.template, out.values = _cells(list(identities), [float(dev) for dev in identities.values()])
     return out
 

@@ -74,7 +74,8 @@ def laguerre_series(weights, k, x) -> np.ndarray:
     -(a + k + 1)/(a + 2) of every (degree, row) are formed in one array
     pass before the sweep, by the same expressions a step would use, and
     a degree whose weights are all zero (every odd degree of the
-    even-offset states) adds none.  Returns complex.
+    even-offset states) adds none.  A row of no nonzero weights, or of
+    no degrees, sums to 0.  Returns complex.
     """
     w = np.asarray(weights, dtype=complex)
     k = np.asarray(k)
@@ -85,7 +86,7 @@ def laguerre_series(weights, k, x) -> np.ndarray:
     if k.size and k.min() < 0:
         raise ValueError("laguerre_series orders must be non-negative")
     nonzero = w != 0
-    tops = np.where(nonzero.any(axis=1), w.shape[1] - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    tops = (nonzero * np.arange(1, w.shape[1] + 1)).max(axis=1, initial=0)
     rows = np.argsort(-tops, kind="stable")
     k, tops = k[rows], tops[rows]
     parts = np.stack([w.real, w.imag], axis=2)[rows]  # (rows, degrees, re/im)

@@ -19,8 +19,9 @@ route the library's Clenshaw kernel replaced; by bilinearity it gives
 the move of the library's cut from the dropped levels alone
 (``quasi_probability_cut_move``, ``characteristic_function_cut_move``),
 which is checked against the 1e-16 contract.  Basis vectors
-(``basis_vector``) and the deformed spectrum (``deform_f``,
-``deformed_energy``, ``vibration_frequency``) live here too: no
+(``basis_vector``), the deformed spectrum (``deform_f``,
+``deformed_energy``, ``vibration_frequency``) and the rounding bound
+of the Casimir row (``casimir_rounding_bound``) live here too: no
 library route needs them.
 """
 
@@ -77,6 +78,23 @@ def vibration_frequency(n: int, branch: str = "plus") -> float:
     if branch == "minus":
         return 3.0 * n * n - 4.0 * n + 2.0
     raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
+
+
+def casimir_rounding_bound(n: int) -> float:
+    """A bound on the float residue of the Casimir row at level ``n``, from rounding alone.
+
+    The row is N- N+ = N0^3 - N0^2 - 2 N0; both sides are P = (n+1) n (n-2)
+    in exact arithmetic.  With u = 2^-53 and gamma_k = k u / (1 - k u)
+    (Higham, Accuracy and Stability, Lemma 3.1), while (n+1) n < 2^53:
+    the left side is c1 c2, each c = sqrt((n+1) n (n-2)) with one rounded
+    product and one rounded root, and one rounded multiply, so it is
+    within gamma_4 P; the right side rounds n^3 (n^2 is exact) and two
+    additions, so it is within gamma_3 (n^3 + n^2 + 2n); the final
+    subtraction rounds once more.
+    """
+    u = 2.0**-53
+    gamma = lambda k: k * u / (1.0 - k * u)  # noqa: E731
+    return (1.0 + u) * (gamma(4) * (n + 1) * n * (n - 2) + gamma(3) * (n**3 + n**2 + 2 * n))
 
 
 def hermite_series(n: int, x: float) -> float:

@@ -7,6 +7,7 @@ from isosqueeze import algebra, fock
 from conftest import (
     apply,
     basis_vector,
+    casimir_rounding_bound,
     deform_f,
     deformed_energy,
     heisenberg_matrices,
@@ -64,18 +65,24 @@ class TestCommutators:
             "[K-,K+] = 1",
             "[K0,K-] = -K-",
             "[K0,K+] = +K+",
+            algebra.CASIMIR,
         }
 
-    def test_residues_detect_a_perturbed_law(self, monkeypatch):
-        # scaling the R+ law by 1 + 1e-6 must show in every identity that
-        # contains R+ and leave every other residue at its exact value
+    @pytest.mark.parametrize("op, homogeneous", [("R+", ()), ("N+", ("[N0,N+] = +N+",))], ids=["R+", "N+"])
+    def test_residues_detect_a_perturbed_law(self, monkeypatch, op, homogeneous):
+        # scaling one law by 1 + 1e-6 must show in every identity that contains
+        # the operator, the Casimir row among them for N+, and leave every other
+        # residue at its exact value; a row of the same degree in the operator on
+        # both sides, like [N0,N+] = +N+, holds for any scale and stays tight
         before = algebra.verify_commutators(3, 60)["identities"]
-        step, law = algebra._OPERATORS["R+"]
-        monkeypatch.setitem(algebra._OPERATORS, "R+", (step, lambda n: law(n) * (1.0 + 1e-6)))
+        step, law = algebra._OPERATORS[op]
+        monkeypatch.setitem(algebra._OPERATORS, op, (step, lambda n: law(n) * (1.0 + 1e-6)))
         after = algebra.verify_commutators(3, 60)["identities"]
-        assert sum("R+" in label for label in after) == 3
+        assert sum(op in label for label in after) == {"R+": 3, "N+": 6}[op]
         for label, dev in after.items():
-            if "R+" in label:
+            if label in homogeneous:
+                assert dev < 1e-10, label
+            elif op in label:
                 assert dev > 1e-8, label
             else:
                 assert dev == before[label], label
@@ -125,21 +132,19 @@ class TestDenseMatrixOracle:
 
 
 class TestCasimir:
-    def test_bottom_level(self):
-        assert algebra.casimir_eigenvalue(3) == 0.0
-
-    def test_level_ten(self):
-        assert algebra.casimir_eigenvalue(10) == 0.0
+    """The Casimir row N- N+ = N0^3 - N0^2 - 2 N0 of the identity table, from the coefficient laws."""
 
     def test_vanishes_through_sixty(self):
-        for n in range(3, 61):
-            assert abs(algebra.casimir_eigenvalue(n)) < 1e-9
+        residue = algebra.verify_commutators(3, 60)["identities"][algebra.CASIMIR]
+        assert residue < 1e-10
 
-    def test_orderings_agree(self):
-        # both orderings are evaluated inside; a disagreement raises.  In
-        # float arithmetic they first disagree at n = 330283.
-        for n in (*range(3, 61), 330283, 10**6):
-            assert algebra.casimir_eigenvalue(n) == 0.0
+    @pytest.mark.parametrize("n_low, n_high", [(3, 5), (3, 60), (330000, 330600), (10**6, 10**6 + 2)])
+    def test_within_the_rounding_bound(self, n_low, n_high):
+        # both sides are (n+1) n (n-2) exactly; past 2^53 (n ~ 208000) their float values
+        # round, and the residue is bounded by the rounding of the evaluation alone.  The
+        # bound grows with n, so its value at n_high bounds every level of the window
+        residue = algebra.verify_commutators(n_low, n_high)["identities"][algebra.CASIMIR]
+        assert residue <= casimir_rounding_bound(n_high)
 
 
 class TestSpectrum:

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -585,3 +586,23 @@ class TestQuasiProbability:
         assert grid.kernel_levels == 79 < unitary_xi04.amps.size
         assert 0.0 < grid.kernel_error_bound <= contract
         assert np.max(np.abs(move)) <= contract
+
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 0.5])
+    def test_kernel_error_bound_is_eta_two_a_plus_eta(self, s):
+        # the figure-8 state: the reported bound is 2/(pi (1-s)) eta (2A + eta), A the norm and
+        # eta the dropped tail norm of c_n, or of c_n t^n with t^2 = (1+s)/(1-s) for s > 0,
+        # recomputed in 30 digits from the amplitudes and kernel_levels; and the move of the
+        # cut, summed from the dropped levels alone, lies under it plus rounding
+        v = _nonlinear(2.0 * math.sqrt(2.0), math.pi / 4.0)
+        axis = cli._symmetric_axis(-4.0, 4.0, 41)
+        grid = dist.quasi_probability_grid(v, axis, axis, s)
+        kept = grid.kernel_levels
+        assert 0 < kept < v.amps.size
+        with mpmath.workdps(30):
+            t_sq = mpmath.mpf(1.0 + s) / (1.0 - s) if s > 0.0 else mpmath.mpf(1)
+            weights = [abs(mpmath.mpc(complex(c))) ** 2 * t_sq**n for n, c in enumerate(v.amps)]
+            norm, eta = mpmath.sqrt(mpmath.fsum(weights)), mpmath.sqrt(mpmath.fsum(weights[kept:]))
+            want = 2 / (mpmath.pi * (1 - mpmath.mpf(s))) * eta * (2 * norm + eta)
+        assert grid.kernel_error_bound == pytest.approx(float(want), rel=1e-12, abs=0.0)
+        move = quasi_probability_cut_move(v, axis[:, None] + 1j * axis[None, :], s, kept)
+        assert np.all(np.abs(move) <= grid.kernel_error_bound + 2.0 * EPS * np.abs(grid.values + move))

@@ -157,16 +157,19 @@ class TestLaguerreSeries:
 
     def test_matches_the_upward_recurrence(self):
         gapped, even = self._gapped_rows(), self._even_offset_rows()
+        no_degrees = np.ones((2, 0)), np.array([0, 0])  # a Clenshaw sum of no terms is 0
         cases = [(gapped, [-6.0, -0.5, 0.0, 0.3, 2.0, 9.0, 25.0]), (gapped, [2.0]),  # and one point
-                 (even, [-4.0, -0.25, 0.0, 1.5, 7.0, 30.0]), (even, [-3.0])]
+                 (even, [-4.0, -0.25, 0.0, 1.5, 7.0, 30.0]), (even, [-3.0]), (no_degrees, [1.0])]
         for (weights, ks), x in cases:
             x = np.array(x)
             got = specfun.laguerre_series(weights, ks, x)
             assert got.shape == (ks.size, x.size)
+            degrees = weights.shape[1]
             for row, k in enumerate(ks):
-                table = assoc_laguerre_sequence(weights.shape[1] - 1, int(k), x)
+                table, absolute = (assoc_laguerre_sequence(max(degrees - 1, 0), int(k), arg)[:degrees]
+                                   for arg in (x, -np.abs(x)))
                 want = weights[row] @ table
-                scale = np.abs(weights[row]) @ assoc_laguerre_sequence(weights.shape[1] - 1, int(k), -np.abs(x))
+                scale = np.abs(weights[row]) @ absolute
                 assert np.all(np.abs(got[row] - want) <= 1e-13 * np.maximum(scale, 1.0))
                 if not weights[row].any():
                     assert np.all(got[row] == 0.0)
