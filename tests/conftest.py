@@ -85,7 +85,8 @@ def casimir_rounding_bound(n: int) -> float:
 
     The row is N- N+ = N0^3 - N0^2 - 2 N0; both sides are P = (n+1) n (n-2)
     in exact arithmetic.  With u = 2^-53 and gamma_k = k u / (1 - k u)
-    (Higham, Accuracy and Stability, Lemma 3.1), while (n+1) n < 2^53:
+    (Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.1),
+    while (n+1) n < 2^53:
     the left side is c1 c2, each c = sqrt((n+1) n (n-2)) with one rounded
     product and one rounded root, and one rounded multiply, so it is
     within gamma_4 P; the right side rounds n^3 (n^2 is exact) and two
@@ -93,8 +94,8 @@ def casimir_rounding_bound(n: int) -> float:
     subtraction rounds once more.
     """
     u = 2.0**-53
-    gamma = lambda k: k * u / (1.0 - k * u)  # noqa: E731
-    return (1.0 + u) * (gamma(4) * (n + 1) * n * (n - 2) + gamma(3) * (n**3 + n**2 + 2 * n))
+    gamma_3, gamma_4 = (k * u / (1.0 - k * u) for k in (3, 4))
+    return (1.0 + u) * (gamma_4 * (n + 1) * n * (n - 2) + gamma_3 * (n**3 + n**2 + 2 * n))
 
 
 def hermite_series(n: int, x: float) -> float:
