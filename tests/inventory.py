@@ -5,8 +5,10 @@ must print (None: not pinned, as argparse's usage wording varies across Python v
 whether ``tests/golden/`` holds its CSV and the format it writes, csv or json.  ``python
 tests/inventory.py OUT`` runs every entry in process with ``-o OUT/<name>.<format>`` and
 ``RuntimeWarning`` an error, writes ``OUT/<name>.status`` and ``OUT/<name>.stderr`` beside its
-outputs, and exits 1 if a status or a pinned stderr differs from the table.  ``diff -r`` of two such directories checks byte identity: two runs of
-one tree, or one run per tree with ``PYTHONPATH=<tree>/src``.  ``python tests/inventory.py
+outputs, and exits 1 if a status or a pinned stderr differs from the table.  The script imports
+the package from its own tree's ``src/``, ahead of ``PYTHONPATH`` and any installed copy, so
+``diff -r`` of two such directories checks byte identity: two runs of one tree, or one run per
+tree with ``python <tree>/tests/inventory.py OUT``.  ``python tests/inventory.py
 --compare BASE NEW`` reads two such directories and prints, for each CSV that differs, how many
 cells moved and the largest absolute and relative move per column, and names each JSON file
 that differs; it always exits 0.
@@ -21,7 +23,9 @@ import warnings
 from pathlib import Path
 from typing import NamedTuple
 
-from isosqueeze.cli import main
+if __name__ == "__main__":  # a script imports this tree's src/, ahead of PYTHONPATH and any install
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from isosqueeze.cli import main  # noqa: E402
 
 
 class Entry(NamedTuple):

@@ -61,6 +61,11 @@ MUTANTS = [
            "return values, kept, 2.0 / (math.pi * (1.0 - s)) * bound",
            "return values, kept, 1.0 / (math.pi * (1.0 - s)) * bound",
            "tests/test_dist.py::TestQuasiProbability::test_kernel_error_bound_is_eta_two_a_plus_eta"),
+    Mutant("norm row sum x (1 + 2.5e-12), above the largest derived rounding bound 2.23e-12",
+           "src/isosqueeze/states.py",
+           "np.log(np.exp(log_sq - peak[:, None]).sum(axis=1))",
+           "np.log(np.exp(log_sq - peak[:, None]).sum(axis=1) * (1.0 + 2.5e-12))",
+           "tests/test_states.py::TestUnitNorm::test_every_sweep_rung_has_unit_norm[xi0.9999]"),
     Mutant("A3 undefined threshold 1e-14 -> 1e-300", "src/isosqueeze/stats.py",
            "where=np.abs(denom) >= 1e-14)", "where=np.abs(denom) >= 1e-300)",
            "tests/test_stats.py",

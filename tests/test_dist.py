@@ -490,6 +490,86 @@ class TestWignerMarginal:
         assert abs(got - want) <= frame + shifted + cells + rounding
 
 
+class TestSOrdering:
+    """F(., s') = F(., s) convolved with G(u) = 2/(pi sigma) e^{-2 |u|^2 / sigma}, sigma = s - s' > 0.
+
+    The Cahill-Glauber s-ordering identity (Phys. Rev. 177, 1882, 1969): the characteristic
+    function of s' is that of s times e^{-sigma |lambda|^2 / 2}, the transform of G.
+    """
+
+    @staticmethod
+    def _modulus_sum(d, mu):
+        """S = ||e^{mu a} |d|>||^2 per mu >= 0: the sum of the moduli of every term of
+        ``dist._ordered_overlap(d, mu, ...)`` over both branches, which bounds its rounding
+        (``TestKernelSetup``); e^{mu a} |n> = sum_j mu^j / j! sqrt(n! / (n - j)!) |n - j>."""
+        size = d.size
+        log_fact = np.array([math.lgamma(n + 1.0) for n in range(size)])
+        u = np.zeros((mu.size, size))
+        for j in range(size):  # u_k = sum_j |d_{k+j}| mu^j / j! sqrt((k + j)! / k!)
+            coef = np.abs(d[j:]) * np.exp(0.5 * (log_fact[j:] - log_fact[:size - j]) - log_fact[j])
+            u[:, :size - j] += np.multiply.outer(mu ** j, coef)
+        return (u * u).sum(axis=1)
+
+    @pytest.mark.parametrize("s, s_low", [(0.0, -1.0), (0.5, 0.0), (0.5, -1.0)])
+    @pytest.mark.parametrize("params", [
+        iq.SqueezeParams(kind="i", r=2.8284271247461903, theta=math.pi / 4.0),  # figure 8
+        iq.SqueezeParams(kind="iii", r=0.1, theta=0.7),
+    ], ids=["fig8", "iii"])
+    def test_convolved_grid_is_the_lower_order_point(self, params, s, s_low):
+        """sum_j F(w_j, s) G(z - w_j) h^2 over w in +-6 = F(z, s') at four points, h = 1/16.
+
+        The axis j h is exact.  The tolerance is what the rule and the arithmetic can miss:
+        * the rectangle rule over every w_j: by Poisson summation it errs by the transform of
+          F(., s) G(z - .) at the frequencies 2 pi (j, l)/h != 0, which is C(., s) convolved
+          with e^{-sigma |k|^2 / 8}.  With |<m|D(lambda)|n>| <= x^{(m+n)/2} e^{mn/x - x/2}
+          / sqrt(m! n!), x = |lambda|^2, on the kept levels, each such term is below e^{-87}
+          for both states, so 0 in float64;
+        * the dropped frame outside +-6, summed from |F G| on the rule's points out to +-8,
+          where |F G| is below 1e-90 and falls like a Gaussian;
+        * per cell of the s grid: the cut bound; the kernel's rounding, 12 N EPS S of the
+          modulus sum S of its terms (``TestKernelSetup``), times the Gaussian prefactor P of
+          F; the prefactor's own rounding, (3 a + 4) EPS |F| for its exponent a;
+        * per cell, G's rounding (3 a + 4) EPS G for its exponent a, and one ulp of F G
+          (h^2 is a power of two); one ulp of the correctly rounded sum;
+        * at z, the cut bound and 4 ulp of the bound 2/(pi (1 - s')) on |F(z, s')|.
+        Measured gaps at most 1.1e-16 against tolerances of 1.3e-14 to 1.5e-13.
+        """
+        v = iq.build_state(params)
+        axis = np.arange(-128, 129) / 16.0
+        h = 1.0 / 16.0
+        grid = dist.quasi_probability_grid(v, axis, axis, s)
+        inner = slice(32, 225)
+        assert axis[inner][0] == -6.0 and axis[inner][-1] == 6.0
+        x, p = axis[:, None], axis[None, :]
+        a_f = 2.0 * (x * x + p * p) / (1.0 - s)
+        prefactor = 2.0 / (math.pi * (1.0 - s)) * np.exp(-a_f)
+        # the kernel sums d = c t^n at mu = 2 w / ((1 - s) sign t), t^2 = |(1 + s)/(1 - s)|
+        t = math.sqrt(abs((1.0 + s) / (1.0 - s)))
+        d = v.amps[:grid.kernel_levels] * t ** np.arange(grid.kernel_levels)
+        radii, back = np.unique(np.hypot(x, p), return_inverse=True)
+        modulus = self._modulus_sum(d, 2.0 * radii / ((1.0 - s) * t))[back].reshape(grid.values.shape)
+        cell = (grid.kernel_error_bound + 12 * d.size * EPS * modulus * prefactor
+                + (3.0 * a_f + 4.0) * EPS * np.abs(grid.values))
+        sigma = s - s_low
+        for z in [0.0, 0.3 - 0.2j, -0.5 + 0.4j, 0.8 + 0.1j]:
+            dx, dp = x - z.real, p - z.imag
+            a_g = 2.0 * (dx * dx + dp * dp) / sigma
+            gauss = 2.0 / (math.pi * sigma) * np.exp(-a_g)
+            terms = grid.values * gauss * (h * h)
+            got = math.fsum(terms[inner, inner].ravel().tolist())
+            want = dist.quasi_probability(v, z, s_low)
+            point = dist.quasi_probability_grid(v, np.array([z.real]), np.array([z.imag]), s_low)
+            assert point.values[0, 0] == want
+            outside = np.ones(terms.shape, dtype=bool)
+            outside[inner, inner] = False
+            assert max(np.abs(terms[[0, -1]]).max(), np.abs(terms[:, [0, -1]]).max()) < 1e-90
+            frame = np.abs(terms[outside]).sum()
+            cells = (cell * gauss)[inner, inner].sum() * h * h
+            rounding = ((3.0 * a_g + 5.0) * EPS * np.abs(terms))[inner, inner].sum() + EPS * abs(got)
+            at_z = point.kernel_error_bound + 4.0 * EPS * 2.0 / (math.pi * (1.0 - s_low))
+            assert abs(got - want) <= frame + cells + rounding + at_z
+
+
 class TestQuasiProbability:
     def test_vacuum_wigner_origin(self):
         got = dist.quasi_probability(basis_vector(3, 3), 0.0 + 0.0j, 0.0)

@@ -14,7 +14,7 @@ Provenance: the ten figure goldens were recorded from commit fcd252b
 overlap kernel replaced the quasi-probability routes.
 
 To re-record a golden deliberately, after a reviewed change of results,
-run ``PYTHONPATH=src python tests/inventory.py OUT`` and copy
+run ``python tests/inventory.py OUT`` and copy
 ``OUT/<name>.csv`` over ``tests/golden/<name>.csv``.
 """
 

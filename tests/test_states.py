@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import isosqueeze as iq
 from isosqueeze import states
@@ -166,16 +165,28 @@ class TestSweepValidation:
         assert states.build_sweep("iii", [], math.nan, 0) == []
 
 
-def _fsum_log_norm(log_mag):
-    """The per-row ``math.fsum`` form of ``states._log_norm``: the reference it must equal bit for bit."""
-    log_sq = 2.0 * log_mag
-    peak = log_sq.max(axis=1)
-    sums = np.exp(log_sq - peak[:, None]).tolist()
-    return -0.5 * (peak + np.array([math.log(math.fsum(row)) for row in sums]))
+class TestUnitNorm:
+    """Every built row has sum_n |c_n|^2 = 1 within a rounding bound derived from its evaluation."""
 
+    @staticmethod
+    def _rounding_bound(probs, peak):
+        """First-order bound on |sum_n |c_n|^2 - 1| for one row of ``_assemble`` (theta = 0).
 
-class TestExactRowSums:
-    """The array-pass norm sums against ``math.fsum``, bit for bit."""
+        u = 2^-53, and numpy's float64 exp and log are taken within 1 ulp (the tolerance of
+        numpy's own accuracy tests), at most 2u relative: C_F = 2.  With d_n = 2 ln|c_n| - peak
+        and S = sum_n e^{d_n} <= n, |d_n| <= |ln p_n| + ln n, and the errors are:
+        - each term e^{d_n} of S: the subtraction and exp, u |d_n| + C_F u;
+        - summing S in any order: (n - 1) u of S;
+        - ln N = -(peak + ln S) / 2, doubled: u |peak + ln S| + C_F u ln S;
+        - each p_n = |e^{ln|c_n| + ln N}|^2: the addition, exp and square, u |ln p_n| + 2 C_F u + u;
+        - the fsum of the check: u.
+        The per-term errors weigh in by p_n; underflowed terms (p_n = 0) add at most n 2^-1074,
+        and the second-order terms stay below n^2 u^2 < 1e-23 at n <= 20001.
+        """
+        u, c_f, n = 2.0 ** -53, 2, probs.size
+        held = probs[probs > 0.0]
+        weighted = np.sum(held * np.abs(np.log(held)))
+        return u * (n + 2.0 * weighted + abs(peak) + (c_f + 2) * math.log(n) + 3 * c_f + 1)
 
     @pytest.mark.parametrize("kind, moduli, longest", [
         ("i", np.linspace(31.0 / 64, 31.0, 64), 71),          # stats --case i --r-max 31
@@ -186,40 +197,16 @@ class TestExactRowSums:
         ("i", [0.0, 5.0], 71),                                # r = 0: zeros after the peak
         ("iii", [0.0, 0.5], 71),
     ], ids=["r31", "r1e-84", "xi0.9", "xi0.999", "xi0.9999", "i_zero", "iii_zero"])
-    def test_every_sweep_rung_matches_fsum(self, monkeypatch, kind, moduli, longest):
-        real, levels = states._log_norm, []
-
-        def checked(log_mag):
-            got = real(log_mag)
-            assert got.tobytes() == _fsum_log_norm(log_mag).tobytes()
-            levels.append(log_mag.shape[1])
-            return got
-
-        monkeypatch.setattr(states, "_log_norm", checked)
-        states.build_sweep(kind, moduli)
-        assert max(levels) == longest
-
-    @settings(derandomize=True, deadline=None, max_examples=50)
-    @given(rows=st.integers(1, 3), n=st.integers(1, 2 ** 15), seed=st.integers(0, 2 ** 32 - 1),
-           spread=st.floats(0.0, 760.0),  # e^-760 is below the smallest subnormal
-           ties=st.lists(st.sampled_from([2.0 ** -53, 3 * 2.0 ** -53, 2.0 ** -54, 2.0 ** -105,
-                                          2.0 ** -1074, 0.5, 0.0]), max_size=6))
-    def test_random_rows_match_fsum(self, rows, n, seed, spread, ties):
-        rng = np.random.default_rng(seed)
-        terms = np.exp(-spread * rng.random((rows, n)))
-        for row in terms:
-            row[rng.integers(0, n, size=len(ties))] = ties
-            row[rng.integers(0, n)] = 1.0  # the factored-out peak
-        want = [math.fsum(row) for row in terms.tolist()]
-        assert states._row_sums(terms).tobytes() == np.array(want).tobytes()
-
-    def test_exact_tie_takes_the_fsum_fallback(self, monkeypatch):
-        # 1 + 2^-53 is halfway between two floats: no error enclosure rounds to one value
-        real, summed = math.fsum, []
-        monkeypatch.setattr(math, "fsum", lambda row: summed.append(row) or real(row))
-        got = states._row_sums(np.array([[1.0, 2.0 ** -53], [1.0, 0.5]]))
-        assert summed == [[1.0, 2.0 ** -53]]
-        assert got.tolist() == [1.0, 1.5]
+    def test_every_sweep_rung_has_unit_norm(self, kind, moduli, longest):
+        r = np.asarray(moduli, dtype=float)
+        rungs = states.build_sweep(kind, r)
+        assert max(rung.amps.shape[1] for rung in rungs) == longest
+        for rung in rungs:
+            n_idx = np.arange(rung.n_max + 1)
+            peaks = 2.0 * states._log_terms(kind, r[rung.rows], n_idx).max(axis=1)
+            for amps, peak in zip(rung.amps, peaks):
+                probs = np.abs(amps) ** 2
+                assert abs(math.fsum(probs.tolist()) - 1.0) <= self._rounding_bound(probs, peak)
 
 
 class TestAmplitudeOracle:
