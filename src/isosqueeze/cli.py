@@ -2,7 +2,7 @@
 
 Each subcommand wires parameters into the computation modules and
 writes deterministic CSV (12 significant digits, fixed column order)
-or JSON, each table from one row template (``_Output``).  Identical
+or JSON, every table from one row writer (``_rows``).  Identical
 invocations produce byte-identical output, which is what the
 golden-file tests rely on.  Numeric oddities encountered during a
 sweep (truncation tail too fat, moment ratios undefined at a
@@ -33,7 +33,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -59,16 +58,12 @@ MASS_WARN_THRESHOLD = 1e-2
 
 @dataclass
 class _Output:
-    """Collects one command's table + metadata, then writes it once.
-
-    ``template`` holds the rows: text cells in place, every % doubled, a column with a comma,
-    quote or line break quoted whole (RFC 4180); each float cell is a %.12g slot for ``values``.
-    """
+    """Collects one command's table + metadata, then writes it once; ``rows`` is the CSV text
+    of the table's rows, from ``_rows``."""
 
     command: str
     columns: Sequence[str] = ()
-    template: str = ""
-    values: list = field(default_factory=list)
+    rows: str = ""
     meta: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
@@ -77,7 +72,7 @@ class _Output:
             self.warnings.append(message)
 
     def csv_text(self) -> str:
-        return ",".join(self.columns) + "\n" + self.template % tuple(self.values)
+        return ",".join(self.columns) + "\n" + self.rows
 
     def json_payload(self) -> dict:
         return {
@@ -85,7 +80,7 @@ class _Output:
             **self.meta,
             "warnings": self.warnings,
             "columns": list(self.columns),
-            "rows": list(csv.reader(io.StringIO(self.template % tuple(self.values)))),
+            "rows": list(csv.reader(io.StringIO(self.rows))),
         }
 
     def write(self, path: str | None, fmt: str) -> None:
@@ -192,35 +187,24 @@ def _symmetric_axis(low: float, high: float, steps: int) -> np.ndarray:
     return axis
 
 
-def _cells(*columns) -> tuple[str, list]:
-    """(template, values) of equal-length columns (lists or arrays, one of floats at least) for
-    ``_Output``: float cells are slots, the others text."""
-    slots, texts, floats = [], [], []
-    for column in columns:
-        if isinstance(column[0], str):
-            joined, column = "".join(column), [t.replace("%", "%%") for t in column]
-            if any(c in joined for c in ',"\r\n'):  # RFC 4180: quote the column, doubling its quotes
-                column = ['"%s"' % t.replace('"', '""') for t in column]
-        is_float = isinstance(column[0], float)
-        slots.append("%%.12g" if is_float else "%s")  # a pattern's %% is one % in the template
-        (floats if is_float else texts).append(column)
-    pattern, rows = ",".join(slots) + "\n", len(columns[0])
-    values = np.column_stack(floats).ravel().tolist()  # row-major
-    return (pattern * rows) % tuple(chain.from_iterable(zip(*texts))), values
+def _texts(values) -> list[str]:
+    """The %.12g text of each float."""
+    return list(map("%.12g".__mod__, np.asarray(values, dtype=float).tolist()))
 
 
-def _grid_rows(axis1, axis2, *columns) -> tuple[str, list]:
-    """(template, values) of the (axis1, axis2, *values) rows for ``_Output``.
+def _rows(keys, columns, second=None) -> str:
+    """CSV rows: each key text, then the %.12g of each column's value in its row.
 
-    Each axis value is formatted to %.12g text once; the rows of one
-    axis1 value are one join of the axis2 texts, each followed by the
-    value columns' slots.
+    With ``second`` (axis texts) each key is crossed with each of them, row-major, and each
+    column holds one value per pair.  A key column holding a comma, quote or line break is
+    quoted whole (RFC 4180), and a % in a key prints as itself.  One % formats the table.
     """
-    fmt = "%.12g".__mod__
-    first, second = (list(map(fmt, np.asarray(axis, dtype=float).tolist())) for axis in (axis1, axis2))
-    tails = [b + ",%.12g" * len(columns) + "\n" for b in second]
-    template = "".join([a + "," + (a + ",").join(tails) for a in first])
-    return template, np.stack([np.ravel(c) for c in columns], axis=1).ravel().tolist()
+    if any(c in "".join(keys) for c in ',"\r\n'):
+        keys = ['"%s"' % k.replace('"', '""') for k in keys]
+    tail = ",%.12g" * len(columns) + "\n"
+    tails = [tail] if second is None else ["," + b + tail for b in second]
+    template = "".join([k + k.join(tails) for k in (key.replace("%", "%%") for key in keys)])
+    return template % tuple(np.stack([np.ravel(c) for c in columns], axis=1).ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +224,7 @@ def _cmd_state(args) -> _Output:
     _check_tail(out, vec.n_max_effective, vec.tail_bound, params.n_max)
     keep = np.flatnonzero(vec.amps)  # structural zeros (odd offsets, padding) carry no information
     amps = vec.amps[keep]
-    out.template, out.values = _cells(vec.levels[keep].tolist(), amps.real, amps.imag, np.abs(amps) ** 2)
+    out.rows = _rows(list(map(str, vec.levels[keep].tolist())), [amps.real, amps.imag, np.abs(amps) ** 2])
     return out
 
 
@@ -257,7 +241,7 @@ def _cmd_stats(args) -> _Output:
         m[rung.rows] = stats.moments(np.abs(rung.amps) ** 2, 2 * np.arange(rung.n_max + 1))
         effective[rung.rows], tail[rung.rows] = rung.n_max, rung.tail_bound
     q, g2, a3 = stats.mandel_q(m), stats.g2_zero(m), stats.a3_parameter(m)
-    out.template, out.values = _cells(grid, m[:, 0], q, g2, a3)
+    out.rows = _rows(_texts(grid), [m[:, 0], q, g2, a3])
     out.meta["n_max_effective"] = int(effective.max())
     q_nan, g2_inf, a3_nan = np.isnan(q), np.isinf(g2), np.isnan(a3)
     # only flagged rows are visited, in row order, so the warnings come row by row
@@ -284,7 +268,7 @@ def _cmd_squeeze(args) -> _Output:
     )
     witness = squeezing.squeezing_grid(kind, grid, thetas, n_max=args.n_max)
     _check_tail(out, witness.n_max_effective, witness.tail_bound, args.n_max)
-    out.template, out.values = _grid_rows(grid, thetas, witness.i1, witness.i2, witness.i3, witness.i4)
+    out.rows = _rows(_texts(grid), [witness.i1, witness.i2, witness.i3, witness.i4], _texts(thetas))
     for row, col in np.argwhere(~witness.uncertainty_ok).tolist():
         out.warn(f"uncertainty product below bound at r={grid[row]:.6g}, theta={thetas[col]:.6g}")
     return out
@@ -304,7 +288,7 @@ def _cmd_quad_dist(args) -> _Output:
               "grid": {"x": [args.x_min, args.x_max, args.x_steps], "phi_steps": args.phi_steps}},
     )
     _check_tail(out, vec.n_max_effective, vec.tail_bound, params.n_max)
-    out.template, out.values = _grid_rows(xs, phis, grid.values)
+    out.rows = _rows(_texts(xs), [grid.values], _texts(phis))
     return out
 
 
@@ -338,7 +322,7 @@ def _cmd_quasiprob(args) -> _Output:
                      "the grid misses part of the support or samples it too coarsely, "
                      "or the sums lost precision")
     out.meta["grid_mass"] = mass
-    out.template, out.values = _grid_rows(xs, ps, grid.values)
+    out.rows = _rows(_texts(xs), [grid.values], _texts(ps))
     return out
 
 
@@ -351,7 +335,7 @@ def _cmd_verify_algebra(args) -> _Output:
         "max_deviation": report["max_deviation"],
         "casimir_peak": identities[algebra.CASIMIR],
     }
-    out.template, out.values = _cells(list(identities), [float(dev) for dev in identities.values()])
+    out.rows = _rows(list(identities), [list(identities.values())])
     return out
 
 
@@ -363,7 +347,7 @@ def _cmd_dual_check(args) -> _Output:
         "limit_estimate": report.limit_estimate,
         "verdict": report.verdict,
     }
-    out.template, out.values = _cells(list(range(1, report.x_seq.size + 1)), report.x_seq)
+    out.rows = _rows(list(map(str, range(1, report.x_seq.size + 1))), [report.x_seq])
     return out
 
 

@@ -53,6 +53,8 @@ class FockVector:
         amps = np.array(self.amps, dtype=complex)
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("amps must be a non-empty 1-D sequence")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amps must be finite")
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 

@@ -117,6 +117,7 @@ def squeezing_grid(
     angles = np.asarray(list(thetas), dtype=float)
     if not np.all(np.isfinite(angles)):
         raise InvalidParameter("theta values must be finite")
+    angles = np.fmod(angles, 2.0 * np.pi)  # exact, and 2 theta stays finite at any theta
     rungs = build_sweep(kind, list(moduli), 0.0, n_max)
     rows = sum(rung.rows.size for rung in rungs)
     words, m = np.empty((len(_WORDS), rows)), np.empty((rows, 4))

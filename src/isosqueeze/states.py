@@ -128,7 +128,8 @@ def _assemble(kind: str, r: np.ndarray, theta: float, n_max: int) -> tuple[np.nd
     """Amplitudes of |2n+3>, n = 0..n_max, one row per modulus, and each row's tail proxy."""
     n_idx = np.arange(n_max + 1)
     log_mag = _log_terms(kind, r, n_idx)
-    amps = np.exp(log_mag + _log_norm(log_mag)[:, None]) * np.exp(1j * theta * n_idx)
+    phase = math.fmod(theta, math.tau)  # exact, and theta n stays finite at any theta
+    amps = np.exp(log_mag + _log_norm(log_mag)[:, None]) * np.exp(1j * phase * n_idx)
     # the top TAIL_WINDOW offsets 2 n_max + 1 - TAIL_WINDOW .. 2 n_max hold these
     # half indices; the base level never counts, so a barely truncated state reports ~0
     low = max(1, (2 * n_max + 2 - TAIL_WINDOW) // 2)

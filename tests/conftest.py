@@ -506,8 +506,7 @@ def element_sum_mp(x, y, mu, sign, dps: int = 40) -> tuple[np.ndarray, np.ndarra
     Element by element: <m|e^{alpha K+} e^{beta K-}|n> = sqrt(n!/m!) alpha^k L_n^k(-alpha beta)
     for m = n + k >= n and sqrt(m!/n!) beta^k L_m^k(-alpha beta) for n = m + k > m, with
     alpha = mu, beta = sign conj(mu), each L_a^k by the upward recurrence in ``dps`` digits.
-    S = sum_{m, n} |x_m y_n| sqrt(a!/(a+k)!) |mu|^k L_a^k(-|mu|^2), a = min(m, n), bounds the
-    sum of the moduli of the terms (|L_a^k(t)| <= L_a^k(-|t|)); it is summed in float64.
+    S = ``modulus_sum(x, y, mu)`` bounds the sum of the moduli of the terms, in float64.
     """
     x, y = (np.asarray(v, dtype=complex) for v in (x, y))
     size = max(x.size, y.size)
@@ -531,16 +530,31 @@ def element_sum_mp(x, y, mu, sign, dps: int = 40) -> tuple[np.ndarray, np.ndarra
                 if k:
                     total += beta**k * mpmath.fdot(upper[k], rows)
             values.append(complex(total))
-    mag = np.abs(points)
-    bound = np.zeros(points.size)
+    shape = np.shape(mu)
+    return np.array(values).reshape(shape), modulus_sum(x, y, points).reshape(shape)
+
+
+def modulus_sum(x, y, mu, arg=None) -> np.ndarray:
+    """sum_{m, n} |x_m y_n| sqrt(a!/(a+k)!) |mu|^k |L_a^k(arg)|, a = min(m, n), k = |m - n|, per mu.
+
+    These are the moduli of the terms of the element sum of ``element_sum_mp`` at the Laguerre
+    argument ``arg`` (one per point), summed in float64 with L_a^k by the upward recurrence.  The
+    default arg = -|mu|^2 bounds them at any argument of modulus |mu|^2, as
+    |L_a^k(t)| <= L_a^k(-|t|).
+    """
+    x, y = (np.asarray(v, dtype=complex) for v in (x, y))
+    size = max(x.size, y.size)
+    x, y = np.pad(x, (0, size - x.size)), np.pad(y, (0, size - y.size))
+    mag = np.abs(np.ravel(np.asarray(mu, dtype=complex)))
+    arg = -mag**2 if arg is None else np.ravel(arg)
+    total = np.zeros(mag.size)
     log_fact = log_factorial(np.arange(size))
     for k in range(size):
         a = np.arange(size - k)
         weight = np.abs(x[a + k] * y[a]) + (np.abs(x[a] * y[a + k]) if k else 0.0)
         weight *= np.exp(0.5 * (log_fact[a] - log_fact[a + k]))
-        bound += mag**k * (weight @ assoc_laguerre_sequence(size - 1 - k, k, -mag**2))
-    shape = np.shape(mu)
-    return np.array(values).reshape(shape), bound.reshape(shape)
+        total += mag**k * (weight @ np.abs(assoc_laguerre_sequence(size - 1 - k, k, arg)))
+    return total
 
 
 def laguerre_rows_mp(n_max: int, k: int, x) -> list:

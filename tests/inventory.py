@@ -103,6 +103,9 @@ ENTRIES = [
           stderr=_TAIL.format("2.079e-03", "raise --n-max") + _TAIL.format("8.264e-03", "raise --n-max")),
     # |x|^2 overflows where the Gaussian weight is 0: P = 0 with no RuntimeWarning
     Entry("quad_dist_far", "quad-dist --r 2 --x-min 1e300 --x-max 1e300 --x-steps 2 --phi-steps 2"),
+    # a phase far past 2 pi is read modulo 2 pi: n theta would overflow to a NaN phase
+    Entry("state_huge_theta", "state --case i --r 5 --theta 1e308"),
+    Entry("stats_huge_xi_phase", "stats --case iii --xi-max 0.5 --xi-steps 2 --xi-phase 1e308"),
     # refusals
     Entry("quasi_far", "quasiprob --case i --r 2 --s 0 --x-min 1e200 --x-max 1e200 --x-steps 2 --p-steps 2",
           3, "error: F(z, s) is not finite on this grid at s = 0.0\n"),

@@ -66,6 +66,12 @@ MUTANTS = [
            "np.log(np.exp(log_sq - peak[:, None]).sum(axis=1))",
            "np.log(np.exp(log_sq - peak[:, None]).sum(axis=1) * (1.0 + 2.5e-12))",
            "tests/test_states.py::TestUnitNorm::test_every_sweep_rung_has_unit_norm[xi0.9999]"),
+    Mutant("CSV value cells %.12g -> %.11g", "src/isosqueeze/cli.py",
+           '",%.12g" * len(columns)', '",%.11g" * len(columns)',
+           "tests/test_cli.py::TestReproducibility::test_twelve_digit_format"),
+    Mutant("CSV key and axis texts %.12g -> %.11g", "src/isosqueeze/cli.py",
+           '"%.12g".__mod__', '"%.11g".__mod__',
+           "tests/test_cli.py::TestReproducibility::test_rows_match_per_value_format"),
     Mutant("A3 undefined threshold 1e-14 -> 1e-300", "src/isosqueeze/stats.py",
            "where=np.abs(denom) >= 1e-14)", "where=np.abs(denom) >= 1e-300)",
            "tests/test_stats.py",

@@ -64,6 +64,16 @@ class TestStateCommand:
         assert meta["command"] == "state"
         assert meta["n_max"] == 70
 
+    def test_huge_phase_is_its_remainder_mod_two_pi(self, tmp_path):
+        # fmod is exact: 5.720858487389101 is 1e308 - k tau for an integer k
+        entry = ENTRY["state_huge_theta"]
+        assert run(entry, tmp_path) == []
+        theta = math.fmod(1e308, math.tau)
+        assert repr(theta) == "5.720858487389101"
+        argv = entry.command.replace("1e308", repr(theta)).split()
+        assert main([*argv, "-o", str(tmp_path / "reduced.csv")]) == 0
+        assert (tmp_path / entry.output).read_bytes() == (tmp_path / "reduced.csv").read_bytes()
+
     def test_tail_warning_surfaced(self, tmp_path, capsys):
         target = tmp_path / "state.csv"
         code, _, err = _run(
@@ -568,42 +578,33 @@ class TestReproducibility:
         row = out.strip().splitlines()[1].split(",")
         assert row[1] == f"{math.sqrt(math.sqrt(0.84)):.12g}"
 
-    def test_row_template_matches_per_value_format(self):
-        # the per-value formatting the row template replaced
+    def test_rows_match_per_value_format(self):
+        # the per-value formatting the one row writer replaced, on special floats
         values = [0.0, -0.0, 5e-324, -2.2e-308, math.inf, -math.inf, math.nan, 1.0 / 3.0,
                   123456789012.5, np.float64(2.0) / 3.0, -1e300]
-        # cell text with % must print as itself, never act as a format; with , or " the CSV
+        assert cli._texts(values) == [f"{v:.12g}" for v in values]
+        # a key with % prints as itself, never acts as a format; with , or " the CSV key
         # column is quoted and its quotes doubled (RFC 4180), the JSON text left as it is
-        rows = [(k, 'label,with "comma" %s %d %%', v, -v) for k, v in enumerate(values)]
-        template, slots = cli._cells(*map(list, zip(*rows)))
-        assert template.count("%.12g") == 2 * len(values) and len(slots) == 2 * len(values)
-        out = _Output(command="t", columns=("n", "s", "a", "b"), template=template, values=slots)
-        text = [[f"{v:.12g}" if isinstance(v, float) else str(v) for v in row] for row in rows]
-        assert out.csv_text() == "\n".join(["n,s,a,b"] + [
-            ",".join([n, '"label,with ""comma"" %s %d %%"', *rest]) for n, _, *rest in text]) + "\n"
+        label = 'label,with "comma" %s %d %%'
+        out = _Output(command="t", columns=("s", "a", "b"),
+                      rows=cli._rows([label] * len(values), [values, -np.array(values)]))
+        text = [[label, f"{v:.12g}", f"{-v:.12g}"] for v in values]
+        quoted = '"label,with ""comma"" %s %d %%"'
+        assert out.csv_text() == "\n".join(["s,a,b"] + [",".join([quoted, *rest]) for _, *rest in text]) + "\n"
         assert list(csv.reader(io.StringIO(out.csv_text())))[1:] == text
         assert out.json_payload()["rows"] == text
-
-    def test_grid_rows_match_per_value_format(self):
-        axis1 = [-0.0, 5e-324, 1.0 / 3.0]
-        axis2 = np.array([0.0, -1e300, 2.5])
+        # a grid: each axis-1 text crossed with each axis-2 text, one value per cell and column
+        axis1, axis2 = [-0.0, 5e-324, 1.0 / 3.0], np.array([0.0, -1e300, 2.5])
         special = [math.inf, -math.inf, math.nan, -0.0, 2.2e-310, 5e-324, 1.0 / 3.0, -7.0, 1e-5]
-        values = np.array(special).reshape(3, 3)
-        template, slots = cli._grid_rows(axis1, axis2, values, -values)
-        out = _Output(command="t", columns=("x", "y", "v", "w"), template=template, values=slots)
+        grid = np.array(special).reshape(3, 3)
+        out = _Output(command="t", columns=("x", "y", "v", "w"),
+                      rows=cli._rows(cli._texts(axis1), [grid, -grid], cli._texts(axis2)))
         expected = ["x,y,v,w"] + [
-            f"{a:.12g},{b:.12g},{values[i, j]:.12g},{-values[i, j]:.12g}"
+            f"{a:.12g},{b:.12g},{grid[i, j]:.12g},{-grid[i, j]:.12g}"
             for i, a in enumerate(axis1) for j, b in enumerate(axis2)
         ]
         assert out.csv_text() == "\n".join(expected) + "\n"
         assert out.json_payload()["rows"] == [line.split(",") for line in expected[1:]]
-        # a string column beside the grid's columns: text with % and , is copied, not interpreted
-        x, y = ([line.split(",")[k] for line in expected[1:]] for k in (0, 1))
-        label = _Output(command="t", columns=("x", "y", "v", "w", "s"))
-        label.template, label.values = cli._cells(x, y, values.ravel().tolist(), (-values).ravel().tolist(),
-                                                  ["100% sure, %s"] * 9)
-        assert label.csv_text() == "\n".join(
-            [f"{expected[0]},s"] + [f'{line},"100% sure, %s"' for line in expected[1:]]) + "\n"
 
     def test_n_max_flag_bounds_levels(self, capsys):
         code, out, _ = _run(capsys, "state", "--case", "i", "--r", "3", "--n-max", "5")

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -10,14 +11,56 @@ from hypothesis import example, given, settings, strategies as st
 import isosqueeze as iq
 from isosqueeze import cli, dist, stats
 from conftest import (
+    amplitudes_mp,
     basis_vector,
     characteristic_function_pairs,
     displacement_expm,
     element_sum_mp,
+    modulus_sum,
     oracle_radius_loop,
     quadrature_distribution_cosine,
     quasi_probability_cut_move,
 )
+
+
+EPS = np.finfo(float).eps
+# 64 points, uniform over the disk |lam| <= 4.7
+_RADIUS, _TURN = np.random.default_rng(20121224).uniform(size=(2, 64))
+_ORACLE_LAMBDAS = 4.7 * np.sqrt(_RADIUS) * np.exp(2j * math.pi * _TURN)
+
+
+@functools.cache
+def _unitary_default(xi, phase):
+    """(v, beta, eps): the case-iii state at the default n_max 70, the exact norm of the levels it
+    drops (from the closed-form P_n) and the distance of its amplitudes from the normalized
+    50-digit ones."""
+    v = _unitary(xi, phase, n_max=70)
+    n_max = v.n_max_effective
+    with mpmath.workdps(50):
+        x2 = mpmath.mpf(xi) ** 2
+        dropped = mpmath.nsum(lambda n: mpmath.sqrt(1 - x2) * x2**n * mpmath.binomial(2 * n, n) / 4**n,
+                              [n_max + 1, mpmath.inf])
+    eps = np.linalg.norm(v.amps[::2] - amplitudes_mp("iii", xi, phase, n_max))
+    return v, float(mpmath.sqrt(dropped)), float(eps)
+
+
+@functools.cache
+def _modulus_sum_at_own_argument(xi, phase, kept):
+    """``modulus_sum`` of the kernel's input, the first ``kept`` levels of ``_unitary_default``, at
+    each of ``_ORACLE_LAMBDAS`` and the characteristic function's Laguerre argument |lam|^2."""
+    d = _unitary_default(xi, phase)[0].amps[:kept]
+    return modulus_sum(d, d, _ORACLE_LAMBDAS, np.abs(_ORACLE_LAMBDAS) ** 2)
+
+
+def _unitary_characteristic_mp(xi, phase, s, lam) -> np.ndarray:
+    """exp(-|lam cosh rho - conj(lam) e^{i phase} sinh rho|^2/2 + s |lam|^2/2), tanh rho = xi, at each
+    lam, in 30 digits."""
+    with mpmath.workdps(30):
+        root = mpmath.sqrt(1 - mpmath.mpf(xi) ** 2)
+        cosh, sinh, turn = 1 / root, mpmath.mpf(xi) / root, mpmath.expj(phase)
+        exponents = [-abs(z * cosh - mpmath.conj(z) * turn * sinh) ** 2 / 2 + s * abs(z) ** 2 / 2
+                     for z in map(mpmath.mpc, lam.tolist())]
+        return np.array([float(mpmath.exp(e)) for e in exponents])
 
 
 def _nonlinear(r, theta=0.0, n_max=70):
@@ -149,16 +192,44 @@ class TestCharacteristicFunction:
         b = dist.characteristic_function(nonlinear_r20, -lam, 0.5)
         assert a == pytest.approx(np.conj(b), abs=1e-12)
 
-    def test_unitary_gaussian_oracle(self):
-        # Bogoliubov image of the vacuum characteristic function
-        xi, phase = 0.3, 0.0
-        v = _unitary(xi, phase)
-        r_s = math.atanh(xi)
-        for lam in (0.5 + 0.0j, 0.5 + 0.3j, -0.2 + 1.0j):
-            shifted = lam * math.cosh(r_s) - np.conj(lam) * np.exp(1j * phase) * math.sinh(r_s)
-            oracle = math.exp(-0.5 * abs(shifted) ** 2)
-            got = dist.characteristic_function(v, lam, 0.0)
-            assert got == pytest.approx(oracle, abs=1e-6)
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 0.5])
+    @pytest.mark.parametrize("phase", [0.0, 0.7])
+    @pytest.mark.parametrize("xi", [0.3, 0.9])
+    def test_unitary_gaussian_oracle(self, xi, phase, s):
+        """C(lam, s) of case iii against exp(-|lam cosh rho - conj(lam) e^{i phi} sinh rho|^2/2
+        + s |lam|^2/2), tanh rho = xi, the Bogoliubov image of the vacuum's.
+
+        In units of e^{s |lam|^2/2}, with D = D(lam) unitary and u = 2^-53, the steps from the
+        exact state psi to the printed value move C by at most:
+        - the truncation: the state is a/|a|, a the kept part of psi = a + b and |b| = beta, the
+          exact dropped norm (an mpmath sum of the closed-form P_n), so <D> moves by
+          <a|D|a> beta^2/(1 - beta^2) - <a|D|b> - <b|D|a> - <b|D|b>, at most 2 beta (1 + beta);
+        - the amplitudes' rounding: eps = |c - c_50|, c_50 the normalized 50-digit amplitudes
+          (``amplitudes_mp``), moves <D> by at most eps (2 + eps);
+        - the kernel's cut: eta (2A + eta), the bound ``_kept_levels`` reports over its scale;
+        - the kernel's rounding, as in TestKernelSetup: 12 N EPS S e^{-|lam|^2/2}, N the kept
+          levels and S the sum of the moduli of the element-sum terms, here at the kernel's own
+          argument |lam|^2 (``modulus_sum``).  TestKernelSetup's S, at -|lam|^2, reaches
+          1e41 e^{|lam|^2/2} on the xi = 0.9 state and would leave nothing to check;
+        - the Gaussian factor exp((s - 1)|lam|^2/2): |lam| within 2u, its square, product and the
+          final product within u each, exp within 2u: (6 g + 3) u of |C|, g = (1 - s)|lam|^2/2;
+        - the oracle, summed in 30 digits and rounded once: u of its value.
+        beta is 2.0e-38 at xi 0.3 (n_max 70) and 1.16e-7 at xi 0.9 (grown to n_max 140).
+        Measured per unit: gaps at most 2.7e-16 at xi 0.3 under tolerances of 5.9e-16 to
+        1.6e-13, and 1.4e-11 at xi 0.9 under 2.3e-7; at most 0.017 of the tolerance at any point.
+        """
+        v, beta, eps = _unitary_default(xi, phase)
+        lam = _ORACLE_LAMBDAS
+        scale = 0.5 * s * np.abs(lam).max() ** 2 if s > 0.0 else 0.0
+        kept, cut = dist._kept_levels(v.amps, log_scale=scale)
+        terms = _modulus_sum_at_own_argument(xi, phase, kept)
+        got = dist.characteristic_function(v, lam, s)
+        want = _unitary_characteristic_mp(xi, phase, s, lam)
+        mag_sq = np.abs(lam) ** 2
+        tol = np.exp(0.5 * s * mag_sq) * (2.0 * beta * (1.0 + beta) + eps * (2.0 + eps) + cut * math.exp(-scale)
+                                          + 12 * kept * EPS * terms * np.exp(-0.5 * mag_sq)) \
+            + 2.0**-53 * ((6.0 * 0.5 * (1.0 - s) * mag_sq + 3.0) * np.abs(got) + np.abs(want))
+        assert np.all(np.abs(got - want) <= tol)
 
     @pytest.mark.parametrize("state", ["nonlinear_r20", "unitary_xi04", "random_odd"])
     def test_matches_cahill_glauber_oracle(self, state, request):
@@ -259,9 +330,6 @@ def _gapped_vectors(draw):
     for n in support:
         v[n] = 10.0 ** draw(st.floats(-6.0, 4.0)) * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
     return v
-
-
-EPS = np.finfo(float).eps
 
 
 def _vector(levels: dict) -> np.ndarray:

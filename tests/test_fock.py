@@ -16,6 +16,12 @@ class TestFockVector:
         assert list(v.levels) == [3, 4, 5, 6, 7, 8]
         assert v.amps[2] == 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 1.0)])
+    def test_refuses_non_finite_amplitudes(self, bad):
+        # NaN amplitudes would read as zeros in the phase-space kernels
+        with pytest.raises(ValueError, match="amps must be finite"):
+            iq.FockVector([1.0, bad, 0.5])
+
 
 class TestTailDiagnostics:
     def test_vacuum_has_no_tail(self):

@@ -220,6 +220,15 @@ class TestGrid:
         assert grid.i1[0].tolist() == squeezing.squeezing_grid("i", [1.0], thetas, n_max=50).i1[0].tolist()
         assert grid.uncertainty_ok.all()
 
+    def test_huge_theta_is_its_remainder_mod_two_pi(self):
+        # 2 theta overflows at theta = 1e308; the exact fmod keeps every theta below 2 pi as it is
+        thetas = [1e308, -1e308, 1.0]
+        got = squeezing.squeezing_grid("i", [3.0], thetas)
+        want = squeezing.squeezing_grid("i", [3.0], [math.fmod(t, math.tau) for t in thetas])
+        for name in ("i1", "i2", "i3", "i4"):
+            assert np.isfinite(getattr(got, name)).all()
+            assert getattr(got, name).tolist() == getattr(want, name).tolist()
+
     def test_unitary_grid_accepts_kind(self):
         grid = squeezing.squeezing_grid("iii", [0.3], [0.0, 1.0], n_max=80)
         assert np.all((grid.i1 + 1.0) * (grid.i2 + 1.0) >= 1.0 - 1e-9)
