@@ -71,7 +71,7 @@ MUTANTS = [
            "tests/test_cli.py::TestReproducibility::test_twelve_digit_format"),
     Mutant("CSV key and axis texts %.12g -> %.11g", "src/isosqueeze/cli.py",
            '"%.12g".__mod__', '"%.11g".__mod__',
-           "tests/test_cli.py::TestReproducibility::test_rows_match_per_value_format"),
+           "tests/test_cli.py::TestReproducibility::test_row_template_matches_per_value_format"),
     Mutant("A3 undefined threshold 1e-14 -> 1e-300", "src/isosqueeze/stats.py",
            "where=np.abs(denom) >= 1e-14)", "where=np.abs(denom) >= 1e-300)",
            "tests/test_stats.py",

@@ -578,7 +578,7 @@ class TestReproducibility:
         row = out.strip().splitlines()[1].split(",")
         assert row[1] == f"{math.sqrt(math.sqrt(0.84)):.12g}"
 
-    def test_rows_match_per_value_format(self):
+    def test_row_template_matches_per_value_format(self):
         # the per-value formatting the one row writer replaced, on special floats
         values = [0.0, -0.0, 5e-324, -2.2e-308, math.inf, -math.inf, math.nan, 1.0 / 3.0,
                   123456789012.5, np.float64(2.0) / 3.0, -1e300]
@@ -593,6 +593,8 @@ class TestReproducibility:
         assert out.csv_text() == "\n".join(["s,a,b"] + [",".join([quoted, *rest]) for _, *rest in text]) + "\n"
         assert list(csv.reader(io.StringIO(out.csv_text())))[1:] == text
         assert out.json_payload()["rows"] == text
+
+    def test_grid_rows_match_per_value_format(self):
         # a grid: each axis-1 text crossed with each axis-2 text, one value per cell and column
         axis1, axis2 = [-0.0, 5e-324, 1.0 / 3.0], np.array([0.0, -1e300, 2.5])
         special = [math.inf, -math.inf, math.nan, -0.0, 2.2e-310, 5e-324, 1.0 / 3.0, -7.0, 1e-5]
