@@ -27,7 +27,6 @@ from .fock import FockVector, InvalidParameter
 from .states import (
     CASE_NONLINEAR,
     CASE_UNITARY,
-    RadiusViolation,
     SqueezeParams,
     build_state,
     dual_series_diagnosis,
@@ -38,7 +37,6 @@ __all__ = [
     "InvalidParameter",
     "CASE_NONLINEAR",
     "CASE_UNITARY",
-    "RadiusViolation",
     "SqueezeParams",
     "build_state",
     "dual_series_diagnosis",

@@ -2,8 +2,9 @@
 
 Each subcommand wires parameters into the computation modules and
 writes deterministic CSV (12 significant digits, fixed column order)
-or JSON, every table from one row writer (``_rows``).  Identical
-invocations produce byte-identical output, which is what the
+or JSON, every table from one row writer (``_rows``) and the head of
+every figure command's metadata from one prologue (``_figure``).
+Identical invocations produce byte-identical output, which is what the
 golden-file tests rely on.  Numeric oddities encountered during a
 sweep (truncation tail too fat, moment ratios undefined at a
 degenerate grid point, g2 beyond the float range) are surfaced as
@@ -17,10 +18,8 @@ holds each ``--case`` route's flags, defaults and sweep bound for
 
 Exit status: 0 success (warnings included), 2 usage error, 3 refused
 input: an ``InvalidParameter``, whether the CLI's own checks raise it
-or the library's (its subclasses ``RadiusViolation`` and
-``SParameterOutOfRange`` included).  Any other exception, a
-``ValueError`` raised inside a computation included, is a bug and
-propagates.
+or the library's.  Any other exception, a ``ValueError`` raised inside
+a computation included, is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -147,24 +147,31 @@ def _resolve(args) -> tuple:
     return kind, modulus, phase, top, steps
 
 
-def _point(args) -> SqueezeParams:
-    """The one state of ``state``, ``quad-dist`` and ``quasiprob``."""
+def _figure(args, kind: str, columns, **head) -> _Output:
+    """A figure command's output; its metadata opens with the case, ``head`` and n_max, and
+    ``_check_tail`` appends n_max_effective."""
+    return _Output(args.command, columns, meta={"case": kind, **head, "n_max": args.n_max})
+
+
+def _point(args, columns, **head) -> tuple[SqueezeParams, _Output]:
+    """The one state of ``state``, ``quad-dist`` and ``quasiprob``, and its output, whose head
+    is the modulus and phase under the route's flag names, then ``head``."""
     kind, modulus, phase, _, _ = _resolve(args)
+    dests = _ROUTES[kind][0]
     if modulus is None:
-        raise InvalidParameter(f"--case {kind} requires {_flag(_ROUTES[kind][0][0])}")
-    return SqueezeParams(kind=kind, r=modulus, theta=phase, n_max=args.n_max)
+        raise InvalidParameter(f"--case {kind} requires {_flag(dests[0])}")
+    params = SqueezeParams(kind=kind, r=modulus, theta=phase, n_max=args.n_max)
+    return params, _figure(args, kind, columns, **{dests[0]: modulus, dests[1]: phase}, **head)
 
 
-def _point_meta(params: SqueezeParams) -> dict:
-    """Metadata of a point: its case, then modulus and phase under the route's flag names."""
-    modulus, phase = _ROUTES[params.kind][0][:2]
-    return {"case": params.kind, modulus: params.r, phase: params.theta}
+def _modulus_grid(args, columns, **head) -> tuple:
+    """(kind, phase, grid, output) of a sweep over (0, max]; the degenerate 0 is excluded.
 
-
-def _modulus_grid(args) -> tuple:
-    """(kind, phase, grid, max, steps) of a sweep over (0, max]; the degenerate 0 is excluded."""
+    The output's head is the sweep's max and steps, then ``head``.
+    """
     kind, _, phase, top, steps = _resolve(args)
-    return kind, phase, np.linspace(top / steps, top, steps), top, steps
+    out = _figure(args, kind, columns, max=top, steps=steps, **head)
+    return kind, phase, np.linspace(top / steps, top, steps), out
 
 
 def _symmetric_axis(low: float, high: float, steps: int) -> np.ndarray:
@@ -213,15 +220,10 @@ def _rows(keys, columns, second=None) -> str:
 
 
 def _cmd_state(args) -> _Output:
-    params = _point(args)
+    params, out = _point(args, ("level", "re", "im", "prob"))
     vec = build_state(params)
-    out = _Output(
-        args.command,
-        columns=("level", "re", "im", "prob"),
-        meta={**_point_meta(params), "n_max": params.n_max,
-              "n_max_effective": vec.n_max_effective, "tail_bound": vec.tail_bound},
-    )
     _check_tail(out, vec.n_max_effective, vec.tail_bound, params.n_max)
+    out.meta["tail_bound"] = vec.tail_bound
     keep = np.flatnonzero(vec.amps)  # structural zeros (odd offsets, padding) carry no information
     amps = vec.amps[keep]
     out.rows = _rows(list(map(str, vec.levels[keep].tolist())), [amps.real, amps.imag, np.abs(amps) ** 2])
@@ -229,13 +231,8 @@ def _cmd_state(args) -> _Output:
 
 
 def _cmd_stats(args) -> _Output:
-    kind, theta, grid, top, steps = _modulus_grid(args)
-    out = _Output(
-        args.command,
-        columns=("r", "meanK0", "Q", "g2", "A3"),
-        meta={"case": kind, "max": top, "steps": steps, "n_max": args.n_max},
-    )
-    m, effective, tail = np.empty((steps, 4)), np.empty(steps, dtype=int), np.empty(steps)
+    kind, theta, grid, out = _modulus_grid(args, ("r", "meanK0", "Q", "g2", "A3"))
+    m, effective, tail = np.empty((grid.size, 4)), np.empty(grid.size, dtype=int), np.empty(grid.size)
     for rung in build_sweep(kind, grid, theta, args.n_max):
         # the builders put probability on even offsets only: moments reads those
         m[rung.rows] = stats.moments(np.abs(rung.amps) ** 2, 2 * np.arange(rung.n_max + 1))
@@ -258,14 +255,9 @@ def _cmd_stats(args) -> _Output:
 
 
 def _cmd_squeeze(args) -> _Output:
-    kind, _, grid, top, steps = _modulus_grid(args)
+    kind, _, grid, out = _modulus_grid(args, ("r", "theta", "I1", "I2", "I3", "I4"),
+                                       theta_steps=args.theta_steps)
     thetas = np.linspace(0.0, 2.0 * math.pi, args.theta_steps, endpoint=False)
-    out = _Output(
-        args.command,
-        columns=("r", "theta", "I1", "I2", "I3", "I4"),
-        meta={"case": kind, "max": top, "steps": steps,
-              "theta_steps": args.theta_steps, "n_max": args.n_max},
-    )
     witness = squeezing.squeezing_grid(kind, grid, thetas, n_max=args.n_max)
     _check_tail(out, witness.n_max_effective, witness.tail_bound, args.n_max)
     out.rows = _rows(_texts(grid), [witness.i1, witness.i2, witness.i3, witness.i4], _texts(thetas))
@@ -275,45 +267,32 @@ def _cmd_squeeze(args) -> _Output:
 
 
 def _cmd_quad_dist(args) -> _Output:
-    params = _point(args)
+    params, out = _point(args, ("x", "phi", "P"))
     xs = np.linspace(args.x_min, args.x_max, args.x_steps)
     phis = np.linspace(0.0, 2.0 * math.pi, args.phi_steps, endpoint=False)
     vec = build_state(params)
-    grid = dist.quadrature_distribution(vec, xs, phis)
-    out = _Output(
-        args.command,
-        columns=("x", "phi", "P"),
-        meta={**_point_meta(params), "n_max": params.n_max,
-              "n_max_effective": vec.n_max_effective,
-              "grid": {"x": [args.x_min, args.x_max, args.x_steps], "phi_steps": args.phi_steps}},
-    )
     _check_tail(out, vec.n_max_effective, vec.tail_bound, params.n_max)
-    out.rows = _rows(_texts(xs), [grid.values], _texts(phis))
+    out.meta["grid"] = {"x": [args.x_min, args.x_max, args.x_steps], "phi_steps": args.phi_steps}
+    out.rows = _rows(_texts(xs), [dist.quadrature_distribution(vec, xs, phis).values], _texts(phis))
     return out
 
 
 def _cmd_quasiprob(args) -> _Output:
     if args.s >= 1.0:
         raise InvalidParameter(f"--s must be < 1, got {args.s}")
-    params = _point(args)
+    params, out = _point(args, ("x", "p", "F"), s=args.s)
     bound = (1.0 - args.s) / (1.0 + args.s) if args.s > -1.0 else math.inf
     if params.kind == CASE_UNITARY and params.r >= bound:
         # the double sum diverges there: the s-ordered function does not exist
         raise InvalidParameter(f"case iii needs |xi| < (1 - s)/(1 + s) = {bound:.6g}, got {params.r}")
     vec = build_state(params)
+    _check_tail(out, vec.n_max_effective, vec.tail_bound, params.n_max)
     xs = _symmetric_axis(args.x_min, args.x_max, args.x_steps)
     ps = _symmetric_axis(args.p_min, args.p_max, args.p_steps)
     grid = dist.quasi_probability_grid(vec, xs, ps, args.s)
-    out = _Output(
-        args.command,
-        columns=("x", "p", "F"),
-        meta={**_point_meta(params), "s": args.s, "n_max": params.n_max,
-              "n_max_effective": vec.n_max_effective,
-              "grid": {"x": [args.x_min, args.x_max, args.x_steps],
-                       "p": [args.p_min, args.p_max, args.p_steps]},
-              "kernel_levels": grid.kernel_levels, "kernel_error_bound": grid.kernel_error_bound},
-    )
-    _check_tail(out, vec.n_max_effective, vec.tail_bound, params.n_max)
+    out.meta.update(grid={"x": [args.x_min, args.x_max, args.x_steps],
+                          "p": [args.p_min, args.p_max, args.p_steps]},
+                    kernel_levels=grid.kernel_levels, kernel_error_bound=grid.kernel_error_bound)
     mass = None  # sum F dx dp; a single-point axis has no cell size
     if min(xs.size, ps.size) > 1:
         mass = float(grid.values.sum() * abs((xs[1] - xs[0]) * (ps[1] - ps[0])))
@@ -416,6 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, flags) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
+        # a value that float() reads and that starts with "-" (-1e308, -inf) is a value, not a flag
+        sub._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
         for *names, options in flags:
             sub.add_argument(*names, **options)
     return parser

@@ -63,7 +63,6 @@ from .specfun import laguerre_series, log_factorial, weighted_hermite_table
 
 __all__ = [
     "DistGrid",
-    "SParameterOutOfRange",
     "quadrature_wavefunction",
     "quadrature_distribution",
     "characteristic_function",
@@ -80,10 +79,6 @@ _IMAG_TOL = 1e-8
 # Floats of one run of orders in the phase-space kernel: its weights and its
 # Clenshaw sweep over the distinct arguments, about 8 per (order, degree or argument).
 _RUN_FLOATS = 1 << 18
-
-
-class SParameterOutOfRange(InvalidParameter):
-    """s >= 1 requested, or s so close to 1 that F(z, s) overflows float64."""
 
 
 @dataclass(frozen=True)
@@ -244,7 +239,7 @@ def characteristic_function(v: FockVector, lam, s: float):
     downstream Fourier transform to exist.
     """
     if s >= 1.0:
-        raise SParameterOutOfRange(f"s must be < 1, got {s}")
+        raise InvalidParameter(f"s must be < 1, got {s}")
     lam = np.asarray(lam, dtype=complex)
     kept, _ = _kept_levels(v.amps, log_scale=0.5 * s * np.abs(lam).max(initial=0.0) ** 2 if s > 0.0 else 0.0)
     c = v.amps[:kept]
@@ -265,12 +260,12 @@ def _quasi_core(v: FockVector, z: np.ndarray, s: float) -> tuple[np.ndarray, int
     overflow; a grid that is not finite is refused, never returned.
     """
     if s >= 1.0:
-        raise SParameterOutOfRange(f"s must be < 1, got {s}")
+        raise InvalidParameter(f"s must be < 1, got {s}")
     with np.errstate(all="ignore"):  # |z|^2 or the sums may overflow: refused below
         kept, bound = _kept_levels(v.amps, s, np.abs(z).max(initial=0.0) ** 2)
         values = _quasi_values(v.amps[:kept], z, s)
     if not np.all(np.isfinite(values)):
-        raise SParameterOutOfRange(f"F(z, s) is not finite on this grid at s = {s}")
+        raise InvalidParameter(f"F(z, s) is not finite on this grid at s = {s}")
     return values, kept, 2.0 / (math.pi * (1.0 - s)) * bound
 
 

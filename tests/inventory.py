@@ -106,6 +106,8 @@ ENTRIES = [
     # a phase far past 2 pi is read modulo 2 pi: n theta would overflow to a NaN phase
     Entry("state_huge_theta", "state --case i --r 5 --theta 1e308"),
     Entry("stats_huge_xi_phase", "stats --case iii --xi-max 0.5 --xi-steps 2 --xi-phase 1e308"),
+    # a negative value in exponent form is a value, not a flag
+    Entry("state_negative_huge_theta", "state --case i --r 5 --theta -1e308"),
     # refusals
     Entry("quasi_far", "quasiprob --case i --r 2 --s 0 --x-min 1e200 --x-max 1e200 --x-steps 2 --p-steps 2",
           3, "error: F(z, s) is not finite on this grid at s = 0.0\n"),
@@ -119,6 +121,7 @@ ENTRIES = [
     Entry("r_max_0", "stats --case i --r-max 0", 3, "error: sweep maximum must be positive\n"),
     Entry("r_max_in_case_iii", "stats --case iii --r-max 5", 3,
           "error: --r-max belongs to --case i; use --xi-max with --case iii\n"),
+    Entry("theta_minus_inf", "state --case i --r 5 --theta -inf", 3, "error: --theta must be finite, got -inf\n"),
     # usage errors
     Entry("unknown_command", "no-such-command", 2, None),
     Entry("unknown_flag", "state --case i --r 1 --no-such-flag", 2, None),

@@ -72,6 +72,9 @@ MUTANTS = [
     Mutant("CSV key and axis texts %.12g -> %.11g", "src/isosqueeze/cli.py",
            '"%.12g".__mod__', '"%.11g".__mod__',
            "tests/test_cli.py::TestReproducibility::test_row_template_matches_per_value_format"),
+    Mutant("figure metadata n_max ahead of the head", "src/isosqueeze/cli.py",
+           'meta={"case": kind, **head, "n_max": args.n_max}', 'meta={"case": kind, "n_max": args.n_max, **head}',
+           "tests/test_inventory.py::test_every_csv_parses_at_its_header_width"),
     Mutant("A3 undefined threshold 1e-14 -> 1e-300", "src/isosqueeze/stats.py",
            "where=np.abs(denom) >= 1e-14)", "where=np.abs(denom) >= 1e-300)",
            "tests/test_stats.py",

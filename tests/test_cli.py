@@ -74,6 +74,14 @@ class TestStateCommand:
         assert main([*argv, "-o", str(tmp_path / "reduced.csv")]) == 0
         assert (tmp_path / entry.output).read_bytes() == (tmp_path / "reduced.csv").read_bytes()
 
+    def test_negative_exponent_form_is_a_value(self, tmp_path):
+        # argparse's own pattern takes -1e308 for a flag; the attached form --theta=-1e308 never was
+        entry = ENTRY["state_negative_huge_theta"]
+        assert run(entry, tmp_path) == []
+        argv = entry.command.replace("--theta -1e308", "--theta=-1e308").split()
+        assert main([*argv, "-o", str(tmp_path / "attached.csv")]) == 0
+        assert (tmp_path / entry.output).read_bytes() == (tmp_path / "attached.csv").read_bytes()
+
     def test_tail_warning_surfaced(self, tmp_path, capsys):
         target = tmp_path / "state.csv"
         code, _, err = _run(

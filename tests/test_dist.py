@@ -251,7 +251,7 @@ class TestCharacteristicFunction:
             )
 
     def test_rejects_s_at_one(self):
-        with pytest.raises(dist.SParameterOutOfRange):
+        with pytest.raises(iq.InvalidParameter, match="s must be < 1, got 1.0"):
             dist.characteristic_function(basis_vector(3, 3), 0.1 + 0.0j, 1.0)
 
     def test_subnormal_lambda_is_the_origin(self, unitary_xi04):
@@ -721,7 +721,7 @@ class TestQuasiProbability:
             dist.quasi_probability_fourier(v, 0.5 - 1.0j, 0.9, 128, 128)
 
     def test_rejects_s_at_one(self):
-        with pytest.raises(dist.SParameterOutOfRange):
+        with pytest.raises(iq.InvalidParameter, match="s must be < 1, got 1.0"):
             dist.quasi_probability(basis_vector(3, 3), 0.0 + 0.0j, 1.0)
 
     def test_case_iii_cut_meets_the_contract_where_a_fixed_cut_does_not(self, unitary_xi04):

@@ -1,12 +1,31 @@
-"""The command inventory itself: unique names, figures.md coverage, parseable CSV, the output comparison."""
+"""The command inventory itself: unique names, figures.md coverage, parseable CSV, the metadata
+key order, the output comparison."""
 
 import csv
+import json
 import re
 from pathlib import Path
 
 from inventory import ENTRIES, ENTRY, compare, run_all
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# (command, case) -> the keys of its metadata, in order; a JSON payload adds columns and rows
+_N_MAX = ["n_max", "n_max_effective"]
+_QUASI = ["s", *_N_MAX, "grid", "kernel_levels", "kernel_error_bound", "grid_mass", "warnings"]
+META_KEYS = {
+    ("state", "i"): ["command", "case", "r", "theta", *_N_MAX, "tail_bound", "warnings"],
+    ("state", "iii"): ["command", "case", "xi", "xi_phase", *_N_MAX, "tail_bound", "warnings"],
+    ("stats", "i"): ["command", "case", "max", "steps", *_N_MAX, "warnings"],
+    ("stats", "iii"): ["command", "case", "max", "steps", *_N_MAX, "warnings"],
+    ("squeeze", "i"): ["command", "case", "max", "steps", "theta_steps", *_N_MAX, "warnings"],
+    ("squeeze", "iii"): ["command", "case", "max", "steps", "theta_steps", *_N_MAX, "warnings"],
+    ("quad-dist", "i"): ["command", "case", "r", "theta", *_N_MAX, "grid", "warnings"],
+    ("quasiprob", "i"): ["command", "case", "r", "theta", *_QUASI],
+    ("quasiprob", "iii"): ["command", "case", "xi", "xi_phase", *_QUASI],
+    ("verify-algebra", None): ["command", "levels", "max_deviation", "casimir_peak", "warnings"],
+    ("dual-check", None): ["command", "terms", "limit_estimate", "verdict", "warnings"],
+}
 
 
 def test_names_are_unique():
@@ -25,6 +44,16 @@ def test_every_csv_parses_at_its_header_width(tmp_path):
         with path.open(newline="") as handle:
             header, *rows = csv.reader(handle)
         assert rows and {len(row) for row in rows} == {len(header)}, path.name
+    seen = set()
+    for path in tmp_path.glob("*.json"):  # the .meta.json files and the JSON payloads
+        meta = json.loads(path.read_text())
+        keys, command = list(meta), (meta["command"], meta.get("case"))
+        if not path.name.endswith(".meta.json"):
+            assert keys[-2:] == ["columns", "rows"], path.name
+            keys = keys[:-2]
+        assert keys == META_KEYS[command], path.name
+        seen.add(command)
+    assert seen == set(META_KEYS)
 
 
 def test_compare_lists_moved_cells_per_column(tmp_path):
