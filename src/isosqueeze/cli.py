@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from . import algebra, dist, squeezing, stats
-from .fock import InvalidParameter
+from .fock import FockVector, InvalidParameter
 from .states import (
     CASE_NONLINEAR,
     CASE_UNITARY,
@@ -98,7 +98,7 @@ class _Output:
             print(f"warning: {message}", file=sys.stderr)
 
 
-def _check_tail(out: _Output, effective, tail_bound, requested: int) -> None:
+def _check_tail(out: _Output, effective, tail_bound) -> None:
     """Record the largest effective truncation; warn, in row order, where the tail is fat.
 
     ``effective`` and ``tail_bound`` hold one value per row, or one scalar each for one state.
@@ -106,8 +106,8 @@ def _check_tail(out: _Output, effective, tail_bound, requested: int) -> None:
     effective, tail_bound = np.atleast_1d(effective).tolist(), np.atleast_1d(tail_bound)
     out.meta["n_max_effective"] = max(out.meta.get("n_max_effective", 0), *effective)
     for k in np.flatnonzero(tail_bound > TAIL_WARN_THRESHOLD).tolist():
-        advice = ("raise --n-max" if effective[k] <= requested
-                  else f"n_max was already raised from {requested} to {effective[k]}")
+        advice = ("raise --n-max" if effective[k] <= out.meta["n_max"]
+                  else f"n_max was already raised from {out.meta['n_max']} to {effective[k]}")
         out.warn(f"tail_mass {tail_bound[k]:.3e} exceeds {TAIL_WARN_THRESHOLD:g}; {advice}")
 
 
@@ -153,15 +153,18 @@ def _figure(args, kind: str, columns, **head) -> _Output:
     return _Output(args.command, columns, meta={"case": kind, **head, "n_max": args.n_max})
 
 
-def _point(args, columns, **head) -> tuple[SqueezeParams, _Output]:
-    """The one state of ``state``, ``quad-dist`` and ``quasiprob``, and its output, whose head
-    is the modulus and phase under the route's flag names, then ``head``."""
+def _point(args, columns, **head) -> tuple[SqueezeParams, FockVector, _Output]:
+    """The parameters, built state and output of ``state``, ``quad-dist`` and ``quasiprob``: the
+    head is the route's modulus and phase, then ``head``; ``_check_tail`` records the truncation."""
     kind, modulus, phase, _, _ = _resolve(args)
     dests = _ROUTES[kind][0]
     if modulus is None:
         raise InvalidParameter(f"--case {kind} requires {_flag(dests[0])}")
     params = SqueezeParams(kind=kind, r=modulus, theta=phase, n_max=args.n_max)
-    return params, _figure(args, kind, columns, **{dests[0]: modulus, dests[1]: phase}, **head)
+    out = _figure(args, kind, columns, **{dests[0]: modulus, dests[1]: phase}, **head)
+    vec = build_state(params)
+    _check_tail(out, vec.n_max_effective, vec.tail_bound)
+    return params, vec, out
 
 
 def _modulus_grid(args, columns, **head) -> tuple:
@@ -220,9 +223,7 @@ def _rows(keys, columns, second=None) -> str:
 
 
 def _cmd_state(args) -> _Output:
-    params, out = _point(args, ("level", "re", "im", "prob"))
-    vec = build_state(params)
-    _check_tail(out, vec.n_max_effective, vec.tail_bound, params.n_max)
+    _, vec, out = _point(args, ("level", "re", "im", "prob"))
     out.meta["tail_bound"] = vec.tail_bound
     keep = np.flatnonzero(vec.amps)  # structural zeros (odd offsets, padding) carry no information
     amps = vec.amps[keep]
@@ -244,7 +245,7 @@ def _cmd_stats(args) -> _Output:
     # only flagged rows are visited, in row order, so the warnings come row by row
     for k in np.flatnonzero((tail > TAIL_WARN_THRESHOLD) | q_nan | g2_inf | a3_nan).tolist():
         r = grid[k]
-        _check_tail(out, effective[k], tail[k], args.n_max)
+        _check_tail(out, effective[k], tail[k])
         if q_nan[k]:
             out.warn(f"Q/g2 undefined at r={r:.6g} (zero mean excitation)")
         elif g2_inf[k]:
@@ -259,7 +260,7 @@ def _cmd_squeeze(args) -> _Output:
                                        theta_steps=args.theta_steps)
     thetas = np.linspace(0.0, 2.0 * math.pi, args.theta_steps, endpoint=False)
     witness = squeezing.squeezing_grid(kind, grid, thetas, n_max=args.n_max)
-    _check_tail(out, witness.n_max_effective, witness.tail_bound, args.n_max)
+    _check_tail(out, witness.n_max_effective, witness.tail_bound)
     out.rows = _rows(_texts(grid), [witness.i1, witness.i2, witness.i3, witness.i4], _texts(thetas))
     for row, col in np.argwhere(~witness.uncertainty_ok).tolist():
         out.warn(f"uncertainty product below bound at r={grid[row]:.6g}, theta={thetas[col]:.6g}")
@@ -267,11 +268,9 @@ def _cmd_squeeze(args) -> _Output:
 
 
 def _cmd_quad_dist(args) -> _Output:
-    params, out = _point(args, ("x", "phi", "P"))
-    xs = np.linspace(args.x_min, args.x_max, args.x_steps)
+    _, vec, out = _point(args, ("x", "phi", "P"))
+    xs = _symmetric_axis(args.x_min, args.x_max, args.x_steps)
     phis = np.linspace(0.0, 2.0 * math.pi, args.phi_steps, endpoint=False)
-    vec = build_state(params)
-    _check_tail(out, vec.n_max_effective, vec.tail_bound, params.n_max)
     out.meta["grid"] = {"x": [args.x_min, args.x_max, args.x_steps], "phi_steps": args.phi_steps}
     out.rows = _rows(_texts(xs), [dist.quadrature_distribution(vec, xs, phis).values], _texts(phis))
     return out
@@ -280,26 +279,27 @@ def _cmd_quad_dist(args) -> _Output:
 def _cmd_quasiprob(args) -> _Output:
     if args.s >= 1.0:
         raise InvalidParameter(f"--s must be < 1, got {args.s}")
-    params, out = _point(args, ("x", "p", "F"), s=args.s)
+    params, vec, out = _point(args, ("x", "p", "F"), s=args.s)
     bound = (1.0 - args.s) / (1.0 + args.s) if args.s > -1.0 else math.inf
     if params.kind == CASE_UNITARY and params.r >= bound:
         # the double sum diverges there: the s-ordered function does not exist
         raise InvalidParameter(f"case iii needs |xi| < (1 - s)/(1 + s) = {bound:.6g}, got {params.r}")
-    vec = build_state(params)
-    _check_tail(out, vec.n_max_effective, vec.tail_bound, params.n_max)
     xs = _symmetric_axis(args.x_min, args.x_max, args.x_steps)
     ps = _symmetric_axis(args.p_min, args.p_max, args.p_steps)
     grid = dist.quasi_probability_grid(vec, xs, ps, args.s)
     out.meta.update(grid={"x": [args.x_min, args.x_max, args.x_steps],
                           "p": [args.p_min, args.p_max, args.p_steps]},
                     kernel_levels=grid.kernel_levels, kernel_error_bound=grid.kernel_error_bound)
-    mass = None  # sum F dx dp; a single-point axis has no cell size
+    mass = None  # sum F dx dp; a single-point axis has no cell size, a huge one overflows
     if min(xs.size, ps.size) > 1:
-        mass = float(grid.values.sum() * abs((xs[1] - xs[0]) * (ps[1] - ps[0])))
-        if abs(mass - 1.0) > MASS_WARN_THRESHOLD:
-            out.warn(f"grid_mass {mass:.6g} differs from 1 by more than {MASS_WARN_THRESHOLD:g}; "
-                     "the grid misses part of the support or samples it too coarsely, "
-                     "or the sums lost precision")
+        with np.errstate(over="ignore", invalid="ignore"):
+            mass = float(grid.values.sum() * abs((xs[1] - xs[0]) * (ps[1] - ps[0])))
+        if not math.isfinite(mass):
+            out.warn(f"grid_mass {mass:.6g} is not finite: the cell area dx dp overflows")
+            mass = None
+        elif abs(mass - 1.0) > MASS_WARN_THRESHOLD:
+            out.warn(f"grid_mass {mass:.6g} differs from 1 by more than {MASS_WARN_THRESHOLD:g}; the grid "
+                     "misses part of the support or samples it too coarsely, or the sums lost precision")
     out.meta["grid_mass"] = mass
     out.rows = _rows(_texts(xs), [grid.values], _texts(ps))
     return out

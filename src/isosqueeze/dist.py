@@ -24,7 +24,8 @@ symmetric, as the CLI builds them; np.linspace axes are not
 41 x 41 grid has 527 distinct arguments on np.linspace axes and 222 on
 the CLI's, a 161 x 161 grid 6819 and 3113 (numpy 2.4.6, x86-64).  With
 sign = -1 and parity = 1 it is G(d; mu) = e^{|mu|^2/2} <d|D(mu)|d>.
-Each phase-space quantity is one call:
+Each phase-space quantity is one call, F that of ``quasi_probability_grid``,
+whose 1 x 1 case is the one-point ``quasi_probability``:
 
 * characteristic function: C(lam, s) = e^{(s-1)|lam|^2/2} G(c; lam);
 * quasi-probability, s != -1: F(z, s) = 2/(pi (1-s)) e^{-2|z|^2/(1-s)}
@@ -253,63 +254,23 @@ def characteristic_function(v: FockVector, lam, s: float):
 # ---------------------------------------------------------------------------
 
 
-def _quasi_core(v: FockVector, z: np.ndarray, s: float) -> tuple[np.ndarray, int, float]:
-    """Closed-form F(z, s) on an array of phase-space points, the levels kept and the bound met.
-
-    The pair weights grow like ((1+s)/(1-s))^n, so as s -> 1 the sums
-    overflow; a grid that is not finite is refused, never returned.
-    """
-    if s >= 1.0:
-        raise InvalidParameter(f"s must be < 1, got {s}")
-    with np.errstate(all="ignore"):  # |z|^2 or the sums may overflow: refused below
-        kept, bound = _kept_levels(v.amps, s, np.abs(z).max(initial=0.0) ** 2)
-        values = _quasi_values(v.amps[:kept], z, s)
-    if not np.all(np.isfinite(values)):
-        raise InvalidParameter(f"F(z, s) is not finite on this grid at s = {s}")
-    return values, kept, 2.0 / (math.pi * (1.0 - s)) * bound
-
-
-def _quasi_values(c: np.ndarray, z: np.ndarray, s: float) -> np.ndarray:
-    """F(z, s) of the amplitudes ``c``, s < 1, without the finiteness check."""
-    if s == -1.0:
-        # |<z|c>|^2 / pi, <z|c> = sum_n c_n e^{-|z|^2/2} conj(z)^n / sqrt(n!), each term formed in
-        # log space, so that |term| <= |c_n|
-        log_c, unit_c = _log_polar(c)
-        log_z, unit_z = _log_polar(np.conj(z))
-        gauss = -0.5 * (z.real**2 + z.imag**2)
-        proj, phase = np.zeros(z.shape, dtype=complex), np.ones(z.shape, dtype=complex)
-        for n in range(c.size):
-            if n:
-                phase *= unit_z
-            if np.isfinite(log_c[n]):
-                log_term = gauss + (log_c[n] - 0.5 * log_factorial(n)) + (n * log_z if n else 0.0)
-                proj += np.exp(log_term) * (unit_c[n] * phase)
-        return np.abs(proj) ** 2 / math.pi
-    # the pair weight ratio^a = (sign t)^a t^a is split as the parity sign^N times (c t^n) twice
-    ratio = (s + 1.0) / (s - 1.0)
-    t = math.sqrt(abs(ratio))
-    sign = math.copysign(1.0, ratio)
-    w = 2.0 * z / (1.0 - s)
-    total = _ordered_overlap(c * t ** np.arange(c.size), w / (sign * t), sign, sign).real
-    return 2.0 / (math.pi * (1.0 - s)) * np.exp(-2.0 * np.abs(z) ** 2 / (1.0 - s)) * total
-
-
 def quasi_probability(v: FockVector, z: complex, s: float) -> float:
-    """Closed-form s-parameterized quasi-probability at one point.
-
-    s = 0 is the Wigner function, s = -1 the Husimi function.  The
-    double sum converges whenever the state's amplitude decay beats
-    ((1+s)/(1-s))^n; that holds for every s < 1 for the factorially
-    suppressed non-unitary-route states, and for |xi| < (1-s)/(1+s) on
-    the unitary route.
-    """
-    return float(_quasi_core(v, np.asarray(z, dtype=complex).reshape(1), s)[0][0])
+    """Closed-form F(z, s) at one point: the 1 x 1 case of ``quasi_probability_grid``."""
+    z = complex(z)
+    return float(quasi_probability_grid(v, [z.real], [z.imag], s).values[0, 0])
 
 
 def quasi_probability_grid(
     v: FockVector, x_axis: np.ndarray, p_axis: np.ndarray, s: float
 ) -> DistGrid:
-    """F(x + i p, s) sampled on the grid; values[i, j] at (x_i, p_j).
+    """Closed-form F(x + i p, s) sampled on the grid; values[i, j] at (x_i, p_j).
+
+    s = 0 is the Wigner function, s = -1 the Husimi function.  The
+    double sum converges whenever the state's amplitude decay beats
+    ((1+s)/(1-s))^n; that holds for every s < 1 for the factorially
+    suppressed non-unitary-route states, and for |xi| < (1-s)/(1+s) on
+    the unitary route.  As s -> 1 the pair weights overflow; a grid
+    that is not finite is refused, never returned.
 
     ``kernel_error_bound`` bounds the move of F from cutting ``v`` to
     ``kernel_levels`` levels, nothing else: a state truncated too early
@@ -317,10 +278,37 @@ def quasi_probability_grid(
     all the same (case iii at xi = 0.5, s = 0.5 gives max |F| 6.0e23; at
     xi = 0.3 its F is 5.3e-7 from that of the n_max = 400 state).
     """
-    x_axis = np.asarray(x_axis, dtype=float)
-    p_axis = np.asarray(p_axis, dtype=float)
-    values, kept, bound = _quasi_core(v, x_axis[:, None] + 1j * p_axis[None, :], s)
-    return DistGrid(values, kernel_levels=kept, kernel_error_bound=bound)
+    if s >= 1.0:
+        raise InvalidParameter(f"s must be < 1, got {s}")
+    z = np.asarray(x_axis, dtype=float)[:, None] + 1j * np.asarray(p_axis, dtype=float)[None, :]
+    with np.errstate(all="ignore"):  # |z|^2 or the sums may overflow: refused below
+        kept, bound = _kept_levels(v.amps, s, np.abs(z).max(initial=0.0) ** 2)
+        c = v.amps[:kept]
+        if s == -1.0:
+            # |<z|c>|^2 / pi, <z|c> = sum_n c_n e^{-|z|^2/2} conj(z)^n / sqrt(n!), each term
+            # formed in log space, so that |term| <= |c_n|
+            log_c, unit_c = _log_polar(c)
+            log_z, unit_z = _log_polar(np.conj(z))
+            gauss = -0.5 * (z.real**2 + z.imag**2)
+            proj, phase = np.zeros(z.shape, dtype=complex), np.ones(z.shape, dtype=complex)
+            for n in range(c.size):
+                if n:
+                    phase *= unit_z
+                if np.isfinite(log_c[n]):
+                    log_term = gauss + (log_c[n] - 0.5 * log_factorial(n)) + (n * log_z if n else 0.0)
+                    proj += np.exp(log_term) * (unit_c[n] * phase)
+            values = np.abs(proj) ** 2 / math.pi
+        else:
+            # the pair weight ratio^a = (sign t)^a t^a is split as the parity sign^N times (c t^n) twice
+            ratio = (s + 1.0) / (s - 1.0)
+            t = math.sqrt(abs(ratio))
+            sign = math.copysign(1.0, ratio)
+            w = 2.0 * z / (1.0 - s)
+            total = _ordered_overlap(c * t ** np.arange(c.size), w / (sign * t), sign, sign).real
+            values = 2.0 / (math.pi * (1.0 - s)) * np.exp(-2.0 * np.abs(z) ** 2 / (1.0 - s)) * total
+    if not np.all(np.isfinite(values)):
+        raise InvalidParameter(f"F(z, s) is not finite on this grid at s = {s}")
+    return DistGrid(values, kernel_levels=kept, kernel_error_bound=2.0 / (math.pi * (1.0 - s)) * bound)
 
 
 def _oracle_radius(v: FockVector, s: float) -> float:

@@ -47,6 +47,8 @@ _G2 = "warning: g2 overflows at r={} (1/mean excitation exceeds the float range)
 _A3 = "warning: A3 undefined at r={} (degenerate moments)\n"
 _TAIL = "warning: tail_mass {} exceeds 1e-06; {}\n"
 _RAISED = "n_max was already raised from {} to 20000"
+_HUGE_CELLS = "quasiprob --case i --r 2 --s -1 --x-min -1.7e308 --x-max 1.7e308 --p-steps 3"
+_NOT_FINITE = "warning: grid_mass {} is not finite: the cell area dx dp overflows\n"
 
 ENTRIES = [
     # figures.md at its figure parameters, and on reduced grids for the goldens
@@ -103,6 +105,11 @@ ENTRIES = [
           stderr=_TAIL.format("2.079e-03", "raise --n-max") + _TAIL.format("8.264e-03", "raise --n-max")),
     # |x|^2 overflows where the Gaussian weight is 0: P = 0 with no RuntimeWarning
     Entry("quad_dist_far", "quad-dist --r 2 --x-min 1e300 --x-max 1e300 --x-steps 2 --phi-steps 2"),
+    # an axis whose high - low overflows is built from its half-width: no nan or inf x key
+    Entry("quad_dist_huge_axis", "quad-dist --r 2 --x-min -1e308 --x-max 1e308 --x-steps 3 --phi-steps 2"),
+    # a cell area dx dp that overflows: grid_mass is null, with a warning, never NaN or Infinity
+    Entry("quasi_huge_cells_nan", f"{_HUGE_CELLS} --x-steps 2", stderr=_NOT_FINITE.format("nan")),
+    Entry("quasi_huge_cells_inf", f"{_HUGE_CELLS} --x-steps 3", stderr=_NOT_FINITE.format("inf")),
     # a phase far past 2 pi is read modulo 2 pi: n theta would overflow to a NaN phase
     Entry("state_huge_theta", "state --case i --r 5 --theta 1e308"),
     Entry("stats_huge_xi_phase", "stats --case iii --xi-max 0.5 --xi-steps 2 --xi-phase 1e308"),

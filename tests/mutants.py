@@ -58,8 +58,8 @@ MUTANTS = [
            "np.logaddexp(math.log(2.0) + log_eta[0], log_eta)", "np.logaddexp(log_eta[0], log_eta)",
            "tests/test_dist.py::TestQuasiProbability::test_kernel_error_bound_is_eta_two_a_plus_eta"),
     Mutant("reported kernel_error_bound halved", "src/isosqueeze/dist.py",
-           "return values, kept, 2.0 / (math.pi * (1.0 - s)) * bound",
-           "return values, kept, 1.0 / (math.pi * (1.0 - s)) * bound",
+           "kernel_error_bound=2.0 / (math.pi * (1.0 - s)) * bound)",
+           "kernel_error_bound=1.0 / (math.pi * (1.0 - s)) * bound)",
            "tests/test_dist.py::TestQuasiProbability::test_kernel_error_bound_is_eta_two_a_plus_eta"),
     Mutant("norm row sum x (1 + 2.5e-12), above the largest derived rounding bound 2.23e-12",
            "src/isosqueeze/states.py",
@@ -74,6 +74,13 @@ MUTANTS = [
            "tests/test_cli.py::TestReproducibility::test_row_template_matches_per_value_format"),
     Mutant("figure metadata n_max ahead of the head", "src/isosqueeze/cli.py",
            'meta={"case": kind, **head, "n_max": args.n_max}', 'meta={"case": kind, "n_max": args.n_max, **head}',
+           "tests/test_inventory.py::test_every_csv_parses_at_its_header_width"),
+    Mutant("quad-dist x axis by np.linspace", "src/isosqueeze/cli.py",
+           "xs = _symmetric_axis(args.x_min, args.x_max, args.x_steps)\n    phis",
+           "xs = np.linspace(args.x_min, args.x_max, args.x_steps)\n    phis",
+           "tests/test_inventory.py::test_every_csv_parses_at_its_header_width"),
+    Mutant("grid_mass without errstate", "src/isosqueeze/cli.py",
+           'with np.errstate(over="ignore", invalid="ignore"):', "with np.errstate():",
            "tests/test_inventory.py::test_every_csv_parses_at_its_header_width"),
     Mutant("A3 undefined threshold 1e-14 -> 1e-300", "src/isosqueeze/stats.py",
            "where=np.abs(denom) >= 1e-14)", "where=np.abs(denom) >= 1e-300)",

@@ -277,6 +277,16 @@ class TestWarningOrder:
 
 
 class TestQuadDistCommand:
+    def test_huge_axis_is_symmetric_and_finite(self, tmp_path):
+        # np.linspace(-1e308, 1e308, 3) reads nan, inf, 1e+308: its high - low overflows
+        assert run(ENTRY["quad_dist_huge_axis"], tmp_path) == []
+        with (tmp_path / "quad_dist_huge_axis.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert [row[0] for row in rows] == ["-1e+308"] * 2 + ["0"] * 2 + ["1e+308"] * 2
+        state = isosqueeze.build_state(isosqueeze.SqueezeParams(kind="i", r=2.0))
+        centre = dist.quadrature_distribution(state, np.zeros(1), np.array([0.0, math.pi])).values
+        assert [row[2] for row in rows] == ["0"] * 2 + ["%.12g" % v for v in centre[0]] + ["0"] * 2
+
     def test_grid_emission(self, capsys):
         code, out, _ = _run(
             capsys, "quad-dist", "--r", "10", "--theta", "0.5",
@@ -399,7 +409,9 @@ class TestQuasiprobCommand:
         linspace = np.linspace(-4.0, 4.0, 41)
         assert self._distinct_arguments(linspace, linspace) > 21 * 22 // 2
 
-    @pytest.mark.parametrize("name", [e.name for e in ENTRIES if e.command.startswith("quasiprob") and not e.status])
+    # the huge-cell entries are left out: there np.linspace's high - low overflows to nan and inf
+    @pytest.mark.parametrize("name", [e.name for e in ENTRIES if e.command.startswith("quasiprob") and not e.status
+                                      and not e.name.startswith("quasi_huge_cells")])
     def test_axis_text_is_linspace_text(self, tmp_path, name):
         # the symmetric axes print as np.linspace of the same flags, cell for cell
         entry = ENTRY[name]
@@ -411,6 +423,21 @@ class TestQuasiprobCommand:
         with (tmp_path / f"{name}.csv").open(newline="") as handle:
             rows = [row[:2] for row in csv.reader(handle)][1:]
         assert rows == [[x, p] for x in xs for p in ps]
+
+    @pytest.mark.parametrize("name, x_texts, mass", [
+        ("quasi_huge_cells_nan", ["-1.7e+308", "1.7e+308"], "nan"),
+        ("quasi_huge_cells_inf", ["-1.7e+308", "0", "1.7e+308"], "inf"),
+    ])
+    def test_overflowing_cell_area_writes_a_null_mass(self, tmp_path, name, x_texts, mass):
+        # dx dp overflows: the mass sum would read NaN (0 x inf) or Infinity, neither of them JSON
+        assert run(ENTRY[name], tmp_path) == []
+        meta = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
+        assert meta["grid_mass"] is None
+        assert meta["warnings"] == [f"grid_mass {mass} is not finite: the cell area dx dp overflows"]
+        with (tmp_path / f"{name}.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert [row[0] for row in rows] == [x for x in x_texts for _ in range(3)]
+        assert all(math.isfinite(float(row[2])) for row in rows)
 
 
 class TestSymmetricAxis:

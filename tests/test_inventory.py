@@ -38,6 +38,11 @@ def test_every_figures_md_command_is_an_entry():
     assert figures <= {entry.command for entry in ENTRIES}
 
 
+def _refuse_constant(token):
+    """A ``json.loads`` ``parse_constant`` hook: NaN, Infinity and -Infinity are not JSON."""
+    raise ValueError(f"non-JSON token {token}")
+
+
 def test_every_csv_parses_at_its_header_width(tmp_path):
     assert run_all(tmp_path) == []
     for path in tmp_path.glob("*.csv"):
@@ -46,7 +51,7 @@ def test_every_csv_parses_at_its_header_width(tmp_path):
         assert rows and {len(row) for row in rows} == {len(header)}, path.name
     seen = set()
     for path in tmp_path.glob("*.json"):  # the .meta.json files and the JSON payloads
-        meta = json.loads(path.read_text())
+        meta = json.loads(path.read_text(), parse_constant=_refuse_constant)
         keys, command = list(meta), (meta["command"], meta.get("case"))
         if not path.name.endswith(".meta.json"):
             assert keys[-2:] == ["columns", "rows"], path.name
