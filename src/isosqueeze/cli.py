@@ -17,9 +17,9 @@ holds each ``--case`` route's flags, defaults and sweep bound for
 ``_resolve``, which refuses a flag of the other route.
 
 Exit status: 0 success (warnings included), 2 usage error, 3 refused
-input: an ``InvalidParameter``, whether the CLI's own checks raise it
-or the library's.  Any other exception, a ``ValueError`` raised inside
-a computation included, is a bug and propagates.
+input: an ``InvalidParameter`` from the CLI's checks (an integer flag at
+or above 2**53 among them) or the library's, or a ``MemoryError``.  Any
+other exception, a ``ValueError`` inside a computation included, is a bug.
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ def _cmd_quad_dist(args) -> _Output:
     xs = _symmetric_axis(args.x_min, args.x_max, args.x_steps)
     phis = np.linspace(0.0, 2.0 * math.pi, args.phi_steps, endpoint=False)
     out.meta["grid"] = {"x": [args.x_min, args.x_max, args.x_steps], "phi_steps": args.phi_steps}
-    out.rows = _rows(_texts(xs), [dist.quadrature_distribution(vec, xs, phis).values], _texts(phis))
+    out.rows = _rows(_texts(xs), [dist.quadrature_distribution(vec, xs, phis)], _texts(phis))
     return out
 
 
@@ -411,9 +411,14 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise InvalidParameter(f"{_flag(name)} must be at least 1, got {value}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidParameter(f"{_flag(name)} must be finite, got {value}")
+            if isinstance(value, int) and value >= 2**53:  # float64 counts and levels stop being exact
+                raise InvalidParameter(f"{_flag(name)} must be below 2**53, got {value}")
         out = _COMMANDS[args.command][1](args)
     except InvalidParameter as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 3
     out.write(args.output, args.format)
     return 0

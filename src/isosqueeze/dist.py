@@ -64,7 +64,6 @@ from .specfun import laguerre_series, log_factorial, weighted_hermite_table
 
 __all__ = [
     "DistGrid",
-    "quadrature_wavefunction",
     "quadrature_distribution",
     "characteristic_function",
     "quasi_probability",
@@ -84,20 +83,19 @@ _RUN_FLOATS = 1 << 18
 
 @dataclass(frozen=True)
 class DistGrid:
-    """Sampled distribution values over the caller's 2-D grid.
+    """F sampled on the caller's 2-D grid, with the kernel's levels and error bound.
 
     ``values[i, j]`` belongs to the i-th point of the first axis and the
-    j-th of the second.  Quasi-probability grids also carry the kernel's
-    levels and error bound; P(x, phi) has None.  The bound covers only
-    cutting the vector to those levels: not the state's own truncation,
-    nor rounding (a one-ulp move of the axes moves F by up to 3.3e-16 on
-    the case-iii xi = 0.4, s = 0 np.linspace grid of 161 x 161 over +-4,
-    and by 2.8e-16 on the CLI's axes, whose bound is 4.8e-17).
+    j-th of the second.  The bound covers only cutting the vector to
+    those levels: not the state's own truncation, nor rounding (a one-ulp
+    move of the axes moves F by up to 3.3e-16 on the case-iii xi = 0.4,
+    s = 0 np.linspace grid of 161 x 161 over +-4, and by 2.8e-16 on the
+    CLI's axes, whose bound is 4.8e-17).
     """
 
     values: np.ndarray
-    kernel_levels: int | None = None
-    kernel_error_bound: float | None = None
+    kernel_levels: int
+    kernel_error_bound: float
 
 
 # ---------------------------------------------------------------------------
@@ -105,28 +103,17 @@ class DistGrid:
 # ---------------------------------------------------------------------------
 
 
-def quadrature_wavefunction(v: FockVector, x, phi):
-    """Projection of ``v`` onto the phase-phi quadrature eigenstates.
+def quadrature_distribution(v: FockVector, x_axis: np.ndarray, phi_axis: np.ndarray) -> np.ndarray:
+    """P(x, phi) = |<x, phi|v>|^2 on the grid, as the array whose [i, j] is at (x_i, phi_j).
 
     <x, phi|v> = sum_nu c_{nu+3} e^{-i nu phi} u_nu(x) with u_nu the
     oscillator eigenfunctions, summed over the nonzero amplitudes only.
-    ``x`` and ``phi`` may be scalars or arrays; the result has shape
-    phi.shape + x.shape, and a complex scalar when both are scalars.
-    Its squared magnitude is the quadrature distribution.
     """
-    x = np.asarray(x, dtype=float)
-    phi = np.asarray(phi, dtype=float)
     nu = np.flatnonzero(v.amps)
-    table = weighted_hermite_table(nu.max(initial=0), x.ravel())[nu]  # (nu, x)
-    weights = v.amps[nu] * np.exp(-1j * np.multiply.outer(phi, nu))  # (phi, nu)
-    psi = (weights.real @ table + 1j * (weights.imag @ table)).reshape(phi.shape + x.shape)
-    return psi if psi.ndim else complex(psi)
-
-
-def quadrature_distribution(v: FockVector, x_axis: np.ndarray, phi_axis: np.ndarray) -> DistGrid:
-    """P(x, phi) = |<x, phi|v>|^2 on the grid; values[i, j] at (x_i, phi_j)."""
-    psi = quadrature_wavefunction(v, x_axis, phi_axis)  # (phi, x)
-    return DistGrid(np.abs(psi.T) ** 2)
+    table = weighted_hermite_table(nu.max(initial=0), x_axis)[nu]  # (nu, x)
+    weights = v.amps[nu] * np.exp(-1j * np.multiply.outer(np.asarray(phi_axis, dtype=float), nu))  # (phi, nu)
+    psi = weights.real @ table + 1j * (weights.imag @ table)  # (phi, x)
+    return np.abs(psi.T) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +232,7 @@ def characteristic_function(v: FockVector, lam, s: float):
     kept, _ = _kept_levels(v.amps, log_scale=0.5 * s * np.abs(lam).max(initial=0.0) ** 2 if s > 0.0 else 0.0)
     c = v.amps[:kept]
     # the Gaussian factor after the kernel, so that its array is not held during the kernel
-    total = _ordered_overlap(c, lam, -1, 1) * np.exp(0.5 * (s - 1.0) * np.abs(lam) ** 2)
-    return total if total.ndim else complex(total)
+    return _ordered_overlap(c, lam, -1, 1) * np.exp(0.5 * (s - 1.0) * np.abs(lam) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,9 @@ def log_factorial(n):
 
     The cumulative construction makes log_factorial(n+1) -
     log_factorial(n) reproduce ln(n+1) to the last bit, which the
-    series code relies on when forming term ratios.  An integer
-    ndarray ``n`` returns the array of ln(n!) values; an integer scalar
-    returns a float, bit-identical to the array entry.  Non-integer
-    input (float scalars included) is refused.
+    series code relies on when forming term ratios.  An integer ndarray
+    or scalar ``n`` gives an array or a numpy float; non-integer input,
+    float scalars included, is refused.
     """
     global _LOG_FACTORIALS
     idx = np.asarray(n)
@@ -54,8 +53,7 @@ def log_factorial(n):
     if table.size <= top:
         steps = [table[-1]] + [math.log(k) for k in range(table.size, top + 1)]
         table = _LOG_FACTORIALS = np.concatenate((table, np.add.accumulate(steps)[1:]))
-    out = table[idx]
-    return out if isinstance(n, np.ndarray) else float(out)
+    return table[idx]
 
 
 def laguerre_series(weights, k, x) -> np.ndarray:

@@ -49,6 +49,7 @@ _TAIL = "warning: tail_mass {} exceeds 1e-06; {}\n"
 _RAISED = "n_max was already raised from {} to 20000"
 _HUGE_CELLS = "quasiprob --case i --r 2 --s -1 --x-min -1.7e308 --x-max 1.7e308 --p-steps 3"
 _NOT_FINITE = "warning: grid_mass {} is not finite: the cell area dx dp overflows\n"
+_HUGE = "error: --{} must be below 2**53, got {}\n"
 
 ENTRIES = [
     # figures.md at its figure parameters, and on reduced grids for the goldens
@@ -129,6 +130,12 @@ ENTRIES = [
     Entry("r_max_in_case_iii", "stats --case iii --r-max 5", 3,
           "error: --r-max belongs to --case i; use --xi-max with --case iii\n"),
     Entry("theta_minus_inf", "state --case i --r 5 --theta -inf", 3, "error: --theta must be finite, got -inf\n"),
+    # integer flags at or above 2**53, where float64 counts and levels are no longer exact
+    Entry("verify_algebra_huge_levels", f"verify-algebra --n-low {10**110} --n-high {10**110 + 2}", 3,
+          _HUGE.format("n-low", 10**110)),
+    Entry("state_huge_n_max", f"state --case i --r 1 --n-max {10**20}", 3, _HUGE.format("n-max", 10**20)),
+    Entry("stats_huge_steps", f"stats --case i --r-steps {10**20}", 3, _HUGE.format("r-steps", 10**20)),
+    Entry("dual_check_huge_terms", f"dual-check --terms {10**20}", 3, _HUGE.format("terms", 10**20)),
     # usage errors
     Entry("unknown_command", "no-such-command", 2, None),
     Entry("unknown_flag", "state --case i --r 1 --no-such-flag", 2, None),

@@ -82,6 +82,12 @@ MUTANTS = [
     Mutant("grid_mass without errstate", "src/isosqueeze/cli.py",
            'with np.errstate(over="ignore", invalid="ignore"):', "with np.errstate():",
            "tests/test_inventory.py::test_every_csv_parses_at_its_header_width"),
+    Mutant("quadrature phase sign flipped", "src/isosqueeze/dist.py",
+           "np.exp(-1j *", "np.exp(1j *",
+           "tests/test_dist.py::TestClosedFormDistribution::test_agrees_with_wavefunction_route"),
+    Mutant("count bound 2**53 -> 2**70", "src/isosqueeze/cli.py",
+           "value >= 2**53", "value >= 2**70",
+           "tests/test_inventory.py::test_every_csv_parses_at_its_header_width"),
     Mutant("A3 undefined threshold 1e-14 -> 1e-300", "src/isosqueeze/stats.py",
            "where=np.abs(denom) >= 1e-14)", "where=np.abs(denom) >= 1e-300)",
            "tests/test_stats.py",

@@ -111,17 +111,17 @@ def test_criterion_5_quadrature_distribution():
 
     xs_int = np.linspace(-8.0, 8.0, 1601)
     for phi in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
-        p = np.abs(dist.quadrature_wavefunction(v, xs_int, float(phi))) ** 2
+        p = dist.quadrature_distribution(v, xs_int, [phi])[:, 0]
         assert abs(np.trapezoid(p, xs_int) - 1.0) < 1e-6
 
     xs = np.linspace(-5.0, 5.0, 201)
     phis = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
     closed = quadrature_distribution_cosine(v, params.theta, xs, phis)
     direct = dist.quadrature_distribution(v, xs, phis)
-    assert np.max(np.abs(closed - direct.values)) < 1e-8
+    assert np.max(np.abs(closed - direct)) < 1e-8
 
     # exactly two dominant phase ridges, near pi/2 and 3 pi/2
-    ridge = direct.values.max(axis=0)
+    ridge = direct.max(axis=0)
     threshold = 0.5 * ridge.max()
     peaks = [
         i
@@ -152,7 +152,7 @@ def test_criterion_5_amplitude_decay_bound_as_stated():
     xs = np.linspace(-5.0, 5.0, 201)
     phis = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
     grid = dist.quadrature_distribution(iq.build_state(params), xs, phis)
-    assert grid.values[np.abs(xs) > 3.0, :].max() < 1e-3
+    assert grid[np.abs(xs) > 3.0, :].max() < 1e-3
 
 
 def test_criterion_6_quasi_probability():

@@ -284,7 +284,7 @@ class TestQuadDistCommand:
             rows = list(csv.reader(handle))[1:]
         assert [row[0] for row in rows] == ["-1e+308"] * 2 + ["0"] * 2 + ["1e+308"] * 2
         state = isosqueeze.build_state(isosqueeze.SqueezeParams(kind="i", r=2.0))
-        centre = dist.quadrature_distribution(state, np.zeros(1), np.array([0.0, math.pi])).values
+        centre = dist.quadrature_distribution(state, np.zeros(1), np.array([0.0, math.pi]))
         assert [row[2] for row in rows] == ["0"] * 2 + ["%.12g" % v for v in centre[0]] + ["0"] * 2
 
     def test_grid_emission(self, capsys):
@@ -828,6 +828,16 @@ class TestExitCodes:
     def test_refusal_exits_3_with_message(self, capsys, name):
         code, out, err = _run(capsys, *ENTRY[name].command.split())
         assert (code, out, err) == (3, "", ENTRY[name].stderr)
+
+    def test_memory_error_exits_3_with_message(self, capsys, monkeypatch):
+        message = "Unable to allocate 74.5 GiB for an array with shape (10000000003,) and data type float64"
+
+        def refuse(params):  # stands in for numpy's refusal: nothing large is allocated
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "build_state", refuse)
+        code, out, err = _run(capsys, "state", "--case", "i", "--r", "1")
+        assert (code, out, err) == (3, "", f"error: not enough memory: {message}\n")
 
 
 class TestCrossRouteRefusal:

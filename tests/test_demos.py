@@ -1,7 +1,8 @@
 """Every narrative script under demos/ runs to completion.
 
 The demos call the public library the way a reader would, so a removed
-or renamed name surfaces here as a non-zero exit.
+or renamed name surfaces here as a non-zero exit, and so does a
+RuntimeWarning, an error as under pytest's filter and in the inventory.
 """
 
 import os
@@ -19,6 +20,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"  # the policy of pytest's filter and the inventory
     proc = subprocess.run(
         [sys.executable, str(script)], capture_output=True, text=True, timeout=300, env=env
     )

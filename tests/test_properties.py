@@ -84,8 +84,8 @@ def test_quadrature_distribution_is_a_density_at_every_phase(params):
     xs = np.linspace(-15.0, 15.0, 1201)
     phis = np.linspace(0.0, math.pi, 6, endpoint=False)
     grid = dist.quadrature_distribution(v, xs, phis)
-    assert grid.values.min() >= 0.0
-    assert np.max(np.abs(np.trapezoid(grid.values, xs, axis=0) - 1.0)) < 1e-10
+    assert grid.min() >= 0.0
+    assert np.max(np.abs(np.trapezoid(grid, xs, axis=0) - 1.0)) < 1e-10
 
 
 @PROPERTY
