@@ -233,11 +233,7 @@ def _cmd_state(args) -> _Output:
 
 def _cmd_stats(args) -> _Output:
     kind, theta, grid, out = _modulus_grid(args, ("r", "meanK0", "Q", "g2", "A3"))
-    m, effective, tail = np.empty((grid.size, 4)), np.empty(grid.size, dtype=int), np.empty(grid.size)
-    for rung in build_sweep(kind, grid, theta, args.n_max):
-        # the builders put probability on even offsets only: moments reads those
-        m[rung.rows] = stats.moments(np.abs(rung.amps) ** 2, 2 * np.arange(rung.n_max + 1))
-        effective[rung.rows], tail[rung.rows] = rung.n_max, rung.tail_bound
+    m, effective, tail = stats.sweep_moments(build_sweep(kind, grid, theta, args.n_max))
     q, g2, a3 = stats.mandel_q(m), stats.g2_zero(m), stats.a3_parameter(m)
     out.rows = _rows(_texts(grid), [m[:, 0], q, g2, a3])
     out.meta["n_max_effective"] = int(effective.max())

@@ -15,7 +15,7 @@ A negative witness signals squeezing in the corresponding direction.
 ``squeezing_grid`` is the one route.  It builds every modulus's
 theta = 0 state with one ``states.build_sweep`` call.  The diagonal
 words are falling-factorial moments of the excitation number, read
-from the ``stats.moments`` table as the ``stats`` command reads them;
+from that sweep by ``stats.sweep_moments``, the ``stats`` command's route;
 the two lowering words <L^2> and <L^4> are row-wise shifted products
 of each rung's amplitudes, with coefficients from
 ``algebra.word_action``; this module holds no coefficient law of its
@@ -33,7 +33,7 @@ import numpy as np
 from .algebra import word_action
 from .fock import InvalidParameter
 from .states import build_sweep
-from .stats import moments
+from .stats import sweep_moments
 
 __all__ = [
     "WitnessGrid",
@@ -108,9 +108,8 @@ def squeezing_grid(
     Both builders put |c_n| e^{i n theta} on |2n+3> and the case-iii
     truncation is chosen from |c_n| alone, so for every theta
     <L^2> = e^{i theta} <L^2>_0, <L^4> = e^{2 i theta} <L^4>_0 and the
-    moments m_1, m_2 do not depend on theta.  Each rung fills its rows
-    of one (rows, 4) ``stats.moments`` table from the even offsets, as
-    the ``stats`` command does.  Row k of every
+    moments m_1, m_2 do not depend on theta, and come from
+    ``stats.sweep_moments`` as in the ``stats`` command.  Row k of every
     (moduli x thetas) array and entry k of ``n_max_effective`` and
     ``tail_bound`` belong to ``moduli[k]``.
     """
@@ -119,13 +118,10 @@ def squeezing_grid(
         raise InvalidParameter("theta values must be finite")
     angles = np.fmod(angles, 2.0 * np.pi)  # exact, and 2 theta stays finite at any theta
     rungs = build_sweep(kind, list(moduli), 0.0, n_max)
-    rows = sum(rung.rows.size for rung in rungs)
-    words, m = np.empty((len(_WORDS), rows)), np.empty((rows, 4))
-    effective, tail = np.empty(rows, dtype=int), np.empty(rows)
+    m, effective, tail = sweep_moments(rungs)
+    words = np.empty((len(_WORDS), m.shape[0]))
     for rung in rungs:
         words[:, rung.rows] = _word_values(rung.amps)
-        m[rung.rows] = moments(np.abs(rung.amps) ** 2, 2 * np.arange(rung.n_max + 1))
-        effective[rung.rows], tail[rung.rows] = rung.n_max, rung.tail_bound
     low2 = words[0][:, None] * np.exp(1j * angles)
     low4 = words[1][:, None] * np.exp(2j * angles)
     i1, i2, i3, i4 = _witnesses(low2, low4, m[:, :1], m[:, 1:2])

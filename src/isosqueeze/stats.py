@@ -7,10 +7,10 @@ acts on |0>, |1>, ...  ``moments`` reads a (rows, levels) probability
 array once and returns each row's falling-factorial moments m_1..m_4,
 accumulated with exact falling-factorial weights rather than by
 repeated operator application, so truncation-edge leakage cannot enter.
-A sweep passes each ``build_sweep`` rung on the even offsets only,
-where the builders put all probability.  Mandel Q, g2(0) and A3 are
-array closed forms of that (rows, 4) table, NaN where undefined and
-g2 inf where it exceeds the float range: <nu> = m_1 and
+A sweep's one route is ``sweep_moments``: each ``build_sweep`` rung read
+on its even offsets, where the builders put all probability.  Mandel Q,
+g2(0) and A3 are array closed forms of that (rows, 4) table, NaN where
+undefined and g2 inf where it exceeds the float range: <nu> = m_1 and
 <nu^2> = m_2 + m_1.
 """
 
@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "moments",
+    "sweep_moments",
     "mandel_q",
     "g2_zero",
     "a3_parameter",
@@ -41,6 +42,16 @@ def moments(p: np.ndarray, nu: np.ndarray) -> np.ndarray:
         weight *= nu - j
         m[:, j] = np.sum(weight * p, axis=1)
     return m
+
+
+def sweep_moments(rungs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``moments`` on the even offsets 2n, n_max and tail bound of a ``build_sweep`` result; row k is modulus k."""
+    rows = sum(rung.rows.size for rung in rungs)
+    m, effective, tail = np.empty((rows, 4)), np.empty(rows, dtype=int), np.empty(rows)
+    for rung in rungs:
+        m[rung.rows] = moments(np.abs(rung.amps) ** 2, 2 * np.arange(rung.n_max + 1))
+        effective[rung.rows], tail[rung.rows] = rung.n_max, rung.tail_bound
+    return m, effective, tail
 
 
 def _where_excited(num, den, m1) -> np.ndarray:

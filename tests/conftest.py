@@ -9,7 +9,8 @@ variances), one operator applied to a truncated vector (``apply``),
 the per-element Cahill-Glauber displacement closed form summed pair by
 pair, the Fourier oracle's per-circle cut-radius search
 (``oracle_radius_loop``), the paper's cosine double sum for the
-quadrature distribution, both amplitude laws in 50-digit mpmath, and
+quadrature distribution, both amplitude laws in 50-digit mpmath, the
+exact case-i norm and moments from one 1F4 (``case_i_moments``), and
 the squeezing witnesses I1..I4 of those amplitudes (``witnesses_mp``),
 the phase-space element sum and the s-ordered form of F in 40-digit
 mpmath.  The full-support phase-space route (``full_support_overlap``)
@@ -150,6 +151,28 @@ def nonlinear_log_norm_sq(r: float, n_terms: int = 400) -> float:
     logs = np.array(logs)
     peak = logs.max()
     return -(peak + np.log(np.exp(logs - peak).sum()))
+
+
+def case_i_moments(r: float, dps: int) -> tuple:
+    """Exact (norm, [m_1..m_4]) of the untruncated case-i state at modulus r, as mpmath numbers.
+
+    norm = sum_n (r^2/4)^n (2n)! / ((2n+2)! (2n+3)! n!^2) = (1/12) 1F4(1/2; 3/2, 2, 2, 5/2; z),
+    z = r^2/16.  The falling-factorial moments of n are f_j = z^j F^(j)(z) / F(z), with
+    F^(j) = (prod (a)_j / prod (b)_j) 1F4(a + j; b + j; z) (DLMF 16.3.1); on nu = 2n the
+    ``stats.moments`` columns are m_1 = 2 f_1, m_2 = 4 f_2 + 2 f_1, m_3 = 8 f_3 + 12 f_2 and
+    m_4 = 16 f_4 + 48 f_3 + 12 f_2.  Values carry ``dps`` digits; work on them under
+    ``mpmath.workdps``.
+    """
+    with mpmath.workdps(dps):
+        z = mpmath.mpf(r) ** 2 / 16
+        a, b = [mpmath.mpf(1) / 2], [mpmath.mpf(3) / 2, 2, 2, mpmath.mpf(5) / 2]
+        hyper = mpmath.hyper(a, b, z)
+        f1, f2, f3, f4 = (
+            z**j * mpmath.rf(a[0], j) / mpmath.fprod(mpmath.rf(c, j) for c in b)
+            * mpmath.hyper([a[0] + j], [c + j for c in b], z) / hyper
+            for j in range(1, 5)
+        )
+        return hyper / 12, [2 * f1, 4 * f2 + 2 * f1, 8 * f3 + 12 * f2, 16 * f4 + 48 * f3 + 12 * f2]
 
 
 def unitary_probability(n: int, xi: float) -> float:

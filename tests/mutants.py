@@ -88,6 +88,9 @@ MUTANTS = [
     Mutant("count bound 2**53 -> 2**70", "src/isosqueeze/cli.py",
            "value >= 2**53", "value >= 2**70",
            "tests/test_inventory.py::test_every_csv_parses_at_its_header_width"),
+    Mutant("sweep moments on every offset", "src/isosqueeze/stats.py",
+           "2 * np.arange(rung.n_max + 1)", "np.arange(rung.n_max + 1)",
+           "tests/test_golden.py::test_matches_golden[stats_i]"),
     Mutant("A3 undefined threshold 1e-14 -> 1e-300", "src/isosqueeze/stats.py",
            "where=np.abs(denom) >= 1e-14)", "where=np.abs(denom) >= 1e-300)",
            "tests/test_stats.py",

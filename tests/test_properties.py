@@ -53,21 +53,21 @@ def sweeps(draw):
 def test_sweep_rows_match_single_builds(sweep):
     kind, moduli, theta, n_max = sweep
     rungs = states.build_sweep(kind, moduli, theta, n_max)
+    m, effective, tail = stats.sweep_moments(rungs)
     assert sorted(np.concatenate([rung.rows for rung in rungs]).tolist()) == list(range(len(moduli)))
     assert [rung.n_max for rung in rungs] == sorted({rung.n_max for rung in rungs})
     for rung in rungs:
         p = np.abs(rung.amps) ** 2
-        m = stats.moments(p, 2 * np.arange(rung.n_max + 1))
         for k, row in enumerate(rung.rows):
             v = iq.build_state(iq.SqueezeParams(kind=kind, r=moduli[row], theta=theta, n_max=n_max))
-            assert v.n_max_effective == rung.n_max
-            assert math.isclose(rung.tail_bound[k], v.tail_bound, rel_tol=1e-12, abs_tol=0.0)
+            assert v.n_max_effective == effective[row]
+            assert math.isclose(tail[row], v.tail_bound, rel_tol=1e-12, abs_tol=0.0)
             single = np.abs(v.amps) ** 2
             assert np.max(np.abs(p[k] - single[::2])) <= 1e-15
             assert not single[1::2].any()
             mean, mean_sq = power_moments(v)
-            assert math.isclose(m[k, 0], mean, rel_tol=1e-12, abs_tol=0.0)
-            assert math.isclose(m[k, 1] + m[k, 0], mean_sq, rel_tol=1e-12, abs_tol=0.0)
+            assert math.isclose(m[row, 0], mean, rel_tol=1e-12, abs_tol=0.0)
+            assert math.isclose(m[row, 1] + m[row, 0], mean_sq, rel_tol=1e-12, abs_tol=0.0)
 
 
 @PROPERTY

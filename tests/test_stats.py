@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import isosqueeze as iq
-from isosqueeze import stats
-from conftest import basis_vector, power_moments, state_moments, unitary_probability
+from isosqueeze import states, stats
+from conftest import basis_vector, case_i_moments, power_moments, state_moments, unitary_probability
 
 
 def _unitary_state(xi, n_max=400):
@@ -129,7 +129,7 @@ def _exact_factorial_moments(p):
 
 
 class TestMomentTable:
-    """``moments`` against exact rational sums."""
+    """``moments`` against exact rational sums, and ``sweep_moments`` against the exact case-i moments."""
 
     @pytest.mark.parametrize("level", [3, 4, 5, 6, 7, 12, 40])
     def test_number_states_exact(self, level):
@@ -143,6 +143,15 @@ class TestMomentTable:
         m = state_moments(iq.FockVector(np.sqrt([float(p_nu) for p_nu in p])))
         for got, want in zip(m, _exact_factorial_moments(p)):
             assert got == pytest.approx(float(want), rel=1e-13)
+
+    def test_case_i_sweep_matches_hypergeometric_oracle(self):
+        # largest gap measured: 6.1e-15 relative, m_4 at r = 1000
+        moduli = [0.5, 5.0, 20.0, 31.0, 100.0, 1000.0]
+        m, _, _ = stats.sweep_moments(states.build_sweep("i", moduli))
+        for r, row in zip(moduli, m):
+            _, exact = case_i_moments(r, 40)
+            for got, want in zip(row, exact):
+                assert got == pytest.approx(float(want), rel=3e-14), r
 
 
 class TestA3:
