@@ -168,13 +168,13 @@ def _point(args, columns, **head) -> tuple[SqueezeParams, FockVector, _Output]:
 
 
 def _modulus_grid(args, columns, **head) -> tuple:
-    """(kind, phase, grid, output) of a sweep over (0, max]; the degenerate 0 is excluded.
+    """(kind, grid, output) of a sweep over (0, max]; the degenerate 0 is excluded.
 
-    The output's head is the sweep's max and steps, then ``head``.
+    The output's head is the sweep's max and steps, then ``head``.  No sweep reads a phase.
     """
-    kind, _, phase, top, steps = _resolve(args)
+    kind, _, _, top, steps = _resolve(args)
     out = _figure(args, kind, columns, max=top, steps=steps, **head)
-    return kind, phase, np.linspace(top / steps, top, steps), out
+    return kind, np.linspace(top / steps, top, steps), out
 
 
 def _symmetric_axis(low: float, high: float, steps: int) -> np.ndarray:
@@ -232,8 +232,8 @@ def _cmd_state(args) -> _Output:
 
 
 def _cmd_stats(args) -> _Output:
-    kind, theta, grid, out = _modulus_grid(args, ("r", "meanK0", "Q", "g2", "A3"))
-    m, effective, tail = stats.sweep_moments(build_sweep(kind, grid, theta, args.n_max))
+    kind, grid, out = _modulus_grid(args, ("r", "meanK0", "Q", "g2", "A3"))
+    m, effective, tail = stats.sweep_moments(build_sweep(kind, grid, args.n_max))
     q, g2, a3 = stats.mandel_q(m), stats.g2_zero(m), stats.a3_parameter(m)
     out.rows = _rows(_texts(grid), [m[:, 0], q, g2, a3])
     out.meta["n_max_effective"] = int(effective.max())
@@ -252,8 +252,7 @@ def _cmd_stats(args) -> _Output:
 
 
 def _cmd_squeeze(args) -> _Output:
-    kind, _, grid, out = _modulus_grid(args, ("r", "theta", "I1", "I2", "I3", "I4"),
-                                       theta_steps=args.theta_steps)
+    kind, grid, out = _modulus_grid(args, ("r", "theta", "I1", "I2", "I3", "I4"), theta_steps=args.theta_steps)
     thetas = np.linspace(0.0, 2.0 * math.pi, args.theta_steps, endpoint=False)
     witness = squeezing.squeezing_grid(kind, grid, thetas, n_max=args.n_max)
     _check_tail(out, witness.n_max_effective, witness.tail_bound)

@@ -12,15 +12,14 @@ I3, I4 for the real and imaginary parts of the squared amplitude,
 where the reference level is the commutator expectation 2 <K0> + 1.
 A negative witness signals squeezing in the corresponding direction.
 
-``squeezing_grid`` is the one route.  It builds every modulus's
-theta = 0 state with one ``states.build_sweep`` call.  The diagonal
-words are falling-factorial moments of the excitation number, read
-from that sweep by ``stats.sweep_moments``, the ``stats`` command's route;
-the two lowering words <L^2> and <L^4> are row-wise shifted products
-of each rung's amplitudes, with coefficients from
-``algebra.word_action``; this module holds no coefficient law of its
-own.  The squeeze phase only rotates the words, so one state gives a
-whole theta row.
+``squeezing_grid`` is the one route.  It builds every modulus's |c_n|
+with one ``states.build_sweep`` call.  The diagonal words are
+falling-factorial moments of the excitation number, read from that
+sweep by ``stats.sweep_moments``, the ``stats`` command's route; the two
+lowering words <L^2> and <L^4> are row-wise shifted products of each
+rung's |c_n|, with coefficients from ``algebra.word_action``; this
+module holds no coefficient law of its own.  The squeeze phase only
+rotates the words, so one row of |c_n| gives a whole theta row.
 """
 
 from __future__ import annotations
@@ -105,11 +104,11 @@ def squeezing_grid(
 ) -> WitnessGrid:
     """Witnesses of route ``kind`` over the (modulus, theta) grid, in the caller's order.
 
-    Both builders put |c_n| e^{i n theta} on |2n+3> and the case-iii
-    truncation is chosen from |c_n| alone, so for every theta
-    <L^2> = e^{i theta} <L^2>_0, <L^4> = e^{2 i theta} <L^4>_0 and the
-    moments m_1, m_2 do not depend on theta, and come from
-    ``stats.sweep_moments`` as in the ``stats`` command.  Row k of every
+    A sweep row holds |c_n| on |2n+3>, and the state at theta holds
+    c_n = |c_n| e^{i n theta} (``states.build_state``) at the same truncation.  A word
+    that lowers by 2k levels pairs conj c_n with c_{n+k}, so <L^2> = e^{i theta} <L^2>_0 and
+    <L^4> = e^{2 i theta} <L^4>_0, the _0 words read from the rows; m_1, m_2 depend on |c_n|
+    alone and come from ``stats.sweep_moments`` as in the ``stats`` command.  Row k of every
     (moduli x thetas) array and entry k of ``n_max_effective`` and
     ``tail_bound`` belong to ``moduli[k]``.
     """
@@ -117,7 +116,7 @@ def squeezing_grid(
     if not np.all(np.isfinite(angles)):
         raise InvalidParameter("theta values must be finite")
     angles = np.fmod(angles, 2.0 * np.pi)  # exact, and 2 theta stays finite at any theta
-    rungs = build_sweep(kind, list(moduli), 0.0, n_max)
+    rungs = build_sweep(kind, list(moduli), n_max)
     m, effective, tail = sweep_moments(rungs)
     words = np.empty((len(_WORDS), m.shape[0]))
     for rung in rungs:

@@ -1,7 +1,7 @@
 """Squeezed-state construction on the truncated ladder.
 
-``build_sweep`` is the one route from moduli to states (``build_state``
-is its one-row case); ``kind`` picks the amplitude law:
+``build_sweep`` is the one route from moduli to states, as rows of |c_n|;
+``build_state``, its one-row case, applies e^{i n theta}.  ``kind`` picks the law:
 
 * the non-unitary route ("case i"), driven by the one-sided rescaled
   raising operator together with the deformed lowering operator, whose
@@ -117,21 +117,20 @@ def _log_norm(log_mag: np.ndarray) -> np.ndarray:
     return -0.5 * (peak + np.log(np.exp(log_sq - peak[:, None]).sum(axis=1)))
 
 
-def _assemble(kind: str, r: np.ndarray, theta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes of |2n+3>, n = 0..n_max, one row per modulus, and each row's tail proxy."""
+def _assemble(kind: str, r: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """|c_n| on |2n+3>, n = 0..n_max, one row per modulus, and each row's tail proxy."""
     n_idx = np.arange(n_max + 1)
     log_mag = _log_terms(kind, r, n_idx)
-    phase = math.fmod(theta, math.tau)  # exact, and theta n stays finite at any theta
-    amps = np.exp(log_mag + _log_norm(log_mag)[:, None]) * np.exp(1j * phase * n_idx)
+    amps = np.exp(log_mag + _log_norm(log_mag)[:, None])
     # the top TAIL_WINDOW offsets 2 n_max + 1 - TAIL_WINDOW .. 2 n_max hold these
     # half indices; the base level never counts, so a barely truncated state reports ~0
     low = max(1, (2 * n_max + 2 - TAIL_WINDOW) // 2)
-    return amps, np.sum(np.abs(amps[:, low:]) ** 2, axis=1)
+    return amps, np.sum(amps[:, low:] ** 2, axis=1)
 
 
 @dataclass(frozen=True)
 class SweepRung:
-    """Sweep states that end at ``n_max``: row k is ``moduli[rows[k]]``, ``amps[k, n]`` on |2n+3>."""
+    """Sweep states that end at ``n_max``: row k is ``moduli[rows[k]]``, ``amps[k, n]`` = |c_n| on |2n+3>."""
 
     rows: np.ndarray
     n_max: int
@@ -139,11 +138,12 @@ class SweepRung:
     tail_bound: np.ndarray
 
 
-def build_sweep(kind: str, moduli, theta: float = 0.0, n_max: int = 70) -> list[SweepRung]:
+def build_sweep(kind: str, moduli, n_max: int = 70) -> list[SweepRung]:
     """Normalized squeezed states of route ``kind`` at each modulus, grouped by truncation.
 
-    Case i: c_{2n+3} ~ beta^n / (2^n n!) sqrt((2n)! / ((2n+2)! (2n+3)!)).
-    Case iii: c_{2n+3} ~ xi^n sqrt((2n)!) / (2^n n!).  Each rung forms all
+    Rows hold |c_n|; ``build_state`` alone applies the phase, c_n = |c_n| e^{i n theta}.
+    Case i: |c_{2n+3}| ~ r^n / (2^n n!) sqrt((2n)! / ((2n+2)! (2n+3)!)).
+    Case iii: |c_{2n+3}| ~ r^n sqrt((2n)!) / (2^n n!).  Each rung forms all
     its rows as one outer sum.  Case-iii rows with |xi| > 0.7 whose tail
     proxy is at least 1e-10 move on to the next rung, 2 n_max, until
     n_max reaches 20000; the rungs come in increasing n_max.
@@ -151,12 +151,12 @@ def build_sweep(kind: str, moduli, theta: float = 0.0, n_max: int = 70) -> list[
     r = np.array(moduli, dtype=float)
     if r.size:  # each modulus passes a single state's checks; the first that fails raises as its state
         bad = ~np.isfinite(r) | (r < 0.0) | ((kind == CASE_UNITARY) & (r >= 1.0))
-        for k in (0, bad.argmax()):  # row 0 also carries the checks of kind, theta and n_max
-            SqueezeParams(kind, float(r[k]), theta, n_max)
+        for k in (0, bad.argmax()):  # row 0 also carries the checks of kind and n_max
+            SqueezeParams(kind, float(r[k]), n_max=n_max)
     rows = np.arange(r.size)
     rungs = []
     while rows.size:
-        amps, tail = _assemble(kind, r[rows], theta, n_max)
+        amps, tail = _assemble(kind, r[rows], n_max)
         grow = ((kind == CASE_UNITARY) & (r[rows] > 0.7) & (tail >= _AUTO_TAIL_TARGET)
                 & (n_max < _AUTO_N_MAX_CEILING))
         if not grow.all():
@@ -166,10 +166,11 @@ def build_sweep(kind: str, moduli, theta: float = 0.0, n_max: int = 70) -> list[
 
 
 def build_state(params: SqueezeParams) -> FockVector:
-    """The state of ``params``: the one-row case of ``build_sweep``."""
-    (rung,) = build_sweep(params.kind, [params.r], params.theta, params.n_max)
+    """The state of ``params``: the one-row case of ``build_sweep``, with c_n = |c_n| e^{i n theta}."""
+    (rung,) = build_sweep(params.kind, [params.r], params.n_max)
+    phase = math.fmod(params.theta, math.tau)  # exact, and theta n stays finite at any theta
     amps = np.zeros(2 * rung.n_max + 1, dtype=complex)
-    amps[::2] = rung.amps[0]
+    amps[::2] = rung.amps[0] * np.exp(1j * phase * np.arange(rung.n_max + 1))
     return FockVector(amps, tail_bound=float(rung.tail_bound[0]))
 
 

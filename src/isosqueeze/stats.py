@@ -49,7 +49,7 @@ def sweep_moments(rungs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows = sum(rung.rows.size for rung in rungs)
     m, effective, tail = np.empty((rows, 4)), np.empty(rows, dtype=int), np.empty(rows)
     for rung in rungs:
-        m[rung.rows] = moments(np.abs(rung.amps) ** 2, 2 * np.arange(rung.n_max + 1))
+        m[rung.rows] = moments(rung.amps**2, 2 * np.arange(rung.n_max + 1))
         effective[rung.rows], tail[rung.rows] = rung.n_max, rung.tail_bound
     return m, effective, tail
 

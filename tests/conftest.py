@@ -10,7 +10,9 @@ the per-element Cahill-Glauber displacement closed form summed pair by
 pair, the Fourier oracle's per-circle cut-radius search
 (``oracle_radius_loop``), the paper's cosine double sum for the
 quadrature distribution, both amplitude laws in 50-digit mpmath, the
-exact case-i norm and moments from one 1F4 (``case_i_moments``), and
+exact case-i norm and moments from one 1F4 (``case_i_moments``), the
+case-iii witnesses and s-ordered F in closed form (``unitary_witnesses``,
+``unitary_quasi_probability``), and
 the squeezing witnesses I1..I4 of those amplitudes (``witnesses_mp``),
 the phase-space element sum and the s-ordered form of F in 40-digit
 mpmath.  The full-support phase-space route (``full_support_overlap``)
@@ -185,6 +187,58 @@ def unitary_probability(n: int, xi: float) -> float:
 def squeezed_norm_closed_form(xi: float) -> float:
     """Unitary-route normalization in closed form: (1 - xi^2)^(1/4)."""
     return (1.0 - xi * xi) ** 0.25
+
+
+def _unitary_hyperbolic(xi) -> tuple:
+    """(sinh rho, cosh rho), tanh rho = xi, at the working precision."""
+    rho = mpmath.atanh(mpmath.mpf(xi))
+    return mpmath.sinh(rho), mpmath.cosh(rho)
+
+
+def unitary_witnesses(xi: float, theta: float) -> tuple:
+    """Exact (I1, I2, I3, I4) of the case-iii state at |xi| = ``xi``, phase ``theta``, in 40 digits.
+
+    The squeezed vacuum in nu has m_1 = s^2, m_2 = 3 s^4 + s^2, <L^2> = e^{i theta} s c and
+    <L^4> = 3 e^{2 i theta} s^2 c^2, with s = sinh rho and c = cosh rho; the witnesses follow
+    from these as in ``squeezing._witnesses``.
+    """
+    with mpmath.workdps(40):
+        s, c = _unitary_hyperbolic(xi)
+        m1, m2 = s**2, 3 * s**4 + s**2
+        low2 = mpmath.expj(mpmath.mpf(theta)) * s * c
+        re2, im2, re4 = low2.real, low2.imag, 3 * mpmath.cos(2 * mpmath.mpf(theta)) * s**2 * c**2
+        return 2 * (m1 + re2), 2 * (m1 - re2), (m2 + re4) / 2 - re2**2, (m2 - re4) / 2 - im2**2
+
+
+def unitary_quasi_probability(xi: float, phase: float, s: float, x, p) -> np.ndarray:
+    """Exact F(x + i p, s) of the case-iii state at |xi| = ``xi``, ``phase``; values[i, j] at (x_i, p_j).
+
+    C(lam, s) = exp(-lam^T B lam / 2) in lam = (Re lam, Im lam), with B = A - s I and A the real
+    form of |lam cosh rho - conj(lam) e^{i phase} sinh rho|^2; its Fourier transform is
+    F = 2/(pi sqrt(det B)) exp(-k^T B^-1 k / 2), k = 2(p, -x).  Each value is taken in 40 digits
+    and rounded once.
+    """
+    with mpmath.workdps(40):
+        sh, ch = _unitary_hyperbolic(xi)
+        diag, cross = ch**2 + sh**2 - mpmath.mpf(s), 2 * ch * sh
+        turn = mpmath.mpf(phase)
+        b11, b22, b12 = diag - cross * mpmath.cos(turn), diag + cross * mpmath.cos(turn), -cross * mpmath.sin(turn)
+        det = b11 * b22 - b12**2
+        scale = 2 / (mpmath.pi * mpmath.sqrt(det))
+        # k^T B^-1 k / 2 with k = 2(p, -x) and B^-1 = [[b22, -b12], [-b12, b11]] / det
+        return np.array([[float(scale * mpmath.exp(-2 * (q**2 * b22 + 2 * q * u * b12 + u**2 * b11) / det))
+                          for q in map(mpmath.mpf, np.ravel(p).tolist())]
+                         for u in map(mpmath.mpf, np.ravel(x).tolist())])
+
+
+def quasi_rounding_allowance(s: float) -> float:
+    """Rounding allowance for F of a normalized state: 8 ulp of 2/(pi (1 - s)), the bound on |F|.
+
+    Not derived: it covers the amplitudes' rounding and the kernel's sums, measured at up to
+    3.2 ulp against ``unitary_quasi_probability`` on +-4 grids of 41^2 at -1 <= s <= 0.5,
+    until ROADMAP item 12's running error bound replaces it.
+    """
+    return 8.0 * np.finfo(float).eps * 2.0 / (math.pi * (1.0 - s))
 
 
 def _amplitudes_mpc(kind: str, r: float, theta: float, n_max: int) -> list:

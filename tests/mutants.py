@@ -91,6 +91,9 @@ MUTANTS = [
     Mutant("sweep moments on every offset", "src/isosqueeze/stats.py",
            "2 * np.arange(rung.n_max + 1)", "np.arange(rung.n_max + 1)",
            "tests/test_golden.py::test_matches_golden[stats_i]"),
+    Mutant("build_state ignores the phase", "src/isosqueeze/states.py",
+           "phase = math.fmod(params.theta, math.tau)", "phase = 0.0",
+           "tests/test_golden.py::test_matches_golden[quad_dist]"),
     Mutant("A3 undefined threshold 1e-14 -> 1e-300", "src/isosqueeze/stats.py",
            "where=np.abs(denom) >= 1e-14)", "where=np.abs(denom) >= 1e-300)",
            "tests/test_stats.py",

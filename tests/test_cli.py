@@ -153,6 +153,19 @@ class TestStatsCommand:
         levels = [n for _, n in calls]
         assert len(calls) > 1 and levels == sorted(set(levels))  # one call per rung
 
+    @pytest.mark.parametrize("sweep, flag, phases", [
+        (["--case", "i", "--r-max", "31", "--r-steps", "64"], "--theta", ["0", "0.5", "1e308"]),
+        (["--case", "iii", "--xi-max", "0.999", "--xi-steps", "64"], "--xi-phase", ["0", "2.1"]),
+    ], ids=["i", "iii"])
+    def test_table_does_not_depend_on_the_phase(self, tmp_path, sweep, flag, phases):
+        # meanK0, Q, g2 and A3 read |c_n| alone: every phase writes the same bytes
+        written = []
+        for k, phase in enumerate(phases):
+            target = tmp_path / f"{k}.csv"
+            assert main(["stats", *sweep, flag, phase, "-o", str(target)]) == 0
+            written.append((target.read_bytes(), Path(f"{target}.meta.json").read_bytes()))
+        assert written == [written[0]] * len(phases)
+
     def test_g2_finite_where_mean_squared_underflows(self, tmp_path, capsys):
         # m_1 ~ 1e-171, so m_1^2 underflows; g2 must still match 50 digits
         target = tmp_path / "g.csv"
@@ -303,9 +316,9 @@ class TestQuadDistCommand:
         assembled = []
         assemble = states._assemble
 
-        def counting(kind, r, theta, n_max):
+        def counting(kind, r, n_max):
             assembled.append(len(r))
-            return assemble(kind, r, theta, n_max)
+            return assemble(kind, r, n_max)
 
         monkeypatch.setattr(states, "_assemble", counting)
         code, _, _ = _run(capsys, "quad-dist", "--r", "10", "--x-steps", "5", "--phi-steps", "4")

@@ -20,6 +20,8 @@ from conftest import (
     oracle_radius_loop,
     quadrature_distribution_cosine,
     quasi_probability_cut_move,
+    quasi_rounding_allowance,
+    unitary_quasi_probability,
 )
 
 
@@ -667,6 +669,16 @@ class TestQuasiProbability:
                 assert grid.values[i, j] == pytest.approx(
                     dist.quasi_probability(unitary_xi04, complex(x, p), 0.0), rel=1e-12
                 )
+
+    @pytest.mark.parametrize("xi, phase, s", [(0.4, 0.7, -0.5), (0.4, 0.7, 0.0), (0.4, 0.7, -1.0),
+                                              (0.25, 1.0, 0.5)])
+    def test_case_iii_matches_the_gaussian(self, xi, phase, s):
+        # the squeezed vacuum's exact F on the CLI's +-4, 41^2 axes; the n_max 70 state drops a
+        # mass below 1e-50, so the kernel's cut and rounding make the whole gap
+        axis = cli._symmetric_axis(-4.0, 4.0, 41)
+        grid = dist.quasi_probability_grid(_unitary(xi, phase, n_max=70), axis, axis, s)
+        gap = np.abs(grid.values - unitary_quasi_probability(xi, phase, s, axis, axis))
+        assert np.max(gap) <= grid.kernel_error_bound + quasi_rounding_allowance(s)
 
     def test_wigner_normalization(self):
         v = _unitary(0.5)

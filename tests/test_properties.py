@@ -52,7 +52,7 @@ def sweeps(draw):
 @given(sweeps())
 def test_sweep_rows_match_single_builds(sweep):
     kind, moduli, theta, n_max = sweep
-    rungs = states.build_sweep(kind, moduli, theta, n_max)
+    rungs = states.build_sweep(kind, moduli, n_max)
     m, effective, tail = stats.sweep_moments(rungs)
     assert sorted(np.concatenate([rung.rows for rung in rungs]).tolist()) == list(range(len(moduli)))
     assert [rung.n_max for rung in rungs] == sorted({rung.n_max for rung in rungs})

@@ -188,7 +188,7 @@ class TestSmallModulus:
         exact value is 6.44e-20), and left 1.11e-16 in the r = 0 cells.
         """
         grid = squeezing.squeezing_grid(kind, [modulus], self.THETAS)
-        (rung,) = states.build_sweep(kind, [modulus], 0.0, 70)
+        (rung,) = states.build_sweep(kind, [modulus], 70)
         exact = amplitudes_mp(kind, modulus, 0.0, 70).real
         assert np.array_equal(rung.amps[0] != 0.0, exact != 0.0)
         kept = exact != 0.0

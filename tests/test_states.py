@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -102,9 +103,9 @@ class TestUnitaryBuilder:
         assembled, made = [], []
         assemble = states._assemble
 
-        def counting(kind, r, theta, n_max):
+        def counting(kind, r, n_max):
             assembled.append((len(r), n_max))
-            return assemble(kind, r, theta, n_max)
+            return assemble(kind, r, n_max)
 
         class Counting(states.FockVector):
             def __post_init__(self):
@@ -121,6 +122,22 @@ class TestUnitaryBuilder:
 
     def test_tail_bound_recorded(self, unitary_xi04):
         assert 0.0 <= unitary_xi04.tail_bound < 1e-12
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 5: tail_bound is the mass on the top TAIL_WINDOW levels, a proxy "
+                       "that does not bound the discarded mass (3.115e-6 reported, 4.676e-3 discarded)")
+    def test_tail_bound_bounds_the_discarded_mass(self):
+        # state --case iii --xi 0.9999 stops at the ceiling, n_max 20000; the exact discarded mass is
+        # 1 - sum_{n <= n_max} P_n, P_0 = sqrt(1 - xi^2), P_{n+1} = P_n xi^2 (2n + 1)/(2n + 2)
+        v = iq.build_state(iq.SqueezeParams(kind="iii", r=0.9999))
+        with mpmath.workdps(30):
+            x2 = mpmath.mpf(0.9999) ** 2
+            term, kept = mpmath.sqrt(1 - x2), mpmath.mpf(0)
+            for n in range(v.n_max_effective + 1):
+                kept += term
+                term *= x2 * (2 * n + 1) / (2 * n + 2)
+            discarded = float(1 - kept)
+        assert v.tail_bound >= discarded, (v.tail_bound, discarded)
 
 
 class TestSweepValidation:
@@ -147,12 +164,12 @@ class TestSweepValidation:
         assert type(exc.value) is type(want)
         assert str(exc.value) == str(want)
 
-    @pytest.mark.parametrize("theta, n_max", [(math.nan, 70), (0.0, 0)])
+    @pytest.mark.parametrize("theta, n_max", [(0.0, 0)])
     def test_parameters_of_every_row_are_checked_at_the_first(self, theta, n_max):
-        # theta and n_max fail every row, so the first modulus names the refusal
+        # n_max fails every row, so the first modulus names the refusal; a sweep takes no phase
         want = self._refusal("i", 0.1, theta, n_max)
         with pytest.raises(type(want)) as exc:
-            states.build_sweep("i", [0.1, -1.0], theta, n_max)
+            states.build_sweep("i", [0.1, -1.0], n_max)
         assert str(exc.value) == str(want)
 
     def test_bad_kind(self):
@@ -162,7 +179,7 @@ class TestSweepValidation:
         assert str(exc.value) == str(want)
 
     def test_empty_sweep_is_not_validated(self):
-        assert states.build_sweep("iii", [], math.nan, 0) == []
+        assert states.build_sweep("iii", [], 0) == []
 
 
 class TestUnitNorm:
@@ -170,7 +187,7 @@ class TestUnitNorm:
 
     @staticmethod
     def _rounding_bound(probs, peak):
-        """First-order bound on |sum_n |c_n|^2 - 1| for one row of ``_assemble`` (theta = 0).
+        """First-order bound on |sum_n |c_n|^2 - 1| for one row of ``_assemble``.
 
         u = 2^-53, and numpy's float64 exp and log are taken within 1 ulp (the tolerance of
         numpy's own accuracy tests), at most 2u relative: C_F = 2.  With d_n = 2 ln|c_n| - peak
